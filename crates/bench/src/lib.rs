@@ -1,4 +1,4 @@
-//! Shared helpers for the table-regeneration binaries and the criterion
+//! Shared helpers for the table-regeneration binaries and the timing
 //! benches.
 //!
 //! Each of the paper's tables has a binary (`cargo run --release -p

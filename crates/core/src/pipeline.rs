@@ -4,14 +4,12 @@
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
+use cdmm_lang::ast::{Program, Stmt};
 use cdmm_lang::LangError;
 use cdmm_locality::{
     analyze_program_with_mode, instrument, Analysis, InsertOptions, PageGeometry, SizerMode,
 };
-use cdmm_trace::{
-    trace_program_compressed, trace_program_compressed_cancellable, CancelToken, CompressedTrace,
-    InterpError, Trace,
-};
+use cdmm_trace::{CancelToken, CompressedTrace, InterpError, Interpreter, MemoryLayout, Trace};
 use cdmm_vmsim::policy::cd::{CdPolicy, CdSelector};
 use cdmm_vmsim::policy::clock::Clock;
 use cdmm_vmsim::policy::fifo::Fifo;
@@ -61,25 +59,24 @@ pub enum PipelineError {
     Lang(LangError),
     /// Trace-generation failure.
     Interp(InterpError),
-    /// Cross-trace validation failure: instrumentation changed the
-    /// observable reference string.
+    /// Transparency failure: instrumentation changed the program
+    /// beyond inserting directives.
     Validate(ValidateError),
 }
 
-/// Details of a plain/instrumented trace misalignment.
+/// Where an instrumented program stops matching the analysed one.
 ///
-/// Inserting directives must be behavior-preserving: the instrumented
-/// program has to emit exactly the reference string of the original.
-/// This used to be a `debug_assert!`; corrupted instrumentation must be
-/// rejected in release builds too, so it is now a first-class error.
+/// Inserting directives must be behavior-preserving: with its
+/// `Directive` statements skipped, the instrumented program has to be
+/// the analysed program, so every execution emits the original
+/// reference string. Corrupted instrumentation is rejected in release
+/// builds too, as a first-class error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ValidateError {
-    /// References in the plain trace.
-    pub plain_refs: u64,
-    /// References in the instrumented trace.
-    pub cd_refs: u64,
-    /// Position of the first diverging reference, when both strings
-    /// have the same length but different content.
+    /// Position of the first statement instrumentation dropped, added
+    /// or altered, counting the non-directive statements of both
+    /// programs in pre-order from 0; `None` when the declarations
+    /// (name, `PARAMETER`s or `DIMENSION`s) differ.
     pub first_divergence: Option<u64>,
 }
 
@@ -88,13 +85,9 @@ impl fmt::Display for ValidateError {
         match self.first_divergence {
             Some(i) => write!(
                 f,
-                "instrumentation changed the reference string at position {i}"
+                "instrumentation changed statement {i} (directives skipped)"
             ),
-            None => write!(
-                f,
-                "instrumentation changed the reference count: {} plain vs {} instrumented",
-                self.plain_refs, self.cd_refs
-            ),
+            None => f.write_str("instrumentation changed the declarations"),
         }
     }
 }
@@ -121,6 +114,7 @@ pub struct Prepared {
     instrumented_source: String,
     /// Trace of the uninstrumented program (what LRU/WS/OPT see),
     /// stored run-length-compressed; the simulator streams it directly.
+    /// Derived from `cd_trace` by dropping its directives.
     plain_trace: CompressedTrace,
     /// Trace of the instrumented program (directive events embedded).
     cd_trace: CompressedTrace,
@@ -144,27 +138,7 @@ pub fn prepare(
     source: &str,
     config: PipelineConfig,
 ) -> Result<Prepared, PipelineError> {
-    let analysis = analyze_program_with_mode(source, config.geometry, config.sizer_mode)
-        .map_err(PipelineError::Lang)?;
-    let instrumented = instrument(&analysis, config.insert);
-    let instrumented_src = cdmm_lang::to_source(&instrumented);
-    let plain_trace =
-        trace_program_compressed(source, config.geometry).map_err(PipelineError::Interp)?;
-    let cd_trace = trace_program_compressed(&instrumented_src, config.geometry)
-        .map_err(PipelineError::Interp)?;
-    check_alignment(&plain_trace, &cd_trace).map_err(PipelineError::Validate)?;
-    let fingerprint = content_fingerprint(source, &plain_trace, &cd_trace, &config);
-    Ok(Prepared {
-        name: name.to_string(),
-        analysis,
-        instrumented_source: instrumented_src,
-        plain_trace,
-        cd_trace,
-        plain_flat: Arc::new(OnceLock::new()),
-        cd_flat: Arc::new(OnceLock::new()),
-        config,
-        fingerprint,
-    })
+    prepare_cancellable(name, source, config, &CancelToken::new())
 }
 
 /// [`prepare`] under a cooperative [`CancelToken`].
@@ -185,17 +159,12 @@ pub fn prepare_cancellable(
     let analysis = analyze_program_with_mode(source, config.geometry, config.sizer_mode)
         .map_err(PipelineError::Lang)?;
     let instrumented = instrument(&analysis, config.insert);
-    let instrumented_src = cdmm_lang::to_source(&instrumented);
-    let plain_trace = trace_program_compressed_cancellable(source, config.geometry, token)
-        .map_err(PipelineError::Interp)?;
-    let cd_trace = trace_program_compressed_cancellable(&instrumented_src, config.geometry, token)
-        .map_err(PipelineError::Interp)?;
-    check_alignment(&plain_trace, &cd_trace).map_err(PipelineError::Validate)?;
+    let (plain_trace, cd_trace) = trace_once(&analysis, &instrumented, config.geometry, token)?;
     let fingerprint = content_fingerprint(source, &plain_trace, &cd_trace, &config);
     Ok(Prepared {
         name: name.to_string(),
+        instrumented_source: cdmm_lang::to_source(&instrumented),
         analysis,
-        instrumented_source: instrumented_src,
         plain_trace,
         cd_trace,
         plain_flat: Arc::new(OnceLock::new()),
@@ -203,6 +172,109 @@ pub fn prepare_cancellable(
         config,
         fingerprint,
     })
+}
+
+/// Interprets the instrumented program once and returns the plain and
+/// instrumented traces.
+///
+/// The structural check proves that, directives aside, `instrumented`
+/// is the analysed program. Directives touch no variable, so every
+/// execution of it emits the analysed program's reference string, and
+/// dropping the directives from its trace yields the plain trace.
+fn trace_once(
+    analysis: &Analysis,
+    instrumented: &Program,
+    geometry: PageGeometry,
+    token: &CancelToken,
+) -> Result<(CompressedTrace, CompressedTrace), PipelineError> {
+    check_transparency(&analysis.program, instrumented).map_err(PipelineError::Validate)?;
+    let layout = MemoryLayout::new(&analysis.symbols, geometry);
+    let cd_trace = Interpreter::new(instrumented, &analysis.symbols, layout)
+        .with_cancel(token.clone())
+        .run_compressed()
+        .map_err(PipelineError::Interp)?;
+    Ok((cd_trace.without_directives(), cd_trace))
+}
+
+/// Verifies the paper's instrumentation-transparency requirement on the
+/// programs themselves: `instrumented` must equal `analysed` once
+/// `Directive` statements are skipped on both sides. O(AST), and it
+/// covers every execution rather than the one traced.
+fn check_transparency(analysed: &Program, instrumented: &Program) -> Result<(), ValidateError> {
+    if analysed.name != instrumented.name
+        || analysed.params != instrumented.params
+        || analysed.arrays != instrumented.arrays
+    {
+        return Err(ValidateError {
+            first_divergence: None,
+        });
+    }
+    let mut matched = 0;
+    if same_statements(&analysed.body, &instrumented.body, &mut matched) {
+        Ok(())
+    } else {
+        Err(ValidateError {
+            first_divergence: Some(matched),
+        })
+    }
+}
+
+/// Compares two statement lists with directives skipped, recursing into
+/// loop and branch bodies; `matched` counts the statements whose own
+/// fields matched, in pre-order.
+fn same_statements(a: &[Stmt], b: &[Stmt], matched: &mut u64) -> bool {
+    let code = |s: &&Stmt| !matches!(s, Stmt::Directive { .. });
+    let mut b = b.iter().filter(code);
+    for x in a.iter().filter(code) {
+        let Some(y) = b.next() else {
+            return false;
+        };
+        let bodies: [(&[Stmt], &[Stmt]); 2] = match (x, y) {
+            (
+                Stmt::Do {
+                    label,
+                    var,
+                    lo,
+                    hi,
+                    step,
+                    body,
+                    ..
+                },
+                Stmt::Do {
+                    label: label2,
+                    var: var2,
+                    lo: lo2,
+                    hi: hi2,
+                    step: step2,
+                    body: body2,
+                    ..
+                },
+            ) if (label, var, lo, hi, step) == (label2, var2, lo2, hi2, step2) => {
+                [(body, body2), (&[], &[])]
+            }
+            (
+                Stmt::If {
+                    cond,
+                    then_body,
+                    else_body,
+                    ..
+                },
+                Stmt::If {
+                    cond: cond2,
+                    then_body: then2,
+                    else_body: else2,
+                    ..
+                },
+            ) if cond == cond2 => [(then_body, then2), (else_body, else2)],
+            (Stmt::Assign { .. } | Stmt::Continue { .. }, _) if x == y => [(&[], &[]); 2],
+            _ => return false,
+        };
+        *matched += 1;
+        if !bodies.iter().all(|&(p, q)| same_statements(p, q, matched)) {
+            return false;
+        }
+    }
+    b.next().is_none()
 }
 
 /// Hashes the full simulation input of a prepared program. Runs over
@@ -229,32 +301,6 @@ fn content_fingerprint(
         SizerMode::Tight => 1,
     });
     h.finish()
-}
-
-/// Verifies that directives did not change the observable reference
-/// string (the paper's instrumentation-transparency requirement).
-fn check_alignment(plain: &CompressedTrace, cd: &CompressedTrace) -> Result<(), ValidateError> {
-    let plain_refs = plain.ref_count();
-    let cd_refs = cd.ref_count();
-    if plain_refs != cd_refs {
-        return Err(ValidateError {
-            plain_refs,
-            cd_refs,
-            first_divergence: None,
-        });
-    }
-    if let Some(i) = plain
-        .iter_refs()
-        .zip(cd.iter_refs())
-        .position(|(a, b)| a != b)
-    {
-        return Err(ValidateError {
-            plain_refs,
-            cd_refs,
-            first_divergence: Some(i as u64),
-        });
-    }
-    Ok(())
 }
 
 /// A policy choice expressed as plain data, so callers (the facade,
@@ -688,27 +734,72 @@ mod tests {
     }
 
     #[test]
-    fn alignment_check_rejects_divergent_traces() {
-        use cdmm_trace::{Event, PageId, Trace};
-        let compress =
-            |events: Vec<Event>| CompressedTrace::from_trace(&Trace::from_events(events));
-        let plain = compress(vec![Event::Ref(PageId(0)), Event::Ref(PageId(1))]);
-        let same = plain.clone();
-        assert_eq!(check_alignment(&plain, &same), Ok(()));
+    fn transparency_check_rejects_dropped_and_altered_statements() {
+        use cdmm_lang::ast::{Directive, Expr, Loc};
+        let src = "PROGRAM T\nPARAMETER (N = 8)\nDIMENSION A(N,N), V(N)\nS = 0.0\n\
+                   DO 10 J = 1, N\nV(J) = 0.0\nDO 20 I = 1, N\nV(J) = V(J) + A(I,J)\n\
+                   20 CONTINUE\n10 CONTINUE\nEND";
+        let analysis =
+            analyze_program_with_mode(src, PageGeometry::PAPER, SizerMode::default()).unwrap();
+        let instrumented = instrument(&analysis, InsertOptions::default());
+        let token = CancelToken::new();
+        let trace = |p: &Program| trace_once(&analysis, p, PageGeometry::PAPER, &token);
+        let rejected_at = |at: Option<u64>| {
+            Err(PipelineError::Validate(ValidateError {
+                first_divergence: at,
+            }))
+        };
+        assert!(trace(&instrumented).is_ok());
 
-        let short = compress(vec![Event::Ref(PageId(0))]);
-        let err = check_alignment(&plain, &short).unwrap_err();
-        assert_eq!(err.plain_refs, 2);
-        assert_eq!(err.cd_refs, 1);
-        assert_eq!(err.first_divergence, None);
-        assert!(err.to_string().contains("reference count"));
+        // Directives may come and go.
+        let mut more = instrumented.clone();
+        more.body.insert(
+            0,
+            Stmt::Directive {
+                dir: Directive::Unlock { arrays: vec![] },
+                loc: Loc::default(),
+            },
+        );
+        assert!(trace(&more).is_ok());
+        assert!(trace(&analysis.program).is_ok());
 
-        let swapped = compress(vec![Event::Ref(PageId(1)), Event::Ref(PageId(0))]);
-        let err = check_alignment(&plain, &swapped).unwrap_err();
-        assert_eq!(err.first_divergence, Some(0));
-        assert!(PipelineError::Validate(err)
-            .to_string()
-            .contains("validate"));
+        // Dropping the first statement (`S = 0.0`).
+        let mut dropped = instrumented.clone();
+        let first = dropped
+            .body
+            .iter()
+            .position(|s| !matches!(s, Stmt::Directive { .. }))
+            .unwrap();
+        dropped.body.remove(first);
+        assert_eq!(trace(&dropped), rejected_at(Some(0)));
+
+        // Altering the innermost assignment: pre-order it follows
+        // `S = 0.0`, both loops and `V(J) = 0.0`.
+        let mut altered = instrumented.clone();
+        fn innermost_assign(stmts: &mut [Stmt]) -> Option<&mut Expr> {
+            let mut found = None;
+            for s in stmts {
+                match s {
+                    Stmt::Do { body, .. } => {
+                        if let Some(v) = innermost_assign(body) {
+                            found = Some(v);
+                        }
+                    }
+                    Stmt::Assign { value, .. } => found = Some(value),
+                    _ => {}
+                }
+            }
+            found
+        }
+        *innermost_assign(&mut altered.body).unwrap() = Expr::Real(1.0);
+        let err = trace(&altered);
+        assert_eq!(err, rejected_at(Some(4)));
+        assert!(err.unwrap_err().to_string().starts_with("validate:"));
+
+        // Changed declarations move the layout.
+        let mut redeclared = instrumented.clone();
+        redeclared.params[0].1 = 9;
+        assert_eq!(trace(&redeclared), rejected_at(None));
     }
 
     #[test]

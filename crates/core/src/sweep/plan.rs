@@ -22,9 +22,9 @@
 //! A [`SweepPlan`] wires the kernels into the sweep engine: curves are
 //! memoized whole in the [`ResultCache`] (one entry answers the entire
 //! sweep), each materialized point also lands in the per-point cache
-//! under its usual [`point_key`] so the batch service and table harness
-//! stay warm for each other, and the Table 3/4 binary searches become
-//! probes against the curve instead of fresh simulations.
+//! under its usual [`point_key`](super::point_key) so the batch service
+//! and table harness stay warm for each other, and the Table 3/4 binary
+//! searches become probes against the curve instead of fresh simulations.
 //!
 //! Setting `CDMM_SWEEP_KERNELS=0` disables the kernels; every sweep
 //! entry point then falls back to per-point simulation.
@@ -88,10 +88,7 @@ impl<'a> SweepPlan<'a> {
     /// deadline'd caller (the batch service's sweep jobs) stops within
     /// one op. A cancelled build is never memoized; `None` means the
     /// poll stopped the pass.
-    pub fn lru_curve_cancellable(
-        &self,
-        keep_going: impl FnMut() -> bool,
-    ) -> Option<Arc<LruCurve>> {
+    pub fn lru_curve_cancellable(&self, keep_going: impl FnMut() -> bool) -> Option<Arc<LruCurve>> {
         if let Some(c) = self.cache.lru_curve_cached(curve_key(self.p, 30)) {
             return Some(c);
         }

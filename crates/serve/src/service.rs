@@ -1254,7 +1254,10 @@ mod tests {
             .handle_batch(&lines)
         };
         let serial = mk(1);
-        assert!(serial.iter().all(|l| l.contains("\"ok\":true")), "{serial:?}");
+        assert!(
+            serial.iter().all(|l| l.contains("\"ok\":true")),
+            "{serial:?}"
+        );
         assert_eq!(serial, mk(4), "sweep rows are byte-identical");
     }
 

@@ -131,6 +131,28 @@ impl CompressedTrace {
             cycle: None,
         }
     }
+
+    /// The same reference string with every directive removed, in the
+    /// form a [`TraceBuilder`] fed only those references would produce:
+    /// runs a directive split are merged again and cycles re-folded.
+    /// Costs O(runs), with cycles unrolled into their runs.
+    pub fn without_directives(&self) -> CompressedTrace {
+        let mut b = TraceBuilder::new();
+        for op in &self.ops {
+            match op {
+                COp::Run { start, stride, len } => b.push_run(PageId(*start), *stride, *len),
+                COp::Cycle { body, reps } => {
+                    for _ in 0..*reps {
+                        for r in body.iter() {
+                            b.push_run(r.start, r.stride, r.len);
+                        }
+                    }
+                }
+                COp::Dir(_) => {}
+            }
+        }
+        b.finish(self.virtual_pages)
+    }
 }
 
 impl EventSource for CompressedTrace {
@@ -357,9 +379,15 @@ struct Pending {
 
 /// Streaming constructor for [`CompressedTrace`]: push references and
 /// directives in execution order, stride runs coalesce greedily.
+///
+/// Until [`TraceBuilder::finish`] folds them, flushed runs sit in a
+/// dense `Vec<Run>` and directives in a side list keyed by position, so
+/// the unfolded trace costs 12 bytes per run rather than one `COp` each.
 #[derive(Debug, Clone, Default)]
 pub struct TraceBuilder {
-    ops: Vec<COp>,
+    runs: Vec<Run>,
+    /// Each directive with the number of runs flushed before it.
+    dirs: Vec<(usize, Event)>,
     refs: u64,
     pending: Option<Pending>,
 }
@@ -373,18 +401,13 @@ impl TraceBuilder {
     /// Logical events pushed so far (references + directives), for
     /// runaway-trace caps.
     pub fn logical_len(&self) -> u64 {
-        self.refs
-            + self
-                .ops
-                .iter()
-                .filter(|op| matches!(op, COp::Dir(_)))
-                .count() as u64
+        self.refs + self.dirs.len() as u64
     }
 
     fn flush(&mut self) {
         if let Some(run) = self.pending.take() {
-            self.ops.push(COp::Run {
-                start: run.start,
+            self.runs.push(Run {
+                start: PageId(run.start),
                 stride: run.stride,
                 len: run.len,
             });
@@ -430,6 +453,37 @@ impl TraceBuilder {
         }
     }
 
+    /// Appends the `len` references `start, start + stride, …`, with the
+    /// effect of `len` calls to [`Self::push_ref`] in O(1): the pending
+    /// run grows in one step whenever it already has this stride.
+    /// Every page of the run must be a valid `u32`.
+    pub fn push_run(&mut self, start: PageId, stride: i32, len: u32) {
+        if len == 0 {
+            return;
+        }
+        self.push_ref(start);
+        let mut left = len - 1;
+        while left > 0 {
+            let run = self
+                .pending
+                .as_mut()
+                .expect("push_ref leaves a pending run");
+            if run.len >= 2 && run.stride == stride && run.len < u32::MAX {
+                let take = left.min(u32::MAX - run.len);
+                run.len += take;
+                run.last = (run.last as i64 + stride as i64 * take as i64) as u32;
+                self.refs += take as u64;
+                left -= take;
+            } else {
+                // A fresh run or a stride change: one reference settles
+                // the pending run's stride.
+                let next = (run.last as i64 + stride as i64) as u32;
+                self.push_ref(PageId(next));
+                left -= 1;
+            }
+        }
+    }
+
     /// Appends one directive event.
     ///
     /// # Panics
@@ -441,15 +495,25 @@ impl TraceBuilder {
             "push references through push_ref"
         );
         self.flush();
-        self.ops.push(COp::Dir(event));
+        self.dirs.push((self.runs.len(), event));
     }
 
     /// Seals the builder into a trace over `virtual_pages` pages,
-    /// folding repeated run windows into [`COp::Cycle`]s.
+    /// folding repeated run windows into [`COp::Cycle`]s. Cycles never
+    /// span a directive, so each stretch of runs between two directives
+    /// folds on its own.
     pub fn finish(mut self, virtual_pages: u32) -> CompressedTrace {
         self.flush();
+        let mut ops = Vec::new();
+        let mut from = 0;
+        for (at, event) in self.dirs {
+            fold_cycles(&self.runs[from..at], &mut ops);
+            ops.push(COp::Dir(event));
+            from = at;
+        }
+        fold_cycles(&self.runs[from..], &mut ops);
         CompressedTrace {
-            ops: fold_cycles(self.ops),
+            ops,
             refs: self.refs,
             virtual_pages,
         }
@@ -467,41 +531,30 @@ const MAX_CYCLE_BODY: usize = 8;
 const MIN_CYCLE_REPS: u32 = 3;
 
 /// Folds consecutive repetitions of an identical run window into
-/// [`COp::Cycle`] ops. The greedy coalescer already merged maximal
-/// constant-stride bursts, so a loop iterating over interleaved arrays
-/// leaves a fingerprint of *identical* short run ops, one group per
-/// iteration — exactly what this pass detects. Decoding a `Cycle`
-/// reproduces the folded ops verbatim, so the event stream is
-/// unchanged. Directives are never folded.
-fn fold_cycles(ops: Vec<COp>) -> Vec<COp> {
-    let mut out = Vec::with_capacity(ops.len());
+/// [`COp::Cycle`] ops, appending the result to `out`. The greedy
+/// coalescer already merged maximal constant-stride bursts, so a loop
+/// iterating over interleaved arrays leaves a fingerprint of
+/// *identical* short runs, one group per iteration — exactly what this
+/// pass detects. Decoding a `Cycle` reproduces the folded runs
+/// verbatim, so the event stream is unchanged.
+fn fold_cycles(runs: &[Run], out: &mut Vec<COp>) {
     let mut i = 0;
-    while i < ops.len() {
+    while i < runs.len() {
         // Pick the window size maximizing the references covered.
         let mut best: Option<(usize, u32, u64)> = None; // (w, reps, refs)
         for w in 1..=MAX_CYCLE_BODY {
-            if i + 2 * w > ops.len() {
+            if i + 2 * w > runs.len() {
                 break;
             }
-            if !matches!(ops[i + w - 1], COp::Run { .. }) {
-                // A directive (or an already-folded cycle) at the window
-                // edge blocks this and every wider window.
-                break;
-            }
+            let window = &runs[i..i + w];
             let mut reps = 1u32;
             let mut j = i + w;
-            while j + w <= ops.len() && ops[j..j + w] == ops[i..i + w] {
+            while j + w <= runs.len() && runs[j..j + w] == *window {
                 reps += 1;
                 j += w;
             }
             if reps >= MIN_CYCLE_REPS {
-                let body_refs: u64 = ops[i..i + w]
-                    .iter()
-                    .map(|op| match op {
-                        COp::Run { len, .. } => *len as u64,
-                        _ => 0,
-                    })
-                    .sum();
+                let body_refs: u64 = window.iter().map(|r| r.len as u64).sum();
                 let covered = body_refs * reps as u64;
                 if best.is_none_or(|(_, _, b)| covered > b) {
                     best = Some((w, reps, covered));
@@ -510,27 +563,23 @@ fn fold_cycles(ops: Vec<COp>) -> Vec<COp> {
         }
         match best {
             Some((w, reps, _)) => {
-                let body: Box<[Run]> = ops[i..i + w]
-                    .iter()
-                    .map(|op| match op {
-                        COp::Run { start, stride, len } => Run {
-                            start: PageId(*start),
-                            stride: *stride,
-                            len: *len,
-                        },
-                        _ => unreachable!("cycle windows contain only runs"),
-                    })
-                    .collect();
-                out.push(COp::Cycle { body, reps });
+                out.push(COp::Cycle {
+                    body: runs[i..i + w].into(),
+                    reps,
+                });
                 i += w * reps as usize;
             }
             None => {
-                out.push(ops[i].clone());
+                let r = runs[i];
+                out.push(COp::Run {
+                    start: r.start.0,
+                    stride: r.stride,
+                    len: r.len,
+                });
                 i += 1;
             }
         }
     }
-    out
 }
 
 #[cfg(test)]
@@ -749,5 +798,101 @@ mod tests {
         let c = CompressedTrace::from_trace(&t);
         assert_eq!(c.distinct_pages(), t.distinct_pages());
         assert_eq!(c.page_count_hint(), 23);
+    }
+
+    /// One seeded builder campaign: a mix of runs (lengths 1 and 2
+    /// included, strides zero, negative and large), single references
+    /// that leave a length-1 run pending, and directive boundaries. The
+    /// builder fed `push_run` must match the one fed `len` × `push_ref`.
+    fn push_run_campaign(seed: u64) {
+        let mut rng = synth::SplitMix64::new(seed);
+        let mut bulk = TraceBuilder::new();
+        let mut each = TraceBuilder::new();
+        for _ in 0..200 {
+            match rng.below(8) {
+                0 => {
+                    let p = PageId(rng.below(64) as u32);
+                    bulk.push_ref(p);
+                    each.push_ref(p);
+                }
+                1 => {
+                    let d = Event::Unlock { ranges: vec![] };
+                    bulk.push_directive(d.clone());
+                    each.push_directive(d);
+                }
+                _ => {
+                    let len = match rng.below(4) {
+                        0 => 1,
+                        1 => 2,
+                        _ => 1 + rng.below(40) as u32,
+                    };
+                    let stride = match rng.below(5) {
+                        0 => 0,
+                        1 => -(1 + rng.below(3) as i32),
+                        2 => 1_000_000,
+                        _ => 1 + rng.below(3) as i32,
+                    };
+                    // Keep every page of the run inside u32.
+                    let span = stride.unsigned_abs() as u64 * (len as u64 - 1);
+                    let start = if stride < 0 {
+                        span + rng.below(64)
+                    } else {
+                        rng.below(64)
+                    } as u32;
+                    bulk.push_run(PageId(start), stride, len);
+                    let mut p = start as i64;
+                    for _ in 0..len {
+                        each.push_ref(PageId(p as u32));
+                        p += stride as i64;
+                    }
+                }
+            }
+            assert_eq!(bulk.logical_len(), each.logical_len(), "seed {seed}");
+        }
+        assert_eq!(bulk.finish(0), each.finish(0), "seed {seed}");
+    }
+
+    #[test]
+    fn push_run_equals_pushing_each_reference() {
+        for seed in 0..300 {
+            push_run_campaign(seed);
+        }
+    }
+
+    #[test]
+    fn stripping_directives_rebuilds_the_plain_trace() {
+        // Directives split one stride run and one loop cycle; removing
+        // them must merge the run and re-fold the cycle exactly as if
+        // the references had been pushed alone.
+        let mut events = Vec::new();
+        for p in 0..10 {
+            events.push(Event::Ref(PageId(p)));
+            if p == 4 {
+                events.push(Event::Alloc(vec![]));
+            }
+        }
+        for i in 0..6 {
+            events.extend([Event::Ref(PageId(20)), Event::Ref(PageId(29))]);
+            if i == 2 {
+                events.push(Event::Unlock { ranges: vec![] });
+            }
+        }
+        let with = CompressedTrace::from_trace(&Trace {
+            events: events.clone(),
+            virtual_pages: 40,
+        });
+        let without = CompressedTrace::from_trace(&Trace {
+            events: events
+                .into_iter()
+                .filter(|e| matches!(e, Event::Ref(_)))
+                .collect(),
+            virtual_pages: 40,
+        });
+        assert_eq!(with.without_directives(), without);
+        assert_eq!(without.without_directives(), without, "idempotent");
+        for t in [synth::cyclic(64, 10), synth::nested_loops(5, 3, 9, 2)] {
+            let c = CompressedTrace::from_trace(&t);
+            assert_eq!(c.without_directives(), c);
+        }
     }
 }

@@ -74,12 +74,21 @@ pub use validate::{DirectiveFuzzer, FaultKind, FuzzReport, Injection, Violation}
 
 use cdmm_locality::PageGeometry;
 
+/// Parses, checks and lays out `src`: the front half every
+/// `trace_program*` entry point shares.
+fn interpreter_for(src: &str, geometry: PageGeometry) -> Result<Interpreter, InterpError> {
+    let mut program = cdmm_lang::parse(src).map_err(InterpError::Lang)?;
+    let symbols = cdmm_lang::analyze(&mut program).map_err(InterpError::Lang)?;
+    let layout = MemoryLayout::new(&symbols, geometry);
+    Ok(Interpreter::new(&program, &symbols, layout))
+}
+
 /// Parses, checks, lays out and executes a program, returning its trace.
 ///
 /// Directives present in the source (e.g. inserted by
 /// [`cdmm_locality::instrument`]) become directive events in the trace.
 pub fn trace_program(src: &str, geometry: PageGeometry) -> Result<Trace, InterpError> {
-    Ok(trace_program_with_state(src, geometry)?.0)
+    interpreter_for(src, geometry)?.run()
 }
 
 /// [`trace_program`] in run-length-compressed form: the interpreter
@@ -89,7 +98,7 @@ pub fn trace_program_compressed(
     src: &str,
     geometry: PageGeometry,
 ) -> Result<CompressedTrace, InterpError> {
-    Ok(trace_program_compressed_with_state(src, geometry)?.0)
+    interpreter_for(src, geometry)?.run_compressed()
 }
 
 /// [`trace_program_compressed`] under a [`CancelToken`]: the
@@ -102,10 +111,7 @@ pub fn trace_program_compressed_cancellable(
     geometry: PageGeometry,
     token: &CancelToken,
 ) -> Result<CompressedTrace, InterpError> {
-    let mut program = cdmm_lang::parse(src).map_err(InterpError::Lang)?;
-    let symbols = cdmm_lang::analyze(&mut program).map_err(InterpError::Lang)?;
-    let layout = MemoryLayout::new(&symbols, geometry);
-    Interpreter::new(&program, &symbols, layout)
+    interpreter_for(src, geometry)?
         .with_cancel(token.clone())
         .run_compressed()
 }
@@ -116,10 +122,7 @@ pub fn trace_program_compressed_with_state(
     src: &str,
     geometry: PageGeometry,
 ) -> Result<(CompressedTrace, ProgramState), InterpError> {
-    let mut program = cdmm_lang::parse(src).map_err(InterpError::Lang)?;
-    let symbols = cdmm_lang::analyze(&mut program).map_err(InterpError::Lang)?;
-    let layout = MemoryLayout::new(&symbols, geometry);
-    Interpreter::new(&program, &symbols, layout).run_compressed_with_state()
+    interpreter_for(src, geometry)?.run_compressed_with_state()
 }
 
 /// Like [`trace_program`], but also returns the final variable state so
@@ -128,8 +131,5 @@ pub fn trace_program_with_state(
     src: &str,
     geometry: PageGeometry,
 ) -> Result<(Trace, ProgramState), InterpError> {
-    let mut program = cdmm_lang::parse(src).map_err(InterpError::Lang)?;
-    let symbols = cdmm_lang::analyze(&mut program).map_err(InterpError::Lang)?;
-    let layout = MemoryLayout::new(&symbols, geometry);
-    Interpreter::new(&program, &symbols, layout).run_with_state()
+    interpreter_for(src, geometry)?.run_with_state()
 }
