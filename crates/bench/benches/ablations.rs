@@ -1,9 +1,9 @@
 //! Ablation-study benches: LOCK handling, the WS policy family on the
-//! same trace, and the multiprogramming driver.
+//! same trace, and a three-tenant fleet cell.
 
 use cdmm_bench::timing::run;
 use cdmm_core::experiments::Harness;
-use cdmm_core::selector_for;
+use cdmm_core::{selector_for, PolicySpec};
 use cdmm_trace::{synth, CompressedTrace};
 use cdmm_vmsim::policy::cd::{CdPolicy, CdSelector};
 use cdmm_vmsim::policy::pff::Pff;
@@ -23,7 +23,10 @@ fn main() {
     let _ = h.prepared("MAIN");
     run("ablation_cd_locks_main", SAMPLES, || {
         let p = h.prepared("MAIN");
-        (p.run_cd(selector), p.run_cd_no_locks(selector))
+        (
+            p.run_policy(PolicySpec::Cd { selector }),
+            p.run_policy(PolicySpec::CdNoLocks { selector }),
+        )
     });
 
     // Phased trace: the workload class the WS variants were invented for.

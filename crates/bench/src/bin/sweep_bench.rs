@@ -12,8 +12,7 @@
 //! (the CI cache-warm step). With `--trace-out` the executor and cache
 //! stream `job_done` / `cache_query` events into a checksummed JSONL
 //! file. With `--bench-out DIR` the run writes the canonical
-//! `BENCH_tables.json` artifact (the old console speedup printout is
-//! deprecated in its favor).
+//! `BENCH_tables.json` artifact.
 
 use std::process::ExitCode;
 

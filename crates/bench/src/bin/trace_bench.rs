@@ -1,6 +1,6 @@
-//! Tracing-overhead check: the disabled-tracer (`NullTracer`) simulate
-//! path must cost within a small margin of a driver loop with no
-//! tracing hooks at all.
+//! Tracing-overhead check: the untraced per-reference `simulate` loop
+//! must cost within a small margin of a driver loop with no tracing
+//! hooks at all.
 //!
 //! ```text
 //! trace_bench [--small] [--trace-out PATH] [--trace-events]
@@ -10,8 +10,8 @@
 //! loop (reference → record → degraded check, directives forwarded, no
 //! tracer branches), built on the same public `Metrics`/`Policy` API.
 //! Both sides run min-of-N on the same prepared workloads; the binary
-//! fails when the `NullTracer` path exceeds the baseline by more than
-//! the threshold (default 2%, override with `CDMM_OVERHEAD_PCT` — CI
+//! fails when `simulate` exceeds the baseline by more than the
+//! threshold (default 2%, override with `CDMM_OVERHEAD_PCT` — CI
 //! runners with noisy neighbors may need a looser bound).
 //!
 //! With `--trace-out` it additionally demonstrates the enabled path:
@@ -21,7 +21,7 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use cdmm_bench::BenchEnv;
-use cdmm_core::{prepare, PipelineConfig, Prepared};
+use cdmm_core::{prepare, CancelToken, PipelineConfig, PolicySpec, Prepared};
 use cdmm_trace::{EventRef, EventSource};
 use cdmm_vmsim::policy::cd::{CdPolicy, CdSelector};
 use cdmm_vmsim::policy::lru::Lru;
@@ -123,7 +123,12 @@ fn main() -> ExitCode {
     if let Some(tracer) = env.tracer() {
         for p in &prepared {
             let mut sink = SharedSink::new(tracer);
-            let m = p.run_cd_with(CdSelector::AtLevel(2), &mut sink);
+            let spec = PolicySpec::Cd {
+                selector: CdSelector::AtLevel(2),
+            };
+            let m = p
+                .run_policy_traced(spec, &mut sink, &CancelToken::new())
+                .expect("an idle token never stops a run");
             let plain = {
                 let mut cd =
                     CdPolicy::new(CdSelector::AtLevel(2)).with_min_alloc(p.config().min_alloc);

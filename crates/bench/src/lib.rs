@@ -126,8 +126,8 @@ pub fn print_lock_ablation(env: &BenchEnv) {
         let (_, variant) = h.resolve(row);
         let selector = cdmm_core::selector_for(variant.level);
         let p = h.prepared(row);
-        let with = p.run_cd(selector);
-        let without = p.run_cd_no_locks(selector);
+        let with = p.run_policy(PolicySpec::Cd { selector });
+        let without = p.run_policy(PolicySpec::CdNoLocks { selector });
         println!(
             "{:<8} | {:>10} {:>10.2} {:>12.3e} | {:>10} {:>10.2} {:>12.3e}",
             row,
@@ -307,61 +307,8 @@ pub struct SweepSummaryOptions {
     pub bench_out: Option<std::path::PathBuf>,
 }
 
-/// The old ad-hoc speedup printout: a full LRU sweep over every
-/// workload, serial vs parallel, with a one-line speedup summary.
-#[deprecated(
-    since = "0.1.0",
-    note = "ad-hoc console output with no schema; the canonical machine-readable \
-            output is the BENCH_tables.json artifact (`--bench-out DIR`, \
-            `tables_artifact`), gated by `perf_regress`"
-)]
-pub fn print_lru_sweep_speedup(scale: Scale, exec: &Executor) {
-    use cdmm_core::sweep;
-    use std::time::Instant;
-
-    let threads = exec.threads();
-    // Full LRU sweep over every workload, serial vs parallel, both
-    // uncached: pure compute speedup.
-    let workloads = cdmm_workloads::all(scale);
-    let prepared: Vec<_> = exec.map(&workloads, |_, w| {
-        cdmm_core::prepare(w.name, &w.source, PipelineConfig::default())
-            .unwrap_or_else(|e| panic!("{}: {e}", w.name))
-    });
-    // One flat (workload × allocation) grid, so parallelism spans
-    // workloads even when each program's virtual size is small.
-    let jobs: Vec<(usize, usize)> = prepared
-        .iter()
-        .enumerate()
-        .flat_map(|(i, p)| sweep::full_lru_range(p).map(move |m| (i, m)))
-        .collect();
-    let run_full_sweep = |e: &Executor| {
-        let off = ResultCache::disabled();
-        e.map(&jobs, |_, &(i, m)| {
-            sweep::cached_lru(&off, &prepared[i], m).faults
-        })
-        .len()
-    };
-    let t0 = Instant::now();
-    let n_serial = run_full_sweep(&Executor::serial());
-    let serial = t0.elapsed();
-    let t0 = Instant::now();
-    let n_par = run_full_sweep(exec);
-    let parallel = t0.elapsed();
-    assert_eq!(n_serial, n_par);
-    println!(
-        "full LRU sweep ({} workloads, {} points): serial {serial:>9.3?} | {threads} threads {parallel:>9.3?} | speedup {:.2}x",
-        prepared.len(),
-        n_serial,
-        serial.as_secs_f64() / parallel.as_secs_f64().max(1e-9),
-    );
-    println!(
-        "note: this speedup printout is deprecated; pass --bench-out DIR for the \
-         canonical BENCH_tables.json artifact"
-    );
-}
-
-/// Prints the execution-engine summary: full-LRU-sweep speedup, then a
-/// per-table wall-clock/speedup/cache-hit report for Tables 2–4.
+/// Prints the execution-engine summary: a per-table
+/// wall-clock/speedup/cache-hit report for Tables 2–4.
 /// Returns an error when `assert_hit_rate` is not met.
 ///
 /// With an `observer` attached, the parallel executor emits one
@@ -387,11 +334,6 @@ pub fn run_sweep_summary(
             None => "in-memory".to_string(),
         }
     );
-
-    if !opts.quick {
-        #[allow(deprecated)]
-        print_lru_sweep_speedup(opts.scale, &exec);
-    }
 
     // Per-table report against the configured cache.
     let mut cache = match &opts.cache_dir {

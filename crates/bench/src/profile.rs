@@ -25,7 +25,7 @@ use std::time::Instant;
 
 use cdmm_core::report::scorecard;
 use cdmm_core::sweep::{self, Executor, ResultCache};
-use cdmm_core::{prepare, PipelineConfig, PolicySpec, Prepared};
+use cdmm_core::{prepare, CancelToken, PipelineConfig, PolicySpec, Prepared};
 use cdmm_vmsim::policy::cd::CdSelector;
 use cdmm_vmsim::MetricsRegistry;
 use cdmm_workloads::Scale;
@@ -114,7 +114,9 @@ fn profile_cell(prepared: &Prepared, policy: PolicySpec, samples: u32) -> (Entry
     let (simulate_ns, metrics) = timed_min(samples, || prepared.run_policy(policy));
     let (report_ns, (observed, scorecard)) = timed_min(samples, || {
         let mut registry = MetricsRegistry::new();
-        let m = prepared.run_policy_with(policy, &mut registry);
+        let m = prepared
+            .run_policy_traced(policy, &mut registry, &CancelToken::new())
+            .expect("an idle token never stops a run");
         (m, scorecard::render_markdown(&registry.snapshot()))
     });
     assert_eq!(
@@ -135,11 +137,10 @@ fn profile_cell(prepared: &Prepared, policy: PolicySpec, samples: u32) -> (Entry
 }
 
 /// Profiles one whole-family sweep (the paper's per-table workhorse)
-/// through the dispatching sweep entry points, so the row times
-/// whatever engine is in force: the one-pass curve kernels by default,
-/// per-point simulation under `CDMM_SWEEP_KERNELS=0`. Each sample runs
-/// against its own fresh in-memory cache — the cost of one *cold*
-/// sweep, exactly what a table pays for a program it has not seen.
+/// through the sweep entry points, which answer it from the one-pass
+/// curve kernels. Each sample runs against its own fresh in-memory
+/// cache — the cost of one *cold* sweep, exactly what a table pays for
+/// a program it has not seen.
 ///
 /// `refs` is the reference volume a *per-point* sweep must process
 /// (`points × trace refs`) — the fixed work the row's `refs_per_sec`

@@ -16,14 +16,11 @@
 
 use std::process::ExitCode;
 
-use cdmm_core::{prepare, sweep, PipelineConfig};
+use cdmm_core::{prepare, sweep, PipelineConfig, PolicySpec};
 use cdmm_locality::{analyze_program, instrument, InsertOptions, PageGeometry};
 use cdmm_trace::TraceStats;
 use cdmm_vmsim::policy::cd::CdSelector;
-use cdmm_vmsim::policy::fifo::Fifo;
-use cdmm_vmsim::policy::opt::Opt;
-use cdmm_vmsim::policy::pff::Pff;
-use cdmm_vmsim::{simulate, Metrics, SimConfig};
+use cdmm_vmsim::Metrics;
 use cdmm_workloads::Scale;
 
 fn main() -> ExitCode {
@@ -145,27 +142,22 @@ fn simulate_cmd(path: &str, rest: &[String]) -> Result<(), String> {
         .unwrap_or("1000")
         .parse()
         .map_err(|_| "bad --tau")?;
-    let cfg = SimConfig::default();
-    let m = match policy {
-        "cd" => {
-            let selector = match flag_value(rest, "--level").unwrap_or("2") {
+    let spec = match policy {
+        "cd" => PolicySpec::Cd {
+            selector: match flag_value(rest, "--level").unwrap_or("2") {
                 "outer" => CdSelector::Outermost,
                 "inner" => CdSelector::Innermost,
                 k => CdSelector::AtLevel(k.parse().map_err(|_| "bad --level")?),
-            };
-            p.run_cd(selector)
-        }
-        "lru" => p.run_lru(frames),
-        "ws" => p.run_ws(tau),
-        "fifo" => simulate(p.plain_trace(), &mut Fifo::new(frames), cfg),
-        "opt" => simulate(
-            p.plain_trace(),
-            &mut Opt::for_trace(p.plain_trace(), frames),
-            cfg,
-        ),
-        "pff" => simulate(p.plain_trace(), &mut Pff::new(tau), cfg),
+            },
+        },
+        "lru" => PolicySpec::Lru { frames },
+        "ws" => PolicySpec::Ws { tau },
+        "fifo" => PolicySpec::Fifo { frames },
+        "opt" => PolicySpec::Opt { frames },
+        "pff" => PolicySpec::Pff { threshold: tau },
         other => return Err(format!("unknown policy `{other}`")),
     };
+    let m = p.run_policy(spec);
     println!(
         "{} references over {} virtual pages",
         p.plain_trace().ref_count(),

@@ -11,7 +11,7 @@ use cdmm_vmsim::policy::vmin::Vmin;
 use cdmm_vmsim::{simulate, SimConfig};
 use cdmm_workloads::Variant;
 
-use crate::pipeline::{selector_for, Prepared};
+use crate::pipeline::{selector_for, PolicySpec, Prepared};
 use crate::sweep;
 
 /// One point of an operating curve.
@@ -76,7 +76,9 @@ pub fn cd_points(p: &Prepared, variants: &[Variant]) -> Vec<(String, CurvePoint)
     variants
         .iter()
         .map(|v| {
-            let m = p.run_cd(selector_for(v.level));
+            let m = p.run_policy(PolicySpec::Cd {
+                selector: selector_for(v.level),
+            });
             (v.name.to_string(), point(0, &m))
         })
         .collect()

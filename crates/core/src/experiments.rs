@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use cdmm_vmsim::{ExecStats, Metrics};
 use cdmm_workloads::{all, Scale, Variant, Workload};
 
-use crate::pipeline::{prepare, selector_for, PipelineConfig, Prepared};
+use crate::pipeline::{prepare, selector_for, PipelineConfig, PolicySpec, Prepared};
 use crate::sweep;
 use crate::sweep::{Executor, Point, ResultCache};
 
@@ -184,7 +184,11 @@ impl Harness {
     pub fn cd_at(&self, row: &str) -> Metrics {
         let (_, variant) = self.resolve(row);
         let selector = selector_for(variant.level);
-        sweep::cached_cd(&self.results, self.prepared_ref(row), selector)
+        sweep::cached(
+            &self.results,
+            self.prepared_ref(row),
+            PolicySpec::Cd { selector },
+        )
     }
 
     /// CD metrics of the row's program under its *best* (minimal-ST)
@@ -202,7 +206,10 @@ impl Harness {
         let p = self.prepared_ref(row);
         w.variants
             .iter()
-            .map(|v| sweep::cached_cd(&self.results, p, selector_for(v.level)))
+            .map(|v| {
+                let selector = selector_for(v.level);
+                sweep::cached(&self.results, p, PolicySpec::Cd { selector })
+            })
             .min_by(|a, b| a.st_cost().partial_cmp(&b.st_cost()).expect("finite ST"))
             .expect("workloads always have at least one variant")
     }

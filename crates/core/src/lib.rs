@@ -19,7 +19,7 @@
 //! # Examples
 //!
 //! ```
-//! use cdmm_core::{prepare, PipelineConfig};
+//! use cdmm_core::{prepare, PipelineConfig, PolicySpec};
 //! use cdmm_vmsim::policy::cd::CdSelector;
 //!
 //! let src = "
@@ -34,8 +34,12 @@
 //! END
 //! ";
 //! let p = prepare("DEMO", src, PipelineConfig::default()).unwrap();
-//! let cd = p.run_cd(CdSelector::Innermost);
-//! let lru = p.run_lru(p.virtual_pages().max(1) as usize);
+//! let cd = p.run_policy(PolicySpec::Cd {
+//!     selector: CdSelector::Innermost,
+//! });
+//! let lru = p.run_policy(PolicySpec::Lru {
+//!     frames: p.virtual_pages().max(1) as usize,
+//! });
 //! assert_eq!(cd.refs, lru.refs, "policies see the same reference string");
 //! ```
 

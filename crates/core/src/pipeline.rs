@@ -19,10 +19,7 @@ use cdmm_vmsim::policy::pff::Pff;
 use cdmm_vmsim::policy::ws::WorkingSet;
 use cdmm_vmsim::policy::ws_variants::{DampedWs, SampledWs, VariableSampledWs};
 use cdmm_vmsim::policy::Policy;
-use cdmm_vmsim::{
-    simulate_run_level, simulate_run_level_cancellable, simulate_with, simulate_with_cancellable,
-    Metrics, SimConfig, SimError, Tracer,
-};
+use cdmm_vmsim::{simulate_with, Metrics, NullTracer, SimConfig, SimError, Tracer};
 use cdmm_workloads::DirectiveLevel;
 
 /// Pipeline-wide knobs.
@@ -118,11 +115,9 @@ pub struct Prepared {
     plain_trace: CompressedTrace,
     /// Trace of the instrumented program (directive events embedded).
     cd_trace: CompressedTrace,
-    /// Flat decompressions of the two traces, decoded on first use and
-    /// shared across clones — random-access consumers (the
-    /// multiprogramming driver, chaos tenants) stop paying a fresh
-    /// O(references) decode per call.
-    plain_flat: Arc<OnceLock<Trace>>,
+    /// Flat decompression of the instrumented trace, decoded on first
+    /// use and shared across clones — random-access consumers (chaos
+    /// tenants) stop paying a fresh O(references) decode per call.
     cd_flat: Arc<OnceLock<Trace>>,
     config: PipelineConfig,
     /// Content hash of everything that determines simulation results:
@@ -167,7 +162,6 @@ pub fn prepare_cancellable(
         analysis,
         plain_trace,
         cd_trace,
-        plain_flat: Arc::new(OnceLock::new()),
         cd_flat: Arc::new(OnceLock::new()),
         config,
         fingerprint,
@@ -384,27 +378,6 @@ impl PolicySpec {
     }
 }
 
-/// Migration path off the deprecated multiprogramming
-/// [`ProcPolicy`](cdmm_vmsim::multiprog::ProcPolicy): each legacy
-/// per-process policy maps onto the spec the fleet expects.
-///
-/// `ProcPolicy::Cd`'s `min_alloc` field has no spec-side counterpart —
-/// minimum allocation lives in [`PipelineConfig::min_alloc`], where it
-/// applies uniformly to every CD tenant of a prepared program.
-#[allow(deprecated)]
-impl From<cdmm_vmsim::multiprog::ProcPolicy> for PolicySpec {
-    fn from(p: cdmm_vmsim::multiprog::ProcPolicy) -> Self {
-        use cdmm_vmsim::multiprog::ProcPolicy;
-        match p {
-            ProcPolicy::Cd { .. } => PolicySpec::Cd {
-                selector: CdSelector::FirstFit,
-            },
-            ProcPolicy::Ws { tau } => PolicySpec::Ws { tau },
-            ProcPolicy::Lru { frames } => PolicySpec::Lru { frames },
-        }
-    }
-}
-
 /// Maps a workload's neutral directive level onto the CD selector.
 pub fn selector_for(level: DirectiveLevel) -> CdSelector {
     match level {
@@ -427,7 +400,7 @@ impl Prepared {
 
     /// The uninstrumented trace (page references only), compressed.
     /// Decompress with [`CompressedTrace::to_trace`] at consumers that
-    /// need random access (e.g. the multiprogramming driver).
+    /// need random access.
     pub fn plain_trace(&self) -> &CompressedTrace {
         &self.plain_trace
     }
@@ -435,13 +408,6 @@ impl Prepared {
     /// The instrumented trace (with directive events), compressed.
     pub fn cd_trace(&self) -> &CompressedTrace {
         &self.cd_trace
-    }
-
-    /// The uninstrumented trace as a flat event vector, decompressed on
-    /// first use and memoized (clones share the decode). Prefer the
-    /// compressed [`Prepared::plain_trace`] wherever streaming suffices.
-    pub fn plain_trace_flat(&self) -> &Trace {
-        self.plain_flat.get_or_init(|| self.plain_trace.to_trace())
     }
 
     /// The instrumented trace as a flat event vector, decompressed on
@@ -476,56 +442,6 @@ impl Prepared {
     /// ALLOCATE/LOCK/UNLOCK directives).
     pub fn instrumented_source(&self) -> &str {
         &self.instrumented_source
-    }
-
-    /// Runs the CD policy with the given request selector.
-    ///
-    /// Executes at run granularity ([`simulate_run_level`]): the
-    /// compressed trace's constant-stride runs hit CD's batch kernels,
-    /// with byte-identical [`Metrics`] to the per-reference driver.
-    pub fn run_cd(&self, selector: CdSelector) -> Metrics {
-        let mut cd = CdPolicy::new(selector).with_min_alloc(self.config.min_alloc);
-        simulate_run_level(&self.cd_trace, &mut cd, self.sim_config())
-    }
-
-    /// [`Prepared::run_cd`] with an event tracer attached.
-    pub fn run_cd_with(&self, selector: CdSelector, tracer: &mut dyn Tracer) -> Metrics {
-        let mut cd = CdPolicy::new(selector).with_min_alloc(self.config.min_alloc);
-        simulate_with(&self.cd_trace, &mut cd, self.sim_config(), tracer)
-    }
-
-    /// Runs the CD policy without honoring LOCK/UNLOCK (ablation).
-    pub fn run_cd_no_locks(&self, selector: CdSelector) -> Metrics {
-        let mut cd = CdPolicy::new(selector)
-            .with_min_alloc(self.config.min_alloc)
-            .with_locks(false);
-        simulate_run_level(&self.cd_trace, &mut cd, self.sim_config())
-    }
-
-    /// Runs fixed-allocation LRU with `frames` pages, at run
-    /// granularity ([`simulate_run_level`]).
-    pub fn run_lru(&self, frames: usize) -> Metrics {
-        let mut lru = Lru::new(frames.max(1));
-        simulate_run_level(&self.plain_trace, &mut lru, self.sim_config())
-    }
-
-    /// [`Prepared::run_lru`] with an event tracer attached.
-    pub fn run_lru_with(&self, frames: usize, tracer: &mut dyn Tracer) -> Metrics {
-        let mut lru = Lru::new(frames.max(1));
-        simulate_with(&self.plain_trace, &mut lru, self.sim_config(), tracer)
-    }
-
-    /// Runs the Working Set policy with window `tau`, at run
-    /// granularity ([`simulate_run_level`]).
-    pub fn run_ws(&self, tau: u64) -> Metrics {
-        let mut ws = WorkingSet::new(tau.max(1));
-        simulate_run_level(&self.plain_trace, &mut ws, self.sim_config())
-    }
-
-    /// [`Prepared::run_ws`] with an event tracer attached.
-    pub fn run_ws_with(&self, tau: u64, tracer: &mut dyn Tracer) -> Metrics {
-        let mut ws = WorkingSet::new(tau.max(1));
-        simulate_with(&self.plain_trace, &mut ws, self.sim_config(), tracer)
     }
 
     /// Builds the policy a [`PolicySpec`] describes, parameterized by
@@ -565,85 +481,64 @@ impl Prepared {
             } => Box::new(VariableSampledWs::new(
                 min_interval.max(1),
                 max_interval.max(min_interval.max(1)),
-                fault_quota,
+                fault_quota.max(1),
             )),
         }
     }
 
     /// The label the built policy will report, e.g. `"LRU(26)"`.
+    ///
+    /// No trace work: OPT's label names only its allocation, so its
+    /// label comes from an OPT over an empty trace rather than one that
+    /// has paid the lookahead pass over the plain trace. Every other
+    /// policy is built without touching a trace.
     pub fn policy_label(&self, spec: PolicySpec) -> String {
-        self.build_policy(spec).label()
-    }
-
-    /// Runs any [`PolicySpec`] over the trace it belongs on (CD variants
-    /// see the instrumented trace; everything else the plain one).
-    pub fn run_policy(&self, spec: PolicySpec) -> Metrics {
-        // The three policies the paper's tables sweep run monomorphized
-        // (the policy inlines into the trace-decode loop); the long
-        // tail of ablation policies takes the boxed fallback.
         match spec {
-            PolicySpec::Cd { selector } => self.run_cd(selector),
-            PolicySpec::Lru { frames } => self.run_lru(frames),
-            PolicySpec::Ws { tau } => self.run_ws(tau),
-            _ => {
-                // Run-level dispatch helps here too: one virtual
-                // `reference_run` call per compressed run instead of
-                // three virtual calls per reference, with the default
-                // per-ref decode inside.
-                let mut policy = self.build_policy(spec);
-                simulate_run_level(self.trace_for(spec), policy.as_mut(), self.sim_config())
-            }
+            PolicySpec::Opt { frames } => Opt::for_trace(&Trace::default(), frames.max(1)).label(),
+            _ => self.build_policy(spec).label(),
         }
     }
 
-    /// [`Prepared::run_policy`] under a cooperative
-    /// [`cdmm_vmsim::CancelToken`].
+    /// Runs any [`PolicySpec`] over the trace it belongs on (CD variants
+    /// see the instrumented trace; everything else the plain one), at
+    /// run granularity: the compressed trace's constant-stride runs hit
+    /// the policies' batch kernels, with byte-identical [`Metrics`] to
+    /// the per-reference [`cdmm_vmsim::simulate`].
+    pub fn run_policy(&self, spec: PolicySpec) -> Metrics {
+        self.run_policy_cancellable(spec, &CancelToken::new())
+            .expect("an idle token never stops a run")
+    }
+
+    /// [`Prepared::run_policy`] under a cooperative [`CancelToken`].
     ///
     /// The token is polled once per compressed trace run — never inside
     /// the per-reference loop — so an uncancelled run computes exactly
     /// the [`Metrics`] of [`Prepared::run_policy`]. A stop (deadline
     /// expiry or explicit cancel) surfaces as
     /// [`SimError::DeadlineExceeded`] with the number of references
-    /// processed. This is the entry point the serve layer uses to bound
-    /// jobs with per-request deadlines.
+    /// processed.
     pub fn run_policy_cancellable(
         &self,
         spec: PolicySpec,
-        token: &cdmm_vmsim::CancelToken,
+        token: &CancelToken,
     ) -> Result<Metrics, SimError> {
-        let mut policy = self.build_policy(spec);
-        simulate_run_level_cancellable(
-            self.trace_for(spec),
-            policy.as_mut(),
-            self.sim_config(),
-            token,
-        )
+        self.run_policy_traced(spec, &mut NullTracer, token)
     }
 
-    /// [`Prepared::run_policy`] with an event tracer attached.
-    pub fn run_policy_with(&self, spec: PolicySpec, tracer: &mut dyn Tracer) -> Metrics {
-        let mut policy = self.build_policy(spec);
-        simulate_with(
-            self.trace_for(spec),
-            policy.as_mut(),
-            self.sim_config(),
-            tracer,
-        )
-    }
-
-    /// [`Prepared::run_policy_with`] under a cooperative
-    /// [`cdmm_vmsim::CancelToken`]: the serve layer's `"trace":true`
-    /// passthrough, where a job wants its event stream *and* its
-    /// deadline honored. Metrics are identical to the untraced
-    /// cancellable run.
+    /// [`Prepared::run_policy_cancellable`] with an event tracer
+    /// attached: an enabled tracer runs the per-reference loop and sees
+    /// every policy event, a disabled one ([`NullTracer`]) the run-level
+    /// loop (see [`simulate_with`]). Metrics are identical either way.
+    /// The batch service runs every sim job through here, under the
+    /// job's deadline token.
     pub fn run_policy_traced(
         &self,
         spec: PolicySpec,
         tracer: &mut dyn Tracer,
-        token: &cdmm_vmsim::CancelToken,
+        token: &CancelToken,
     ) -> Result<Metrics, SimError> {
         let mut policy = self.build_policy(spec);
-        simulate_with_cancellable(
+        simulate_with(
             self.trace_for(spec),
             policy.as_mut(),
             self.sim_config(),
@@ -686,8 +581,9 @@ mod tests {
     #[test]
     fn cd_outermost_uses_more_memory_fewer_faults_than_innermost() {
         let p = prepared("MAIN");
-        let outer = p.run_cd(CdSelector::Outermost);
-        let inner = p.run_cd(CdSelector::Innermost);
+        let cd = |selector| p.run_policy(PolicySpec::Cd { selector });
+        let outer = cd(CdSelector::Outermost);
+        let inner = cd(CdSelector::Innermost);
         assert!(
             outer.mean_mem() > inner.mean_mem(),
             "outer {} vs inner {}",
@@ -703,7 +599,9 @@ mod tests {
     #[test]
     fn full_memory_lru_is_cold_faults_only() {
         let p = prepared("FIELD");
-        let m = p.run_lru(p.virtual_pages() as usize);
+        let m = p.run_policy(PolicySpec::Lru {
+            frames: p.virtual_pages() as usize,
+        });
         assert_eq!(m.faults as u32, p.plain_trace().distinct_pages());
     }
 
@@ -803,45 +701,49 @@ mod tests {
     }
 
     #[test]
-    fn policy_spec_matches_direct_runs() {
+    fn run_policy_matches_the_per_reference_driver() {
         let p = prepared("MAIN");
-        assert_eq!(
-            p.run_policy(PolicySpec::Cd {
-                selector: CdSelector::Outermost
-            }),
-            p.run_cd(CdSelector::Outermost)
-        );
-        assert_eq!(p.run_policy(PolicySpec::Lru { frames: 8 }), p.run_lru(8));
-        assert_eq!(p.run_policy(PolicySpec::Ws { tau: 500 }), p.run_ws(500));
-        assert!(p
-            .policy_label(PolicySpec::Cd {
-                selector: CdSelector::Outermost
-            })
-            .starts_with("CD"));
+        for spec in [
+            PolicySpec::Cd {
+                selector: CdSelector::Outermost,
+            },
+            PolicySpec::CdNoLocks {
+                selector: CdSelector::Innermost,
+            },
+            PolicySpec::Lru { frames: 8 },
+            PolicySpec::Ws { tau: 500 },
+            PolicySpec::Opt { frames: 8 },
+        ] {
+            let per_ref = cdmm_vmsim::simulate(
+                p.trace_for(spec),
+                p.build_policy(spec).as_mut(),
+                p.sim_config(),
+            );
+            assert_eq!(p.run_policy(spec), per_ref, "{spec:?}");
+        }
     }
 
     #[test]
     fn traced_pipeline_runs_match_untraced() {
         use cdmm_vmsim::EventLog;
         let p = prepared("FDJAC");
-        let mut log = EventLog::new(1 << 14);
-        let traced = p.run_policy_with(
+        let token = CancelToken::new();
+        for spec in [
             PolicySpec::Cd {
                 selector: CdSelector::Innermost,
             },
-            &mut log,
-        );
-        assert_eq!(traced, p.run_cd(CdSelector::Innermost));
-        assert!(!log.is_empty(), "CD run must produce events");
-        let mut log = EventLog::new(1 << 14);
-        assert_eq!(p.run_lru_with(8, &mut log), p.run_lru(8));
-        let mut log = EventLog::new(1 << 14);
-        assert_eq!(p.run_ws_with(500, &mut log), p.run_ws(500));
+            PolicySpec::Lru { frames: 8 },
+            PolicySpec::Ws { tau: 500 },
+        ] {
+            let mut log = EventLog::new(1 << 14);
+            let traced = p.run_policy_traced(spec, &mut log, &token);
+            assert_eq!(traced, Ok(p.run_policy(spec)), "{spec:?}");
+            assert!(!log.is_empty(), "{spec:?} must produce events");
+        }
     }
 
     #[test]
     fn cancellable_pipeline_runs_match_and_stop() {
-        use cdmm_vmsim::CancelToken;
         let p = prepared("MAIN");
         let spec = PolicySpec::Cd {
             selector: CdSelector::Innermost,

@@ -22,11 +22,12 @@
 //! The plain [`lru_sweep`]/[`ws_sweep`] entry points are serial and
 //! uncached; the `_with` variants take the engine explicitly.
 //!
-//! By default every LRU/WS sweep and matching search is answered by the
-//! one-pass curve kernels behind [`SweepPlan`] — one trace pass per
-//! program per family instead of one simulation per point, with
-//! byte-identical results (see the [`plan`] module docs). Set
-//! `CDMM_SWEEP_KERNELS=0` to force per-point simulation.
+//! Every LRU/WS sweep and matching search is answered by the one-pass
+//! curve kernels behind [`SweepPlan`] — one trace pass per program per
+//! family instead of one simulation per point, with byte-identical
+//! results (see the [`plan`] module docs). Per-point
+//! [`Prepared::run_policy`] is the reference the curve-equivalence
+//! suite holds them to.
 
 pub mod cache;
 pub mod executor;
@@ -35,7 +36,6 @@ pub mod plan;
 use std::time::Instant;
 
 use cdmm_vmsim::policy::cd::CdSelector;
-use cdmm_vmsim::stack::StackProfile;
 use cdmm_vmsim::Metrics;
 
 use crate::pipeline::{PolicySpec, Prepared};
@@ -53,112 +53,42 @@ pub struct Point {
     pub metrics: Metrics,
 }
 
-/// One policy operating point, as a cache-key component.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PolicyId {
-    /// Fixed-allocation LRU.
-    Lru {
-        /// Frame allocation.
-        frames: u64,
-    },
-    /// Working Set.
-    Ws {
-        /// Window in references.
-        tau: u64,
-    },
-    /// The CD policy under one request selector.
-    Cd {
-        /// Request selection mode.
-        selector: CdSelector,
-        /// Whether LOCK/UNLOCK directives are honored.
-        locks: bool,
-    },
-}
-
-impl PolicyId {
-    fn absorb(&self, h: &mut KeyHasher) {
-        match *self {
-            PolicyId::Lru { frames } => {
-                h.write_u64(1);
-                h.write_u64(frames);
-            }
-            PolicyId::Ws { tau } => {
-                h.write_u64(2);
-                h.write_u64(tau);
-            }
-            PolicyId::Cd { selector, locks } => {
-                h.write_u64(3);
-                match selector {
-                    CdSelector::Outermost => h.write_u64(0),
-                    CdSelector::Innermost => h.write_u64(1),
-                    CdSelector::AtLevel(k) => {
-                        h.write_u64(2);
-                        h.write_u64(k as u64);
-                    }
-                    CdSelector::FirstFit => h.write_u64(3),
-                }
-                h.write_u64(locks as u64);
-            }
-        }
-    }
-}
-
 /// The content-addressed key of one operating point: the program's
 /// pipeline fingerprint (source, traces, directive stream, page
-/// geometry, knobs) combined with the policy and parameter.
-pub fn point_key(p: &Prepared, policy: PolicyId) -> CacheKey {
+/// geometry, knobs) combined with the policy family and its parameters.
+///
+/// Each family absorbs a variant tag — 1 LRU, 2 WS, 3 CD (followed by
+/// the selector and a locks bit, so CD and CD-no-locks share the tag),
+/// 10–16 the ablation families — then its parameters. The byte sequence
+/// is part of the persisted cache format: changing it orphans every
+/// stored result.
+pub fn spec_key(p: &Prepared, spec: PolicySpec) -> CacheKey {
     let mut h = KeyHasher::new();
     let fp = p.fingerprint();
     h.write_u64(fp.hi);
     h.write_u64(fp.lo);
-    policy.absorb(&mut h);
-    h.finish()
-}
-
-/// The content-addressed key of an arbitrary [`PolicySpec`] operating
-/// point over a prepared program.
-///
-/// The LRU / WS / CD / CD-no-locks variants map onto the same keys as
-/// [`point_key`], so a cache warmed through one entry point (say the
-/// batch service) is warm for the other (the table harness). The
-/// remaining families absorb a variant tag from 10 upward — disjoint
-/// from [`PolicyId`]'s 1–3 — plus their parameters.
-pub fn spec_key(p: &Prepared, spec: PolicySpec) -> CacheKey {
     match spec {
         PolicySpec::Lru { frames } => {
-            return point_key(
-                p,
-                PolicyId::Lru {
-                    frames: frames as u64,
-                },
-            )
+            h.write_u64(1);
+            h.write_u64(frames as u64);
         }
-        PolicySpec::Ws { tau } => return point_key(p, PolicyId::Ws { tau }),
-        PolicySpec::Cd { selector } => {
-            return point_key(
-                p,
-                PolicyId::Cd {
-                    selector,
-                    locks: true,
-                },
-            )
+        PolicySpec::Ws { tau } => {
+            h.write_u64(2);
+            h.write_u64(tau);
         }
-        PolicySpec::CdNoLocks { selector } => {
-            return point_key(
-                p,
-                PolicyId::Cd {
-                    selector,
-                    locks: false,
-                },
-            )
+        PolicySpec::Cd { selector } | PolicySpec::CdNoLocks { selector } => {
+            h.write_u64(3);
+            match selector {
+                CdSelector::Outermost => h.write_u64(0),
+                CdSelector::Innermost => h.write_u64(1),
+                CdSelector::AtLevel(k) => {
+                    h.write_u64(2);
+                    h.write_u64(k as u64);
+                }
+                CdSelector::FirstFit => h.write_u64(3),
+            }
+            h.write_u64(matches!(spec, PolicySpec::Cd { .. }) as u64);
         }
-        _ => {}
-    }
-    let mut h = KeyHasher::new();
-    let fp = p.fingerprint();
-    h.write_u64(fp.hi);
-    h.write_u64(fp.lo);
-    match spec {
         PolicySpec::Fifo { frames } => {
             h.write_u64(10);
             h.write_u64(frames as u64);
@@ -195,10 +125,6 @@ pub fn spec_key(p: &Prepared, spec: PolicySpec) -> CacheKey {
             h.write_u64(max_interval);
             h.write_u64(fault_quota);
         }
-        PolicySpec::Lru { .. }
-        | PolicySpec::Ws { .. }
-        | PolicySpec::Cd { .. }
-        | PolicySpec::CdNoLocks { .. } => unreachable!("delegated to point_key above"),
     }
     h.finish()
 }
@@ -227,57 +153,30 @@ pub fn fleet_key(tenant_points: &[CacheKey], semantic_knobs: &[u64]) -> CacheKey
     h.finish()
 }
 
-/// Runs (or recalls) one point through the cache, timing cache misses.
-fn memoized(
-    cache: &ResultCache,
-    p: &Prepared,
-    policy: PolicyId,
-    run: impl FnOnce() -> Metrics,
-) -> Metrics {
-    let key = point_key(p, policy);
+/// One operating point through the cache: a hit is recalled as-is, a
+/// miss runs [`Prepared::run_policy`] (timed as one simulated point) and
+/// is stored under [`spec_key`].
+pub fn cached(cache: &ResultCache, p: &Prepared, spec: PolicySpec) -> Metrics {
+    let key = spec_key(p, spec);
     if let Some(m) = cache.lookup(key) {
         return m;
     }
     let t0 = Instant::now();
-    let m = run();
+    let m = p.run_policy(spec);
     cache.record_sim(t0.elapsed());
     cache.insert(key, m);
     m
 }
 
-/// LRU at one allocation, through the cache.
-pub fn cached_lru(cache: &ResultCache, p: &Prepared, frames: usize) -> Metrics {
-    let policy = PolicyId::Lru {
-        frames: frames as u64,
-    };
-    memoized(cache, p, policy, || p.run_lru(frames))
-}
-
-/// WS at one window, through the cache.
-pub fn cached_ws(cache: &ResultCache, p: &Prepared, tau: u64) -> Metrics {
-    memoized(cache, p, PolicyId::Ws { tau }, || p.run_ws(tau))
-}
-
-/// CD under one selector, through the cache.
-pub fn cached_cd(cache: &ResultCache, p: &Prepared, selector: CdSelector) -> Metrics {
-    let policy = PolicyId::Cd {
-        selector,
-        locks: true,
-    };
-    memoized(cache, p, policy, || p.run_cd(selector))
-}
-
-/// Simulates LRU at every allocation in `frames` and returns the points.
+/// LRU at every allocation in `frames`, one point each.
 pub fn lru_sweep(p: &Prepared, frames: impl IntoIterator<Item = usize>) -> Vec<Point> {
     lru_sweep_with(&Executor::serial(), &ResultCache::disabled(), p, frames)
 }
 
 /// [`lru_sweep`] sharded across an executor's workers, each point routed
 /// through the result cache. Point order is deterministic (ascending
-/// over the input order) for every thread count.
-///
-/// With the curve kernels on (the default), the whole sweep is answered
-/// from one stack-distance pass; otherwise every point simulates.
+/// over the input order) for every thread count. The whole sweep is
+/// answered from one stack-distance pass.
 pub fn lru_sweep_with(
     exec: &Executor,
     cache: &ResultCache,
@@ -289,24 +188,16 @@ pub fn lru_sweep_with(
         .filter(|&m| m >= 1)
         .map(|m| m as u64)
         .collect();
-    if plan::kernels_enabled() {
-        return SweepPlan::new(cache, p).lru_points(exec, &params);
-    }
-    exec.map(&params, |_, &m| Point {
-        param: m,
-        metrics: cached_lru(cache, p, m as usize),
-    })
+    SweepPlan::new(cache, p).lru_points(exec, &params)
 }
 
-/// Simulates WS at every window in `taus`.
+/// WS at every window in `taus`, one point each.
 pub fn ws_sweep(p: &Prepared, taus: impl IntoIterator<Item = u64>) -> Vec<Point> {
     ws_sweep_with(&Executor::serial(), &ResultCache::disabled(), p, taus)
 }
 
 /// [`ws_sweep`] sharded across an executor's workers, cached per point.
-///
-/// With the curve kernels on (the default), the whole grid is answered
-/// from one gap-histogram pass; otherwise every window simulates.
+/// The whole grid is answered from one gap-histogram pass.
 pub fn ws_sweep_with(
     exec: &Executor,
     cache: &ResultCache,
@@ -314,13 +205,7 @@ pub fn ws_sweep_with(
     taus: impl IntoIterator<Item = u64>,
 ) -> Vec<Point> {
     let params: Vec<u64> = taus.into_iter().filter(|&t| t >= 1).collect();
-    if plan::kernels_enabled() {
-        return SweepPlan::new(cache, p).ws_points(exec, &params);
-    }
-    exec.map(&params, |_, &t| Point {
-        param: t,
-        metrics: cached_ws(cache, p, t),
-    })
+    SweepPlan::new(cache, p).ws_points(exec, &params)
 }
 
 /// The paper's LRU sweep range: every allocation from 1 to the program's
@@ -386,14 +271,7 @@ pub fn lru_match_mem(p: &Prepared, target_mem: f64) -> Point {
 
 /// [`lru_match_mem`] through the result cache.
 pub fn lru_match_mem_with(cache: &ResultCache, p: &Prepared, target_mem: f64) -> Point {
-    if plan::kernels_enabled() {
-        return SweepPlan::new(cache, p).lru_match_mem(target_mem);
-    }
-    let m = target_mem.round().max(1.0) as usize;
-    Point {
-        param: m as u64,
-        metrics: cached_lru(cache, p, m),
-    }
+    SweepPlan::new(cache, p).lru_match_mem(target_mem)
 }
 
 /// WS at the window whose mean memory best matches the target (binary
@@ -402,34 +280,31 @@ pub fn ws_match_mem(p: &Prepared, target_mem: f64) -> Point {
     ws_match_mem_with(&ResultCache::disabled(), p, target_mem)
 }
 
-/// [`ws_match_mem`] through the result cache. With the kernels on, the
-/// binary search probes the gap curve (no simulations at all); the
-/// fallback simulates each probe, memoized, so re-running a table
-/// replays the search from cache alone.
+/// [`ws_match_mem`] through the result cache: the binary search probes
+/// the gap curve (no simulations at all).
 pub fn ws_match_mem_with(cache: &ResultCache, p: &Prepared, target_mem: f64) -> Point {
-    if plan::kernels_enabled() {
-        return SweepPlan::new(cache, p).ws_match_mem(target_mem);
-    }
-    ws_match_mem_sim(cache, p, target_mem)
+    SweepPlan::new(cache, p).ws_match_mem(target_mem)
 }
 
-/// The per-point-simulation body of [`ws_match_mem_with`]; the kernel
+/// The per-point-simulation oracle of [`ws_match_mem_with`]: the kernel
 /// path replays this probe sequence exactly, so the differential tests
 /// hold the two to identical results.
+#[cfg(test)]
 fn ws_match_mem_sim(cache: &ResultCache, p: &Prepared, target_mem: f64) -> Point {
     let r = p.plain_trace().ref_count().max(2);
     let mut lo = 1u64;
     let mut hi = r;
+    let ws = |tau| cached(cache, p, PolicySpec::Ws { tau });
     let mut best = Point {
         param: 1,
-        metrics: cached_ws(cache, p, 1),
+        metrics: ws(1),
     };
     let mut best_err = (best.metrics.mean_mem() - target_mem).abs();
     while lo <= hi {
         let mid = lo + (hi - lo) / 2;
         let point = Point {
             param: mid,
-            metrics: cached_ws(cache, p, mid),
+            metrics: ws(mid),
         };
         let err = (point.metrics.mean_mem() - target_mem).abs();
         if err < best_err {
@@ -458,25 +333,22 @@ pub fn lru_match_pf(p: &Prepared, pf_budget: u64) -> Point {
     lru_match_pf_with(&ResultCache::disabled(), p, pf_budget)
 }
 
-/// [`lru_match_pf`] through the result cache. With the kernels on, the
-/// curve that answers the allocation search also answers the point's
-/// metrics, so the fallback's extra simulation disappears.
+/// [`lru_match_pf`] through the result cache: the curve that answers
+/// the allocation search also answers the point's metrics.
 pub fn lru_match_pf_with(cache: &ResultCache, p: &Prepared, pf_budget: u64) -> Point {
-    if plan::kernels_enabled() {
-        return SweepPlan::new(cache, p).lru_match_pf(pf_budget);
-    }
-    lru_match_pf_sim(cache, p, pf_budget)
+    SweepPlan::new(cache, p).lru_match_pf(pf_budget)
 }
 
-/// The per-point-simulation body of [`lru_match_pf_with`].
+/// The per-point-simulation oracle of [`lru_match_pf_with`].
+#[cfg(test)]
 fn lru_match_pf_sim(cache: &ResultCache, p: &Prepared, pf_budget: u64) -> Point {
-    let profile = StackProfile::compute(p.plain_trace());
+    let profile = cdmm_vmsim::stack::StackProfile::compute(p.plain_trace());
     let m = profile
         .min_alloc_for(pf_budget)
         .unwrap_or(profile.distinct().max(1));
     Point {
         param: m as u64,
-        metrics: cached_lru(cache, p, m),
+        metrics: cached(cache, p, PolicySpec::Lru { frames: m }),
     }
 }
 
@@ -487,18 +359,16 @@ pub fn ws_match_pf(p: &Prepared, pf_budget: u64) -> Point {
     ws_match_pf_with(&ResultCache::disabled(), p, pf_budget)
 }
 
-/// [`ws_match_pf`] through the result cache. With the kernels on, the
-/// fault-count probes read the gap curve and only the minimal window is
-/// materialized.
+/// [`ws_match_pf`] through the result cache: the fault-count probes
+/// read the gap curve and only the minimal window is materialized.
 pub fn ws_match_pf_with(cache: &ResultCache, p: &Prepared, pf_budget: u64) -> Point {
-    if plan::kernels_enabled() {
-        return SweepPlan::new(cache, p).ws_match_pf(pf_budget);
-    }
-    ws_match_pf_sim(cache, p, pf_budget)
+    SweepPlan::new(cache, p).ws_match_pf(pf_budget)
 }
 
-/// The per-point-simulation body of [`ws_match_pf_with`].
+/// The per-point-simulation oracle of [`ws_match_pf_with`].
+#[cfg(test)]
 fn ws_match_pf_sim(cache: &ResultCache, p: &Prepared, pf_budget: u64) -> Point {
+    let ws = |tau| cached(cache, p, PolicySpec::Ws { tau });
     let r = p.plain_trace().ref_count().max(2);
     let mut lo = 1u64;
     let mut hi = r;
@@ -507,7 +377,7 @@ fn ws_match_pf_sim(cache: &ResultCache, p: &Prepared, pf_budget: u64) -> Point {
         let mid = lo + (hi - lo) / 2;
         let point = Point {
             param: mid,
-            metrics: cached_ws(cache, p, mid),
+            metrics: ws(mid),
         };
         if point.metrics.faults <= pf_budget {
             best = Some(point);
@@ -524,7 +394,7 @@ fn ws_match_pf_sim(cache: &ResultCache, p: &Prepared, pf_budget: u64) -> Point {
     }
     best.unwrap_or_else(|| Point {
         param: r,
-        metrics: cached_ws(cache, p, r),
+        metrics: ws(r),
     })
 }
 
@@ -573,12 +443,13 @@ mod tests {
     #[test]
     fn lru_match_pf_meets_budget() {
         let p = prepared("INIT");
-        let budget = p.run_lru(4).faults; // a feasible budget
+        let lru = |frames| p.run_policy(PolicySpec::Lru { frames });
+        let budget = lru(4).faults; // a feasible budget
         let point = lru_match_pf(&p, budget);
         assert!(point.metrics.faults <= budget);
         // And one frame fewer would miss it.
         if point.param > 1 {
-            let tighter = p.run_lru(point.param as usize - 1);
+            let tighter = lru(point.param as usize - 1);
             assert!(tighter.faults > budget, "minimality of the allocation");
         }
     }
@@ -590,7 +461,9 @@ mod tests {
         let point = ws_match_pf(&p, budget);
         assert!(point.metrics.faults <= budget);
         if point.param > 1 {
-            let tighter = p.run_ws(point.param - 1);
+            let tighter = p.run_policy(PolicySpec::Ws {
+                tau: point.param - 1,
+            });
             assert!(tighter.faults > budget, "minimality of the window");
         }
     }
@@ -660,62 +533,35 @@ mod tests {
     fn cache_hit_equals_recompute() {
         let p = prepared("INIT");
         let cache = ResultCache::in_memory();
-        let first = cached_lru(&cache, &p, 6);
-        let second = cached_lru(&cache, &p, 6);
+        let spec = PolicySpec::Lru { frames: 6 };
+        let first = cached(&cache, &p, spec);
+        let second = cached(&cache, &p, spec);
         assert_eq!(first, second);
-        assert_eq!(first, p.run_lru(6), "cached result == direct simulation");
+        assert_eq!(
+            first,
+            p.run_policy(spec),
+            "cached result == direct simulation"
+        );
         let s = cache.stats();
         assert_eq!((s.cache_hits, s.cache_misses), (1, 1));
         assert_eq!(s.sim_points, 1, "only the miss was simulated");
     }
 
     #[test]
-    fn spec_keys_cover_every_family_and_alias_point_keys() {
+    fn spec_keys_distinguish_every_family_parameter_and_program() {
         let p = prepared("INIT");
-        // The families shared with PolicyId produce identical keys, so
-        // the caches interoperate.
-        assert_eq!(
-            spec_key(&p, PolicySpec::Lru { frames: 6 }),
-            point_key(&p, PolicyId::Lru { frames: 6 })
-        );
-        assert_eq!(
-            spec_key(&p, PolicySpec::Ws { tau: 40 }),
-            point_key(&p, PolicyId::Ws { tau: 40 })
-        );
-        assert_eq!(
-            spec_key(
-                &p,
-                PolicySpec::Cd {
-                    selector: CdSelector::Outermost
-                }
-            ),
-            point_key(
-                &p,
-                PolicyId::Cd {
-                    selector: CdSelector::Outermost,
-                    locks: true
-                }
-            )
-        );
-        assert_eq!(
-            spec_key(
-                &p,
-                PolicySpec::CdNoLocks {
-                    selector: CdSelector::Outermost
-                }
-            ),
-            point_key(
-                &p,
-                PolicyId::Cd {
-                    selector: CdSelector::Outermost,
-                    locks: false
-                }
-            )
-        );
-        // Every family (and parameter) keys distinctly.
+        let cd = |selector| PolicySpec::Cd { selector };
         let specs = [
             PolicySpec::Lru { frames: 6 },
+            PolicySpec::Lru { frames: 7 },
             PolicySpec::Ws { tau: 6 },
+            cd(CdSelector::Outermost),
+            cd(CdSelector::Innermost),
+            cd(CdSelector::AtLevel(2)),
+            cd(CdSelector::FirstFit),
+            PolicySpec::CdNoLocks {
+                selector: CdSelector::Outermost,
+            },
             PolicySpec::Fifo { frames: 6 },
             PolicySpec::Clock { frames: 6 },
             PolicySpec::Opt { frames: 6 },
@@ -738,36 +584,10 @@ mod tests {
                 assert_eq!(x == y, i == j, "spec keys {i} and {j}");
             }
         }
-    }
-
-    #[test]
-    fn point_keys_distinguish_policy_and_param() {
-        let p = prepared("INIT");
-        let a = point_key(&p, PolicyId::Lru { frames: 6 });
-        let b = point_key(&p, PolicyId::Lru { frames: 7 });
-        let c = point_key(&p, PolicyId::Ws { tau: 6 });
-        let d = point_key(
-            &p,
-            PolicyId::Cd {
-                selector: CdSelector::Outermost,
-                locks: true,
-            },
-        );
-        let e = point_key(
-            &p,
-            PolicyId::Cd {
-                selector: CdSelector::Outermost,
-                locks: false,
-            },
-        );
-        let keys = [a, b, c, d, e];
-        for (i, x) in keys.iter().enumerate() {
-            for (j, y) in keys.iter().enumerate() {
-                assert_eq!(x == y, i == j, "keys {i} and {j}");
-            }
-        }
         // And a different program fingerprint changes every key.
         let q = prepared("FIELD");
-        assert_ne!(point_key(&q, PolicyId::Lru { frames: 6 }), a);
+        for (&s, k) in specs.iter().zip(&keys) {
+            assert_ne!(spec_key(&q, s), *k, "{s:?}");
+        }
     }
 }

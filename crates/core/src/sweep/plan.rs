@@ -22,27 +22,18 @@
 //! A [`SweepPlan`] wires the kernels into the sweep engine: curves are
 //! memoized whole in the [`ResultCache`] (one entry answers the entire
 //! sweep), each materialized point also lands in the per-point cache
-//! under its usual [`point_key`](super::point_key) so the batch service
-//! and table harness stay warm for each other, and the Table 3/4 binary
-//! searches become probes against the curve instead of fresh simulations.
-//!
-//! Setting `CDMM_SWEEP_KERNELS=0` disables the kernels; every sweep
-//! entry point then falls back to per-point simulation.
+//! under its usual [`spec_key`] so the batch service and table harness
+//! stay warm for each other, and the Table 3/4 binary searches become
+//! probes against the curve instead of fresh simulations.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use cdmm_vmsim::{LruCurve, Metrics, WsCurve};
 
-use crate::pipeline::Prepared;
+use crate::pipeline::{PolicySpec, Prepared};
 
-use super::{CacheKey, Executor, KeyHasher, Point, PolicyId, ResultCache};
-
-/// Are the one-pass kernels in force? (`CDMM_SWEEP_KERNELS=0` opts the
-/// process back into per-point simulation.)
-pub fn kernels_enabled() -> bool {
-    std::env::var("CDMM_SWEEP_KERNELS").map_or(true, |v| v != "0")
-}
+use super::{spec_key, CacheKey, Executor, KeyHasher, Point, ResultCache};
 
 /// Curve-level cache key: a domain tag (30 for LRU, 31 for WS —
 /// disjoint from the point-policy tags 1–3, the spec tags 10–16, and
@@ -124,8 +115,8 @@ impl<'a> SweepPlan<'a> {
     /// returned as-is, a miss is answered by the kernel (an O(log)
     /// evaluation, not a simulation — so it does not count as a
     /// simulated point) and inserted under the point's usual key.
-    fn memo_point(&self, policy: PolicyId, eval: impl FnOnce() -> Metrics) -> Metrics {
-        let key = super::point_key(self.p, policy);
+    fn memo_point(&self, spec: PolicySpec, eval: impl FnOnce() -> Metrics) -> Metrics {
+        let key = spec_key(self.p, spec);
         if let Some(m) = self.cache.lookup(key) {
             return m;
         }
@@ -139,9 +130,7 @@ impl<'a> SweepPlan<'a> {
         let fs = self.p.config().fault_service;
         Point {
             param: m as u64,
-            metrics: self.memo_point(PolicyId::Lru { frames: m as u64 }, || {
-                curve.metrics_at(m, fs)
-            }),
+            metrics: self.memo_point(PolicySpec::Lru { frames: m }, || curve.metrics_at(m, fs)),
         }
     }
 
@@ -150,7 +139,7 @@ impl<'a> SweepPlan<'a> {
         let fs = self.p.config().fault_service;
         Point {
             param: tau,
-            metrics: self.memo_point(PolicyId::Ws { tau }, || curve.metrics_at(tau, fs)),
+            metrics: self.memo_point(PolicySpec::Ws { tau }, || curve.metrics_at(tau, fs)),
         }
     }
 
@@ -174,7 +163,7 @@ impl<'a> SweepPlan<'a> {
             std::sync::OnceLock::new();
         exec.map(params, |_, &tau| Point {
             param: tau,
-            metrics: self.memo_point(PolicyId::Ws { tau }, || {
+            metrics: self.memo_point(PolicySpec::Ws { tau }, || {
                 batch.get_or_init(|| {
                     params
                         .iter()
@@ -289,7 +278,7 @@ mod tests {
         for m in [1usize, 2, 5, 16, p.virtual_pages() as usize] {
             assert_eq!(
                 plan.lru_point(&lru_curve, m).metrics,
-                p.run_lru(m),
+                p.run_policy(PolicySpec::Lru { frames: m }),
                 "LRU m={m}"
             );
         }
@@ -297,7 +286,7 @@ mod tests {
         for tau in [1u64, 7, 100, 5000] {
             assert_eq!(
                 plan.ws_point(&ws_curve, tau).metrics,
-                p.run_ws(tau),
+                p.run_policy(PolicySpec::Ws { tau }),
                 "WS tau={tau}"
             );
         }
@@ -332,7 +321,7 @@ mod tests {
         // And curve keys never collide with the point keys they feed.
         assert_ne!(
             curve_key(&a, 30),
-            super::super::point_key(&a, PolicyId::Lru { frames: 30 })
+            spec_key(&a, PolicySpec::Lru { frames: 30 })
         );
     }
 
@@ -347,7 +336,7 @@ mod tests {
         assert_eq!(kernel.param, sim.param);
         assert_eq!(kernel.metrics, sim.metrics);
 
-        let budget = p.run_lru(4).faults;
+        let budget = p.run_policy(PolicySpec::Lru { frames: 4 }).faults;
         let kernel = plan.lru_match_pf(budget);
         let sim = super::super::lru_match_pf_sim(&cache, &p, budget);
         assert_eq!((kernel.param, kernel.metrics), (sim.param, sim.metrics));

@@ -78,18 +78,28 @@ pub struct JobRequest {
 impl JobRequest {
     /// The pipeline configuration this request asks for.
     pub fn pipeline_config(&self) -> PipelineConfig {
-        let mut cfg = PipelineConfig::default();
-        if let Some(pb) = self.page_bytes {
-            cfg.geometry = PageGeometry::new(pb.max(4), cfg.geometry.elem_bytes);
-        }
-        if let Some(fs) = self.fault_service {
-            cfg.fault_service = fs;
-        }
-        if let Some(ma) = self.min_alloc {
-            cfg.min_alloc = ma;
-        }
-        cfg
+        pipeline_config(self.page_bytes, self.fault_service, self.min_alloc)
     }
+}
+
+/// The default pipeline configuration with a request's optional
+/// geometry and simulation knobs applied.
+fn pipeline_config(
+    page_bytes: Option<u64>,
+    fault_service: Option<u64>,
+    min_alloc: Option<u64>,
+) -> PipelineConfig {
+    let mut cfg = PipelineConfig::default();
+    if let Some(pb) = page_bytes {
+        cfg.geometry = PageGeometry::new(pb.max(4), cfg.geometry.elem_bytes);
+    }
+    if let Some(fs) = fault_service {
+        cfg.fault_service = fs;
+    }
+    if let Some(ma) = min_alloc {
+        cfg.min_alloc = ma;
+    }
+    cfg
 }
 
 /// One parsed fleet job (`"job":"fleet"`): a seeded multiprogramming
@@ -228,17 +238,7 @@ pub struct SweepRequest {
 impl SweepRequest {
     /// The pipeline configuration this request asks for.
     pub fn pipeline_config(&self) -> PipelineConfig {
-        let mut cfg = PipelineConfig::default();
-        if let Some(pb) = self.page_bytes {
-            cfg.geometry = PageGeometry::new(pb.max(4), cfg.geometry.elem_bytes);
-        }
-        if let Some(fs) = self.fault_service {
-            cfg.fault_service = fs;
-        }
-        if let Some(ma) = self.min_alloc {
-            cfg.min_alloc = ma;
-        }
-        cfg
+        pipeline_config(self.page_bytes, self.fault_service, self.min_alloc)
     }
 }
 
@@ -839,20 +839,32 @@ fn reject_unknown(fields: &BTreeMap<String, Scalar>, known: &[&str]) -> Result<(
     Ok(())
 }
 
+/// Parses the `scale` preset every job kind accepts (default: small).
+fn parse_scale(fields: &BTreeMap<String, Scalar>) -> Result<Scale, String> {
+    match get_str(fields, "scale")?.as_deref() {
+        None | Some("small") => Ok(Scale::Small),
+        Some("paper") => Ok(Scale::Paper),
+        Some(other) => Err(format!("unknown scale \"{other}\"")),
+    }
+}
+
+/// Parses the optional `client` identity every job kind accepts.
+fn parse_client(fields: &BTreeMap<String, Scalar>) -> Result<Option<String>, String> {
+    let client = get_str(fields, "client")?;
+    if client.as_deref() == Some("") {
+        return Err("field \"client\" must be non-empty".into());
+    }
+    Ok(client)
+}
+
 /// Parses the `trace`/`metrics`/`client` observability fields shared by
-/// both job kinds.
+/// the sim and fleet job kinds.
 fn parse_observability(
     fields: &BTreeMap<String, Scalar>,
 ) -> Result<(bool, bool, Option<String>), String> {
     let trace = get_bool(fields, "trace")?.unwrap_or(false);
     let metrics = get_bool(fields, "metrics")?.unwrap_or(false);
-    let client = get_str(fields, "client")?;
-    if let Some(c) = &client {
-        if c.is_empty() {
-            return Err("field \"client\" must be non-empty".into());
-        }
-    }
-    Ok((trace, metrics, client))
+    Ok((trace, metrics, parse_client(fields)?))
 }
 
 /// Parses the fleet job fields into a [`FleetRequest`].
@@ -907,11 +919,7 @@ fn parse_fleet(id: String, fields: &BTreeMap<String, Scalar>) -> Result<FleetReq
             ))
         }
     };
-    let scale = match get_str(fields, "scale")?.as_deref() {
-        None | Some("small") => Scale::Small,
-        Some("paper") => Scale::Paper,
-        Some(other) => return Err(format!("unknown scale \"{other}\"")),
-    };
+    let scale = parse_scale(fields)?;
     let (trace, metrics, client) = parse_observability(fields)?;
     Ok(FleetRequest {
         id,
@@ -995,17 +1003,8 @@ fn parse_sweep(id: String, fields: &BTreeMap<String, Scalar>) -> Result<SweepReq
             return Err("field \"points\" must be in 1..=64 (points per decade)".into());
         }
     }
-    let scale = match get_str(fields, "scale")?.as_deref() {
-        None | Some("small") => Scale::Small,
-        Some("paper") => Scale::Paper,
-        Some(other) => return Err(format!("unknown scale \"{other}\"")),
-    };
-    let client = get_str(fields, "client")?;
-    if let Some(c) = &client {
-        if c.is_empty() {
-            return Err("field \"client\" must be non-empty".into());
-        }
-    }
+    let scale = parse_scale(fields)?;
+    let client = parse_client(fields)?;
     Ok(SweepRequest {
         id,
         work: parse_work(fields)?,
@@ -1024,11 +1023,7 @@ fn parse_sweep(id: String, fields: &BTreeMap<String, Scalar>) -> Result<SweepReq
 fn parse_sim(id: String, fields: &BTreeMap<String, Scalar>) -> Result<JobRequest, String> {
     reject_unknown(fields, SIM_KEYS)?;
     let work = parse_work(fields)?;
-    let scale = match get_str(fields, "scale")?.as_deref() {
-        None | Some("small") => Scale::Small,
-        Some("paper") => Scale::Paper,
-        Some(other) => return Err(format!("unknown scale \"{other}\"")),
-    };
+    let scale = parse_scale(fields)?;
     let (trace, metrics, client) = parse_observability(fields)?;
     Ok(JobRequest {
         id,

@@ -33,14 +33,14 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use cdmm_core::fleet::{prepare_fleet, FleetError};
-use cdmm_core::sweep::{self, plan, spec_key, Point, SweepPlan};
+use cdmm_core::sweep::{self, spec_key, Point, SweepPlan};
 use cdmm_core::{
     panic_message, prepare_cancellable, Executor, InterpError, PipelineConfig, PipelineError,
-    PolicySpec, Prepared, ResultCache,
+    Prepared, ResultCache,
 };
 use cdmm_vmsim::{
     CancelToken, FleetReport, Histogram, JsonlSink, Metrics, MetricsRegistry, NullTracer,
-    ProgressCounters, SimError, Tee,
+    ProgressCounters, SimError, Tee, Tracer,
 };
 use cdmm_workloads::{by_name, Scale};
 
@@ -431,10 +431,7 @@ impl BatchService {
             // identically whether or not the program or its result is
             // already memoized — so it short-circuits before either
             // lookup can introduce a replay-order dependence.
-            return JobOutcome::Err {
-                kind: ErrorKind::DeadlineExceeded,
-                detail: "deadline expired after 0 references".to_string(),
-            };
+            return deadline_exceeded(0);
         }
         match req {
             Request::Sim(r) => self.execute_sim(r, &token),
@@ -449,7 +446,13 @@ impl BatchService {
     /// stream is the product, so it must actually run — but its metrics
     /// still land in the cache for later untraced calls.
     fn execute_sim(&self, req: &JobRequest, token: &CancelToken) -> JobOutcome {
-        let prepared = match self.prepared_for(req, token) {
+        let prepared = match self.resolve_program(
+            &req.work,
+            req.scale,
+            req.pipeline_config(),
+            [req.page_bytes, req.fault_service, req.min_alloc],
+            token,
+        ) {
             Ok(p) => p,
             Err(outcome) => return outcome,
         };
@@ -464,40 +467,50 @@ impl BatchService {
                 };
             }
         }
-        let mut registry = MetricsRegistry::new();
-        let mut sink = match self.trace_sink(req.trace, &req.id) {
-            Ok(s) => s,
-            Err(outcome) => return outcome,
-        };
         let t0 = Instant::now();
-        let result = match (&mut sink, req.metrics) {
-            (None, false) => prepared.run_policy_cancellable(req.policy, token),
-            (None, true) => prepared.run_policy_traced(req.policy, &mut registry, token),
-            (Some(s), false) => prepared.run_policy_traced(req.policy, s, token),
-            (Some(s), true) => {
-                let mut tee = Tee::new(s, &mut registry);
-                prepared.run_policy_traced(req.policy, &mut tee, token)
-            }
-        };
-        match result {
-            Ok(metrics) => {
+        let run = self.observed(req.trace, req.metrics, &req.id, |tracer| {
+            prepared.run_policy_traced(req.policy, tracer, token)
+        });
+        match run {
+            Err(outcome) => outcome,
+            Ok((Ok(metrics), extra)) => {
                 self.cache.record_sim(t0.elapsed());
                 self.cache.insert(key, metrics);
                 JobOutcome::Ok {
                     label,
                     metrics: Box::new(metrics),
-                    extra: observability_extra(sink.as_ref(), req.metrics.then_some(&registry)),
+                    extra,
                 }
             }
-            Err(SimError::DeadlineExceeded { refs_done }) => JobOutcome::Err {
-                kind: ErrorKind::DeadlineExceeded,
-                detail: format!("deadline expired after {refs_done} references"),
-            },
-            Err(other) => JobOutcome::Err {
+            Ok((Err(SimError::DeadlineExceeded { refs_done }), _)) => deadline_exceeded(refs_done),
+            Ok((Err(other), _)) => JobOutcome::Err {
                 kind: ErrorKind::Pipeline,
                 detail: other.to_string(),
             },
         }
+    }
+
+    /// Runs `job` under the tracer a request's `trace`/`metrics` flags
+    /// ask for — the JSONL sidecar, a fresh [`MetricsRegistry`], both
+    /// through a [`Tee`], or none — and returns its result with the
+    /// response's pre-encoded observability members.
+    fn observed<T>(
+        &self,
+        trace: bool,
+        metrics: bool,
+        id: &str,
+        job: impl FnOnce(&mut dyn Tracer) -> T,
+    ) -> Result<(T, String), JobOutcome> {
+        let mut registry = MetricsRegistry::new();
+        let mut sink = self.trace_sink(trace, id)?;
+        let result = match (&mut sink, metrics) {
+            (None, false) => job(&mut NullTracer),
+            (None, true) => job(&mut registry),
+            (Some(s), false) => job(s),
+            (Some(s), true) => job(&mut Tee::new(s, &mut registry)),
+        };
+        let extra = observability_extra(sink.as_ref(), metrics.then_some(&registry));
+        Ok((result, extra))
     }
 
     /// Opens the checksummed JSONL sidecar a `"trace":true` request
@@ -554,30 +567,19 @@ impl BatchService {
                 };
             }
         };
-        let mut registry = MetricsRegistry::new();
-        let mut sink = match self.trace_sink(req.trace, &req.id) {
-            Ok(s) => s,
-            Err(outcome) => return outcome,
-        };
-        let result = match (&mut sink, req.metrics) {
-            (None, false) => prepared.run_cancellable(&mut NullTracer, token),
-            (None, true) => prepared.run_cancellable(&mut registry, token),
-            (Some(s), false) => prepared.run_cancellable(s, token),
-            (Some(s), true) => {
-                let mut tee = Tee::new(s, &mut registry);
-                prepared.run_cancellable(&mut tee, token)
-            }
-        };
-        match result {
-            Ok(report) => JobOutcome::FleetOk {
+        let run = self.observed(req.trace, req.metrics, &req.id, |tracer| {
+            prepared.run_cancellable(tracer, token)
+        });
+        match run {
+            Err(outcome) => outcome,
+            Ok((Ok(report), extra)) => JobOutcome::FleetOk {
                 report: Box::new(report),
-                extra: observability_extra(sink.as_ref(), req.metrics.then_some(&registry)),
+                extra,
             },
-            Err(FleetError::Sim(SimError::DeadlineExceeded { refs_done })) => JobOutcome::Err {
-                kind: ErrorKind::DeadlineExceeded,
-                detail: format!("deadline expired after {refs_done} references"),
-            },
-            Err(other) => JobOutcome::Err {
+            Ok((Err(FleetError::Sim(SimError::DeadlineExceeded { refs_done })), _)) => {
+                deadline_exceeded(refs_done)
+            }
+            Ok((Err(other), _)) => JobOutcome::Err {
                 kind: ErrorKind::Pipeline,
                 detail: other.to_string(),
             },
@@ -589,8 +591,7 @@ impl BatchService {
     /// trace pass builds the family's curve (memoized per program in
     /// the [`ResultCache`], each materialized point warming the
     /// per-point cache that sim jobs read), and every parameter is an
-    /// O(log) evaluation. With `CDMM_SWEEP_KERNELS=0` the job falls
-    /// back to per-point cancellable simulation, byte-identical by the
+    /// O(log) evaluation, byte-identical to per-point simulation by the
     /// curve-equivalence gate.
     fn execute_sweep(&self, req: &SweepRequest, token: &CancelToken) -> JobOutcome {
         let prepared = match self.resolve_program(
@@ -607,46 +608,6 @@ impl BatchService {
             SweepFamily::Lru => sweep::full_lru_range(&prepared).map(|m| m as u64).collect(),
             SweepFamily::Ws => sweep::ws_tau_grid(&prepared, req.points.unwrap_or(6)),
         };
-        if !plan::kernels_enabled() {
-            let mut points = Vec::with_capacity(params.len());
-            for &param in &params {
-                let spec = match req.family {
-                    SweepFamily::Lru => PolicySpec::Lru {
-                        frames: param as usize,
-                    },
-                    SweepFamily::Ws => PolicySpec::Ws { tau: param },
-                };
-                let key = spec_key(&prepared, spec);
-                if let Some(metrics) = self.cache.lookup(key) {
-                    points.push(Point { param, metrics });
-                    continue;
-                }
-                let t0 = Instant::now();
-                match prepared.run_policy_cancellable(spec, token) {
-                    Ok(metrics) => {
-                        self.cache.record_sim(t0.elapsed());
-                        self.cache.insert(key, metrics);
-                        points.push(Point { param, metrics });
-                    }
-                    Err(SimError::DeadlineExceeded { refs_done }) => {
-                        return JobOutcome::Err {
-                            kind: ErrorKind::DeadlineExceeded,
-                            detail: format!("deadline expired after {refs_done} references"),
-                        }
-                    }
-                    Err(other) => {
-                        return JobOutcome::Err {
-                            kind: ErrorKind::Pipeline,
-                            detail: other.to_string(),
-                        }
-                    }
-                }
-            }
-            return JobOutcome::SweepOk {
-                family: req.family,
-                points,
-            };
-        }
         let sweep_plan = SweepPlan::new(&self.cache, &prepared);
         let keep_going = || !token.should_stop();
         let expired = || JobOutcome::Err {
@@ -677,22 +638,6 @@ impl BatchService {
             family: req.family,
             points,
         }
-    }
-
-    /// Resolves and memoizes the prepared program a sim request names;
-    /// see [`BatchService::resolve_program`].
-    fn prepared_for(
-        &self,
-        req: &JobRequest,
-        token: &CancelToken,
-    ) -> Result<Arc<Prepared>, JobOutcome> {
-        self.resolve_program(
-            &req.work,
-            req.scale,
-            req.pipeline_config(),
-            [req.page_bytes, req.fault_service, req.min_alloc],
-            token,
-        )
     }
 
     /// Resolves and memoizes a prepared program. A deadline expiring
@@ -781,6 +726,15 @@ impl BatchService {
             }
         }
         flush_batch(&mut batch, &mut output)
+    }
+}
+
+/// The typed failure of a job its deadline stopped after `refs_done`
+/// references.
+fn deadline_exceeded(refs_done: u64) -> JobOutcome {
+    JobOutcome::Err {
+        kind: ErrorKind::DeadlineExceeded,
+        detail: format!("deadline expired after {refs_done} references"),
     }
 }
 

@@ -2,12 +2,11 @@
 //! simulations.
 //!
 //! A [`CancelToken`] combines a shared cancellation flag with an
-//! optional wall-clock deadline. The cancellable simulate drivers
-//! (`cdmm_vmsim::simulate_cancellable` and its run-level sibling) poll
-//! the token once per compressed trace *run* — not per reference — so
-//! the simulate hot loop stays untouched: a run of a few thousand
-//! references pays one atomic load and (when a deadline is set) one
-//! monotonic clock read. The trace interpreter polls it once per
+//! optional wall-clock deadline. The simulate driver
+//! (`cdmm_vmsim::simulate_with`) polls the token once per compressed
+//! trace *run* — not per reference — so the simulate hot loop stays
+//! untouched: a run of a few thousand references pays one atomic load
+//! and (when a deadline is set) one monotonic clock read. The trace interpreter polls it once per
 //! [`crate::interp::POLL_INTERVAL`] emitted events, so a deadline also
 //! bounds the *prepare* phase on huge inline sources.
 //!

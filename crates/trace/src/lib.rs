@@ -116,15 +116,6 @@ pub fn trace_program_compressed_cancellable(
         .run_compressed()
 }
 
-/// Like [`trace_program_compressed`], but also returns the final
-/// variable state for numerical validation.
-pub fn trace_program_compressed_with_state(
-    src: &str,
-    geometry: PageGeometry,
-) -> Result<(CompressedTrace, ProgramState), InterpError> {
-    interpreter_for(src, geometry)?.run_compressed_with_state()
-}
-
 /// Like [`trace_program`], but also returns the final variable state so
 /// callers can check that the traced computation is numerically sound.
 pub fn trace_program_with_state(

@@ -329,10 +329,23 @@ fn merge_ticks(dst: &mut Vec<u64>, add: &mut Vec<u64>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observe::NullTracer;
     use crate::policy::lru::Lru;
     use crate::policy::ws::WorkingSet;
-    use crate::sim::{simulate, simulate_run_level, SimConfig};
-    use cdmm_trace::{synth, CompressedTrace, Trace};
+    use crate::sim::{simulate, simulate_with, SimConfig};
+    use cdmm_trace::{synth, CancelToken, CompressedTrace, Trace};
+
+    fn run_level<P: crate::Policy>(c: &CompressedTrace, mut policy: P) -> crate::Metrics {
+        let token = CancelToken::new();
+        simulate_with(
+            c,
+            &mut policy,
+            SimConfig::default(),
+            &mut NullTracer,
+            &token,
+        )
+        .expect("an idle token never stops the run")
+    }
 
     fn traces() -> Vec<Trace> {
         let mut out = vec![
@@ -366,8 +379,7 @@ mod tests {
                 for m in [1usize, 2, 3, 5, 8, 13, top / 2, top] {
                     let m = m.max(1);
                     let per_ref = simulate(&t, &mut Lru::new(m), SimConfig::default());
-                    let run_level = simulate_run_level(&c, &mut Lru::new(m), SimConfig::default());
-                    assert_eq!(per_ref, run_level, "harness: m={m}");
+                    assert_eq!(per_ref, run_level(&c, Lru::new(m)), "harness: m={m}");
                     assert_eq!(curve.metrics_at(m, 2000), per_ref, "kernel: m={m}");
                 }
             }
@@ -383,8 +395,7 @@ mod tests {
                 for tau in [1u64, 2, 3, 7, 31, r / 3, r, r * 2] {
                     let tau = tau.max(1);
                     let per_ref = simulate(&t, &mut WorkingSet::new(tau), SimConfig::default());
-                    let run_level =
-                        simulate_run_level(&c, &mut WorkingSet::new(tau), SimConfig::default());
+                    let run_level = run_level(&c, WorkingSet::new(tau));
                     assert_eq!(per_ref, run_level, "harness: tau={tau}");
                     assert_eq!(curve.metrics_at(tau, 2000), per_ref, "kernel: tau={tau}");
                     assert_eq!(curve.faults_at(tau), per_ref.faults, "faults: tau={tau}");

@@ -2,9 +2,8 @@
 //! work-stealing workers, deterministic merge.
 //!
 //! The paper's Section 4 leaves CD's multiprogramming performance "still
-//! to be evaluated". [`crate::multiprog`] answered that for a handful of
-//! processes; this module scales the same Section-4 dispatch/swapper
-//! loop to fleet populations.
+//! to be evaluated". This module runs the Section-4 dispatch/swapper
+//! loop, from a handful of processes up to fleet populations.
 //!
 //! # The determinism invariant
 //!
@@ -64,8 +63,7 @@ pub struct TenantSpec {
 /// When a newly arrived tenant is admitted into its cell's memory pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Admission {
-    /// Admit on arrival, unconditionally (the retired multiprog
-    /// driver's behavior).
+    /// Admit on arrival, unconditionally.
     #[default]
     Free,
     /// Admit only when the cell's free frames cover the tenant's entry
@@ -1496,6 +1494,15 @@ mod tests {
         }
         assert_eq!(r.swap_pressure.count, 3);
         assert!(r.swap_pressure.max > 0);
+    }
+
+    #[test]
+    fn plentiful_memory_never_swaps() {
+        let specs = vec![ws_tenant("a", 4, 20, 0), ws_tenant("b", 4, 20, 0)];
+        let r = run_fleet(specs, FleetConfig::default()).unwrap();
+        assert_eq!(r.cells.len(), 1, "both tenants share one 64-frame cell");
+        assert_eq!(r.swap_events, 0);
+        assert!(r.cpu_utilization > 0.0);
     }
 
     #[test]

@@ -6,22 +6,27 @@
 //! policies" (Section 5), extended with the related-work policies the
 //! paper discusses (FIFO, Belady's OPT, PFF, and the damped/sampled/
 //! variable-interval WS variants) and with the multiprogramming mode the
-//! paper leaves as future work.
+//! paper leaves as future work ([`fleet`]).
 //!
 //! Key types:
 //!
 //! - [`Policy`] — the interface every policy implements: one call per page
 //!   reference, plus directive callbacks that only the CD policy acts on.
-//! - [`simulate`] — drives a policy over a [`cdmm_trace::Trace`] and
-//!   accumulates [`Metrics`] (page faults `PF`, mean resident memory
-//!   `MEM`, and space-time cost `ST` with a 2000-reference fault service,
-//!   as in the paper).
+//! - [`simulate`] — drives a policy over a [`cdmm_trace::Trace`] one
+//!   reference at a time and accumulates [`Metrics`] (page faults `PF`,
+//!   mean resident memory `MEM`, and space-time cost `ST` with a
+//!   2000-reference fault service, as in the paper). It is the reference
+//!   implementation.
+//! - [`simulate_with`] — the production driver: run-level under a
+//!   disabled [`Tracer`], per-reference with events under an enabled
+//!   one, and stoppable by a [`CancelToken`]; its metrics equal
+//!   [`simulate`]'s.
 //! - [`policy::cd::CdPolicy`] — the Compiler-Directed policy (Section 4).
-//! - [`multiprog`] — a multiprogrammed memory with CD's PI-driven
-//!   allocation and swapper.
-//! - [`observe`] — zero-cost-when-disabled event tracing: policies emit
-//!   typed [`SimEvent`]s (grants, hold-overs, evictions, lock breaks,
-//!   degradations) that [`simulate_with`] forwards to a [`Tracer`].
+//! - [`fleet`] — multiprogrammed memory cells with CD's PI-driven
+//!   allocation and swapper, sharded and work-stealing.
+//! - [`observe`] — event tracing: policies emit typed [`SimEvent`]s
+//!   (grants, hold-overs, evictions, lock breaks, degradations) that
+//!   [`simulate_with`] forwards to a [`Tracer`].
 //! - [`stats`] — a [`MetricsRegistry`] tracer that folds the event
 //!   stream into counters and streaming histograms (fault
 //!   inter-arrival, per-PI grant levels, lock dwell, occupancy).
@@ -43,12 +48,10 @@
 #![warn(clippy::unwrap_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
-pub mod cancel;
 pub mod curve;
 pub mod error;
 pub mod fleet;
 pub mod metrics;
-pub mod multiprog;
 pub mod observe;
 pub mod policy;
 pub mod progress;
@@ -57,7 +60,7 @@ pub mod sim;
 pub mod stack;
 pub mod stats;
 
-pub use cancel::CancelToken;
+pub use cdmm_trace::CancelToken;
 pub use curve::{LruCurve, WsCurve};
 pub use error::SimError;
 pub use fleet::{
@@ -66,17 +69,14 @@ pub use fleet::{
 };
 pub use metrics::{ExecStats, Metrics};
 pub use observe::{
-    EventLog, Histogram, HistogramRecorder, JsonlSink, NullTracer, SharedSink, SharedTracer,
-    SimEvent, Span, Tee, TimedEvent, Tracer,
+    EventLog, Histogram, JsonlSink, NullTracer, SharedSink, SharedTracer, SimEvent, Span, Tee,
+    TimedEvent, Tracer,
 };
 pub use policy::Policy;
 pub use progress::{
     validate_progress_file, ProgressCounters, ProgressExporter, ProgressFrame, PROGRESS_SCHEMA,
 };
-pub use sim::{
-    simulate, simulate_cancellable, simulate_run_level, simulate_run_level_cancellable,
-    simulate_with, simulate_with_cancellable, SimConfig,
-};
+pub use sim::{simulate, simulate_with, SimConfig};
 pub use stats::{
     shared_registry, snapshot_shared, HistogramSummary, MetricsRegistry, PiStats, PiSummary,
     RegistrySnapshot, SharedRegistry,

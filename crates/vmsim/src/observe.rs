@@ -9,11 +9,14 @@
 //! driver ([`crate::sim::simulate_with`]) forwards them, timestamped
 //! with the reference clock, to a [`Tracer`].
 //!
-//! Tracing is zero-cost when disabled: the default [`NullTracer`]
-//! reports [`Tracer::enabled`]` == false`, the driver hoists that flag
-//! out of the reference loop, and every policy guards its emission
-//! sites on a plain `bool` that stays `false` — the disabled path does
-//! no buffering, no allocation and no virtual dispatch per reference.
+//! One rule ties tracing to the driver: a disabled tracer (the default
+//! [`NullTracer`] reports [`Tracer::enabled`]` == false`) selects the
+//! run-level loop, which carries no tracing code and hands whole
+//! compressed runs to the policy's batch kernels; an enabled one
+//! selects the per-reference loop that drains policy events after
+//! every trace event. Policies guard their emission sites on a plain
+//! `bool` the driver turns on only for the traced loop, so the
+//! untraced path does no buffering and no allocation.
 //!
 //! Provided sinks:
 //!
@@ -22,12 +25,12 @@
 //!   events drop first) for in-process inspection and tests.
 //! - [`JsonlSink`] — append-only, checksummed JSON-lines files, the
 //!   same self-validating line discipline as the sweep result cache.
-//! - [`HistogramRecorder`] — inter-fault-distance and resident-set-size
-//!   histograms plus per-priority-index `ALLOCATE` outcome counts.
+//! - [`crate::MetricsRegistry`] (in [`crate::stats`]) — counters and
+//!   streaming histograms: inter-fault distance, resident occupancy and
+//!   per-priority-index `ALLOCATE` outcomes.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
-use std::fmt::Write as _;
 use std::fs;
 use std::io::{BufWriter, Write as _};
 use std::path::{Path, PathBuf};
@@ -820,139 +823,6 @@ impl Histogram {
     }
 }
 
-/// Per-priority-index `ALLOCATE` outcome counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PiCounts {
-    /// Requests granted at this PI.
-    pub granted: u64,
-    /// Directives held over with this innermost PI.
-    pub held_over: u64,
-    /// Swap requests raised with this innermost PI.
-    pub swap_needed: u64,
-}
-
-/// A tracer aggregating distribution-level statistics:
-/// inter-fault distance, resident-set size over time (per reference,
-/// so it opts into [`Tracer::wants_refs`]), and per-priority-index
-/// `ALLOCATE` grant / hold-over / swap counts.
-#[derive(Debug, Clone, Default)]
-pub struct HistogramRecorder {
-    inter_fault: Histogram,
-    resident: Histogram,
-    pi: BTreeMap<u32, PiCounts>,
-    last_fault: Option<u64>,
-    refs: u64,
-    faults: u64,
-    evictions: u64,
-}
-
-impl HistogramRecorder {
-    /// An empty recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Distance (in references) between consecutive faults.
-    pub fn inter_fault(&self) -> &Histogram {
-        &self.inter_fault
-    }
-
-    /// Resident-set size sampled at every reference.
-    pub fn resident(&self) -> &Histogram {
-        &self.resident
-    }
-
-    /// `ALLOCATE` outcome counts keyed by priority index.
-    pub fn pi_counts(&self) -> &BTreeMap<u32, PiCounts> {
-        &self.pi
-    }
-
-    /// References observed.
-    pub fn refs(&self) -> u64 {
-        self.refs
-    }
-
-    /// Faults observed.
-    pub fn faults(&self) -> u64 {
-        self.faults
-    }
-
-    /// Evictions observed.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// Renders a plain-text summary of all three distributions.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "refs {}  faults {}  evictions {}  mean resident {:.2} (peak {})",
-            self.refs,
-            self.faults,
-            self.evictions,
-            self.resident.mean(),
-            self.resident.max()
-        );
-        let _ = writeln!(
-            out,
-            "inter-fault distance (mean {:.1}, max {}):",
-            self.inter_fault.mean(),
-            self.inter_fault.max()
-        );
-        for (lo, hi, c) in self.inter_fault.nonzero_buckets() {
-            let _ = writeln!(out, "  {lo:>8}..={hi:<10} {c:>8}");
-        }
-        let _ = writeln!(out, "resident-set size:");
-        for (lo, hi, c) in self.resident.nonzero_buckets() {
-            let _ = writeln!(out, "  {lo:>8}..={hi:<10} {c:>8}");
-        }
-        if !self.pi.is_empty() {
-            let _ = writeln!(out, "ALLOCATE outcomes by priority index:");
-            for (pi, c) in &self.pi {
-                let _ = writeln!(
-                    out,
-                    "  PI {pi}: granted {:>6}  held over {:>4}  swap needed {:>4}",
-                    c.granted, c.held_over, c.swap_needed
-                );
-            }
-        }
-        out
-    }
-}
-
-impl Tracer for HistogramRecorder {
-    fn wants_refs(&self) -> bool {
-        true
-    }
-
-    fn record(&mut self, at: u64, event: &SimEvent) {
-        match event {
-            SimEvent::Ref { resident, .. } => {
-                self.refs += 1;
-                self.resident.record(u64::from(*resident));
-            }
-            SimEvent::Fault { .. } => {
-                self.faults += 1;
-                if let Some(prev) = self.last_fault {
-                    self.inter_fault.record(at.saturating_sub(prev));
-                }
-                self.last_fault = Some(at);
-            }
-            SimEvent::Evict { .. } => self.evictions += 1,
-            SimEvent::Alloc { pi, decision, .. } => {
-                let c = self.pi.entry(*pi).or_default();
-                match decision {
-                    AllocDecision::Granted => c.granted += 1,
-                    AllocDecision::HeldOver => c.held_over += 1,
-                    AllocDecision::SwapNeeded => c.swap_needed += 1,
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
 /// A shareable, mutex-guarded tracer handle — the form the parallel
 /// executor and the result cache accept, since their events originate
 /// on several threads.
@@ -964,8 +834,8 @@ pub fn shared<T: Tracer + Send + 'static>(tracer: T) -> SharedTracer {
 }
 
 /// A [`Tracer`] that forwards every event into a [`SharedTracer`],
-/// letting single-threaded drivers (`simulate_with`, the
-/// multiprogramming loop) feed the same sink as the parallel plumbing.
+/// letting single-threaded drivers (`simulate_with`, one fleet cell)
+/// feed the same sink as the parallel plumbing.
 ///
 /// The `enabled`/`wants_refs` flags are snapshotted at construction so
 /// the hot path takes the mutex only when an event actually fires.
@@ -1403,69 +1273,6 @@ mod tests {
         assert!(sink.truncated());
         assert_eq!(JsonlSink::validate_file(&path), Ok(2));
         let _ = fs::remove_file(&path);
-    }
-
-    #[test]
-    fn histogram_recorder_aggregates_events() {
-        let mut r = HistogramRecorder::new();
-        assert!(r.wants_refs());
-        r.record(
-            1,
-            &SimEvent::Ref {
-                page: PageId(0),
-                resident: 1,
-                fault: true,
-            },
-        );
-        r.record(
-            1,
-            &SimEvent::Fault {
-                page: PageId(0),
-                resident: 1,
-            },
-        );
-        r.record(
-            9,
-            &SimEvent::Fault {
-                page: PageId(1),
-                resident: 2,
-            },
-        );
-        r.record(9, &SimEvent::Evict { page: PageId(0) });
-        r.record(
-            9,
-            &SimEvent::Alloc {
-                pi: 2,
-                pages: 10,
-                decision: AllocDecision::Granted,
-            },
-        );
-        r.record(
-            9,
-            &SimEvent::Alloc {
-                pi: 2,
-                pages: 0,
-                decision: AllocDecision::HeldOver,
-            },
-        );
-        assert_eq!(r.faults(), 2);
-        assert_eq!(r.refs(), 1);
-        assert_eq!(r.evictions(), 1);
-        // One inter-fault gap of 8 references.
-        assert_eq!(r.inter_fault().count(), 1);
-        assert_eq!(r.inter_fault().bucket_count(4), 1);
-        let c = r.pi_counts().get(&2).copied().expect("PI 2 counted");
-        assert_eq!(
-            c,
-            PiCounts {
-                granted: 1,
-                held_over: 1,
-                swap_needed: 0
-            }
-        );
-        let text = r.render();
-        assert!(text.contains("PI 2"));
-        assert!(text.contains("inter-fault"));
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! The uniprogramming simulation driver.
+//! The uniprogramming simulation drivers: [`simulate`], the
+//! per-reference reference implementation, and [`simulate_with`], the
+//! one driver every production path runs.
 
-use cdmm_trace::{EventRef, EventSource, RunRef};
+use cdmm_trace::{CancelToken, EventRef, EventSource, RunRef};
 
-use crate::cancel::CancelToken;
 use crate::error::SimError;
 use crate::metrics::Metrics;
 use crate::observe::{SimEvent, Tracer};
@@ -23,7 +24,10 @@ impl Default for SimConfig {
     }
 }
 
-/// Drives `policy` over `trace` and returns the accumulated metrics.
+/// Drives `policy` over `trace` one reference at a time and returns the
+/// accumulated metrics: the reference implementation that tests,
+/// benches and the run-level equivalence harness compare
+/// [`simulate_with`] against.
 ///
 /// Directive events are forwarded to the policy before the next
 /// reference; policies that ignore directives see exactly the page
@@ -52,35 +56,6 @@ pub fn simulate<S: EventSource + ?Sized, P: Policy + ?Sized>(
     policy: &mut P,
     config: SimConfig,
 ) -> Metrics {
-    run_untraced(trace, policy, config)
-}
-
-/// [`simulate`] with an event [`Tracer`] attached.
-///
-/// While the tracer is enabled, the policy buffers [`SimEvent`]s at its
-/// decision points and the driver forwards them after each trace event,
-/// stamped with the reference clock (references processed so far): the
-/// policy's own events first (evictions, grants, lock breaks …), then
-/// the driver's [`SimEvent::Fault`], then — only when the tracer opts
-/// in via [`Tracer::wants_refs`] — one [`SimEvent::Ref`].
-///
-/// With a disabled tracer ([`crate::observe::NullTracer`]) this is
-/// exactly [`simulate`] — both run the same untraced loop, which
-/// carries no tracing code at all. Metrics are identical either way:
-/// tracing observes the run, it never alters it.
-pub fn simulate_with<S: EventSource + ?Sized, P: Policy + ?Sized>(
-    trace: &S,
-    policy: &mut P,
-    config: SimConfig,
-    tracer: &mut dyn Tracer,
-) -> Metrics {
-    if !tracer.enabled() {
-        return run_untraced(trace, policy, config);
-    }
-
-    let want_refs = tracer.wants_refs();
-    policy.set_tracing(true);
-    let mut pending: Vec<SimEvent> = Vec::new();
     let mut metrics = Metrics::new(config.fault_service);
     trace.for_each_event(|event| match event {
         EventRef::Ref(page) => {
@@ -89,66 +64,82 @@ pub fn simulate_with<S: EventSource + ?Sized, P: Policy + ?Sized>(
             if policy.is_degraded() {
                 metrics.degraded_refs += 1;
             }
-            let at = metrics.refs;
-            policy.drain_events(&mut pending);
-            for e in pending.drain(..) {
-                tracer.record(at, &e);
-            }
-            let resident = policy.resident() as u32;
-            if fault {
-                tracer.record(at, &SimEvent::Fault { page, resident });
-            }
-            if want_refs {
-                tracer.record(
-                    at,
-                    &SimEvent::Ref {
-                        page,
-                        resident,
-                        fault,
-                    },
-                );
-            }
         }
-        EventRef::Directive(other) => {
-            policy.directive(other);
-            let at = metrics.refs;
-            policy.drain_events(&mut pending);
-            for e in pending.drain(..) {
-                tracer.record(at, &e);
-            }
-        }
+        EventRef::Directive(other) => policy.directive(other),
     });
     metrics.recovered_directives = policy.recovered_directives();
-    policy.set_tracing(false);
-    tracer.flush();
     metrics
 }
 
-/// [`simulate_with`] under a cooperative [`CancelToken`]: the traced
-/// per-event loop with the token polled once per trace event. An
-/// uncancelled run produces exactly the [`Metrics`] and event stream of
-/// [`simulate_with`]; a stop discards the partial metrics, flushes the
-/// tracer, and surfaces [`SimError::DeadlineExceeded`] with the
-/// references completed. This is the entry point the serve layer's
-/// `"trace":true` passthrough uses to keep deadlines honest on traced
-/// jobs.
-pub fn simulate_with_cancellable<S: EventSource + ?Sized, P: Policy + ?Sized>(
+/// The production driver: [`simulate`] with an event [`Tracer`]
+/// attached, under a cooperative [`CancelToken`].
+///
+/// One rule picks the loop. A disabled tracer
+/// ([`crate::observe::NullTracer`]) takes the run-level loop: each
+/// constant-stride run of a [`cdmm_trace::CompressedTrace`] goes to
+/// [`Policy::reference_run`] whole (folded cycles to
+/// [`Policy::reference_cycle`]), so the paper policies batch it in
+/// closed form; any other [`EventSource`] degenerates to length-1
+/// runs. An enabled tracer takes the per-reference loop: the policy
+/// buffers [`SimEvent`]s at its decision points and the driver
+/// forwards them after each trace event, stamped with the reference
+/// clock (references processed so far) — the policy's own events
+/// first (evictions, grants, lock breaks …), then the driver's
+/// [`SimEvent::Fault`], then, only when the tracer opts in via
+/// [`Tracer::wants_refs`], one [`SimEvent::Ref`].
+///
+/// The token is polled once per compressed run (per event on a flat
+/// trace), never inside a run. Either loop returns exactly the
+/// [`Metrics`] of [`simulate`] — tracing observes the run, it never
+/// alters it; the `run_level_equivalence` harness pins both. A stop
+/// (deadline expiry or [`CancelToken::cancel`]) discards the partial
+/// metrics, flushes the tracer, leaves the policy's tracing off and
+/// returns [`SimError::DeadlineExceeded`] with the references
+/// completed.
+///
+/// # Examples
+///
+/// ```
+/// use cdmm_trace::{synth, CompressedTrace};
+/// use cdmm_vmsim::policy::lru::Lru;
+/// use cdmm_vmsim::{simulate, simulate_with, CancelToken, NullTracer, SimConfig, SimError};
+///
+/// let t = synth::cyclic(4, 100);
+/// let c = CompressedTrace::from_trace(&t);
+/// let cfg = SimConfig::default();
+/// let per_ref = simulate(&t, &mut Lru::new(4), cfg);
+/// let token = CancelToken::new();
+/// let run_level = simulate_with(&c, &mut Lru::new(4), cfg, &mut NullTracer, &token);
+/// assert_eq!(run_level, Ok(per_ref));
+///
+/// token.cancel();
+/// let stopped = simulate_with(&c, &mut Lru::new(4), cfg, &mut NullTracer, &token);
+/// assert_eq!(stopped, Err(SimError::DeadlineExceeded { refs_done: 0 }));
+/// ```
+pub fn simulate_with<S: EventSource + ?Sized, P: Policy + ?Sized>(
     trace: &S,
     policy: &mut P,
     config: SimConfig,
     tracer: &mut dyn Tracer,
     token: &CancelToken,
 ) -> Result<Metrics, SimError> {
-    if !tracer.enabled() {
-        return simulate_run_level_cancellable(trace, policy, config, token);
-    }
-    let want_refs = tracer.wants_refs();
-    policy.set_tracing(true);
-    let mut pending: Vec<SimEvent> = Vec::new();
     let mut metrics = Metrics::new(config.fault_service);
-    let completed = trace.for_each_event_while(
-        || !token.should_stop(),
-        |event| match event {
+    let keep_going = || !token.should_stop();
+    let completed = if !tracer.enabled() {
+        trace.for_each_run_while(keep_going, |run| match run {
+            RunRef::Run { start, stride, len } => {
+                policy.reference_run(start, stride, len, &mut metrics);
+            }
+            RunRef::Cycle { body, reps } => {
+                policy.reference_cycle(body, reps, &mut metrics);
+            }
+            RunRef::Directive(other) => policy.directive(other),
+        })
+    } else {
+        let want_refs = tracer.wants_refs();
+        policy.set_tracing(true);
+        let mut pending: Vec<SimEvent> = Vec::new();
+        let completed = trace.for_each_event_while(keep_going, |event| match event {
             EventRef::Ref(page) => {
                 let fault = policy.reference(page);
                 metrics.record(policy.resident(), fault);
@@ -183,173 +174,11 @@ pub fn simulate_with_cancellable<S: EventSource + ?Sized, P: Policy + ?Sized>(
                     tracer.record(at, &e);
                 }
             }
-        },
-    );
-    policy.set_tracing(false);
-    tracer.flush();
-    if !completed {
-        return Err(SimError::DeadlineExceeded {
-            refs_done: metrics.refs,
         });
-    }
-    metrics.recovered_directives = policy.recovered_directives();
-    Ok(metrics)
-}
-
-/// The hot path: no tracing code at all, so a disabled tracer costs one
-/// branch per run instead of per reference. `simulate` and a disabled
-/// `simulate_with` both land here; `traced_run_metrics_match_untraced`
-/// pins this loop and the instrumented one to the same results.
-fn run_untraced<S: EventSource + ?Sized, P: Policy + ?Sized>(
-    trace: &S,
-    policy: &mut P,
-    config: SimConfig,
-) -> Metrics {
-    let mut metrics = Metrics::new(config.fault_service);
-    trace.for_each_event(|event| match event {
-        EventRef::Ref(page) => {
-            let fault = policy.reference(page);
-            metrics.record(policy.resident(), fault);
-            if policy.is_degraded() {
-                metrics.degraded_refs += 1;
-            }
-        }
-        EventRef::Directive(other) => policy.directive(other),
-    });
-    metrics.recovered_directives = policy.recovered_directives();
-    metrics
-}
-
-/// [`simulate`] at run granularity: drives the policy one constant-stride
-/// *run* at a time instead of one reference at a time.
-///
-/// A [`cdmm_trace::CompressedTrace`] delivers each stored run as a single
-/// [`RunRef::Run`], which the driver hands to
-/// [`Policy::reference_run`] — the paper policies batch the whole run in
-/// closed form and only fall back to the per-reference decode in the
-/// hard cases (tracing, mixed residency, active locks). Any other
-/// [`EventSource`] degenerates to length-1 runs, making this exactly
-/// [`simulate`].
-///
-/// The contract — pinned by the `run_level_equivalence` differential
-/// harness — is byte-identical [`Metrics`] and final policy state
-/// against [`simulate`] on the same event stream.
-///
-/// # Examples
-///
-/// ```
-/// use cdmm_trace::{synth, CompressedTrace};
-/// use cdmm_vmsim::policy::lru::Lru;
-/// use cdmm_vmsim::{simulate, simulate_run_level, SimConfig};
-///
-/// let t = synth::cyclic(4, 100);
-/// let c = CompressedTrace::from_trace(&t);
-/// let per_ref = simulate(&t, &mut Lru::new(4), SimConfig::default());
-/// let run_level = simulate_run_level(&c, &mut Lru::new(4), SimConfig::default());
-/// assert_eq!(per_ref, run_level);
-/// ```
-pub fn simulate_run_level<S: EventSource + ?Sized, P: Policy + ?Sized>(
-    trace: &S,
-    policy: &mut P,
-    config: SimConfig,
-) -> Metrics {
-    let mut metrics = Metrics::new(config.fault_service);
-    trace.for_each_run(|run| match run {
-        RunRef::Run { start, stride, len } => {
-            policy.reference_run(start, stride, len, &mut metrics);
-        }
-        RunRef::Cycle { body, reps } => {
-            policy.reference_cycle(body, reps, &mut metrics);
-        }
-        RunRef::Directive(other) => policy.directive(other),
-    });
-    metrics.recovered_directives = policy.recovered_directives();
-    metrics
-}
-
-/// [`simulate_run_level`] under a cooperative [`CancelToken`].
-///
-/// Polls the token once per run (per event for flat traces) — the same
-/// cancellation granularity as [`simulate_cancellable`] on a compressed
-/// trace, since that too polls between compressed ops. On a stop the
-/// partial metrics are discarded and [`SimError::DeadlineExceeded`]
-/// reports the references completed.
-pub fn simulate_run_level_cancellable<S: EventSource + ?Sized, P: Policy + ?Sized>(
-    trace: &S,
-    policy: &mut P,
-    config: SimConfig,
-    token: &CancelToken,
-) -> Result<Metrics, SimError> {
-    let mut metrics = Metrics::new(config.fault_service);
-    let completed = trace.for_each_run_while(
-        || !token.should_stop(),
-        |run| match run {
-            RunRef::Run { start, stride, len } => {
-                policy.reference_run(start, stride, len, &mut metrics);
-            }
-            RunRef::Cycle { body, reps } => {
-                policy.reference_cycle(body, reps, &mut metrics);
-            }
-            RunRef::Directive(other) => policy.directive(other),
-        },
-    );
-    if !completed {
-        return Err(SimError::DeadlineExceeded {
-            refs_done: metrics.refs,
-        });
-    }
-    metrics.recovered_directives = policy.recovered_directives();
-    Ok(metrics)
-}
-
-/// [`simulate`] under a cooperative [`CancelToken`].
-///
-/// The loop body is exactly the untraced hot path; the token is polled
-/// between compressed trace *runs* (per event for flat traces), so a
-/// run that is never cancelled executes the same per-reference work as
-/// [`simulate`] and completes with identical [`Metrics`]. When the
-/// token stops the run — deadline expiry or an explicit
-/// [`CancelToken::cancel`] — the partial metrics are discarded and
-/// [`SimError::DeadlineExceeded`] reports how far the run got.
-///
-/// # Examples
-///
-/// ```
-/// use cdmm_trace::synth;
-/// use cdmm_vmsim::policy::lru::Lru;
-/// use cdmm_vmsim::{simulate, simulate_cancellable, CancelToken, SimConfig, SimError};
-///
-/// let trace = synth::cyclic(4, 100);
-/// let full = simulate(&trace, &mut Lru::new(4), SimConfig::default());
-/// let token = CancelToken::new();
-/// let same = simulate_cancellable(&trace, &mut Lru::new(4), SimConfig::default(), &token)
-///     .expect("an idle token never stops the run");
-/// assert_eq!(full, same);
-///
-/// token.cancel();
-/// let err = simulate_cancellable(&trace, &mut Lru::new(4), SimConfig::default(), &token);
-/// assert_eq!(err, Err(SimError::DeadlineExceeded { refs_done: 0 }));
-/// ```
-pub fn simulate_cancellable<S: EventSource + ?Sized, P: Policy + ?Sized>(
-    trace: &S,
-    policy: &mut P,
-    config: SimConfig,
-    token: &CancelToken,
-) -> Result<Metrics, SimError> {
-    let mut metrics = Metrics::new(config.fault_service);
-    let completed = trace.for_each_event_while(
-        || !token.should_stop(),
-        |event| match event {
-            EventRef::Ref(page) => {
-                let fault = policy.reference(page);
-                metrics.record(policy.resident(), fault);
-                if policy.is_degraded() {
-                    metrics.degraded_refs += 1;
-                }
-            }
-            EventRef::Directive(other) => policy.directive(other),
-        },
-    );
+        policy.set_tracing(false);
+        tracer.flush();
+        completed
+    };
     if !completed {
         return Err(SimError::DeadlineExceeded {
             refs_done: metrics.refs,
@@ -365,7 +194,8 @@ mod tests {
     use crate::policy::cd::{CdPolicy, CdSelector};
     use crate::policy::lru::Lru;
     use crate::policy::ws::WorkingSet;
-    use cdmm_trace::{synth, Trace};
+    use crate::{EventLog, NullTracer};
+    use cdmm_trace::{synth, CompressedTrace, Trace};
 
     #[test]
     fn lru_metrics_on_cyclic_trace() {
@@ -407,41 +237,61 @@ mod tests {
         assert_eq!(m.faults, 3, "1-page target: page 0 refaults");
     }
 
-    #[test]
-    fn traced_run_metrics_match_untraced() {
-        use crate::observe::EventLog;
-        // Tracing must observe the run without altering it, for every
-        // policy family.
-        let t = synth::phased(
+    /// The untraced production path under an idle token.
+    fn run_level<S: EventSource + ?Sized, P: Policy + ?Sized>(
+        trace: &S,
+        policy: &mut P,
+    ) -> Metrics {
+        simulate_with(
+            trace,
+            policy,
+            SimConfig::default(),
+            &mut NullTracer,
+            &CancelToken::new(),
+        )
+        .expect("an idle token never stops the run")
+    }
+
+    fn two_phases(refs: usize, seed: u64) -> Trace {
+        synth::phased(
             &[
                 synth::Phase {
                     base: 0,
                     pages: 6,
-                    refs: 400,
+                    refs,
                 },
                 synth::Phase {
                     base: 6,
                     pages: 3,
-                    refs: 400,
+                    refs,
                 },
             ],
-            9,
-        );
-        let plain = simulate(&t, &mut Lru::new(4), SimConfig::default());
+            seed,
+        )
+    }
+
+    #[test]
+    fn traced_run_metrics_match_untraced() {
+        // Tracing must observe the run without altering it, for every
+        // policy family.
+        let t = two_phases(400, 9);
+        let token = CancelToken::new();
+        let cfg = SimConfig::default();
+        let plain = simulate(&t, &mut Lru::new(4), cfg);
         let mut log = EventLog::new(4096).with_refs(true);
-        let traced = simulate_with(&t, &mut Lru::new(4), SimConfig::default(), &mut log);
-        assert_eq!(plain, traced);
+        let traced = simulate_with(&t, &mut Lru::new(4), cfg, &mut log, &token);
+        assert_eq!(traced, Ok(plain));
         assert!(!log.is_empty());
 
-        let plain = simulate(&t, &mut WorkingSet::new(50), SimConfig::default());
+        let plain = simulate(&t, &mut WorkingSet::new(50), cfg);
         let mut log = EventLog::new(4096);
-        let traced = simulate_with(&t, &mut WorkingSet::new(50), SimConfig::default(), &mut log);
-        assert_eq!(plain, traced);
+        let traced = simulate_with(&t, &mut WorkingSet::new(50), cfg, &mut log, &token);
+        assert_eq!(traced, Ok(plain));
     }
 
     #[test]
     fn tracer_sees_directive_and_fault_events() {
-        use crate::observe::{AllocDecision, EventLog, SimEvent};
+        use crate::observe::{AllocDecision, SimEvent};
         use cdmm_lang::ast::AllocArg;
         use cdmm_trace::{Event, PageId};
         let events = vec![
@@ -453,7 +303,14 @@ mod tests {
         let t = Trace::from_events(events);
         let mut cd = CdPolicy::new(CdSelector::Innermost).with_min_alloc(1);
         let mut log = EventLog::new(64);
-        let m = simulate_with(&t, &mut cd, SimConfig::default(), &mut log);
+        let m = simulate_with(
+            &t,
+            &mut cd,
+            SimConfig::default(),
+            &mut log,
+            &CancelToken::new(),
+        )
+        .expect("idle token completes");
         assert_eq!(m.faults, 3);
         let kinds: Vec<&str> = log.events().map(|e| e.event.kind()).collect();
         // ALLOCATE granted at clock 0, then three faults with evictions
@@ -474,54 +331,41 @@ mod tests {
     }
 
     #[test]
-    fn cancellable_with_idle_token_matches_simulate() {
-        use crate::cancel::CancelToken;
-        use cdmm_trace::CompressedTrace;
-        let t = synth::phased(
-            &[
-                synth::Phase {
-                    base: 0,
-                    pages: 6,
-                    refs: 300,
-                },
-                synth::Phase {
-                    base: 6,
-                    pages: 4,
-                    refs: 300,
-                },
-            ],
-            7,
-        );
-        let token = CancelToken::new();
-        let plain = simulate(&t, &mut Lru::new(5), SimConfig::default());
-        let cancellable = simulate_cancellable(&t, &mut Lru::new(5), SimConfig::default(), &token)
-            .expect("idle token completes");
-        assert_eq!(plain, cancellable);
-
-        // Same through the compressed streaming path.
-        let c = CompressedTrace::from_trace(&t);
-        let streamed = simulate_cancellable(&c, &mut Lru::new(5), SimConfig::default(), &token)
-            .expect("idle token completes");
-        assert_eq!(plain, streamed);
-    }
-
-    #[test]
-    fn cancelled_token_stops_before_first_reference() {
-        use crate::cancel::CancelToken;
+    fn cancelled_token_stops_both_loops_before_the_first_reference() {
         let t = synth::cyclic(4, 100);
+        let c = CompressedTrace::from_trace(&t);
         let token = CancelToken::new();
         token.cancel();
-        let err = simulate_cancellable(&t, &mut Lru::new(4), SimConfig::default(), &token);
-        assert_eq!(err, Err(SimError::DeadlineExceeded { refs_done: 0 }));
+        let stopped = Err(SimError::DeadlineExceeded { refs_done: 0 });
+        let cfg = SimConfig::default();
+        assert_eq!(
+            simulate_with(&t, &mut Lru::new(4), cfg, &mut NullTracer, &token),
+            stopped
+        );
+        assert_eq!(
+            simulate_with(&c, &mut Lru::new(4), cfg, &mut NullTracer, &token),
+            stopped
+        );
+        let mut log = EventLog::new(64);
+        assert_eq!(
+            simulate_with(&c, &mut Lru::new(4), cfg, &mut log, &token),
+            stopped
+        );
+        assert!(log.is_empty());
     }
 
     #[test]
     fn expired_deadline_reports_refs_done() {
-        use crate::cancel::CancelToken;
         use std::time::Duration;
         let t = synth::cyclic(4, 1000);
         let token = CancelToken::with_deadline(Duration::ZERO);
-        let err = simulate_cancellable(&t, &mut Lru::new(4), SimConfig::default(), &token);
+        let err = simulate_with(
+            &t,
+            &mut Lru::new(4),
+            SimConfig::default(),
+            &mut NullTracer,
+            &token,
+        );
         match err {
             Err(SimError::DeadlineExceeded { refs_done }) => {
                 assert!(refs_done < t.ref_count(), "must stop before the end")
@@ -532,63 +376,26 @@ mod tests {
 
     #[test]
     fn run_level_matches_per_ref_for_every_policy_family() {
-        use cdmm_trace::CompressedTrace;
-        let t = synth::phased(
-            &[
-                synth::Phase {
-                    base: 0,
-                    pages: 6,
-                    refs: 400,
-                },
-                synth::Phase {
-                    base: 6,
-                    pages: 3,
-                    refs: 400,
-                },
-            ],
-            9,
-        );
+        let t = two_phases(400, 9);
         let c = CompressedTrace::from_trace(&t);
         let cfg = SimConfig::default();
 
         let per_ref = simulate(&t, &mut Lru::new(4), cfg);
-        let run_level = simulate_run_level(&c, &mut Lru::new(4), cfg);
-        assert_eq!(per_ref, run_level, "LRU");
+        assert_eq!(per_ref, run_level(&c, &mut Lru::new(4)), "LRU");
 
         let per_ref = simulate(&t, &mut WorkingSet::new(50), cfg);
-        let run_level = simulate_run_level(&c, &mut WorkingSet::new(50), cfg);
-        assert_eq!(per_ref, run_level, "WS");
+        assert_eq!(per_ref, run_level(&c, &mut WorkingSet::new(50)), "WS");
 
         let per_ref = simulate(&t, &mut CdPolicy::new(CdSelector::Innermost), cfg);
-        let run_level = simulate_run_level(&c, &mut CdPolicy::new(CdSelector::Innermost), cfg);
-        assert_eq!(per_ref, run_level, "CD");
+        let cd = run_level(&c, &mut CdPolicy::new(CdSelector::Innermost));
+        assert_eq!(per_ref, cd, "CD");
     }
 
     #[test]
     fn run_level_on_a_flat_trace_degenerates_to_simulate() {
         let t = synth::uniform(12, 2_000, 3);
         let per_ref = simulate(&t, &mut Lru::new(6), SimConfig::default());
-        let run_level = simulate_run_level(&t, &mut Lru::new(6), SimConfig::default());
-        assert_eq!(per_ref, run_level);
-    }
-
-    #[test]
-    fn run_level_cancellable_idle_token_matches_and_dead_token_stops() {
-        use crate::cancel::CancelToken;
-        use cdmm_trace::CompressedTrace;
-        let t = synth::cyclic(6, 200);
-        let c = CompressedTrace::from_trace(&t);
-        let token = CancelToken::new();
-        let plain = simulate_run_level(&c, &mut Lru::new(6), SimConfig::default());
-        let same =
-            simulate_run_level_cancellable(&c, &mut Lru::new(6), SimConfig::default(), &token)
-                .expect("idle token completes");
-        assert_eq!(plain, same);
-
-        token.cancel();
-        let err =
-            simulate_run_level_cancellable(&c, &mut Lru::new(6), SimConfig::default(), &token);
-        assert_eq!(err, Err(SimError::DeadlineExceeded { refs_done: 0 }));
+        assert_eq!(per_ref, run_level(&t, &mut Lru::new(6)));
     }
 
     #[test]

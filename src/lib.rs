@@ -38,9 +38,6 @@
 //!   and the `observe` event-tracing layer
 //! - [`cdmm_workloads`] — the nine numerical programs from the paper
 //! - [`cdmm_core`] — end-to-end pipeline and experiment harness
-//!
-//! The pre-facade module aliases (`cdmm_repro::core`, `::vmsim`, ...)
-//! still work but are deprecated; depend on the sub-crates directly.
 
 pub mod fleet;
 pub mod simulation;
@@ -54,44 +51,8 @@ pub use cdmm_core::{PipelineConfig, PipelineError, PolicySpec};
 pub use cdmm_locality::{InsertOptions, PageGeometry, SizerMode};
 pub use cdmm_vmsim::policy::cd::CdSelector;
 pub use cdmm_vmsim::{
-    Admission, CellPressure, EventLog, FleetReport, FleetScorecard, HistogramRecorder,
-    HistogramSummary, JsonlSink, Metrics, MetricsRegistry, NullTracer, ProgressCounters,
-    ProgressExporter, RegistrySnapshot, SimEvent, Span, Tee, TenantReport, Tracer, WorkerTimeline,
+    Admission, CellPressure, EventLog, FleetReport, FleetScorecard, HistogramSummary, JsonlSink,
+    Metrics, MetricsRegistry, NullTracer, ProgressCounters, ProgressExporter, RegistrySnapshot,
+    SimEvent, Span, Tee, TenantReport, Tracer, WorkerTimeline,
 };
 pub use cdmm_workloads::Scale;
-
-/// Deprecated alias of [`cdmm_core`].
-#[deprecated(since = "0.1.0", note = "use the `cdmm_core` crate directly")]
-pub mod core {
-    pub use cdmm_core::*;
-}
-
-/// Deprecated alias of [`cdmm_lang`].
-#[deprecated(since = "0.1.0", note = "use the `cdmm_lang` crate directly")]
-pub mod lang {
-    pub use cdmm_lang::*;
-}
-
-/// Deprecated alias of [`cdmm_locality`].
-#[deprecated(since = "0.1.0", note = "use the `cdmm_locality` crate directly")]
-pub mod locality {
-    pub use cdmm_locality::*;
-}
-
-/// Deprecated alias of [`cdmm_trace`].
-#[deprecated(since = "0.1.0", note = "use the `cdmm_trace` crate directly")]
-pub mod trace {
-    pub use cdmm_trace::*;
-}
-
-/// Deprecated alias of [`cdmm_vmsim`].
-#[deprecated(since = "0.1.0", note = "use the `cdmm_vmsim` crate directly")]
-pub mod vmsim {
-    pub use cdmm_vmsim::*;
-}
-
-/// Deprecated alias of [`cdmm_workloads`].
-#[deprecated(since = "0.1.0", note = "use the `cdmm_workloads` crate directly")]
-pub mod workloads {
-    pub use cdmm_workloads::*;
-}

@@ -28,7 +28,7 @@
 
 use std::fmt;
 
-use cdmm_core::{prepare, PipelineConfig, PipelineError, PolicySpec, Prepared};
+use cdmm_core::{prepare, CancelToken, PipelineConfig, PipelineError, PolicySpec, Prepared};
 use cdmm_locality::{InsertOptions, PageGeometry, SizerMode};
 use cdmm_vmsim::policy::cd::CdSelector;
 use cdmm_vmsim::{Metrics, MetricsRegistry, NullTracer, RegistrySnapshot, Tee, Tracer};
@@ -266,14 +266,16 @@ impl PreparedSimulation<'_> {
     /// observe this run too.
     pub fn run_policy(&mut self, policy: PolicySpec) -> Report {
         let label = self.prepared.policy_label(policy);
+        let run = |tracer: &mut dyn Tracer| {
+            self.prepared
+                .run_policy_traced(policy, tracer, &CancelToken::new())
+                .expect("an idle token never stops a run")
+        };
         let metrics = match (&mut self.registry, &mut self.tracer) {
-            (Some(reg), Some(t)) => {
-                let mut tee = Tee::new(*t, reg);
-                self.prepared.run_policy_with(policy, &mut tee)
-            }
-            (Some(reg), None) => self.prepared.run_policy_with(policy, reg),
-            (None, Some(t)) => self.prepared.run_policy_with(policy, *t),
-            (None, None) => self.prepared.run_policy_with(policy, &mut NullTracer),
+            (Some(reg), Some(t)) => run(&mut Tee::new(*t, reg)),
+            (Some(reg), None) => run(reg),
+            (None, Some(t)) => run(*t),
+            (None, None) => run(&mut NullTracer),
         };
         Report {
             policy: label,
@@ -323,7 +325,7 @@ mod tests {
             .expect("MAIN runs");
         let w = by_name("MAIN", Scale::Small).expect("workload");
         let p = prepare(w.name, &w.source, PipelineConfig::default()).expect("pipeline");
-        assert_eq!(report.metrics, p.run_lru(8));
+        assert_eq!(report.metrics, p.run_policy(PolicySpec::Lru { frames: 8 }));
         assert_eq!(report.policy, "LRU(8)");
     }
 

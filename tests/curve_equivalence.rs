@@ -20,7 +20,7 @@
 //! directive traffic interleaved with the references.
 
 use cdmm_core::sweep::{self, Executor, ResultCache, SweepPlan};
-use cdmm_core::{prepare, PipelineConfig, Prepared};
+use cdmm_core::{prepare, PipelineConfig, PolicySpec, Prepared};
 use cdmm_lang::ast::AllocArg;
 use cdmm_trace::{CompressedTrace, Event, PageId, PageRange, Trace};
 use cdmm_vmsim::policy::lru::Lru;
@@ -85,7 +85,7 @@ fn lru_curve_matches_simulation_on_every_workload() {
         let curve = LruCurve::compute(p.plain_trace());
         for m in lru_grid(&p) {
             let kernel = curve.metrics_at(m, fs);
-            let sim = p.run_lru(m.max(1));
+            let sim = p.run_policy(PolicySpec::Lru { frames: m.max(1) });
             assert_eq!(kernel, sim, "{} LRU(m={m})", p.name());
             assert_eq!(
                 kernel.faults,
@@ -104,7 +104,7 @@ fn ws_curve_matches_simulation_on_every_workload() {
         let curve = WsCurve::compute(p.plain_trace());
         for tau in ws_grid(&p) {
             let kernel = curve.metrics_at(tau, fs);
-            let sim = p.run_ws(tau);
+            let sim = p.run_policy(PolicySpec::Ws { tau });
             assert_eq!(kernel, sim, "{} WS(tau={tau})", p.name());
             assert_eq!(
                 kernel.faults,
@@ -136,7 +136,9 @@ fn sweep_plan_matches_per_point_sweeps_on_every_workload() {
         for pt in &kernel {
             assert_eq!(
                 pt.metrics,
-                p.run_lru(pt.param as usize),
+                p.run_policy(PolicySpec::Lru {
+                    frames: pt.param as usize
+                }),
                 "{} LRU sweep",
                 p.name()
             );
@@ -144,7 +146,12 @@ fn sweep_plan_matches_per_point_sweeps_on_every_workload() {
         let taus = sweep::ws_tau_grid(&p, 8);
         let kernel = plan.ws_points(&exec, &taus);
         for pt in &kernel {
-            assert_eq!(pt.metrics, p.run_ws(pt.param), "{} WS sweep", p.name());
+            assert_eq!(
+                pt.metrics,
+                p.run_policy(PolicySpec::Ws { tau: pt.param }),
+                "{} WS sweep",
+                p.name()
+            );
         }
     }
 }

@@ -1,7 +1,7 @@
 //! End-to-end integration tests: source text in, policy metrics out,
 //! exercising every crate in the workspace together.
 
-use cdmm_core::{prepare, PipelineConfig};
+use cdmm_core::{prepare, PipelineConfig, PolicySpec};
 use cdmm_locality::{analyze_program, instrument, InsertOptions, PageGeometry};
 use cdmm_vmsim::policy::cd::CdSelector;
 use cdmm_workloads::{all, by_name, Scale};
@@ -22,7 +22,7 @@ fn every_workload_runs_through_the_full_pipeline() {
             CdSelector::Innermost,
             CdSelector::AtLevel(2),
         ] {
-            let m = p.run_cd(selector);
+            let m = p.run_policy(PolicySpec::Cd { selector });
             assert_eq!(m.refs, p.plain_trace().ref_count(), "{}", w.name);
             assert!(
                 m.faults >= u64::from(p.plain_trace().distinct_pages()) / 2,
@@ -49,8 +49,12 @@ fn cd_with_equal_memory_beats_lru_on_phased_programs() {
     // average memory, LRU faults (much) more than CD.
     let w = by_name("MAIN", Scale::Small).unwrap();
     let p = prepare(w.name, &w.source, PipelineConfig::default()).unwrap();
-    let cd = p.run_cd(CdSelector::AtLevel(2));
-    let lru = p.run_lru(cd.mean_mem().round().max(1.0) as usize);
+    let cd = p.run_policy(PolicySpec::Cd {
+        selector: CdSelector::AtLevel(2),
+    });
+    let lru = p.run_policy(PolicySpec::Lru {
+        frames: cd.mean_mem().round().max(1.0) as usize,
+    });
     assert!(
         lru.faults > cd.faults,
         "LRU {} vs CD {} at MEM {:.1}",
@@ -66,8 +70,12 @@ fn outer_directives_trade_memory_for_faults() {
     for name in ["MAIN", "TQL"] {
         let w = by_name(name, Scale::Small).unwrap();
         let p = prepare(w.name, &w.source, PipelineConfig::default()).unwrap();
-        let outer = p.run_cd(CdSelector::Outermost);
-        let inner = p.run_cd(CdSelector::Innermost);
+        let outer = p.run_policy(PolicySpec::Cd {
+            selector: CdSelector::Outermost,
+        });
+        let inner = p.run_policy(PolicySpec::Cd {
+            selector: CdSelector::Innermost,
+        });
         assert!(outer.mean_mem() > inner.mean_mem(), "{name}");
         assert!(outer.faults <= inner.faults, "{name}");
     }
@@ -144,8 +152,12 @@ fn fault_service_time_scales_st_not_pf() {
     };
     let pf = prepare(w.name, &w.source, fast).unwrap();
     let ps = prepare(w.name, &w.source, slow).unwrap();
-    let mf = pf.run_cd(CdSelector::AtLevel(2));
-    let ms = ps.run_cd(CdSelector::AtLevel(2));
+    let mf = pf.run_policy(PolicySpec::Cd {
+        selector: CdSelector::AtLevel(2),
+    });
+    let ms = ps.run_policy(PolicySpec::Cd {
+        selector: CdSelector::AtLevel(2),
+    });
     assert_eq!(mf.faults, ms.faults);
     assert!(ms.st_cost() > mf.st_cost());
 }

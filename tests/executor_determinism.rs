@@ -12,8 +12,8 @@
 use std::path::PathBuf;
 
 use cdmm_core::sweep::cache::{decode_line, encode_line};
-use cdmm_core::sweep::{cached_lru, point_key, PolicyId};
-use cdmm_core::{prepare, CacheKey, Executor, PipelineConfig, Prepared, ResultCache};
+use cdmm_core::sweep::{cached, spec_key};
+use cdmm_core::{prepare, CacheKey, Executor, PipelineConfig, PolicySpec, Prepared, ResultCache};
 use cdmm_trace::synth::SplitMix64;
 use cdmm_vmsim::Metrics;
 use cdmm_workloads::{by_name, Scale};
@@ -87,7 +87,8 @@ fn cache_round_trip_equals_recompute() {
     let frames = [3usize, 5, 9];
 
     let cold = ResultCache::at_dir(&dir).unwrap();
-    let fresh: Vec<Metrics> = frames.iter().map(|&f| cached_lru(&cold, &p, f)).collect();
+    let lru = |frames| PolicySpec::Lru { frames };
+    let fresh: Vec<Metrics> = frames.iter().map(|&f| cached(&cold, &p, lru(f))).collect();
     assert_eq!(cold.stats().cache_misses, frames.len() as u64);
     cold.flush().unwrap();
     drop(cold);
@@ -96,12 +97,12 @@ fn cache_round_trip_equals_recompute() {
     assert_eq!(warm.discarded_entries(), 0);
     for (&f, want) in frames.iter().zip(&fresh) {
         let hit = warm
-            .lookup(point_key(&p, PolicyId::Lru { frames: f as u64 }))
+            .lookup(spec_key(&p, lru(f)))
             .expect("point persisted by the cold run");
         assert_eq!(hit, *want, "cached metrics drifted for frames={f}");
         // And the hit equals a from-scratch simulation, not just the
         // stored copy of one.
-        assert_eq!(hit, p.run_lru(f));
+        assert_eq!(hit, p.run_policy(lru(f)));
     }
     assert_eq!(warm.stats().cache_hits, frames.len() as u64);
     let _ = std::fs::remove_dir_all(&dir);
@@ -156,8 +157,9 @@ fn tampered_lines_never_decode_to_different_metrics() {
 fn poisoned_cache_file_is_discarded_and_recomputed() {
     let dir = temp_dir("poisoned");
     let p = prepared("INIT");
-    let key = point_key(&p, PolicyId::Lru { frames: 4 });
-    let truth = p.run_lru(4);
+    let spec = PolicySpec::Lru { frames: 4 };
+    let key = spec_key(&p, spec);
+    let truth = p.run_policy(spec);
 
     // Seed the cache with one valid entry, then vandalise the file.
     let cache = ResultCache::at_dir(&dir).unwrap();
@@ -181,7 +183,7 @@ fn poisoned_cache_file_is_discarded_and_recomputed() {
     assert!(reopened.lookup(key).is_none(), "tampered entry was trusted");
 
     // The memoized path recomputes and the result matches ground truth.
-    assert_eq!(cached_lru(&reopened, &p, 4), truth);
+    assert_eq!(cached(&reopened, &p, spec), truth);
     assert_eq!(reopened.stats().cache_misses, 2); // explicit lookup + memoized miss
     let _ = std::fs::remove_dir_all(&dir);
 }

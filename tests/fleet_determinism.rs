@@ -4,7 +4,7 @@
 //! [`cdmm_vmsim::FleetReport`]. Cells are fixed by submission order
 //! alone; shards and threads only decide *who* runs each cell.
 //!
-//! The suite pins four properties:
+//! The suite pins three properties:
 //!
 //! - a seeded multi-thousand-tenant fleet produces the identical report
 //!   at 1/2/4/8 threads and across shard counts;
@@ -13,9 +13,7 @@
 //!   geometries (events are buffered per cell and replayed in cell
 //!   order, so tracers never observe scheduling races);
 //! - a chaos tenant whose fuzzed directives trip degrade-to-LRU
-//!   perturbs nothing outside its own memory cell;
-//! - the deprecated `run_multiprogram` shim agrees with the fleet
-//!   scheduler it now delegates to.
+//!   perturbs nothing outside its own memory cell.
 //!
 //! The fleet size defaults to 2000 tenants in release builds and 128
 //! under `cfg(debug_assertions)`; `CDMM_FLEET_TENANTS` and
@@ -195,57 +193,4 @@ fn chaos_tenant_degrades_without_perturbing_other_cells() {
         &hit.cells[1..],
         "chaos in cell 0 leaked into other cells"
     );
-}
-
-#[test]
-#[allow(deprecated)]
-fn deprecated_shim_agrees_with_the_fleet_scheduler() {
-    use cdmm_trace::{synth, CompressedTrace};
-    use cdmm_vmsim::multiprog::{run_multiprogram, MultiConfig, ProcPolicy};
-    use cdmm_vmsim::policy::ws::WorkingSet;
-    use cdmm_vmsim::{run_fleet, FleetConfig, TenantSpec};
-
-    let trace = synth::cyclic(10, 25);
-    let shim = run_multiprogram(
-        vec![
-            ("a".into(), trace.clone(), ProcPolicy::Ws { tau: 5_000 }),
-            ("b".into(), trace.clone(), ProcPolicy::Ws { tau: 5_000 }),
-            ("c".into(), trace.clone(), ProcPolicy::Cd { min_alloc: 2 }),
-        ],
-        MultiConfig {
-            total_frames: 30,
-            ..MultiConfig::default()
-        },
-    );
-
-    let tenant = |name: &str, cd: bool| TenantSpec {
-        name: name.into(),
-        trace: CompressedTrace::from_trace(&trace),
-        engine: if cd {
-            Box::new(cdmm_vmsim::policy::cd::CdPolicy::new(CdSelector::FirstFit).with_min_alloc(2))
-        } else {
-            Box::new(WorkingSet::new(5_000))
-        },
-        arrival: 0,
-    };
-    let fleet = run_fleet(
-        vec![tenant("a", false), tenant("b", false), tenant("c", true)],
-        FleetConfig {
-            frames_per_cell: 30,
-            tenants_per_cell: 3,
-            admission: Admission::Free,
-            ..FleetConfig::default()
-        },
-    )
-    .expect("fleet runs");
-
-    assert_eq!(shim.makespan, fleet.makespan);
-    assert_eq!(shim.total_faults, fleet.total_faults);
-    assert_eq!(shim.swap_events, fleet.swap_events);
-    for (p, t) in shim.processes.iter().zip(fleet.tenants.iter()) {
-        assert_eq!(p.name, t.name);
-        assert_eq!(p.metrics, t.metrics);
-        assert_eq!(p.finished_at, t.finished_at);
-        assert_eq!(p.swap_outs, t.swap_outs);
-    }
 }

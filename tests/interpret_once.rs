@@ -9,7 +9,7 @@ use cdmm_trace::trace_program_compressed;
 use cdmm_vmsim::policy::lru::Lru;
 use cdmm_vmsim::policy::opt::Opt;
 use cdmm_vmsim::policy::ws::WorkingSet;
-use cdmm_vmsim::{simulate_run_level, SimConfig};
+use cdmm_vmsim::{simulate_with, CancelToken, NullTracer, Policy, SimConfig};
 use cdmm_workloads::{all, Scale};
 
 /// `Prepared::fingerprint()` of every workload under the default
@@ -81,14 +81,24 @@ fn hand_written_directives_leave_plain_policy_metrics_unchanged() {
     let sim = SimConfig {
         fault_service: cfg.fault_service,
     };
+    let run_level = |policy: &mut dyn Policy| {
+        simulate_with(
+            &with_dirs,
+            policy,
+            sim,
+            &mut NullTracer,
+            &CancelToken::new(),
+        )
+        .expect("an idle token never stops the run")
+    };
     for frames in [1, 3, 8, 40, 200] {
-        let lru = simulate_run_level(&with_dirs, &mut Lru::new(frames), sim);
+        let lru = run_level(&mut Lru::new(frames));
         assert_eq!(
             p.run_policy(PolicySpec::Lru { frames }),
             lru,
             "LRU({frames})"
         );
-        let opt = simulate_run_level(&with_dirs, &mut Opt::for_trace(&with_dirs, frames), sim);
+        let opt = run_level(&mut Opt::for_trace(&with_dirs, frames));
         assert_eq!(
             p.run_policy(PolicySpec::Opt { frames }),
             opt,
@@ -96,7 +106,7 @@ fn hand_written_directives_leave_plain_policy_metrics_unchanged() {
         );
     }
     for tau in [1, 50, 500, 5000] {
-        let ws = simulate_run_level(&with_dirs, &mut WorkingSet::new(tau), sim);
+        let ws = run_level(&mut WorkingSet::new(tau));
         assert_eq!(p.run_policy(PolicySpec::Ws { tau }), ws, "WS({tau})");
     }
     let without = InsertOptions {

@@ -1,7 +1,7 @@
-//! The run-level execution gate: `simulate_run_level` (one
-//! `Policy::reference_run` call per compressed constant-stride run,
-//! batch kernels inside) must be *byte-identical* to the per-reference
-//! driver — same `Metrics`, same final policy behavior, same `SimEvent`
+//! The run-level execution gate: `simulate_with` under a disabled
+//! tracer (one `Policy::reference_run` call per compressed
+//! constant-stride run, batch kernels inside) must be *byte-identical*
+//! to the per-reference `simulate` — same `Metrics`, same final policy behavior, same `SimEvent`
 //! stream where tracing applies — on every reproduced workload and on
 //! an adversarial seeded trace generator.
 //!
@@ -14,13 +14,16 @@
 //! that compress into `COp::Cycle` — sometimes sized past the page
 //! universe so the cycle kernels' warmup never reaches steady state.
 
-use cdmm_core::{prepare, PipelineConfig, Prepared};
+use cdmm_core::{prepare, PipelineConfig, PolicySpec, Prepared};
 use cdmm_lang::ast::AllocArg;
 use cdmm_trace::{CompressedTrace, Event, PageId, PageRange, Trace};
 use cdmm_vmsim::policy::cd::{CdPolicy, CdSelector};
 use cdmm_vmsim::policy::lru::Lru;
 use cdmm_vmsim::policy::ws::WorkingSet;
-use cdmm_vmsim::{simulate, simulate_run_level, EventLog, Metrics, Policy, SimConfig, TimedEvent};
+use cdmm_vmsim::{
+    simulate, simulate_with, CancelToken, EventLog, Metrics, NullTracer, Policy, SimConfig,
+    TimedEvent, Tracer,
+};
 use cdmm_workloads::{all, Scale};
 
 fn equiv_seed() -> u64 {
@@ -47,6 +50,22 @@ impl SplitMix64 {
     }
 }
 
+/// The production driver under an idle token.
+fn drive<S: cdmm_trace::EventSource + ?Sized, P: Policy>(
+    trace: &S,
+    policy: &mut P,
+    tracer: &mut dyn Tracer,
+) -> Metrics {
+    simulate_with(
+        trace,
+        policy,
+        SimConfig::default(),
+        tracer,
+        &CancelToken::new(),
+    )
+    .expect("an idle token never stops the run")
+}
+
 /// Drives one freshly built policy per call three ways — per-ref over
 /// the flat trace, per-ref over the compressed trace, run-level over
 /// the compressed trace — and asserts all three metrics are identical.
@@ -59,7 +78,7 @@ fn assert_equivalent<P: Policy, F: Fn() -> P>(
     let cfg = SimConfig::default();
     let per_ref_flat = simulate(flat, &mut make(), cfg);
     let per_ref_comp = simulate(compressed, &mut make(), cfg);
-    let run_level = simulate_run_level(compressed, &mut make(), cfg);
+    let run_level = drive(compressed, &mut make(), &mut NullTracer);
     assert_eq!(
         per_ref_flat, per_ref_comp,
         "{what}: compressed per-ref drifted from flat"
@@ -81,11 +100,10 @@ fn assert_same_events<P: Policy, F: Fn() -> P>(
     compressed: &CompressedTrace,
     what: &str,
 ) {
-    let cfg = SimConfig::default();
     let mut log_flat = EventLog::new(1 << 15).with_refs(true);
-    let m_flat = cdmm_vmsim::simulate_with(flat, &mut make(), cfg, &mut log_flat);
+    let m_flat = drive(flat, &mut make(), &mut log_flat);
     let mut log_comp = EventLog::new(1 << 15).with_refs(true);
-    let m_comp = cdmm_vmsim::simulate_with(compressed, &mut make(), cfg, &mut log_comp);
+    let m_comp = drive(compressed, &mut make(), &mut log_comp);
     assert_eq!(m_flat, m_comp, "{what}: traced metrics drifted");
     let a: Vec<TimedEvent> = log_flat.events().copied().collect();
     let b: Vec<TimedEvent> = log_comp.events().copied().collect();
@@ -115,7 +133,8 @@ fn run_level_matches_per_ref_on_every_workload() {
                 p.cd_trace(),
                 &format!("{} CD({selector:?})", p.name()),
             );
-            assert_eq!(m, p.run_cd(selector), "{}: pipeline route", p.name());
+            let route = p.run_policy(PolicySpec::Cd { selector });
+            assert_eq!(m, route, "{}: pipeline route", p.name());
         }
         for frames in [2usize, 8, 32] {
             let m = assert_equivalent(
@@ -124,7 +143,8 @@ fn run_level_matches_per_ref_on_every_workload() {
                 p.plain_trace(),
                 &format!("{} LRU({frames})", p.name()),
             );
-            assert_eq!(m, p.run_lru(frames), "{}: pipeline route", p.name());
+            let route = p.run_policy(PolicySpec::Lru { frames });
+            assert_eq!(m, route, "{}: pipeline route", p.name());
         }
         for tau in [100u64, 2000] {
             let m = assert_equivalent(
@@ -133,7 +153,8 @@ fn run_level_matches_per_ref_on_every_workload() {
                 p.plain_trace(),
                 &format!("{} WS({tau})", p.name()),
             );
-            assert_eq!(m, p.run_ws(tau), "{}: pipeline route", p.name());
+            let route = p.run_policy(PolicySpec::Ws { tau });
+            assert_eq!(m, route, "{}: pipeline route", p.name());
         }
     }
 }

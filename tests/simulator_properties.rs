@@ -57,8 +57,12 @@ fn whole_pipeline_is_deterministic() {
     let b = prepare(w.name, &w.source, PipelineConfig::default()).unwrap();
     assert_eq!(a.plain_trace(), b.plain_trace());
     assert_eq!(a.cd_trace(), b.cd_trace());
-    let ma = a.run_cd(CdSelector::AtLevel(2));
-    let mb = b.run_cd(CdSelector::AtLevel(2));
+    let ma = a.run_policy(PolicySpec::Cd {
+        selector: CdSelector::AtLevel(2),
+    });
+    let mb = b.run_policy(PolicySpec::Cd {
+        selector: CdSelector::AtLevel(2),
+    });
     assert_eq!(ma, mb);
 }
 
@@ -95,8 +99,12 @@ fn first_fit_with_unbounded_memory_acts_like_outermost() {
     // the first (largest) request — the Outermost selector.
     let w = by_name("MAIN", Scale::Small).unwrap();
     let p = prepare(w.name, &w.source, PipelineConfig::default()).unwrap();
-    let fit = p.run_cd(CdSelector::FirstFit);
-    let outer = p.run_cd(CdSelector::Outermost);
+    let fit = p.run_policy(PolicySpec::Cd {
+        selector: CdSelector::FirstFit,
+    });
+    let outer = p.run_policy(PolicySpec::Cd {
+        selector: CdSelector::Outermost,
+    });
     assert_eq!(fit, outer);
 }
 
@@ -113,8 +121,12 @@ fn cd_metrics_respond_to_min_alloc() {
     };
     let ps = prepare(w.name, &w.source, small).unwrap();
     let pl = prepare(w.name, &w.source, large).unwrap();
-    let ms = ps.run_cd(CdSelector::Innermost);
-    let ml = pl.run_cd(CdSelector::Innermost);
+    let ms = ps.run_policy(PolicySpec::Cd {
+        selector: CdSelector::Innermost,
+    });
+    let ml = pl.run_policy(PolicySpec::Cd {
+        selector: CdSelector::Innermost,
+    });
     assert!(
         ml.mean_mem() > ms.mean_mem(),
         "a larger floor holds more pages"

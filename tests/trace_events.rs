@@ -14,9 +14,9 @@
 //! CDMM_BLESS=1 cargo test --test trace_events
 //! ```
 
-use cdmm_core::{prepare, PipelineConfig, PolicySpec, Prepared};
+use cdmm_core::{prepare, CancelToken, PipelineConfig, PolicySpec, Prepared};
 use cdmm_vmsim::policy::cd::CdSelector;
-use cdmm_vmsim::{EventLog, JsonlSink};
+use cdmm_vmsim::{EventLog, JsonlSink, Metrics, Tracer};
 use cdmm_workloads::{by_name, Scale};
 
 const FIXTURE: &str = concat!(
@@ -48,6 +48,16 @@ fn prepared() -> Prepared {
     prepare("TRACEFIX", SOURCE, PipelineConfig::default()).expect("pipeline accepts the fixture")
 }
 
+const CD: PolicySpec = PolicySpec::Cd {
+    selector: CdSelector::AtLevel(2),
+};
+
+/// `spec` on `p` with `tracer` attached, under an idle token.
+fn traced(p: &Prepared, spec: PolicySpec, tracer: &mut dyn Tracer) -> Metrics {
+    p.run_policy_traced(spec, tracer, &CancelToken::new())
+        .expect("an idle token never stops a run")
+}
+
 /// Streams one traced CD run to a throwaway JSONL file and returns its
 /// contents, after checking the checksums and that tracing did not
 /// perturb the metrics.
@@ -55,9 +65,9 @@ fn traced_jsonl() -> String {
     let p = prepared();
     let path = std::env::temp_dir().join(format!("cdmm_trace_events_{}.jsonl", std::process::id()));
     let mut sink = JsonlSink::create(&path).expect("create jsonl sink");
-    let traced = p.run_cd_with(CdSelector::AtLevel(2), &mut sink);
-    let untraced = p.run_cd(CdSelector::AtLevel(2));
-    assert_eq!(traced, untraced, "the sink must not alter the run");
+    let with_sink = traced(&p, CD, &mut sink);
+    let untraced = p.run_policy(CD);
+    assert_eq!(with_sink, untraced, "the sink must not alter the run");
 
     let lines = JsonlSink::validate_file(&path).expect("every line checksums");
     assert!(lines > 0, "the traced run produced no events");
@@ -95,7 +105,7 @@ fn fixture_file_itself_validates() {
 fn event_stream_covers_the_directive_kinds() {
     let p = prepared();
     let mut log = EventLog::new(1 << 14);
-    p.run_cd_with(CdSelector::AtLevel(2), &mut log);
+    traced(&p, CD, &mut log);
     assert_eq!(log.dropped(), 0, "ring too small for the fixture run");
     let kinds: std::collections::BTreeSet<&str> = log.events().map(|e| e.event.kind()).collect();
     for want in ["alloc", "lock", "unlock", "fault", "evict"] {
@@ -114,7 +124,7 @@ fn recovery_skips_exactly_the_torn_tail() {
         std::process::id()
     ));
     let mut sink = JsonlSink::create(&path).expect("create jsonl sink");
-    p.run_cd_with(CdSelector::AtLevel(2), &mut sink);
+    traced(&p, CD, &mut sink);
     let written = sink.written();
     drop(sink);
 
@@ -151,9 +161,7 @@ fn recovery_skips_exactly_the_torn_tail() {
 #[test]
 fn tracing_is_inert_across_policies_and_workloads() {
     let specs = [
-        PolicySpec::Cd {
-            selector: CdSelector::AtLevel(2),
-        },
+        CD,
         PolicySpec::Lru { frames: 8 },
         PolicySpec::Ws { tau: 2_000 },
     ];
@@ -163,10 +171,10 @@ fn tracing_is_inert_across_policies_and_workloads() {
         for spec in specs {
             let plain = p.run_policy(spec);
             let mut log = EventLog::new(1 << 12).with_refs(true);
-            let traced = p.run_policy_with(spec, &mut log);
+            let with_log = traced(&p, spec, &mut log);
             assert_eq!(
                 plain,
-                traced,
+                with_log,
                 "{name}/{}: tracing must not alter metrics",
                 p.policy_label(spec)
             );
