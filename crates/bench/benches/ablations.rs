@@ -9,7 +9,7 @@ use cdmm_vmsim::policy::cd::{CdPolicy, CdSelector};
 use cdmm_vmsim::policy::pff::Pff;
 use cdmm_vmsim::policy::ws::WorkingSet;
 use cdmm_vmsim::policy::ws_variants::{DampedWs, SampledWs, VariableSampledWs};
-use cdmm_vmsim::{run_fleet, Admission, FleetConfig, TenantSpec};
+use cdmm_vmsim::{run_fleet, Admission, CancelToken, FleetConfig, NullTracer, TenantSpec};
 use cdmm_vmsim::{simulate, SimConfig};
 use cdmm_workloads::Scale;
 
@@ -81,6 +81,9 @@ fn main() {
                 admission: Admission::Free,
                 ..Default::default()
             },
+            &mut NullTracer,
+            None,
+            &CancelToken::new(),
         )
     })
 }

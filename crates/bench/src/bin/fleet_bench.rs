@@ -203,7 +203,7 @@ fn run(env: &BenchEnv) -> Result<(), String> {
             pt.frames_per_cell, pt.makespan, pt.total_faults, pt.swap_events, pt.st_p99,
         );
         fresh.entries.push(
-            Entry::new(&format!("fleet/frames/{}", pt.frames_per_cell))
+            Entry::new(format!("fleet/frames/{}", pt.frames_per_cell))
                 .int("makespan", pt.makespan)
                 .int("pf", pt.total_faults)
                 .int("swaps", pt.swap_events)

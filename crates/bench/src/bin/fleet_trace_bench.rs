@@ -9,7 +9,7 @@
 //! Both sides run min-of-N over the same seeded mixed fleet: the
 //! baseline with `NullTracer` (the production fast path — batch
 //! kernels, no event buffering) and the traced side with an in-memory
-//! [`EventLog`] whose policy-event appetite is off, i.e. the scheduler
+//! [`EventLog`] at [`Detail::Scheduler`], i.e. the scheduler
 //! observability plane alone (admissions, deferrals, queue depth,
 //! swap-outs). The binary fails when the traced side exceeds the
 //! baseline by more than the threshold (default 2%, override with
@@ -26,7 +26,7 @@ use cdmm_bench::BenchEnv;
 use cdmm_core::fleet::{prepare_fleet, FleetSpec};
 use cdmm_core::pipeline::PolicySpec;
 use cdmm_vmsim::policy::cd::CdSelector;
-use cdmm_vmsim::{CancelToken, EventLog, FleetReport, NullTracer, Tracer};
+use cdmm_vmsim::{CancelToken, Detail, EventLog, FleetReport, NullTracer, Tracer};
 
 fn env_u64(name: &str) -> Option<u64> {
     std::env::var(name).ok().and_then(|v| v.parse().ok())
@@ -72,14 +72,14 @@ fn main() -> ExitCode {
 
     // Equality first, outside the timing loop.
     let (_, untraced) = timed_run(&spec, &mut NullTracer);
-    let mut log = EventLog::new(1 << 20).with_policy_events(false);
+    let mut log = EventLog::new(1 << 20).with_detail(Detail::Scheduler);
     let (_, traced) = timed_run(&spec, &mut log);
     assert_eq!(
         untraced, traced,
         "a scheduler-plane tracer must not perturb the fleet report"
     );
     assert!(
-        log.len() > 0,
+        !log.is_empty(),
         "the scheduler plane must actually emit events"
     );
 
@@ -88,7 +88,7 @@ fn main() -> ExitCode {
     let mut min_traced = Duration::MAX;
     for _ in 0..samples {
         min_base = min_base.min(timed_run(&spec, &mut NullTracer).0);
-        let mut log = EventLog::new(1 << 20).with_policy_events(false);
+        let mut log = EventLog::new(1 << 20).with_detail(Detail::Scheduler);
         min_traced = min_traced.min(timed_run(&spec, &mut log).0);
     }
     let overhead = (min_traced.as_secs_f64() / min_base.as_secs_f64().max(1e-12) - 1.0) * 100.0;

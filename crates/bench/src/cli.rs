@@ -13,7 +13,7 @@ use std::fmt;
 use std::path::PathBuf;
 
 use cdmm_core::sweep::Executor;
-use cdmm_vmsim::observe::{shared, SharedTracer};
+use cdmm_vmsim::observe::{shared, Detail, SharedTracer};
 use cdmm_vmsim::JsonlSink;
 use cdmm_workloads::Scale;
 
@@ -260,7 +260,11 @@ impl BenchEnv {
         let tracer = trace_path.as_ref().map(|path| {
             let sink = JsonlSink::create(path)
                 .unwrap_or_else(|e| panic!("--trace-out {}: {e}", path.display()))
-                .with_refs(opts.trace_events);
+                .with_detail(if opts.trace_events {
+                    Detail::References
+                } else {
+                    Detail::Decisions
+                });
             shared(sink)
         });
         BenchEnv {

@@ -24,8 +24,8 @@
 //! clones the compressed traces (cheap `Vec` clones) per tenant.
 //!
 //! Everything is derived from `(spec, seed)` alone — never from thread
-//! or shard geometry — which is what lets [`PreparedFleet::key`]
-//! content-address a fleet result independently of how it was executed.
+//! or shard geometry — so the fleet report does not depend on how it
+//! was executed.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -34,13 +34,12 @@ use cdmm_trace::{CancelToken, CompressedTrace, DirectiveFuzzer, TenantJitter};
 use cdmm_vmsim::policy::cd::CdPolicy;
 use cdmm_vmsim::policy::Policy;
 use cdmm_vmsim::{
-    run_fleet_cancellable, run_fleet_observed, Admission, FleetConfig, FleetReport, FleetScorecard,
-    NullTracer, ProgressCounters, SimError, TenantSpec, Tracer,
+    run_fleet, Admission, FleetConfig, FleetReport, FleetScorecard, NullTracer, ProgressCounters,
+    SimError, TenantSpec, Tracer,
 };
 use cdmm_workloads::Scale;
 
 use crate::pipeline::{prepare, PipelineConfig, PipelineError, PolicySpec, Prepared};
-use crate::sweep::{fleet_key, spec_key, CacheKey};
 use cdmm_locality::PageGeometry;
 use cdmm_vmsim::policy::cd::CdSelector;
 
@@ -94,9 +93,6 @@ pub struct FleetSpec {
     pub jitter: bool,
     /// Directed chaos tenants.
     pub chaos: Vec<ChaosSpec>,
-    /// Collect a per-tenant [`cdmm_vmsim::RegistrySnapshot`] (slow:
-    /// forces per-reference event tracing).
-    pub collect_registries: bool,
     /// Compile/trace pipeline knobs shared by all tenants (geometry
     /// jitter steps off `config.geometry`).
     pub config: PipelineConfig,
@@ -124,7 +120,6 @@ impl Default for FleetSpec {
             threads: 1,
             jitter: true,
             chaos: Vec::new(),
-            collect_registries: false,
             config: PipelineConfig::default(),
         }
     }
@@ -177,18 +172,9 @@ impl From<SimError> for FleetError {
 pub struct PreparedFleet {
     tenants: Vec<TenantSpec>,
     config: FleetConfig,
-    key: CacheKey,
 }
 
 impl PreparedFleet {
-    /// Content-addressed identity of this fleet's *result*: covers
-    /// every tenant's program fingerprint and perturbed policy plus the
-    /// semantic scheduling knobs, and deliberately excludes shard and
-    /// thread counts (which never change the report).
-    pub fn key(&self) -> CacheKey {
-        self.key
-    }
-
     /// Number of manufactured tenants.
     pub fn tenant_count(&self) -> usize {
         self.tenants.len()
@@ -199,31 +185,16 @@ impl PreparedFleet {
         &self.config
     }
 
-    /// Runs the fleet to completion.
-    pub fn run(self) -> Result<FleetReport, FleetError> {
-        self.run_with(&mut NullTracer)
-    }
-
-    /// [`PreparedFleet::run`] with an event [`Tracer`] attached (cell
-    /// event streams are replayed into it deterministically, in cell
-    /// order).
-    pub fn run_with(self, tracer: &mut dyn Tracer) -> Result<FleetReport, FleetError> {
-        let token = CancelToken::new();
-        self.run_cancellable(tracer, &token)
-    }
-
-    /// [`PreparedFleet::run_with`] under a cooperative [`CancelToken`].
+    /// Runs the fleet to completion under a cooperative
+    /// [`CancelToken`], with an event [`Tracer`] attached (cell event
+    /// streams are replayed into it deterministically, in cell order;
+    /// pass [`cdmm_vmsim::NullTracer`] for none).
     pub fn run_cancellable(
         self,
         tracer: &mut dyn Tracer,
         token: &CancelToken,
     ) -> Result<FleetReport, FleetError> {
-        Ok(run_fleet_cancellable(
-            self.tenants,
-            self.config,
-            tracer,
-            token,
-        )?)
+        Ok(self.run_observed(tracer, None, token)?.0)
     }
 
     /// [`PreparedFleet::run_cancellable`] with the full observability
@@ -237,7 +208,7 @@ impl PreparedFleet {
         progress: Option<&ProgressCounters>,
         token: &CancelToken,
     ) -> Result<(FleetReport, FleetScorecard), FleetError> {
-        Ok(run_fleet_observed(
+        Ok(run_fleet(
             self.tenants,
             self.config,
             tracer,
@@ -252,7 +223,6 @@ impl fmt::Debug for PreparedFleet {
         f.debug_struct("PreparedFleet")
             .field("tenants", &self.tenants.len())
             .field("config", &self.config)
-            .field("key", &self.key)
             .finish()
     }
 }
@@ -297,41 +267,6 @@ fn perturb_spec(spec: PolicySpec, jit: &TenantJitter) -> PolicySpec {
         PolicySpec::Opt { frames: n } => PolicySpec::Opt { frames: frames(n) },
         other => other,
     }
-}
-
-/// Encodes the semantic scheduling knobs (everything that changes the
-/// report) for the fleet key. Shards and threads are absent on purpose.
-fn semantic_knobs(spec: &FleetSpec) -> Vec<u64> {
-    let mut knobs = vec![
-        spec.seed,
-        spec.tenants as u64,
-        spec.frames_per_cell,
-        spec.tenants_per_cell as u64,
-        spec.quantum,
-        spec.config.fault_service,
-        spec.jitter as u64,
-        spec.collect_registries as u64,
-    ];
-    match spec.admission {
-        Admission::Free => knobs.push(0),
-        Admission::PiLevel(k) => {
-            knobs.push(1);
-            knobs.push(k as u64);
-        }
-    }
-    knobs.push(spec.chaos.len() as u64);
-    for c in &spec.chaos {
-        knobs.push(c.tenant as u64);
-        knobs.push(c.injections as u64);
-        match c.degrade_after {
-            None => knobs.push(0),
-            Some(n) => {
-                knobs.push(1);
-                knobs.push(n);
-            }
-        }
-    }
-    knobs
 }
 
 /// Builds the engine and trace for a chaos tenant: the instrumented
@@ -394,7 +329,6 @@ pub fn prepare_fleet(spec: &FleetSpec) -> Result<PreparedFleet, FleetError> {
     let mut index: HashMap<(usize, u64), usize> = HashMap::new();
 
     let mut tenants = Vec::with_capacity(spec.tenants);
-    let mut points = Vec::with_capacity(spec.tenants);
     for t in 0..spec.tenants {
         let jit = if spec.jitter {
             TenantJitter::for_tenant(spec.seed, t as u64)
@@ -418,7 +352,6 @@ pub fn prepare_fleet(spec: &FleetSpec) -> Result<PreparedFleet, FleetError> {
         };
         let p = &prepared[pidx];
         let policy = perturb_spec(spec.policy_mix[t % spec.policy_mix.len()], &jit);
-        points.push(spec_key(p, policy));
 
         let chaos = spec.chaos.iter().find(|c| c.tenant == t);
         let (trace, engine) = match chaos {
@@ -447,7 +380,6 @@ pub fn prepare_fleet(spec: &FleetSpec) -> Result<PreparedFleet, FleetError> {
         });
     }
 
-    let key = fleet_key(&points, &semantic_knobs(spec));
     let config = FleetConfig {
         frames_per_cell: spec.frames_per_cell,
         tenants_per_cell: spec.tenants_per_cell,
@@ -456,18 +388,13 @@ pub fn prepare_fleet(spec: &FleetSpec) -> Result<PreparedFleet, FleetError> {
         admission: spec.admission,
         shards: spec.shards,
         threads: spec.threads,
-        collect_registries: spec.collect_registries,
     };
-    Ok(PreparedFleet {
-        tenants,
-        config,
-        key,
-    })
+    Ok(PreparedFleet { tenants, config })
 }
 
 /// Prepares and runs a fleet in one call.
 pub fn run_fleet_spec(spec: &FleetSpec) -> Result<FleetReport, FleetError> {
-    prepare_fleet(spec)?.run()
+    prepare_fleet(spec)?.run_cancellable(&mut NullTracer, &CancelToken::new())
 }
 
 /// One operating point of a [`fleet_frames_sweep`]: the deterministic
@@ -577,7 +504,9 @@ mod tests {
         let spec = small_spec();
         let fleet = prepare_fleet(&spec).unwrap();
         assert_eq!(fleet.tenant_count(), 6);
-        let report = fleet.run().unwrap();
+        let report = fleet
+            .run_cancellable(&mut NullTracer, &CancelToken::new())
+            .unwrap();
         assert_eq!(report.tenants.len(), 6);
         assert_eq!(report.cells.len(), 3);
         for t in &report.tenants {
@@ -586,23 +515,8 @@ mod tests {
     }
 
     #[test]
-    fn fleet_key_ignores_execution_geometry() {
-        let spec = small_spec();
-        let base = prepare_fleet(&spec).unwrap().key();
-        let mut sharded = small_spec();
-        sharded.shards = 3;
-        sharded.threads = 4;
-        assert_eq!(prepare_fleet(&sharded).unwrap().key(), base);
-        let mut reseeded = small_spec();
-        reseeded.seed = 43;
-        assert_ne!(prepare_fleet(&reseeded).unwrap().key(), base);
-    }
-
-    #[test]
     fn jitter_perturbs_policy_parameters() {
-        let spec = small_spec();
-        let fleet = prepare_fleet(&spec).unwrap();
-        let report = fleet.run().unwrap();
+        let report = run_fleet_spec(&small_spec()).unwrap();
         // With jitter on, the two WS tenants should not share a label
         // with probability ~1 for this seed (their τ differs).
         let ws_labels: Vec<&str> = report
@@ -660,20 +574,17 @@ mod tests {
     }
 
     #[test]
-    fn chaos_tenant_runs_and_changes_the_key() {
+    fn chaos_tenant_runs() {
         let mut spec = small_spec();
         spec.policy_mix = vec![PolicySpec::Cd {
             selector: CdSelector::FirstFit,
         }];
-        let clean_key = prepare_fleet(&spec).unwrap().key();
         spec.chaos = vec![ChaosSpec {
             tenant: 0,
             injections: 2,
             degrade_after: Some(1),
         }];
-        let fleet = prepare_fleet(&spec).unwrap();
-        assert_ne!(fleet.key(), clean_key);
-        let report = fleet.run().unwrap();
+        let report = run_fleet_spec(&spec).unwrap();
         assert_eq!(report.tenants.len(), 6);
         for t in &report.tenants {
             assert!(t.metrics.refs > 0, "{} survives chaos", t.name);

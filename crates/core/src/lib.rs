@@ -58,6 +58,4 @@ pub use pipeline::{
     prepare, prepare_cancellable, selector_for, PipelineConfig, PipelineError, PolicySpec,
     Prepared, ValidateError,
 };
-pub use sweep::{
-    fleet_key, panic_message, spec_key, CacheKey, Executor, JobError, Point, ResultCache,
-};
+pub use sweep::{panic_message, spec_key, CacheKey, Executor, JobError, Point, ResultCache};

@@ -6,7 +6,6 @@ use std::fmt::Write as _;
 use crate::experiments::{Table1Row, Table2Row, Table3Row, Table4Row};
 
 pub mod scorecard;
-pub mod timeline;
 
 /// The paper's published numbers, used only for reporting next to the
 /// reproduction's measurements (never for computing them).

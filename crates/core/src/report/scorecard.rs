@@ -1,20 +1,16 @@
-//! Scorecard rendering of a [`RegistrySnapshot`] — the distribution
-//! counterpart to the event-level [`super::timeline`].
+//! Scorecard rendering of a [`RegistrySnapshot`].
 //!
 //! A [`cdmm_vmsim::MetricsRegistry`] attached to a run folds the event
 //! stream into counters and histogram digests; this module turns one
-//! frozen snapshot into the two shapes the bench binaries and reports
-//! emit: a markdown scorecard ([`render_markdown`]) and machine-
-//! readable JSON lines ([`render_jsonl`], one metric per line).
+//! frozen snapshot into the markdown scorecard ([`render_markdown`])
+//! the profiling bench prints.
 //!
-//! Both renderings are deterministic: snapshots are name-ordered and
-//! floats print with Rust's shortest-round-trip `Display`, so the same
-//! run always produces byte-identical output — the property the golden
-//! fixtures and the `BENCH_*.json` drift gates rely on.
+//! The rendering is deterministic: snapshots are name-ordered, so the
+//! same run always produces byte-identical output.
 
 use std::fmt::Write as _;
 
-use cdmm_vmsim::{HistogramSummary, RegistrySnapshot};
+use cdmm_vmsim::RegistrySnapshot;
 
 /// Renders a snapshot as a markdown scorecard: a counters/gauges table,
 /// a histogram digest table, and a per-PI ALLOCATE table. Empty
@@ -59,45 +55,6 @@ pub fn render_markdown(snap: &RegistrySnapshot) -> String {
     s
 }
 
-fn hist_json(h: &HistogramSummary) -> String {
-    format!(
-        r#"{{"n":{},"mean":{},"p50":{},"p90":{},"p99":{},"max":{}}}"#,
-        h.count, h.mean, h.p50, h.p90, h.p99, h.max
-    )
-}
-
-/// Renders a snapshot as JSON lines, one metric per line:
-/// `{"kind":"counter"|"gauge"|"hist"|"alloc_pi", ...}`. Metric names
-/// are `'static` identifiers chosen in-crate, so no string escaping is
-/// required.
-pub fn render_jsonl(snap: &RegistrySnapshot) -> String {
-    let mut s = String::new();
-    for (name, v) in &snap.counters {
-        let _ = writeln!(s, r#"{{"kind":"counter","name":"{name}","value":{v}}}"#);
-    }
-    for (name, v) in &snap.gauges {
-        let _ = writeln!(s, r#"{{"kind":"gauge","name":"{name}","value":{v}}}"#);
-    }
-    for (name, h) in &snap.hists {
-        let _ = writeln!(
-            s,
-            r#"{{"kind":"hist","name":"{name}","summary":{}}}"#,
-            hist_json(h)
-        );
-    }
-    for (pi, p) in &snap.pi {
-        let _ = writeln!(
-            s,
-            r#"{{"kind":"alloc_pi","pi":{pi},"granted":{},"held_over":{},"swap_needed":{},"grant_pages":{}}}"#,
-            p.granted,
-            p.held_over,
-            p.swap_needed,
-            hist_json(&p.grant_pages)
-        );
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,7 +80,6 @@ mod tests {
     fn empty_snapshot_renders_placeholder() {
         let snap = RegistrySnapshot::default();
         assert!(render_markdown(&snap).contains("no metrics recorded"));
-        assert_eq!(render_jsonl(&snap), "");
     }
 
     #[test]
@@ -135,19 +91,7 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_is_one_object_per_metric() {
-        let out = render_jsonl(&sample());
-        for line in out.lines() {
-            assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
-        }
-        assert!(out.contains(r#""kind":"counter","name":"recovered_directives","value":1"#));
-        assert!(out.contains(r#""kind":"alloc_pi","pi":2,"granted":1"#));
-        assert!(out.contains(r#""p50":16"#));
-    }
-
-    #[test]
     fn rendering_is_deterministic() {
         assert_eq!(render_markdown(&sample()), render_markdown(&sample()));
-        assert_eq!(render_jsonl(&sample()), render_jsonl(&sample()));
     }
 }

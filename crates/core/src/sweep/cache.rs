@@ -22,7 +22,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use cdmm_trace::{COp, CompressedTrace, Event, Trace};
-use cdmm_vmsim::observe::{SharedTracer, SimEvent};
+use cdmm_vmsim::observe::{Detail, SharedTracer, SimEvent};
 use cdmm_vmsim::{ExecStats, LruCurve, Metrics, WsCurve};
 
 /// SplitMix64 increment (golden-ratio constant).
@@ -350,15 +350,18 @@ impl ResultCache {
 
     /// Attaches a shared tracer; every lookup then emits a
     /// [`SimEvent::CacheQuery`], stamped with the running query count.
-    /// A disabled tracer is dropped here so the hot path stays clean.
+    /// A tracer below [`Detail::Scheduler`] is dropped here so the hot
+    /// path stays clean.
     ///
     /// If the startup fsck quarantined damaged lines, attaching reports
     /// them once as a [`SimEvent::CacheQuarantine`] (the
     /// `MetricsRegistry` folds it into its `cache_quarantined_lines`
     /// counter).
     pub fn with_observer(mut self, observer: SharedTracer) -> Self {
-        let enabled = observer.lock().map(|g| g.enabled()).unwrap_or(false);
-        self.observer = enabled.then_some(observer);
+        let listening = observer
+            .lock()
+            .is_ok_and(|g| g.detail() >= Detail::Scheduler);
+        self.observer = listening.then_some(observer);
         if self.discarded > 0 {
             if let Some(obs) = &self.observer {
                 obs.lock().expect("tracer lock").record(

@@ -14,7 +14,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use cdmm_vmsim::observe::{SharedTracer, SimEvent};
+use cdmm_vmsim::observe::{Detail, SharedTracer, SimEvent};
 
 /// A job that panicked inside the executor.
 ///
@@ -168,7 +168,7 @@ impl Executor {
         let observer = self
             .observer
             .as_ref()
-            .filter(|o| o.lock().map(|g| g.enabled()).unwrap_or(false));
+            .filter(|o| o.lock().is_ok_and(|g| g.detail() >= Detail::Scheduler));
         let run = |i: usize, j: &J| -> Result<T, JobError> {
             let t0 = Instant::now();
             match catch_unwind(AssertUnwindSafe(|| f(i, j))) {

@@ -129,30 +129,6 @@ pub fn spec_key(p: &Prepared, spec: PolicySpec) -> CacheKey {
     h.finish()
 }
 
-/// The content-addressed key of a whole fleet: the per-tenant operating
-/// points (each a [`spec_key`] over that tenant's prepared program and
-/// perturbed policy) folded together with the fleet's semantic
-/// scheduling knobs.
-///
-/// Work-distribution knobs — shard and thread counts — are deliberately
-/// *not* part of the key: the fleet report is byte-identical across
-/// them, so one key names one result.
-pub fn fleet_key(tenant_points: &[CacheKey], semantic_knobs: &[u64]) -> CacheKey {
-    let mut h = KeyHasher::new();
-    // Domain tag, disjoint from the policy-variant tags (1–3, 10–16).
-    h.write_u64(20);
-    h.write_u64(tenant_points.len() as u64);
-    for k in tenant_points {
-        h.write_u64(k.hi);
-        h.write_u64(k.lo);
-    }
-    h.write_u64(semantic_knobs.len() as u64);
-    for &v in semantic_knobs {
-        h.write_u64(v);
-    }
-    h.finish()
-}
-
 /// One operating point through the cache: a hit is recalled as-is, a
 /// miss runs [`Prepared::run_policy`] (timed as one simulated point) and
 /// is stored under [`spec_key`].

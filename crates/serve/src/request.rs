@@ -102,13 +102,19 @@ fn pipeline_config(
     cfg
 }
 
+/// The most tenants one fleet job may ask for. Preparing a fleet costs
+/// memory and time per tenant before any deadline is polled, so a
+/// larger count is a `bad_request`, not an unbounded job.
+pub const MAX_FLEET_TENANTS: u64 = 10_000;
+
 /// One parsed fleet job (`"job":"fleet"`): a seeded multiprogramming
 /// run over cloned paper workloads, executed by the fleet scheduler.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetRequest {
     /// Caller-chosen id, echoed on the response line.
     pub id: String,
-    /// Tenant processes to manufacture.
+    /// Tenant processes to manufacture (at most
+    /// [`MAX_FLEET_TENANTS`]).
     pub tenants: u64,
     /// Fleet seed (absent: the [`FleetSpec`] default).
     pub seed: Option<u64>,
@@ -876,6 +882,11 @@ fn parse_fleet(id: String, fields: &BTreeMap<String, Scalar>) -> Result<FleetReq
     }
     reject_unknown(fields, FLEET_KEYS)?;
     let tenants = get_u64(fields, "tenants")?.ok_or("fleet jobs need a \"tenants\" field")?;
+    if tenants > MAX_FLEET_TENANTS {
+        return Err(format!(
+            "field \"tenants\" must be at most {MAX_FLEET_TENANTS}, got {tenants}"
+        ));
+    }
     let workloads = match get_str(fields, "workloads")? {
         None => Vec::new(),
         Some(s) => {
@@ -1339,6 +1350,10 @@ mod tests {
     fn malformed_fleet_requests_are_typed_errors() {
         for (line, needle) in [
             (r#"{"id":"x","job":"fleet"}"#, "tenants"),
+            (
+                r#"{"id":"x","job":"fleet","tenants":10001}"#,
+                "at most 10000",
+            ),
             (
                 r#"{"id":"x","job":"batch","tenants":4}"#,
                 "unknown job kind",

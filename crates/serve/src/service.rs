@@ -514,29 +514,28 @@ impl BatchService {
     }
 
     /// Opens the checksummed JSONL sidecar a `"trace":true` request
-    /// streams into: `serve-<id>.trace.jsonl` under the cache directory
-    /// (the temp directory when no cache is configured), with the id
-    /// sanitized to a filename-safe alphabet.
+    /// streams into, under the cache directory (the temp directory when
+    /// no cache is configured): `serve-<id>.trace.jsonl` for an id in
+    /// the filename-safe alphabet `[A-Za-z0-9._-]`. Any other id is
+    /// sanitized to that alphabet and suffixed with `+` and a hash of
+    /// the raw id, so two ids that sanitize alike never share a file.
     fn trace_sink(&self, want: bool, id: &str) -> Result<Option<JsonlSink>, JobOutcome> {
         if !want {
             return Ok(None);
         }
-        let sane: String = id
-            .chars()
-            .map(|c| {
-                if c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-') {
-                    c
-                } else {
-                    '_'
-                }
-            })
-            .collect();
+        let safe = |c: char| c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-');
+        let mut name: String = id.chars().map(|c| if safe(c) { c } else { '_' }).collect();
+        if !id.chars().all(safe) {
+            let mut h = cdmm_core::sweep::KeyHasher::new();
+            h.write_str(id);
+            name.push_str(&format!("+{:016x}", h.finish().lo));
+        }
         let dir = self
             .config
             .cache_dir
             .clone()
             .unwrap_or_else(std::env::temp_dir);
-        let path = dir.join(format!("serve-{sane}.trace.jsonl"));
+        let path = dir.join(format!("serve-{name}.trace.jsonl"));
         JsonlSink::create(&path)
             .map(Some)
             .map_err(|e| JobOutcome::Err {

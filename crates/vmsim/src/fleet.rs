@@ -36,10 +36,10 @@ use cdmm_trace::{COp, CancelToken, CompressedTrace, Event, PageId, Run};
 
 use crate::error::SimError;
 use crate::metrics::Metrics;
-use crate::observe::{Histogram, NullTracer, SimEvent, Span, TimedEvent, Tracer};
+use crate::observe::{Detail, Histogram, SimEvent, Span, Tracer};
 use crate::policy::Policy;
 use crate::progress::ProgressCounters;
-use crate::stats::{HistogramSummary, MetricsRegistry, RegistrySnapshot};
+use crate::stats::HistogramSummary;
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -94,10 +94,6 @@ pub struct FleetConfig {
     pub shards: usize,
     /// Worker threads (0 or 1 = serial). Never affects results.
     pub threads: usize,
-    /// Collect a per-tenant [`MetricsRegistry`] snapshot. Forces
-    /// in-policy event tracing, which disables the batch kernels —
-    /// detailed and slow, off by default.
-    pub collect_registries: bool,
 }
 
 impl Default for FleetConfig {
@@ -110,7 +106,6 @@ impl Default for FleetConfig {
             admission: Admission::Free,
             shards: 0,
             threads: 1,
-            collect_registries: false,
         }
     }
 }
@@ -130,9 +125,6 @@ pub struct TenantReport {
     pub finished_at: u64,
     /// Times this tenant was swapped out by load control.
     pub swap_outs: u64,
-    /// Per-tenant registry snapshot, when
-    /// [`FleetConfig::collect_registries`] is on.
-    pub registry: Option<RegistrySnapshot>,
 }
 
 /// Result for one cell.
@@ -234,11 +226,9 @@ pub struct CellPressure {
 /// swapper-pressure breakdowns.
 ///
 /// Everything here depends on execution geometry and wall clocks, so it
-/// is kept strictly apart from the byte-identical [`FleetReport`]. The
-/// scorecard is itself a [`Tracer`]: workers buffer their scheduler
-/// events ([`SimEvent::ShardClaimed`], [`SimEvent::WorkerState`])
-/// locally and the driver replays the buffers through
-/// [`Tracer::record`] after the join.
+/// is kept strictly apart from the byte-identical [`FleetReport`].
+/// Workers keep their counters locally and the driver folds them in
+/// after the join.
 #[derive(Debug, Clone, Default)]
 pub struct FleetScorecard {
     /// Per-worker timelines, worker order.
@@ -252,25 +242,12 @@ pub struct FleetScorecard {
     pub phase_ns: Vec<(&'static str, u64)>,
     /// Per-cell pressure breakdowns, cell order.
     pub cells: Vec<CellPressure>,
-    /// Raw scheduler events, wall-ns timestamps relative to run start.
-    pub events: Vec<TimedEvent>,
 }
 
 impl FleetScorecard {
     /// An empty scorecard.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    fn worker_mut(&mut self, w: u32) -> &mut WorkerTimeline {
-        let idx = w as usize;
-        if self.workers.len() <= idx {
-            self.workers.resize_with(idx + 1, WorkerTimeline::default);
-            for (i, t) in self.workers.iter_mut().enumerate() {
-                t.worker = i as u32;
-            }
-        }
-        &mut self.workers[idx]
     }
 
     /// Closes a phase [`Span`] into the phase timeline.
@@ -330,30 +307,6 @@ impl FleetScorecard {
     }
 }
 
-impl Tracer for FleetScorecard {
-    fn record(&mut self, at: u64, event: &SimEvent) {
-        match event {
-            SimEvent::ShardClaimed { worker, stolen, .. } => {
-                self.shard_claims += 1;
-                if *stolen {
-                    self.shard_steals += 1;
-                }
-                let w = self.worker_mut(*worker);
-                w.claims += 1;
-                if *stolen {
-                    w.steals += 1;
-                }
-                self.events.push(TimedEvent { at, event: *event });
-            }
-            SimEvent::WorkerState { .. } => {
-                self.events.push(TimedEvent { at, event: *event });
-            }
-            // The scorecard consumes only scheduler-plane events.
-            _ => {}
-        }
-    }
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum State {
     /// Not yet arrived (arrival time in the future).
@@ -380,7 +333,6 @@ struct Tenant {
     admitted_at: u64,
     finished_at: u64,
     swap_outs: u64,
-    registry: Option<MetricsRegistry>,
     /// Submission index across the whole fleet (what `SwapOut` events
     /// name).
     global_index: u32,
@@ -515,75 +467,30 @@ fn entry_demand(trace: &CompressedTrace, level: u32) -> u64 {
     0
 }
 
-/// Runs a fleet of tenants. See the module docs for the semantics; the
-/// report is byte-identical at any `threads`/`shards` setting.
-pub fn run_fleet(tenants: Vec<TenantSpec>, config: FleetConfig) -> Result<FleetReport, SimError> {
-    run_fleet_with(tenants, config, &mut NullTracer)
-}
-
-/// [`run_fleet`] with an event [`Tracer`] attached. Per-cell events are
-/// buffered during the (possibly parallel) run and replayed into the
-/// tracer in cell order after the merge, so the tracer sees the same
-/// deterministic stream at any thread count.
-pub fn run_fleet_with(
-    tenants: Vec<TenantSpec>,
-    config: FleetConfig,
-    tracer: &mut dyn Tracer,
-) -> Result<FleetReport, SimError> {
-    run_fleet_cancellable(tenants, config, tracer, &CancelToken::new())
-}
-
-/// [`run_fleet_with`] polling a [`CancelToken`] once per scheduling
-/// burst; cancellation surfaces as [`SimError::DeadlineExceeded`].
-pub fn run_fleet_cancellable(
-    tenants: Vec<TenantSpec>,
-    config: FleetConfig,
-    tracer: &mut dyn Tracer,
-    token: &CancelToken,
-) -> Result<FleetReport, SimError> {
-    run_fleet_observed(tenants, config, tracer, None, token).map(|(report, _)| report)
-}
-
 /// Which event streams a cell run feeds. Derived once per fleet run
-/// from the attached tracer's appetite, then hoisted out of every hot
-/// loop — the all-false case does no event work at all.
+/// from the tracer's [`Detail`], then hoisted out of every hot loop —
+/// the all-false case does no event work at all.
 #[derive(Debug, Clone, Copy)]
 struct Obs {
     /// Scheduler events (tenant lifecycle, admission gate, queue depth,
     /// swap-outs) enter the deterministic merged stream.
     sched: bool,
-    /// In-policy decision events enter the deterministic merged stream.
-    pstream: bool,
-    /// Policies are instrumented and their buffers drained (implied by
-    /// `pstream` or by per-tenant registries).
-    pdrain: bool,
+    /// Policies are instrumented and their decision events enter the
+    /// deterministic merged stream.
+    policy: bool,
 }
 
-/// A worker's private observability state: scheduler events stamped
-/// with wall-ns, busy time, and per-cell wall costs. Buffered locally —
-/// no cross-worker synchronization — and folded into the
-/// [`FleetScorecard`] after the join.
+/// A worker's private wall-side accounting: claims, busy time and
+/// per-cell wall costs. Kept locally — no cross-worker synchronization —
+/// and folded into the [`FleetScorecard`] after the join.
 #[derive(Debug, Default)]
 struct WorkerLocal {
-    worker: u32,
-    events: Vec<(u64, SimEvent)>,
+    claims: u64,
+    steals: u64,
     busy_ns: u64,
     cells_run: u64,
     ended_ns: u64,
     cell_walls: Vec<(usize, u64)>,
-}
-
-impl WorkerLocal {
-    fn new(worker: u32) -> Self {
-        WorkerLocal {
-            worker,
-            ..Self::default()
-        }
-    }
-}
-
-fn wall_ns(epoch: &Instant) -> u64 {
-    u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Runs one cell with wall-clock accounting and progress bumps wrapped
@@ -615,17 +522,27 @@ fn run_cell_timed(
     r
 }
 
-/// [`run_fleet_cancellable`] with the full observability plane
-/// attached: returns the wall-side [`FleetScorecard`] (worker
-/// timelines, claim/steal counters, phase spans, per-cell pressure)
-/// next to the deterministic report, and bumps the optional shared
-/// [`ProgressCounters`] as cells finish so a
-/// [`crate::progress::ProgressExporter`] can stream live frames.
+/// Runs a fleet of tenants: the one fleet driver. See the module docs
+/// for the semantics.
 ///
-/// The scorecard and progress counters are sampled from wall clocks and
-/// execution geometry; neither can perturb the report, which stays
-/// byte-identical at any `threads`/`shards` setting, traced or not.
-pub fn run_fleet_observed(
+/// The tracer's [`Detail`] picks what the cells record. At
+/// [`Detail::Scheduler`] they buffer scheduler events (tenant
+/// lifecycle, admission decisions, queue depth, swap-outs) and the
+/// policies keep their untraced batch kernels; at
+/// [`Detail::Decisions`] or above the policies are instrumented too
+/// and their decision events join the stream. Cell buffers are
+/// replayed into the tracer in cell order after the merge, so it sees
+/// the same deterministic stream at any thread count.
+///
+/// Next to the report comes the wall-side [`FleetScorecard`] (worker
+/// timelines, claim/steal counters, phase spans, per-cell pressure);
+/// the optional shared [`ProgressCounters`] are bumped as cells finish
+/// so a [`crate::progress::ProgressExporter`] can stream live frames.
+/// Neither can perturb the report, which is byte-identical at any
+/// `threads`/`shards` setting, traced or not. The token is polled once
+/// per scheduling burst; cancellation surfaces as
+/// [`SimError::DeadlineExceeded`].
+pub fn run_fleet(
     tenants: Vec<TenantSpec>,
     config: FleetConfig,
     tracer: &mut dyn Tracer,
@@ -651,12 +568,10 @@ pub fn run_fleet_observed(
         });
     }
 
-    let trace_on = tracer.enabled();
-    let pstream = trace_on && tracer.wants_policy_events();
+    let detail = tracer.detail();
     let obs = Obs {
-        sched: trace_on,
-        pstream,
-        pdrain: pstream || config.collect_registries,
+        sched: detail >= Detail::Scheduler,
+        policy: detail >= Detail::Decisions,
     };
 
     let mut scorecard = FleetScorecard::new();
@@ -664,17 +579,20 @@ pub fn run_fleet_observed(
 
     // Build cells: contiguous groups in submission order. Membership
     // depends only on tenants_per_cell — never on shards or threads.
+    let n_tenants = tenants.len();
     let mut cells: Vec<Vec<Tenant>> = Vec::new();
     for (i, spec) in tenants.into_iter().enumerate() {
         if i % config.tenants_per_cell == 0 {
-            cells.push(Vec::with_capacity(config.tenants_per_cell));
+            cells.push(Vec::with_capacity(
+                config.tenants_per_cell.min(n_tenants - i),
+            ));
         }
         let demand = match config.admission {
             Admission::Free => 0,
             Admission::PiLevel(level) => entry_demand(&spec.trace, level),
         };
         let mut engine = spec.engine;
-        if obs.pdrain {
+        if obs.policy {
             engine.set_tracing(true);
         }
         let cell = cells
@@ -692,15 +610,13 @@ pub fn run_fleet_observed(
             admitted_at: 0,
             finished_at: 0,
             swap_outs: 0,
-            registry: config.collect_registries.then(MetricsRegistry::new),
             global_index: i as u32,
         });
     }
     let n_cells = cells.len();
-    let total_tenants: u64 = cells.iter().map(|c| c.len() as u64).sum();
     if let Some(p) = progress {
-        p.add_total(total_tenants);
-        p.add_queued(total_tenants);
+        p.add_total(n_tenants as u64);
+        p.add_queued(n_tenants as u64);
     }
 
     let threads = config.threads.clamp(1, n_cells);
@@ -711,155 +627,84 @@ pub fn run_fleet_observed(
     } else {
         config.shards.clamp(1, n_cells)
     };
+    // Shard s covers the contiguous cell range [s*per, ...): balanced
+    // split, remainder spread over the first shards.
+    let shard_range = |s: usize| -> std::ops::Range<usize> {
+        let per = n_cells / shards;
+        let extra = n_cells % shards;
+        let start = s * per + s.min(extra);
+        let end = start + per + usize::from(s < extra);
+        start..end
+    };
     scorecard.close_span(prep_span);
 
     let sim_span = Span::enter("simulate");
     let epoch = Instant::now();
-    let mut worker_locals: Vec<WorkerLocal>;
-    let outputs: Vec<Mutex<Option<Result<CellDone, SimError>>>> = if threads == 1 {
-        // Serial fast path: no claim traffic, same cell order. Every
-        // shard is trivially claimed (never stolen) by worker 0.
-        let mut local = WorkerLocal::new(0);
-        for s in 0..shards {
-            local.events.push((
-                wall_ns(&epoch),
-                SimEvent::ShardClaimed {
-                    shard: s as u32,
-                    worker: 0,
-                    stolen: false,
-                },
-            ));
-        }
-        local.events.push((
-            wall_ns(&epoch),
-            SimEvent::WorkerState {
-                worker: 0,
-                busy: true,
-            },
-        ));
-        let mut outs = Vec::with_capacity(n_cells);
-        for (idx, cell) in cells.into_iter().enumerate() {
-            outs.push(Mutex::new(Some(run_cell_timed(
-                idx, cell, &config, obs, token, &mut local, progress,
-            ))));
-        }
-        local.events.push((
-            wall_ns(&epoch),
-            SimEvent::WorkerState {
-                worker: 0,
-                busy: false,
-            },
-        ));
-        local.ended_ns = wall_ns(&epoch);
-        worker_locals = vec![local];
-        outs
-    } else {
-        let inputs: Vec<Mutex<Option<Vec<Tenant>>>> =
-            cells.into_iter().map(|c| Mutex::new(Some(c))).collect();
-        let outputs: Vec<Mutex<Option<Result<CellDone, SimError>>>> =
-            (0..n_cells).map(|_| Mutex::new(None)).collect();
-        let locals: Vec<Mutex<Option<WorkerLocal>>> =
-            (0..threads).map(|_| Mutex::new(None)).collect();
-        let claimed: Vec<AtomicBool> = (0..shards).map(|_| AtomicBool::new(false)).collect();
-        let abort = AtomicBool::new(false);
-        // Shard s covers the contiguous cell range [s*per, ...): balanced
-        // split, remainder spread over the first shards.
-        let shard_range = |s: usize| -> std::ops::Range<usize> {
-            let per = n_cells / shards;
-            let extra = n_cells % shards;
-            let start = s * per + s.min(extra);
-            let end = start + per + usize::from(s < extra);
-            start..end
-        };
-        std::thread::scope(|scope| {
-            for w in 0..threads {
-                let inputs = &inputs;
-                let outputs = &outputs;
-                let locals = &locals;
-                let claimed = &claimed;
-                let abort = &abort;
-                let config = &config;
-                let epoch = &epoch;
-                scope.spawn(move || {
-                    let mut local = WorkerLocal::new(w as u32);
-                    loop {
-                        // Claim from the worker's own allotment first
-                        // (shards w, w+T, …), then scan everyone's — the
-                        // steal that keeps idle workers busy.
-                        let own = (w..shards).step_by(threads);
-                        let next = own
-                            .chain(0..shards)
-                            .find(|&s| !claimed[s].swap(true, Ordering::AcqRel));
-                        let Some(s) = next else { break };
-                        local.events.push((
-                            wall_ns(epoch),
-                            SimEvent::ShardClaimed {
-                                shard: s as u32,
-                                worker: w as u32,
-                                stolen: s % threads != w,
-                            },
-                        ));
-                        local.events.push((
-                            wall_ns(epoch),
-                            SimEvent::WorkerState {
-                                worker: w as u32,
-                                busy: true,
-                            },
-                        ));
-                        for idx in shard_range(s) {
-                            let Some(cell) =
-                                inputs[idx].lock().unwrap_or_else(|e| e.into_inner()).take()
-                            else {
-                                continue;
-                            };
-                            if abort.load(Ordering::Relaxed) {
-                                continue;
-                            }
-                            let r =
-                                run_cell_timed(idx, cell, config, obs, token, &mut local, progress);
-                            if r.is_err() {
-                                abort.store(true, Ordering::Relaxed);
-                            }
-                            *outputs[idx].lock().unwrap_or_else(|e| e.into_inner()) = Some(r);
-                        }
-                        local.events.push((
-                            wall_ns(epoch),
-                            SimEvent::WorkerState {
-                                worker: w as u32,
-                                busy: false,
-                            },
-                        ));
-                    }
-                    local.ended_ns = wall_ns(epoch);
-                    *locals[w].lock().unwrap_or_else(|e| e.into_inner()) = Some(local);
-                });
+    let inputs: Vec<Mutex<Option<Vec<Tenant>>>> =
+        cells.into_iter().map(|c| Mutex::new(Some(c))).collect();
+    let outputs: Vec<Mutex<Option<Result<CellDone, SimError>>>> =
+        (0..n_cells).map(|_| Mutex::new(None)).collect();
+    let claimed: Vec<AtomicBool> = (0..shards).map(|_| AtomicBool::new(false)).collect();
+    let abort = AtomicBool::new(false);
+    let work = |w: usize| -> WorkerLocal {
+        let mut local = WorkerLocal::default();
+        loop {
+            // Claim from the worker's own allotment first (shards w,
+            // w+T, …), then scan everyone's — the steal that keeps idle
+            // workers busy. A lone worker claims every shard in order.
+            let own = (w..shards).step_by(threads);
+            let next = own
+                .chain(0..shards)
+                .find(|&s| !claimed[s].swap(true, Ordering::AcqRel));
+            let Some(s) = next else { break };
+            local.claims += 1;
+            local.steals += u64::from(s % threads != w);
+            for idx in shard_range(s) {
+                let Some(cell) = inputs[idx].lock().unwrap_or_else(|e| e.into_inner()).take()
+                else {
+                    continue;
+                };
+                if abort.load(Ordering::Relaxed) {
+                    continue;
+                }
+                let r = run_cell_timed(idx, cell, &config, obs, token, &mut local, progress);
+                if r.is_err() {
+                    abort.store(true, Ordering::Relaxed);
+                }
+                *outputs[idx].lock().unwrap_or_else(|e| e.into_inner()) = Some(r);
             }
-        });
-        worker_locals = Vec::with_capacity(threads);
-        for (w, slot) in locals.iter().enumerate() {
-            worker_locals.push(
-                slot.lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .take()
-                    .unwrap_or_else(|| WorkerLocal::new(w as u32)),
-            );
         }
-        outputs
+        local.ended_ns = u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        local
+    };
+    let worker_locals: Vec<WorkerLocal> = if threads == 1 {
+        vec![work(0)]
+    } else {
+        let work = &work;
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads).map(|w| scope.spawn(move || work(w))).collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .collect()
+        })
     };
     scorecard.close_span(sim_span);
 
-    // Fold the per-worker buffers into the scorecard: scheduler events
-    // replay through the Tracer machinery, timings become timelines.
+    // Fold the per-worker counters into the scorecard.
     let report_span = Span::enter("report");
     let mut wall_by_cell = vec![0u64; n_cells];
-    for local in &mut worker_locals {
-        for (at, e) in local.events.drain(..) {
-            scorecard.record(at, &e);
-        }
-        let timeline = scorecard.worker_mut(local.worker);
-        timeline.busy_ns = local.busy_ns;
-        timeline.idle_ns = local.ended_ns.saturating_sub(local.busy_ns);
-        timeline.cells_run = local.cells_run;
+    for (w, local) in worker_locals.iter().enumerate() {
+        scorecard.shard_claims += local.claims;
+        scorecard.shard_steals += local.steals;
+        scorecard.workers.push(WorkerTimeline {
+            worker: w as u32,
+            busy_ns: local.busy_ns,
+            idle_ns: local.ended_ns.saturating_sub(local.busy_ns),
+            cells_run: local.cells_run,
+            claims: local.claims,
+            steals: local.steals,
+        });
         for &(idx, wall) in &local.cell_walls {
             wall_by_cell[idx] = wall;
         }
@@ -916,7 +761,7 @@ pub fn run_fleet_observed(
             wall_ns: wall_by_cell[idx],
         });
         report.cells.push(done.cell);
-        if trace_on {
+        if obs.sched {
             replay.push(done.events);
         }
     }
@@ -928,7 +773,7 @@ pub fn run_fleet_observed(
     report.st_cost = HistogramSummary::of(&st_hist);
     report.swap_pressure = HistogramSummary::of(&swap_hist);
     scorecard.close_span(report_span);
-    if trace_on {
+    if obs.sched {
         for events in replay {
             for (at, e) in events {
                 tracer.record(at, &e);
@@ -984,29 +829,19 @@ fn run_cell(
                         Admission::Free => {
                             t.admitted_at = clock;
                             admitted_now = true;
-                            let tenant = t.global_index;
-                            note_tenant(
-                                t,
-                                clock,
-                                SimEvent::TenantAdmitted {
-                                    tenant,
-                                    forced: false,
-                                },
-                                &mut events,
-                                obs.sched,
-                            );
+                            let ev = SimEvent::TenantAdmitted {
+                                tenant: t.global_index,
+                                forced: false,
+                            };
+                            note(clock, ev, &mut events, obs.sched);
                             State::Ready
                         }
                         Admission::PiLevel(_) => {
-                            let tenant = t.global_index;
-                            let demand = t.entry_demand;
-                            note_tenant(
-                                t,
-                                clock,
-                                SimEvent::AdmissionDeferred { tenant, demand },
-                                &mut events,
-                                obs.sched,
-                            );
+                            let ev = SimEvent::AdmissionDeferred {
+                                tenant: t.global_index,
+                                demand: t.entry_demand,
+                            };
+                            note(clock, ev, &mut events, obs.sched);
                             State::Waiting
                         }
                     };
@@ -1017,17 +852,11 @@ fn run_cell(
         readmit(&mut cell, config, clock);
         for i in admit(&mut cell, config, clock) {
             admitted_now = true;
-            let tenant = cell[i].global_index;
-            note_tenant(
-                &mut cell[i],
-                clock,
-                SimEvent::TenantAdmitted {
-                    tenant,
-                    forced: false,
-                },
-                &mut events,
-                obs.sched,
-            );
+            let ev = SimEvent::TenantAdmitted {
+                tenant: cell[i].global_index,
+                forced: false,
+            };
+            note(clock, ev, &mut events, obs.sched);
         }
         if admitted_now && obs.sched {
             events.push((clock, queue_depth_event(cell_index, &cell)));
@@ -1054,17 +883,11 @@ fn run_cell(
             }
             if let Some(i) = force_admit(&mut cell, clock) {
                 forced_admissions += 1;
-                let tenant = cell[i].global_index;
-                note_tenant(
-                    &mut cell[i],
-                    clock,
-                    SimEvent::TenantAdmitted {
-                        tenant,
-                        forced: true,
-                    },
-                    &mut events,
-                    obs.sched,
-                );
+                let ev = SimEvent::TenantAdmitted {
+                    tenant: cell[i].global_index,
+                    forced: true,
+                };
+                note(clock, ev, &mut events, obs.sched);
                 if obs.sched {
                     events.push((clock, queue_depth_event(cell_index, &cell)));
                 }
@@ -1098,28 +921,18 @@ fn run_cell(
                     let t = &mut cell[pick];
                     t.state = State::Done;
                     t.finished_at = clock;
-                    let tenant = t.global_index;
-                    note_tenant(
-                        t,
-                        clock,
-                        SimEvent::TenantFinished { tenant },
-                        &mut events,
-                        obs.sched,
-                    );
+                    let ev = SimEvent::TenantFinished {
+                        tenant: t.global_index,
+                    };
+                    note(clock, ev, &mut events, obs.sched);
                     break;
                 }
                 Step::Ran { len } => {
                     executed += len;
                     busy += len;
                     clock += len;
-                    if obs.pdrain {
-                        drain(
-                            &mut cell[pick],
-                            clock,
-                            &mut pending,
-                            &mut events,
-                            obs.pstream,
-                        );
+                    if obs.policy {
+                        drain(&mut cell[pick], clock, &mut pending, &mut events);
                     }
                     let delta = cell[pick].metrics.faults - faults_before;
                     if delta > 0 {
@@ -1166,14 +979,8 @@ fn run_cell(
                     } else {
                         cell[pick].engine.directive(&event);
                     }
-                    if obs.pdrain {
-                        drain(
-                            &mut cell[pick],
-                            clock,
-                            &mut pending,
-                            &mut events,
-                            obs.pstream,
-                        );
+                    if obs.policy {
+                        drain(&mut cell[pick], clock, &mut pending, &mut events);
                     }
                     // Directives are free; the quantum continues.
                 }
@@ -1185,12 +992,6 @@ fn run_cell(
         .into_iter()
         .map(|mut t| {
             t.metrics.recovered_directives = t.engine.recovered_directives();
-            let registry = t.registry.map(|mut reg| {
-                reg.add("refs", t.metrics.refs);
-                reg.add("faults", t.metrics.faults);
-                reg.add("swap_outs", t.swap_outs);
-                reg.snapshot()
-            });
             TenantReport {
                 name: t.name,
                 policy: t.engine.label(),
@@ -1198,7 +999,6 @@ fn run_cell(
                 admitted_at: t.admitted_at,
                 finished_at: t.finished_at,
                 swap_outs: t.swap_outs,
-                registry,
             }
         })
         .collect::<Vec<_>>();
@@ -1216,37 +1016,21 @@ fn run_cell(
     })
 }
 
+/// Moves the tenant's buffered decision events into the cell's
+/// deterministic event buffer, stamped with the cell clock.
 fn drain(
     t: &mut Tenant,
     clock: u64,
     pending: &mut Vec<SimEvent>,
     events: &mut Vec<(u64, SimEvent)>,
-    push_on: bool,
 ) {
     t.engine.drain_events(pending);
-    for e in pending.drain(..) {
-        if let Some(reg) = &mut t.registry {
-            reg.record(clock, &e);
-        }
-        if push_on {
-            events.push((clock, e));
-        }
-    }
+    events.extend(pending.drain(..).map(|e| (clock, e)));
 }
 
-/// Stamps a scheduler event on a tenant: mirrored into its metrics
-/// registry when one is attached, and into the cell's deterministic
-/// event buffer when a tracer is listening.
-fn note_tenant(
-    t: &mut Tenant,
-    clock: u64,
-    ev: SimEvent,
-    events: &mut Vec<(u64, SimEvent)>,
-    sched_on: bool,
-) {
-    if let Some(reg) = &mut t.registry {
-        reg.record(clock, &ev);
-    }
+/// Stamps a scheduler event into the cell's deterministic event buffer
+/// when a tracer is listening.
+fn note(clock: u64, ev: SimEvent, events: &mut Vec<(u64, SimEvent)>, sched_on: bool) {
     if sched_on {
         events.push((clock, ev));
     }
@@ -1280,17 +1064,10 @@ fn note_swap_out(
     sched_on: bool,
 ) {
     victim.swap_outs += 1;
-    if sched_on || victim.registry.is_some() {
-        let ev = SimEvent::SwapOut {
-            process: victim.global_index,
-        };
-        if let Some(reg) = &mut victim.registry {
-            reg.record(clock, &ev);
-        }
-        if sched_on {
-            events.push((clock, ev));
-        }
-    }
+    let ev = SimEvent::SwapOut {
+        process: victim.global_index,
+    };
+    note(clock, ev, events, sched_on);
 }
 
 fn pick_ready(cell: &[Tenant], next: &mut usize) -> Option<usize> {
@@ -1396,12 +1173,17 @@ fn readmit(cell: &mut [Tenant], config: &FleetConfig, clock: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observe::EventLog;
+    use crate::observe::{EventLog, NullTracer};
     use crate::policy::cd::{CdPolicy, CdSelector};
     use crate::policy::lru::Lru;
     use crate::policy::ws::WorkingSet;
     use cdmm_lang::ast::AllocArg;
     use cdmm_trace::{synth, Trace};
+
+    /// An untraced, uncancelled run: just the report.
+    fn run(tenants: Vec<TenantSpec>, config: FleetConfig) -> Result<FleetReport, SimError> {
+        run_fleet(tenants, config, &mut NullTracer, None, &CancelToken::new()).map(|(r, _)| r)
+    }
 
     fn ws_tenant(name: &str, pages: u32, cycles: u32, arrival: u64) -> TenantSpec {
         TenantSpec {
@@ -1416,7 +1198,7 @@ mod tests {
     fn single_tenant_matches_uniprogramming_faults() {
         let t = synth::cyclic(8, 20);
         let uni = crate::simulate(&t, &mut WorkingSet::new(5_000), crate::SimConfig::default());
-        let r = run_fleet(vec![ws_tenant("t0", 8, 20, 0)], FleetConfig::default()).unwrap();
+        let r = run(vec![ws_tenant("t0", 8, 20, 0)], FleetConfig::default()).unwrap();
         assert_eq!(r.tenants[0].metrics.faults, uni.faults);
         assert_eq!(r.total_faults, uni.faults);
         assert_eq!(r.total_refs, uni.refs);
@@ -1427,7 +1209,7 @@ mod tests {
         let specs: Vec<TenantSpec> = (0..10)
             .map(|i| ws_tenant(&format!("t{i}"), 4, 5, 0))
             .collect();
-        let r = run_fleet(
+        let r = run(
             specs,
             FleetConfig {
                 tenants_per_cell: 4,
@@ -1456,9 +1238,9 @@ mod tests {
             tenants_per_cell: 3,
             ..Default::default()
         };
-        let serial = run_fleet(mk(), base).unwrap();
+        let serial = run(mk(), base).unwrap();
         for (threads, shards) in [(2, 0), (4, 1), (4, 3), (8, 2)] {
-            let r = run_fleet(
+            let r = run(
                 mk(),
                 FleetConfig {
                     threads,
@@ -1476,7 +1258,7 @@ mod tests {
         let specs: Vec<TenantSpec> = (0..3)
             .map(|i| ws_tenant(&format!("t{i}"), 30, 40, 0))
             .collect();
-        let r = run_fleet(
+        let r = run(
             specs,
             FleetConfig {
                 frames_per_cell: 40,
@@ -1499,7 +1281,7 @@ mod tests {
     #[test]
     fn plentiful_memory_never_swaps() {
         let specs = vec![ws_tenant("a", 4, 20, 0), ws_tenant("b", 4, 20, 0)];
-        let r = run_fleet(specs, FleetConfig::default()).unwrap();
+        let r = run(specs, FleetConfig::default()).unwrap();
         assert_eq!(r.cells.len(), 1, "both tenants share one 64-frame cell");
         assert_eq!(r.swap_events, 0);
         assert!(r.cpu_utilization > 0.0);
@@ -1533,7 +1315,7 @@ mod tests {
                 arrival: 0,
             },
         ];
-        let r = run_fleet(
+        let r = run(
             specs,
             FleetConfig {
                 frames_per_cell: 36,
@@ -1565,7 +1347,7 @@ mod tests {
                 arrival: 0,
             }
         };
-        let r = run_fleet(
+        let r = run(
             vec![mk("a"), mk("b")],
             FleetConfig {
                 frames_per_cell: 30,
@@ -1586,7 +1368,7 @@ mod tests {
 
     #[test]
     fn lru_tenants_supported() {
-        let r = run_fleet(
+        let r = run(
             vec![TenantSpec {
                 name: "l".into(),
                 trace: CompressedTrace::from_trace(&synth::cyclic(8, 10)),
@@ -1602,7 +1384,7 @@ mod tests {
     #[test]
     fn degenerate_configs_are_typed_errors() {
         assert_eq!(
-            run_fleet(vec![], FleetConfig::default()).err(),
+            run(vec![], FleetConfig::default()).err(),
             Some(SimError::NoProcesses)
         );
         let bad_frames = FleetConfig {
@@ -1610,7 +1392,7 @@ mod tests {
             ..Default::default()
         };
         assert!(matches!(
-            run_fleet(vec![ws_tenant("a", 2, 2, 0)], bad_frames),
+            run(vec![ws_tenant("a", 2, 2, 0)], bad_frames),
             Err(SimError::ZeroFrames { .. })
         ));
         let bad_quantum = FleetConfig {
@@ -1618,36 +1400,20 @@ mod tests {
             ..Default::default()
         };
         assert!(matches!(
-            run_fleet(vec![ws_tenant("a", 2, 2, 0)], bad_quantum),
+            run(vec![ws_tenant("a", 2, 2, 0)], bad_quantum),
             Err(SimError::InvalidConfig { .. })
         ));
-    }
-
-    #[test]
-    fn registries_collect_per_tenant_counters() {
-        let r = run_fleet(
-            vec![ws_tenant("a", 6, 10, 0), ws_tenant("b", 6, 10, 0)],
-            FleetConfig {
-                collect_registries: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        for t in &r.tenants {
-            let snap = t.registry.as_ref().expect("registry collected");
-            assert_eq!(snap.counter("refs"), t.metrics.refs);
-            assert_eq!(snap.counter("faults"), t.metrics.faults);
-        }
     }
 
     #[test]
     fn cancellation_surfaces_as_deadline() {
         let token = CancelToken::new();
         token.cancel();
-        let err = run_fleet_cancellable(
+        let err = run_fleet(
             vec![ws_tenant("a", 8, 20, 0)],
             FleetConfig::default(),
             &mut NullTracer,
+            None,
             &token,
         )
         .unwrap_err();
@@ -1673,7 +1439,7 @@ mod tests {
         };
         let mut log = EventLog::new(100_000);
         let (report, card) =
-            run_fleet_observed(observe_mix(), config, &mut log, None, &CancelToken::new()).unwrap();
+            run_fleet(observe_mix(), config, &mut log, None, &CancelToken::new()).unwrap();
         assert!(!card.workers.is_empty());
         assert_eq!(
             card.workers.iter().map(|w| w.cells_run).sum::<u64>(),
@@ -1698,14 +1464,14 @@ mod tests {
             tenants_per_cell: 2,
             ..Default::default()
         };
-        let serial = run_fleet(observe_mix(), config).unwrap();
+        let serial = run(observe_mix(), config).unwrap();
         assert_eq!(serial.cpu_per_cell.len(), serial.cells.len());
         for (util, cell) in serial.cpu_per_cell.iter().zip(&serial.cells) {
             let expect = cell.busy as f64 / cell.makespan as f64;
             assert!((util - expect).abs() < 1e-12);
         }
         for threads in [2, 4] {
-            let r = run_fleet(observe_mix(), FleetConfig { threads, ..config }).unwrap();
+            let r = run(observe_mix(), FleetConfig { threads, ..config }).unwrap();
             assert_eq!(r.cpu_per_cell, serial.cpu_per_cell, "threads={threads}");
         }
     }
@@ -1720,7 +1486,7 @@ mod tests {
         };
         let run = |threads: usize| {
             let mut log = EventLog::new(100_000);
-            let (report, _) = run_fleet_observed(
+            let (report, _) = run_fleet(
                 observe_mix(),
                 FleetConfig { threads, ..config },
                 &mut log,
@@ -1736,9 +1502,6 @@ mod tests {
         assert!(kinds.contains(&"tenant_admitted"));
         assert!(kinds.contains(&"tenant_finished"));
         assert!(kinds.contains(&"queue_depth"));
-        // Geometry-dependent events never enter the merged stream.
-        assert!(!kinds.contains(&"shard_claimed"));
-        assert!(!kinds.contains(&"worker_state"));
         for threads in [2, 4, 8] {
             let (report, events) = run(threads);
             assert_eq!(report, base_report, "threads={threads}");
@@ -1753,10 +1516,10 @@ mod tests {
             tenants_per_cell: 2,
             ..Default::default()
         };
-        let untraced = run_fleet(observe_mix(), config).unwrap();
-        let mut log = EventLog::new(100_000).with_policy_events(false);
+        let untraced = run(observe_mix(), config).unwrap();
+        let mut log = EventLog::new(100_000).with_detail(Detail::Scheduler);
         let (report, _) =
-            run_fleet_observed(observe_mix(), config, &mut log, None, &CancelToken::new()).unwrap();
+            run_fleet(observe_mix(), config, &mut log, None, &CancelToken::new()).unwrap();
         assert_eq!(report, untraced, "tracer must not perturb the report");
         let sched_kinds = [
             "tenant_admitted",

@@ -17,9 +17,9 @@
 //!   mean resident memory `MEM`, and space-time cost `ST` with a
 //!   2000-reference fault service, as in the paper). It is the reference
 //!   implementation.
-//! - [`simulate_with`] — the production driver: run-level under a
-//!   disabled [`Tracer`], per-reference with events under an enabled
-//!   one, and stoppable by a [`CancelToken`]; its metrics equal
+//! - [`simulate_with`] — the production driver: run-level below
+//!   [`Detail::Decisions`], per-reference with events at or above it,
+//!   and stoppable by a [`CancelToken`]; its metrics equal
 //!   [`simulate`]'s.
 //! - [`policy::cd::CdPolicy`] — the Compiler-Directed policy (Section 4).
 //! - [`fleet`] — multiprogrammed memory cells with CD's PI-driven
@@ -64,20 +64,17 @@ pub use cdmm_trace::CancelToken;
 pub use curve::{LruCurve, WsCurve};
 pub use error::SimError;
 pub use fleet::{
-    run_fleet, run_fleet_cancellable, run_fleet_observed, run_fleet_with, Admission, CellPressure,
-    CellReport, FleetConfig, FleetReport, FleetScorecard, TenantReport, TenantSpec, WorkerTimeline,
+    run_fleet, Admission, CellPressure, CellReport, FleetConfig, FleetReport, FleetScorecard,
+    TenantReport, TenantSpec, WorkerTimeline,
 };
 pub use metrics::{ExecStats, Metrics};
 pub use observe::{
-    EventLog, Histogram, JsonlSink, NullTracer, SharedSink, SharedTracer, SimEvent, Span, Tee,
-    TimedEvent, Tracer,
+    Detail, EventLog, Histogram, JsonlSink, NullTracer, SharedSink, SharedTracer, SimEvent, Span,
+    Tee, TimedEvent, Tracer,
 };
 pub use policy::Policy;
 pub use progress::{
     validate_progress_file, ProgressCounters, ProgressExporter, ProgressFrame, PROGRESS_SCHEMA,
 };
 pub use sim::{simulate, simulate_with, SimConfig};
-pub use stats::{
-    shared_registry, snapshot_shared, HistogramSummary, MetricsRegistry, PiStats, PiSummary,
-    RegistrySnapshot, SharedRegistry,
-};
+pub use stats::{HistogramSummary, MetricsRegistry, PiStats, PiSummary, RegistrySnapshot};

@@ -9,14 +9,16 @@
 //! driver ([`crate::sim::simulate_with`]) forwards them, timestamped
 //! with the reference clock, to a [`Tracer`].
 //!
-//! One rule ties tracing to the driver: a disabled tracer (the default
-//! [`NullTracer`] reports [`Tracer::enabled`]` == false`) selects the
-//! run-level loop, which carries no tracing code and hands whole
-//! compressed runs to the policy's batch kernels; an enabled one
-//! selects the per-reference loop that drains policy events after
-//! every trace event. Policies guard their emission sites on a plain
-//! `bool` the driver turns on only for the traced loop, so the
-//! untraced path does no buffering and no allocation.
+//! A tracer has one setting, its [`Detail`] level, and every event has
+//! a level too ([`SimEvent::detail`]). One rule ties the level to the
+//! driver: below [`Detail::Decisions`] (the default [`NullTracer`]
+//! reports [`Detail::Off`]) the run-level loop runs, which carries no
+//! tracing code and hands whole compressed runs to the policy's batch
+//! kernels; at [`Detail::Decisions`] or above the per-reference loop
+//! runs and drains policy events after every trace event. Policies
+//! guard their emission sites on a plain `bool` the driver turns on
+//! only for the traced loop, so the untraced path does no buffering
+//! and no allocation.
 //!
 //! Provided sinks:
 //!
@@ -57,8 +59,8 @@ pub enum AllocDecision {
 /// policy costs a few machine words per decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimEvent {
-    /// A page reference completed (emitted only when the tracer asks
-    /// for per-reference detail via [`Tracer::wants_refs`]).
+    /// A page reference completed (emitted only to tracers at
+    /// [`Detail::References`]).
     Ref {
         /// The referenced page.
         page: PageId,
@@ -175,28 +177,6 @@ pub enum SimEvent {
         /// Tenants swapped out by load control.
         swapped: u32,
     },
-    /// A fleet worker claimed a shard of cells (wall-side: which worker
-    /// claims which shard depends on execution geometry, so this event
-    /// feeds the [`crate::fleet::FleetScorecard`], never the
-    /// deterministic merged stream).
-    ShardClaimed {
-        /// The claimed shard.
-        shard: u32,
-        /// The claiming worker.
-        worker: u32,
-        /// Whether the shard was stolen from another worker's
-        /// allotment.
-        stolen: bool,
-    },
-    /// A fleet worker transitioned between idle (hunting for a shard)
-    /// and busy (running cells). Wall-side, like
-    /// [`SimEvent::ShardClaimed`].
-    WorkerState {
-        /// The worker.
-        worker: u32,
-        /// `true` on idle→busy, `false` on busy→idle.
-        busy: bool,
-    },
 }
 
 impl SimEvent {
@@ -221,8 +201,29 @@ impl SimEvent {
             SimEvent::TenantFinished { .. } => "tenant_finished",
             SimEvent::AdmissionDeferred { .. } => "admission_deferred",
             SimEvent::QueueDepth { .. } => "queue_depth",
-            SimEvent::ShardClaimed { .. } => "shard_claimed",
-            SimEvent::WorkerState { .. } => "worker_state",
+        }
+    }
+
+    /// The least [`Detail`] a tracer needs to receive this event.
+    pub fn detail(&self) -> Detail {
+        match self {
+            SimEvent::Ref { .. } => Detail::References,
+            SimEvent::Fault { .. }
+            | SimEvent::Evict { .. }
+            | SimEvent::Alloc { .. }
+            | SimEvent::Lock { .. }
+            | SimEvent::Unlock { .. }
+            | SimEvent::LockBroken { .. }
+            | SimEvent::Recovered { .. }
+            | SimEvent::Degraded => Detail::Decisions,
+            SimEvent::SwapOut { .. }
+            | SimEvent::JobDone { .. }
+            | SimEvent::CacheQuery { .. }
+            | SimEvent::CacheQuarantine { .. }
+            | SimEvent::TenantAdmitted { .. }
+            | SimEvent::TenantFinished { .. }
+            | SimEvent::AdmissionDeferred { .. }
+            | SimEvent::QueueDepth { .. } => Detail::Scheduler,
         }
     }
 }
@@ -238,37 +239,34 @@ pub struct TimedEvent {
     pub event: SimEvent,
 }
 
+/// How much of the event stream a [`Tracer`] receives. Levels are
+/// ordered, and each includes the ones below it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Detail {
+    /// Nothing: the run-level loop runs and no event is built.
+    Off,
+    /// Scheduler, executor and cache events: tenant lifecycle,
+    /// admission, queue depth, swap-outs, jobs, cache lookups. Policies
+    /// keep their batch kernels.
+    Scheduler,
+    /// Also the policies' runtime decisions: faults, evictions,
+    /// `ALLOCATE`/`LOCK` outcomes, recoveries, degradation. Selects the
+    /// per-reference loop.
+    Decisions,
+    /// Also one [`SimEvent::Ref`] per reference.
+    References,
+}
+
 /// A sink for simulation events.
 ///
-/// The driver calls [`Tracer::enabled`] once per run and skips all
-/// event plumbing when it returns `false`, so a disabled tracer costs
-/// one branch per reference.
+/// Drivers read [`Tracer::detail`] once per run: they build no event
+/// the tracer's level excludes, and below [`Detail::Decisions`] a
+/// uniprogram run keeps the untraced run-level loop.
 pub trait Tracer {
-    /// Whether this tracer wants events at all. Defaults to `true`;
-    /// [`NullTracer`] overrides it to `false`.
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    /// Whether this tracer wants one [`SimEvent::Ref`] per reference
-    /// (orders of magnitude more events than decisions alone). Defaults
-    /// to `false`.
-    fn wants_refs(&self) -> bool {
-        false
-    }
-
-    /// Whether this tracer wants in-policy decision events (faults,
-    /// evictions, `ALLOCATE`/`LOCK` outcomes). Defaults to `true`.
-    ///
-    /// The fleet scheduler consults this flag: a tracer that declines
-    /// (e.g. a scheduler-plane sink built with
-    /// [`EventLog::with_policy_events`]`(false)`) receives only
-    /// scheduler events — tenant lifecycle, admission decisions, queue
-    /// depth, swap-outs — and the policies keep their untraced batch
-    /// kernels, which is what keeps scheduler-plane tracing inside the
-    /// <2% fleet overhead budget.
-    fn wants_policy_events(&self) -> bool {
-        true
+    /// The events this tracer wants. Defaults to
+    /// [`Detail::Decisions`]; [`NullTracer`] reports [`Detail::Off`].
+    fn detail(&self) -> Detail {
+        Detail::Decisions
     }
 
     /// Receives one event at reference clock `at`.
@@ -283,8 +281,8 @@ pub trait Tracer {
 pub struct NullTracer;
 
 impl Tracer for NullTracer {
-    fn enabled(&self) -> bool {
-        false
+    fn detail(&self) -> Detail {
+        Detail::Off
     }
 
     fn record(&mut self, _at: u64, _event: &SimEvent) {}
@@ -299,8 +297,7 @@ pub struct EventLog {
     capacity: usize,
     buf: VecDeque<TimedEvent>,
     dropped: u64,
-    want_refs: bool,
-    want_policy: bool,
+    detail: Detail,
 }
 
 impl EventLog {
@@ -315,22 +312,13 @@ impl EventLog {
             capacity,
             buf: VecDeque::with_capacity(capacity),
             dropped: 0,
-            want_refs: false,
-            want_policy: true,
+            detail: Detail::Decisions,
         }
     }
 
-    /// Also record one [`SimEvent::Ref`] per reference.
-    pub fn with_refs(mut self, want: bool) -> Self {
-        self.want_refs = want;
-        self
-    }
-
-    /// Whether to receive in-policy decision events (default `true`).
-    /// Declining turns this log into a scheduler-plane sink: the fleet
-    /// driver skips policy instrumentation entirely.
-    pub fn with_policy_events(mut self, want: bool) -> Self {
-        self.want_policy = want;
+    /// The events to record (default [`Detail::Decisions`]).
+    pub fn with_detail(mut self, detail: Detail) -> Self {
+        self.detail = detail;
         self
     }
 
@@ -366,12 +354,8 @@ impl EventLog {
 }
 
 impl Tracer for EventLog {
-    fn wants_refs(&self) -> bool {
-        self.want_refs
-    }
-
-    fn wants_policy_events(&self) -> bool {
-        self.want_policy
+    fn detail(&self) -> Detail {
+        self.detail
     }
 
     fn record(&mut self, at: u64, event: &SimEvent) {
@@ -472,14 +456,6 @@ fn event_fields(event: &SimEvent) -> String {
         } => format!(
             "\"ev\":\"{kind}\",\"cell\":{cell},\"ready\":{ready},\"blocked\":{blocked},\"swapped\":{swapped}"
         ),
-        SimEvent::ShardClaimed {
-            shard,
-            worker,
-            stolen,
-        } => format!("\"ev\":\"{kind}\",\"shard\":{shard},\"worker\":{worker},\"stolen\":{stolen}"),
-        SimEvent::WorkerState { worker, busy } => {
-            format!("\"ev\":\"{kind}\",\"worker\":{worker},\"busy\":{busy}")
-        }
     }
 }
 
@@ -523,8 +499,7 @@ pub struct JsonlSink {
     path: PathBuf,
     written: u64,
     limit: Option<u64>,
-    want_refs: bool,
-    want_policy: bool,
+    detail: Detail,
     stream: u64,
 }
 
@@ -541,8 +516,7 @@ impl JsonlSink {
             path: path.to_path_buf(),
             written: 0,
             limit: None,
-            want_refs: false,
-            want_policy: true,
+            detail: Detail::Decisions,
             stream: 0,
         })
     }
@@ -569,16 +543,9 @@ impl JsonlSink {
         self
     }
 
-    /// Also record one [`SimEvent::Ref`] per reference.
-    pub fn with_refs(mut self, want: bool) -> Self {
-        self.want_refs = want;
-        self
-    }
-
-    /// Whether to receive in-policy decision events (default `true`).
-    /// See [`Tracer::wants_policy_events`].
-    pub fn with_policy_events(mut self, want: bool) -> Self {
-        self.want_policy = want;
+    /// The events to record (default [`Detail::Decisions`]).
+    pub fn with_detail(mut self, detail: Detail) -> Self {
+        self.detail = detail;
         self
     }
 
@@ -679,12 +646,8 @@ impl JsonlSink {
 }
 
 impl Tracer for JsonlSink {
-    fn wants_refs(&self) -> bool {
-        self.want_refs
-    }
-
-    fn wants_policy_events(&self) -> bool {
-        self.want_policy
+    fn detail(&self) -> Detail {
+        self.detail
     }
 
     fn record(&mut self, at: u64, event: &SimEvent) {
@@ -837,53 +800,36 @@ pub fn shared<T: Tracer + Send + 'static>(tracer: T) -> SharedTracer {
 /// letting single-threaded drivers (`simulate_with`, one fleet cell)
 /// feed the same sink as the parallel plumbing.
 ///
-/// The `enabled`/`wants_refs` flags are snapshotted at construction so
-/// the hot path takes the mutex only when an event actually fires.
+/// The [`Detail`] level is snapshotted at construction so the hot path
+/// takes the mutex only when an event actually fires.
 #[derive(Clone)]
 pub struct SharedSink {
     inner: SharedTracer,
-    enabled: bool,
-    want_refs: bool,
-    want_policy: bool,
+    detail: Detail,
 }
 
 impl fmt::Debug for SharedSink {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SharedSink")
-            .field("enabled", &self.enabled)
-            .field("want_refs", &self.want_refs)
-            .field("want_policy", &self.want_policy)
+            .field("detail", &self.detail)
             .finish_non_exhaustive()
     }
 }
 
 impl SharedSink {
-    /// Snapshots the shared tracer's flags and wraps it.
+    /// Snapshots the shared tracer's level and wraps it.
     pub fn new(inner: &SharedTracer) -> Self {
-        let (enabled, want_refs, want_policy) = {
-            let g = inner.lock().expect("tracer lock");
-            (g.enabled(), g.wants_refs(), g.wants_policy_events())
-        };
+        let detail = inner.lock().expect("tracer lock").detail();
         SharedSink {
             inner: Arc::clone(inner),
-            enabled,
-            want_refs,
-            want_policy,
+            detail,
         }
     }
 }
 
 impl Tracer for SharedSink {
-    fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    fn wants_refs(&self) -> bool {
-        self.want_refs
-    }
-
-    fn wants_policy_events(&self) -> bool {
-        self.want_policy
+    fn detail(&self) -> Detail {
+        self.detail
     }
 
     fn record(&mut self, at: u64, event: &SimEvent) {
@@ -899,9 +845,10 @@ impl Tracer for SharedSink {
 /// how the facade runs a user tracer and a
 /// [`crate::stats::MetricsRegistry`] off one instrumented pass.
 ///
-/// Per-reference [`SimEvent::Ref`] events are forwarded only to the
-/// side that opted in via [`Tracer::wants_refs`], so an attached
-/// decision-level tracer never sees reference noise it did not ask for.
+/// The tee reports the larger of its sides' [`Detail`] levels and
+/// forwards each event only to a side whose level covers
+/// [`SimEvent::detail`], so an attached decision-level tracer never
+/// sees reference noise it did not ask for.
 pub struct Tee<'a, 'b> {
     a: &'a mut dyn Tracer,
     b: &'b mut dyn Tracer,
@@ -910,8 +857,8 @@ pub struct Tee<'a, 'b> {
 impl fmt::Debug for Tee<'_, '_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Tee")
-            .field("a_enabled", &self.a.enabled())
-            .field("b_enabled", &self.b.enabled())
+            .field("a", &self.a.detail())
+            .field("b", &self.b.detail())
             .finish()
     }
 }
@@ -924,24 +871,16 @@ impl<'a, 'b> Tee<'a, 'b> {
 }
 
 impl Tracer for Tee<'_, '_> {
-    fn enabled(&self) -> bool {
-        self.a.enabled() || self.b.enabled()
-    }
-
-    fn wants_refs(&self) -> bool {
-        self.a.wants_refs() || self.b.wants_refs()
-    }
-
-    fn wants_policy_events(&self) -> bool {
-        self.a.wants_policy_events() || self.b.wants_policy_events()
+    fn detail(&self) -> Detail {
+        self.a.detail().max(self.b.detail())
     }
 
     fn record(&mut self, at: u64, event: &SimEvent) {
-        let is_ref = matches!(event, SimEvent::Ref { .. });
-        if self.a.enabled() && (!is_ref || self.a.wants_refs()) {
+        let need = event.detail();
+        if self.a.detail() >= need {
             self.a.record(at, event);
         }
-        if self.b.enabled() && (!is_ref || self.b.wants_refs()) {
+        if self.b.detail() >= need {
             self.b.record(at, event);
         }
     }
@@ -997,10 +936,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn null_tracer_is_disabled() {
-        assert!(!NullTracer.enabled());
-        assert!(!NullTracer.wants_refs());
-        assert!(NullTracer.wants_policy_events());
+    fn null_tracer_is_off_and_levels_are_ordered() {
+        assert_eq!(NullTracer.detail(), Detail::Off);
+        assert!(Detail::Off < Detail::Scheduler);
+        assert!(Detail::Scheduler < Detail::Decisions);
+        assert!(Detail::Decisions < Detail::References);
     }
 
     #[test]
@@ -1014,17 +954,16 @@ mod tests {
     }
 
     #[test]
-    fn policy_event_appetite_is_opt_out() {
-        let log = EventLog::new(4);
-        assert!(log.wants_policy_events(), "default: full detail");
-        let sched = EventLog::new(4).with_policy_events(false);
-        assert!(!sched.wants_policy_events());
+    fn detail_defaults_to_decisions_and_composes() {
+        assert_eq!(EventLog::new(4).detail(), Detail::Decisions);
+        let sched = EventLog::new(4).with_detail(Detail::Scheduler);
+        assert_eq!(sched.detail(), Detail::Scheduler);
         let mut full = EventLog::new(4);
-        let mut none = EventLog::new(4).with_policy_events(false);
+        let mut none = EventLog::new(4).with_detail(Detail::Scheduler);
         let tee = Tee::new(&mut full, &mut none);
-        assert!(tee.wants_policy_events(), "tee: any side's appetite wins");
-        let handle = shared(EventLog::new(4).with_policy_events(false));
-        assert!(!SharedSink::new(&handle).wants_policy_events());
+        assert_eq!(tee.detail(), Detail::Decisions, "tee: the larger side");
+        let handle = shared(EventLog::new(4).with_detail(Detail::Scheduler));
+        assert_eq!(SharedSink::new(&handle).detail(), Detail::Scheduler);
     }
 
     #[test]
@@ -1111,12 +1050,11 @@ mod tests {
     }
 
     #[test]
-    fn tee_splits_refs_by_appetite() {
-        let mut refs_log = EventLog::new(16).with_refs(true);
+    fn tee_splits_refs_by_detail() {
+        let mut refs_log = EventLog::new(16).with_detail(Detail::References);
         let mut decisions_log = EventLog::new(16);
         let mut tee = Tee::new(&mut refs_log, &mut decisions_log);
-        assert!(tee.enabled());
-        assert!(tee.wants_refs(), "one side wants refs");
+        assert_eq!(tee.detail(), Detail::References, "one side wants refs");
         tee.record(
             1,
             &SimEvent::Ref {
@@ -1202,15 +1140,6 @@ mod tests {
                 blocked: 1,
                 swapped: 1,
             },
-            SimEvent::ShardClaimed {
-                shard: 3,
-                worker: 1,
-                stolen: true,
-            },
-            SimEvent::WorkerState {
-                worker: 1,
-                busy: false,
-            },
         ];
         for e in events {
             let line = encode_event_line(42, &e);
@@ -1289,8 +1218,7 @@ mod tests {
         let n = Arc::new(AtomicU64::new(0));
         let handle = shared(Counting(Arc::clone(&n)));
         let mut sink = SharedSink::new(&handle);
-        assert!(sink.enabled());
-        assert!(!sink.wants_refs());
+        assert_eq!(sink.detail(), Detail::Decisions);
         sink.record(3, &SimEvent::Degraded);
         sink.record(4, &SimEvent::Degraded);
         sink.flush();

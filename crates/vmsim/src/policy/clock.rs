@@ -8,9 +8,15 @@ use cdmm_trace::PageId;
 use crate::policy::Policy;
 
 /// Fixed-allocation Clock with one use bit per frame.
+///
+/// The frame table grows on demand up to the allocation, so a huge
+/// allocation costs only the frames the trace actually fills. Until
+/// the table is full the hand always sits on the next empty frame, so
+/// growing it changes nothing about the schedule.
 #[derive(Debug, Clone)]
 pub struct Clock {
-    frames: Vec<Option<(PageId, bool)>>,
+    frames: Vec<(PageId, bool)>,
+    capacity: usize,
     index: HashMap<PageId, usize>,
     hand: usize,
 }
@@ -24,46 +30,43 @@ impl Clock {
     pub fn new(frames: usize) -> Self {
         assert!(frames > 0, "Clock needs at least one frame");
         Clock {
-            frames: vec![None; frames],
+            frames: Vec::new(),
+            capacity: frames,
             index: HashMap::new(),
             hand: 0,
         }
     }
 
     fn advance(&mut self) {
-        self.hand = (self.hand + 1) % self.frames.len();
+        self.hand = (self.hand + 1) % self.capacity;
     }
 }
 
 impl Policy for Clock {
     fn label(&self) -> String {
-        format!("CLOCK({})", self.frames.len())
+        format!("CLOCK({})", self.capacity)
     }
 
     fn reference(&mut self, page: PageId) -> bool {
         if let Some(&slot) = self.index.get(&page) {
             // Hit: set the use bit.
-            if let Some(entry) = &mut self.frames[slot] {
-                entry.1 = true;
-            }
+            self.frames[slot].1 = true;
             return false;
         }
-        // Fault: sweep the hand, clearing use bits, until a victim frame
-        // (empty or use bit already clear) appears.
-        loop {
-            match &mut self.frames[self.hand] {
-                None => break,
-                Some((_, used)) if *used => {
-                    *used = false;
-                    self.advance();
-                }
-                Some(_) => break,
+        if self.frames.len() < self.capacity {
+            // An empty frame is free, and the hand is on it.
+            self.frames.push((page, true));
+        } else {
+            // Fault: sweep the hand, clearing use bits, until a victim
+            // frame with its use bit already clear appears.
+            while self.frames[self.hand].1 {
+                self.frames[self.hand].1 = false;
+                self.advance();
             }
-        }
-        if let Some((old, _)) = self.frames[self.hand] {
+            let (old, _) = self.frames[self.hand];
             self.index.remove(&old);
+            self.frames[self.hand] = (page, true);
         }
-        self.frames[self.hand] = Some((page, true));
         self.index.insert(page, self.hand);
         self.advance();
         true
@@ -131,6 +134,16 @@ mod tests {
         // And with full allocation both see cold faults only.
         let clock_full = faults(&t, Clock::new(8));
         assert_eq!(clock_full, 8);
+    }
+
+    #[test]
+    fn huge_allocations_fill_only_the_frames_they_use() {
+        let t = synth::uniform(32, 3_000, 11);
+        let mut c = Clock::new(1 << 40);
+        let faults = t.refs().filter(|&p| c.reference(p)).count();
+        assert_eq!(faults, 32, "cold faults only");
+        assert_eq!(c.resident(), 32);
+        assert_eq!(c.label(), "CLOCK(1099511627776)");
     }
 
     #[test]

@@ -6,7 +6,7 @@ use cdmm_trace::{CancelToken, EventRef, EventSource, RunRef};
 
 use crate::error::SimError;
 use crate::metrics::Metrics;
-use crate::observe::{SimEvent, Tracer};
+use crate::observe::{Detail, SimEvent, Tracer};
 use crate::policy::Policy;
 
 /// Simulation parameters.
@@ -74,19 +74,20 @@ pub fn simulate<S: EventSource + ?Sized, P: Policy + ?Sized>(
 /// The production driver: [`simulate`] with an event [`Tracer`]
 /// attached, under a cooperative [`CancelToken`].
 ///
-/// One rule picks the loop. A disabled tracer
-/// ([`crate::observe::NullTracer`]) takes the run-level loop: each
-/// constant-stride run of a [`cdmm_trace::CompressedTrace`] goes to
-/// [`Policy::reference_run`] whole (folded cycles to
-/// [`Policy::reference_cycle`]), so the paper policies batch it in
-/// closed form; any other [`EventSource`] degenerates to length-1
-/// runs. An enabled tracer takes the per-reference loop: the policy
-/// buffers [`SimEvent`]s at its decision points and the driver
-/// forwards them after each trace event, stamped with the reference
-/// clock (references processed so far) — the policy's own events
-/// first (evictions, grants, lock breaks …), then the driver's
-/// [`SimEvent::Fault`], then, only when the tracer opts in via
-/// [`Tracer::wants_refs`], one [`SimEvent::Ref`].
+/// One rule picks the loop: the tracer's [`Tracer::detail`]. Below
+/// [`Detail::Decisions`] (a [`crate::observe::NullTracer`], or a
+/// scheduler-level tracer, which a uniprogram run has nothing to tell)
+/// the run-level loop runs: each constant-stride run of a
+/// [`cdmm_trace::CompressedTrace`] goes to [`Policy::reference_run`]
+/// whole (folded cycles to [`Policy::reference_cycle`]), so the paper
+/// policies batch it in closed form; any other [`EventSource`]
+/// degenerates to length-1 runs. At [`Detail::Decisions`] or above the
+/// per-reference loop runs: the policy buffers [`SimEvent`]s at its
+/// decision points and the driver forwards them after each trace
+/// event, stamped with the reference clock (references processed so
+/// far) — the policy's own events first (evictions, grants, lock
+/// breaks …), then the driver's [`SimEvent::Fault`], then, only at
+/// [`Detail::References`], one [`SimEvent::Ref`].
 ///
 /// The token is polled once per compressed run (per event on a flat
 /// trace), never inside a run. Either loop returns exactly the
@@ -125,7 +126,8 @@ pub fn simulate_with<S: EventSource + ?Sized, P: Policy + ?Sized>(
 ) -> Result<Metrics, SimError> {
     let mut metrics = Metrics::new(config.fault_service);
     let keep_going = || !token.should_stop();
-    let completed = if !tracer.enabled() {
+    let detail = tracer.detail();
+    let completed = if detail < Detail::Decisions {
         trace.for_each_run_while(keep_going, |run| match run {
             RunRef::Run { start, stride, len } => {
                 policy.reference_run(start, stride, len, &mut metrics);
@@ -136,7 +138,7 @@ pub fn simulate_with<S: EventSource + ?Sized, P: Policy + ?Sized>(
             RunRef::Directive(other) => policy.directive(other),
         })
     } else {
-        let want_refs = tracer.wants_refs();
+        let want_refs = detail >= Detail::References;
         policy.set_tracing(true);
         let mut pending: Vec<SimEvent> = Vec::new();
         let completed = trace.for_each_event_while(keep_going, |event| match event {
@@ -278,7 +280,7 @@ mod tests {
         let token = CancelToken::new();
         let cfg = SimConfig::default();
         let plain = simulate(&t, &mut Lru::new(4), cfg);
-        let mut log = EventLog::new(4096).with_refs(true);
+        let mut log = EventLog::new(4096).with_detail(Detail::References);
         let traced = simulate_with(&t, &mut Lru::new(4), cfg, &mut log, &token);
         assert_eq!(traced, Ok(plain));
         assert!(!log.is_empty());

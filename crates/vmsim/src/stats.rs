@@ -15,7 +15,7 @@
 //!
 //! - `fault_interarrival` — references between consecutive faults.
 //! - `resident_occupancy` — resident-set size sampled at every
-//!   reference (the registry opts into [`Tracer::wants_refs`]).
+//!   reference (the registry reports [`Detail::References`]).
 //! - `lock_dwell` — references between a `LOCK` and the `UNLOCK`
 //!   releasing it.
 //! - per-priority-index `ALLOCATE` outcomes and grant-size
@@ -26,14 +26,12 @@
 //!
 //! The registry is "lock-free in spirit": a plain struct with no
 //! interior synchronization. Share one across threads the same way the
-//! tracer plumbing does — behind a [`SharedRegistry`] handle fed through
-//! [`crate::observe::SharedSink`].
+//! tracer plumbing does — behind a [`crate::observe::SharedTracer`]
+//! handle fed through [`crate::observe::SharedSink`].
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
-use std::sync::{Arc, Mutex};
 
-use crate::observe::{AllocDecision, Histogram, SimEvent, Tracer};
+use crate::observe::{AllocDecision, Detail, Histogram, SimEvent, Tracer};
 
 /// Histogram name: references between consecutive faults.
 pub const FAULT_INTERARRIVAL: &str = "fault_interarrival";
@@ -59,8 +57,8 @@ pub struct PiStats {
 /// A registry of named counters, gauges, and streaming histograms.
 ///
 /// Implements [`Tracer`], so any driver that accepts a tracer
-/// ([`crate::simulate_with`], the executor observer, the `Simulation`
-/// facade's `.metrics()` knob) can feed it. Counters and histograms can
+/// ([`crate::simulate_with`], the fleet scheduler, the executor
+/// observer, the `Simulation` facade's `.tracer()`) can feed it. Counters and histograms can
 /// also be bumped directly by name for metrics that do not originate as
 /// simulation events.
 #[derive(Debug, Clone, Default)]
@@ -168,9 +166,9 @@ impl MetricsRegistry {
 }
 
 impl Tracer for MetricsRegistry {
-    fn wants_refs(&self) -> bool {
+    fn detail(&self) -> Detail {
         // Resident-set occupancy is a per-reference distribution.
-        true
+        Detail::References
     }
 
     fn record(&mut self, at: u64, event: &SimEvent) {
@@ -250,13 +248,6 @@ impl Tracer for MetricsRegistry {
             SimEvent::QueueDepth { ready, .. } => {
                 self.record_sample("queue_ready", u64::from(*ready));
             }
-            SimEvent::ShardClaimed { stolen, .. } => {
-                self.inc("shard_claims");
-                if *stolen {
-                    self.inc("shard_steals");
-                }
-            }
-            SimEvent::WorkerState { .. } => {}
         }
     }
 }
@@ -340,51 +331,6 @@ impl RegistrySnapshot {
     pub fn histogram(&self, name: &str) -> Option<&HistogramSummary> {
         self.hists.iter().find(|(n, _)| n == name).map(|(_, h)| h)
     }
-
-    /// Renders a plain-text summary (one line per metric).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for (name, v) in &self.counters {
-            let _ = writeln!(out, "counter {name:<24} {v}");
-        }
-        for (name, v) in &self.gauges {
-            let _ = writeln!(out, "gauge   {name:<24} {v}");
-        }
-        for (name, h) in &self.hists {
-            let _ = writeln!(
-                out,
-                "hist    {name:<24} n {} mean {:.2} p50 {} p90 {} p99 {} max {}",
-                h.count, h.mean, h.p50, h.p90, h.p99, h.max
-            );
-        }
-        for (pi, s) in &self.pi {
-            let _ = writeln!(
-                out,
-                "alloc   PI {pi:<21} granted {} held {} swap {} pages p50 {} max {}",
-                s.granted, s.held_over, s.swap_needed, s.grant_pages.p50, s.grant_pages.max
-            );
-        }
-        out
-    }
-}
-
-/// A shareable, mutex-guarded registry handle, mirroring
-/// [`crate::observe::SharedTracer`] for multi-threaded feeders (the
-/// executor observer, the result cache).
-pub type SharedRegistry = Arc<Mutex<MetricsRegistry>>;
-
-/// Wraps a registry into a [`SharedRegistry`] handle.
-pub fn shared_registry(registry: MetricsRegistry) -> SharedRegistry {
-    Arc::new(Mutex::new(registry))
-}
-
-/// Snapshots a shared registry.
-///
-/// # Panics
-///
-/// Panics when the registry mutex is poisoned.
-pub fn snapshot_shared(registry: &SharedRegistry) -> RegistrySnapshot {
-    registry.lock().expect("registry lock").snapshot()
 }
 
 #[cfg(test)]
@@ -410,7 +356,6 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.counter("faults"), 0);
         assert_eq!(s.histogram(FAULT_INTERARRIVAL), None);
-        assert_eq!(s.render(), "");
     }
 
     #[test]
@@ -452,7 +397,6 @@ mod tests {
         assert_eq!(r.counter("swapper_invocations"), 1);
         let snap = r.snapshot();
         assert_eq!(snap.pi.len(), 3);
-        assert!(snap.render().contains("PI 3"));
     }
 
     #[test]
@@ -488,7 +432,7 @@ mod tests {
     #[test]
     fn refs_feed_occupancy_and_the_resident_gauge() {
         let mut r = MetricsRegistry::new();
-        assert!(r.wants_refs());
+        assert_eq!(r.detail(), Detail::References);
         for (at, resident) in [(1, 1), (2, 2), (3, 2)] {
             r.record(
                 at,
@@ -556,20 +500,6 @@ mod tests {
         assert_eq!(h.max, u64::MAX);
         assert_eq!(h.p99, u64::MAX);
         assert!(h.mean.is_finite());
-    }
-
-    #[test]
-    fn shared_registry_round_trips_through_the_tracer_plumbing() {
-        use crate::observe::SharedSink;
-        let handle = shared_registry(MetricsRegistry::new());
-        let shared_tracer: crate::observe::SharedTracer =
-            Arc::new(Mutex::new(MetricsRegistry::new()));
-        let mut sink = SharedSink::new(&shared_tracer);
-        assert!(sink.enabled());
-        assert!(sink.wants_refs(), "registry asks for per-ref events");
-        sink.record(3, &SimEvent::Degraded);
-        handle.lock().expect("lock").inc("manual");
-        assert_eq!(snapshot_shared(&handle).counter("manual"), 1);
     }
 
     #[test]

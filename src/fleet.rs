@@ -152,15 +152,10 @@ impl<'t> Fleet<'t> {
         self
     }
 
-    /// Collect a per-tenant [`cdmm_vmsim::RegistrySnapshot`] (default
-    /// off; forces slow per-reference tracing).
-    pub fn metrics(mut self, enabled: bool) -> Self {
-        self.spec.collect_registries = enabled;
-        self
-    }
-
-    /// Attaches an event tracer; cell event streams are replayed into
-    /// it deterministically, in cell order, after the run.
+    /// Attaches an event tracer — an [`cdmm_vmsim::EventLog`], a
+    /// [`cdmm_vmsim::MetricsRegistry`], or both through a
+    /// [`cdmm_vmsim::Tee`]; cell event streams are replayed into it
+    /// deterministically, in cell order, after the run.
     pub fn tracer(mut self, tracer: &'t mut dyn Tracer) -> Self {
         self.tracer = Some(tracer);
         self
@@ -173,18 +168,14 @@ impl<'t> Fleet<'t> {
     }
 
     /// Manufactures the fleet without running it (compile + trace +
-    /// clone), returning the content-addressed handle.
+    /// clone), returning a handle that runs it once.
     pub fn prepare(&self) -> Result<PreparedFleet, FleetError> {
         prepare_fleet(&self.spec)
     }
 
     /// Prepares and runs the fleet to completion.
     pub fn run(self) -> Result<FleetReport, FleetError> {
-        let fleet = prepare_fleet(&self.spec)?;
-        match self.tracer {
-            Some(t) => fleet.run_with(t),
-            None => fleet.run(),
-        }
+        self.run_scored().map(|(report, _)| report)
     }
 
     /// Prepares and runs the fleet, returning the wall-side
@@ -194,11 +185,9 @@ impl<'t> Fleet<'t> {
     /// timing; the report never varies with it.
     pub fn run_scored(self) -> Result<(FleetReport, FleetScorecard), FleetError> {
         let fleet = prepare_fleet(&self.spec)?;
-        let token = CancelToken::new();
-        match self.tracer {
-            Some(t) => fleet.run_observed(t, None, &token),
-            None => fleet.run_observed(&mut NullTracer, None, &token),
-        }
+        let mut untraced = NullTracer;
+        let tracer = self.tracer.unwrap_or(&mut untraced);
+        fleet.run_observed(tracer, None, &CancelToken::new())
     }
 }
 
@@ -273,14 +262,5 @@ mod tests {
         );
         assert!(scorecard.shard_claims > 0);
         assert_eq!(scorecard.cells.len(), report.cells.len());
-    }
-
-    #[test]
-    fn metrics_knob_attaches_registries() {
-        let report = small().metrics(true).run().expect("fleet");
-        for t in &report.tenants {
-            let snap = t.registry.as_ref().expect("registry collected");
-            assert_eq!(snap.counter("refs"), t.metrics.refs);
-        }
     }
 }

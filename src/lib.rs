@@ -51,8 +51,8 @@ pub use cdmm_core::{PipelineConfig, PipelineError, PolicySpec};
 pub use cdmm_locality::{InsertOptions, PageGeometry, SizerMode};
 pub use cdmm_vmsim::policy::cd::CdSelector;
 pub use cdmm_vmsim::{
-    Admission, CellPressure, EventLog, FleetReport, FleetScorecard, HistogramSummary, JsonlSink,
-    Metrics, MetricsRegistry, NullTracer, ProgressCounters, ProgressExporter, RegistrySnapshot,
-    SimEvent, Span, Tee, TenantReport, Tracer, WorkerTimeline,
+    Admission, CellPressure, Detail, EventLog, FleetReport, FleetScorecard, HistogramSummary,
+    JsonlSink, Metrics, MetricsRegistry, NullTracer, ProgressCounters, ProgressExporter,
+    RegistrySnapshot, SimEvent, Span, Tee, TenantReport, Tracer, WorkerTimeline,
 };
 pub use cdmm_workloads::Scale;

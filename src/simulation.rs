@@ -14,7 +14,9 @@
 //! assert!(report.metrics.faults > 0);
 //! ```
 //!
-//! Attach any [`Tracer`] to observe the run without changing it:
+//! Attach any [`Tracer`] — an event log, a [`cdmm_vmsim::MetricsRegistry`],
+//! or both through a [`cdmm_vmsim::Tee`] — to observe the run without
+//! changing it:
 //!
 //! ```
 //! use cdmm_repro::{EventLog, Simulation};
@@ -31,7 +33,7 @@ use std::fmt;
 use cdmm_core::{prepare, CancelToken, PipelineConfig, PipelineError, PolicySpec, Prepared};
 use cdmm_locality::{InsertOptions, PageGeometry, SizerMode};
 use cdmm_vmsim::policy::cd::CdSelector;
-use cdmm_vmsim::{Metrics, MetricsRegistry, NullTracer, RegistrySnapshot, Tee, Tracer};
+use cdmm_vmsim::{Metrics, NullTracer, Tracer};
 use cdmm_workloads::{by_name, Scale};
 
 /// Facade failure: either the workload name or the pipeline rejected
@@ -92,7 +94,6 @@ pub struct Simulation<'t> {
     config: PipelineConfig,
     policy: PolicySpec,
     tracer: Option<&'t mut dyn Tracer>,
-    metrics: bool,
 }
 
 impl fmt::Debug for Simulation<'_> {
@@ -119,7 +120,6 @@ impl<'t> Simulation<'t> {
                 selector: CdSelector::AtLevel(2),
             },
             tracer: None,
-            metrics: false,
         }
     }
 
@@ -194,17 +194,6 @@ impl<'t> Simulation<'t> {
         self
     }
 
-    /// Attaches an internal [`MetricsRegistry`] (default off). When
-    /// enabled, every run feeds the registry and
-    /// [`PreparedSimulation::metrics_snapshot`] returns the accumulated
-    /// counters and histogram digests. Like tracing, the registry
-    /// observes the run without changing its numbers; it composes with
-    /// a user [`Tracer`] via a [`Tee`].
-    pub fn metrics(mut self, enabled: bool) -> Self {
-        self.metrics = enabled;
-        self
-    }
-
     /// Runs the front half of the pipeline once, returning a handle
     /// that can simulate many policies without re-compiling.
     pub fn prepare(self) -> Result<PreparedSimulation<'t>, SimulationError> {
@@ -220,7 +209,6 @@ impl<'t> Simulation<'t> {
             prepared,
             policy: self.policy,
             tracer: self.tracer,
-            registry: self.metrics.then(MetricsRegistry::new),
         })
     }
 
@@ -240,7 +228,6 @@ pub struct PreparedSimulation<'t> {
     prepared: Prepared,
     policy: PolicySpec,
     tracer: Option<&'t mut dyn Tracer>,
-    registry: Option<MetricsRegistry>,
 }
 
 impl fmt::Debug for PreparedSimulation<'_> {
@@ -249,7 +236,6 @@ impl fmt::Debug for PreparedSimulation<'_> {
             .field("program", &self.prepared.name())
             .field("policy", &self.policy)
             .field("traced", &self.tracer.is_some())
-            .field("metrics", &self.registry.is_some())
             .finish()
     }
 }
@@ -262,32 +248,21 @@ impl PreparedSimulation<'_> {
     }
 
     /// Runs any policy on the prepared program, reusing the compiled
-    /// traces. The builder's tracer and metrics registry (if attached)
-    /// observe this run too.
+    /// traces. The builder's tracer (if attached) observes this run
+    /// too.
     pub fn run_policy(&mut self, policy: PolicySpec) -> Report {
-        let label = self.prepared.policy_label(policy);
-        let run = |tracer: &mut dyn Tracer| {
-            self.prepared
-                .run_policy_traced(policy, tracer, &CancelToken::new())
-                .expect("an idle token never stops a run")
+        let tracer: &mut dyn Tracer = match &mut self.tracer {
+            Some(t) => *t,
+            None => &mut NullTracer,
         };
-        let metrics = match (&mut self.registry, &mut self.tracer) {
-            (Some(reg), Some(t)) => run(&mut Tee::new(*t, reg)),
-            (Some(reg), None) => run(reg),
-            (None, Some(t)) => run(*t),
-            (None, None) => run(&mut NullTracer),
-        };
+        let metrics = self
+            .prepared
+            .run_policy_traced(policy, tracer, &CancelToken::new())
+            .expect("an idle token never stops a run");
         Report {
-            policy: label,
+            policy: self.prepared.policy_label(policy),
             metrics,
         }
-    }
-
-    /// A snapshot of the internal metrics registry, accumulated over
-    /// every run so far. `None` unless the builder enabled
-    /// [`Simulation::metrics`].
-    pub fn metrics_snapshot(&self) -> Option<RegistrySnapshot> {
-        self.registry.as_ref().map(MetricsRegistry::snapshot)
     }
 
     /// The underlying [`Prepared`] program, for everything the facade
@@ -300,7 +275,7 @@ impl PreparedSimulation<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cdmm_vmsim::EventLog;
+    use cdmm_vmsim::{EventLog, MetricsRegistry, Tee};
 
     #[test]
     fn unknown_workload_is_reported() {
@@ -348,42 +323,41 @@ mod tests {
     }
 
     #[test]
-    fn metrics_knob_accumulates_a_snapshot_without_changing_the_run() {
+    fn attached_registry_accumulates_a_snapshot_without_changing_the_run() {
+        let mut registry = MetricsRegistry::new();
         let mut with = Simulation::workload("MAIN")
-            .metrics(true)
+            .tracer(&mut registry)
             .prepare()
             .expect("MAIN");
-        let mut without = Simulation::workload("MAIN").prepare().expect("MAIN");
-        assert_eq!(without.metrics_snapshot(), None, "registry is opt-in");
         let a = with.run();
-        let b = without.run();
+        let b = Simulation::workload("MAIN").run().expect("MAIN");
         assert_eq!(a, b, "an attached registry never changes the numbers");
-        let snap = with.metrics_snapshot().expect("metrics enabled");
-        assert_eq!(snap.counter("faults"), a.metrics.faults);
-        assert_eq!(snap.counter("refs"), a.metrics.refs);
+        // The registry accumulates across runs on the same handle.
+        with.run();
+        drop(with);
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("faults"), 2 * a.metrics.faults);
+        assert_eq!(snap.counter("refs"), 2 * a.metrics.refs);
         assert!(
             snap.histogram("resident_occupancy").is_some(),
             "per-ref occupancy recorded"
         );
-        // The registry accumulates across runs on the same handle.
-        with.run();
-        let twice = with.metrics_snapshot().expect("metrics enabled");
-        assert_eq!(twice.counter("faults"), 2 * a.metrics.faults);
     }
 
     #[test]
     fn metrics_and_tracer_compose_through_a_tee() {
         let mut log = EventLog::new(1 << 14);
-        let mut sim = Simulation::workload("MAIN")
-            .tracer(&mut log)
-            .metrics(true)
-            .prepare()
+        let mut registry = MetricsRegistry::new();
+        let report = Simulation::workload("MAIN")
+            .tracer(&mut Tee::new(&mut log, &mut registry))
+            .run()
             .expect("MAIN");
-        let report = sim.run();
-        let snap = sim.metrics_snapshot().expect("metrics enabled");
-        assert_eq!(snap.counter("faults"), report.metrics.faults);
-        drop(sim);
+        assert_eq!(registry.snapshot().counter("faults"), report.metrics.faults);
         assert!(!log.is_empty(), "the user tracer still sees events");
+        assert!(
+            log.events().all(|e| e.event.kind() != "ref"),
+            "the log stays at its own level"
+        );
     }
 
     #[test]

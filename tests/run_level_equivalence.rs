@@ -21,7 +21,7 @@ use cdmm_vmsim::policy::cd::{CdPolicy, CdSelector};
 use cdmm_vmsim::policy::lru::Lru;
 use cdmm_vmsim::policy::ws::WorkingSet;
 use cdmm_vmsim::{
-    simulate, simulate_with, CancelToken, EventLog, Metrics, NullTracer, Policy, SimConfig,
+    simulate, simulate_with, CancelToken, Detail, EventLog, Metrics, NullTracer, Policy, SimConfig,
     TimedEvent, Tracer,
 };
 use cdmm_workloads::{all, Scale};
@@ -100,9 +100,9 @@ fn assert_same_events<P: Policy, F: Fn() -> P>(
     compressed: &CompressedTrace,
     what: &str,
 ) {
-    let mut log_flat = EventLog::new(1 << 15).with_refs(true);
+    let mut log_flat = EventLog::new(1 << 15).with_detail(Detail::References);
     let m_flat = drive(flat, &mut make(), &mut log_flat);
-    let mut log_comp = EventLog::new(1 << 15).with_refs(true);
+    let mut log_comp = EventLog::new(1 << 15).with_detail(Detail::References);
     let m_comp = drive(compressed, &mut make(), &mut log_comp);
     assert_eq!(m_flat, m_comp, "{what}: traced metrics drifted");
     let a: Vec<TimedEvent> = log_flat.events().copied().collect();

@@ -10,14 +10,19 @@
 //!   never move;
 //! - a traced run under a stopped token fails typed before the first
 //!   reference, flushes its tracer and leaves the policy untraced;
-//! - `policy_label` names exactly the policy `build_policy` builds.
+//! - `policy_label` names exactly the policy `build_policy` builds;
+//! - the tracer's `Detail` level decides what a run delivers and which
+//!   loop it takes: below `Decisions` the policy is never instrumented.
 
 use cdmm_core::sweep::spec_key;
 use cdmm_core::{prepare, CancelToken, PipelineConfig, PolicySpec, Prepared};
 use cdmm_lang::ast::AllocArg;
 use cdmm_trace::{synth, CompressedTrace, Event, PageId};
 use cdmm_vmsim::policy::cd::{CdPolicy, CdSelector};
-use cdmm_vmsim::{simulate_with, EventLog, Policy, SimConfig, SimError, SimEvent, Tracer};
+use cdmm_vmsim::policy::lru::Lru;
+use cdmm_vmsim::{
+    simulate_with, Detail, EventLog, NullTracer, Policy, SimConfig, SimError, SimEvent, Tee, Tracer,
+};
 use cdmm_workloads::{by_name, Scale};
 
 fn main_small() -> Prepared {
@@ -171,4 +176,116 @@ fn policy_labels_match_the_built_policies_for_every_family() {
             );
         }
     }
+}
+
+const CD2: PolicySpec = PolicySpec::Cd {
+    selector: CdSelector::AtLevel(2),
+};
+
+#[test]
+fn detail_level_decides_what_a_uniprogram_run_delivers() {
+    let p = main_small();
+    let plain = p.run_policy(CD2);
+    let kinds_at = |detail: Detail| {
+        let mut log = EventLog::new(2 * plain.refs as usize + 4096).with_detail(detail);
+        let traced = p.run_policy_traced(CD2, &mut log, &CancelToken::new());
+        assert_eq!(traced, Ok(plain), "{detail:?} changed the metrics");
+        assert_eq!(log.dropped(), 0);
+        log.events().map(|e| e.event.kind()).collect::<Vec<_>>()
+    };
+    assert!(
+        kinds_at(Detail::Scheduler).is_empty(),
+        "a uniprogram run has no scheduler events"
+    );
+    let decisions = kinds_at(Detail::Decisions);
+    assert!(decisions.contains(&"alloc") && decisions.contains(&"fault"));
+    assert!(!decisions.contains(&"ref"));
+    let references = kinds_at(Detail::References);
+    let refs = references.iter().filter(|&&k| k == "ref").count();
+    assert_eq!(refs as u64, plain.refs);
+    assert_eq!(references.len() - refs, decisions.len());
+}
+
+/// Wraps `Lru` and records whether the driver ever turned tracing on.
+struct Probe {
+    lru: Lru,
+    traced: bool,
+}
+
+impl Policy for Probe {
+    fn label(&self) -> String {
+        self.lru.label()
+    }
+
+    fn reference(&mut self, page: PageId) -> bool {
+        self.lru.reference(page)
+    }
+
+    fn resident(&self) -> usize {
+        self.lru.resident()
+    }
+
+    fn set_tracing(&mut self, on: bool) {
+        self.traced |= on;
+        self.lru.set_tracing(on);
+    }
+}
+
+#[test]
+fn policies_are_instrumented_only_at_decisions_or_above() {
+    let p = main_small();
+    let traced_under = |tracer: &mut dyn Tracer| {
+        let mut probe = Probe {
+            lru: Lru::new(8),
+            traced: false,
+        };
+        let cfg = SimConfig::default();
+        simulate_with(
+            p.plain_trace(),
+            &mut probe,
+            cfg,
+            tracer,
+            &CancelToken::new(),
+        )
+        .expect("idle token");
+        probe.traced
+    };
+    assert!(!traced_under(&mut NullTracer));
+    assert!(!traced_under(
+        &mut EventLog::new(16).with_detail(Detail::Scheduler)
+    ));
+    assert!(traced_under(&mut EventLog::new(16)));
+}
+
+#[test]
+fn tee_delivers_each_side_only_its_level() {
+    let events = [
+        SimEvent::Ref {
+            page: PageId(3),
+            resident: 1,
+            fault: true,
+        },
+        SimEvent::Fault {
+            page: PageId(3),
+            resident: 1,
+        },
+        SimEvent::TenantAdmitted {
+            tenant: 0,
+            forced: false,
+        },
+        SimEvent::CacheQuery { hit: true },
+    ];
+    let mut every = EventLog::new(16).with_detail(Detail::References);
+    let mut sched = EventLog::new(16).with_detail(Detail::Scheduler);
+    let mut tee = Tee::new(&mut every, &mut sched);
+    assert_eq!(tee.detail(), Detail::References);
+    for (at, e) in events.iter().enumerate() {
+        tee.record(at as u64, e);
+    }
+    let kinds = |log: &EventLog| log.events().map(|e| e.event.kind()).collect::<Vec<_>>();
+    assert_eq!(
+        kinds(&every),
+        ["ref", "fault", "tenant_admitted", "cache_query"]
+    );
+    assert_eq!(kinds(&sched), ["tenant_admitted", "cache_query"]);
 }

@@ -303,3 +303,24 @@ fn tight_deadlines_fail_typed_and_never_succeed_late() {
     );
     assert_eq!(svc.stats().deadline_exceeded, 4);
 }
+
+#[test]
+fn oversized_requests_answer_rows_instead_of_aborting() {
+    // Each line names a size no allocation can hold — a 10^12-frame
+    // Clock table, a 10^12-tenant fleet, a 10^12-tenant cell — and a
+    // failed allocation aborts the process, which no panic supervisor
+    // catches. Every row must come back and the process survive.
+    let lines = vec![
+        r#"{"id":"c","workload":"MAIN","policy":"clock","frames":1000000000000}"#.to_string(),
+        r#"{"id":"t","job":"fleet","tenants":1000000000000}"#.to_string(),
+        r#"{"id":"k","job":"fleet","tenants":4,"cell":1000000000000}"#.to_string(),
+    ];
+    let svc = BatchService::new(config()).expect("service");
+    let out = svc.handle_batch(&refs(&lines));
+    assert!(out[0].contains("\"ok\":true"), "{}", out[0]);
+    assert!(out[0].contains("CLOCK(1000000000000)"), "{}", out[0]);
+    assert!(out[1].contains("\"error\":\"bad_request\""), "{}", out[1]);
+    assert!(out[1].contains("at most 10000"), "{}", out[1]);
+    assert!(out[2].contains("\"ok\":true"), "{}", out[2]);
+    assert!(out[2].contains("\"cells\":1,"), "{}", out[2]);
+}

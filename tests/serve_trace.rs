@@ -102,6 +102,42 @@ fn trace_sidecars_checksum_and_match_the_in_band_digest() {
 }
 
 #[test]
+fn ids_that_sanitize_alike_keep_separate_sidecars() {
+    let dir = scratch("collide");
+    let service = BatchService::new(ServeConfig {
+        cache_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    })
+    .expect("service builds");
+    let rows = service.handle_batch(&[
+        r#"{"id":"a b","workload":"MAIN","policy":"cd","trace":true}"#,
+        r#"{"id":"a_b","workload":"FDJAC","policy":"cd","trace":true}"#,
+    ]);
+    let safe = dir.join("serve-a_b.trace.jsonl");
+    let mut sidecars: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .expect("scratch dir")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.to_string_lossy().ends_with(".trace.jsonl"))
+        .collect();
+    sidecars.sort();
+    assert_eq!(sidecars.len(), 2, "{sidecars:?}");
+    assert!(sidecars.contains(&safe), "a safe id keeps its plain name");
+    let hashed = sidecars
+        .iter()
+        .find(|p| **p != safe)
+        .expect("second sidecar");
+    for (row, path) in rows.iter().zip([hashed, &safe]) {
+        let digest = JsonlSink::file_stream_checksum(path).expect("sidecar digest");
+        assert!(
+            row.contains(&format!("\"trace_c\":\"{digest:016x}\"")),
+            "{} does not match {row}",
+            path.display()
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn traced_batch_is_thread_count_invariant() {
     let (serial, d1) = run_batch(1, "serial");
     let (parallel, d2) = run_batch(8, "parallel");

@@ -16,7 +16,7 @@
 
 use cdmm_core::{prepare, CancelToken, PipelineConfig, PolicySpec, Prepared};
 use cdmm_vmsim::policy::cd::CdSelector;
-use cdmm_vmsim::{EventLog, JsonlSink, Metrics, Tracer};
+use cdmm_vmsim::{Detail, EventLog, JsonlSink, Metrics, Tracer};
 use cdmm_workloads::{by_name, Scale};
 
 const FIXTURE: &str = concat!(
@@ -170,7 +170,7 @@ fn tracing_is_inert_across_policies_and_workloads() {
         let p = prepare(w.name, &w.source, PipelineConfig::default()).expect("pipeline");
         for spec in specs {
             let plain = p.run_policy(spec);
-            let mut log = EventLog::new(1 << 12).with_refs(true);
+            let mut log = EventLog::new(1 << 12).with_detail(Detail::References);
             let with_log = traced(&p, spec, &mut log);
             assert_eq!(
                 plain,
