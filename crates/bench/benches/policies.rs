@@ -1,20 +1,25 @@
 //! Raw policy throughput on synthetic reference strings (references per
-//! second through each policy implementation).
+//! second through each policy implementation): the per-reference
+//! `simulate` first, then the run-level `simulate_with` that production
+//! runs take, over a compressed loop-nest trace and a fault-heavy
+//! double sweep under a large OPT allocation.
 
 use cdmm_bench::timing::run;
-use cdmm_trace::synth;
+use cdmm_trace::{synth, CompressedTrace, PageId, TraceBuilder};
 use cdmm_vmsim::policy::cd::{CdPolicy, CdSelector};
+use cdmm_vmsim::policy::clock::Clock;
 use cdmm_vmsim::policy::fifo::Fifo;
 use cdmm_vmsim::policy::lru::Lru;
 use cdmm_vmsim::policy::opt::Opt;
 use cdmm_vmsim::policy::pff::Pff;
 use cdmm_vmsim::policy::ws::WorkingSet;
 use cdmm_vmsim::policy::Policy;
-use cdmm_vmsim::{simulate, SimConfig};
+use cdmm_vmsim::{simulate, simulate_with, CancelToken, Metrics, NullTracer, SimConfig};
 
 const LEN: usize = 50_000;
 const PAGES: u32 = 128;
 const SAMPLES: u32 = 20;
+const SWEEP: u32 = 200_000;
 
 fn main() {
     let trace = synth::uniform(PAGES, LEN, 42);
@@ -26,6 +31,10 @@ fn main() {
     });
     run("fifo/64", SAMPLES, || {
         let mut p = Fifo::new(64);
+        simulate(&trace, &mut p, SimConfig::default())
+    });
+    run("clock/64", SAMPLES, || {
+        let mut p = Clock::new(64);
         simulate(&trace, &mut p, SimConfig::default())
     });
     run("ws/1000", SAMPLES, || {
@@ -62,4 +71,56 @@ fn main() {
         let m = simulate(&nested, &mut p, SimConfig::default());
         (m, p.resident())
     });
+
+    // The same trace compressed, through the run-level kernels: 16
+    // frames thrash the 32-page inner loop (mixed runs fall back per
+    // reference), 40 hold all of it (steady cycles batch).
+    let compressed = CompressedTrace::from_trace(&nested);
+    println!(
+        "run_level_nested_loop_trace ({} refs in {} ops)",
+        compressed.ref_count(),
+        compressed.op_count()
+    );
+    for frames in [16, 40] {
+        run(&format!("run_level/lru_{frames}"), SAMPLES, || {
+            run_level(&compressed, &mut Lru::new(frames))
+        });
+        run(&format!("run_level/fifo_{frames}"), SAMPLES, || {
+            run_level(&compressed, &mut Fifo::new(frames))
+        });
+        run(&format!("run_level/clock_{frames}"), SAMPLES, || {
+            run_level(&compressed, &mut Clock::new(frames))
+        });
+        run(&format!("run_level/opt_{frames}"), SAMPLES, || {
+            run_level(&compressed, &mut Opt::for_trace(&compressed, frames))
+        });
+    }
+    run("run_level/pff_200", SAMPLES, || {
+        run_level(&compressed, &mut Pff::new(200))
+    });
+
+    // A fault-heavy large allocation: two sweeps over SWEEP pages under
+    // OPT(SWEEP / 2) evict on every fault after the first half-sweep,
+    // so this row prices an eviction when the resident set is large.
+    let mut sweeps = TraceBuilder::new();
+    for _ in 0..2 {
+        sweeps.push_run(PageId(0), 1, SWEEP);
+    }
+    let sweeps = sweeps.finish(SWEEP);
+    println!("double_sweep_trace ({} refs)", sweeps.ref_count());
+    run("run_level/opt_half_sweep", SAMPLES, || {
+        run_level(&sweeps, &mut Opt::for_trace(&sweeps, SWEEP as usize / 2))
+    });
+}
+
+/// The run-level loop production runs take, untraced, under an idle token.
+fn run_level<P: Policy>(trace: &CompressedTrace, policy: &mut P) -> Metrics {
+    simulate_with(
+        trace,
+        policy,
+        SimConfig::default(),
+        &mut NullTracer,
+        &CancelToken::new(),
+    )
+    .expect("an idle token never stops the run")
 }

@@ -6,8 +6,8 @@
 //! cdmm instrument <file>               print the directive-instrumented source
 //! cdmm trace <file>                    trace statistics
 //! cdmm simulate <file> [options]       run one policy over the program
-//!     --policy cd|lru|ws|fifo|opt|pff  (default cd)
-//!     --frames N                       allocation for lru/fifo/opt (default 8)
+//!     --policy cd|cd-nolocks|lru|ws|fifo|clock|opt|pff  (default cd)
+//!     --frames N                       allocation for lru/fifo/clock/opt (default 8)
 //!     --tau N                          WS window / PFF threshold (default 1000)
 //!     --level outer|inner|N            CD request selection (default 2)
 //! cdmm sweep <file> --policy lru|ws    operating curve (PF/MEM/ST per point)
@@ -142,17 +142,24 @@ fn simulate_cmd(path: &str, rest: &[String]) -> Result<(), String> {
         .unwrap_or("1000")
         .parse()
         .map_err(|_| "bad --tau")?;
+    let selector = || -> Result<CdSelector, String> {
+        Ok(match flag_value(rest, "--level").unwrap_or("2") {
+            "outer" => CdSelector::Outermost,
+            "inner" => CdSelector::Innermost,
+            k => CdSelector::AtLevel(k.parse().map_err(|_| "bad --level")?),
+        })
+    };
     let spec = match policy {
         "cd" => PolicySpec::Cd {
-            selector: match flag_value(rest, "--level").unwrap_or("2") {
-                "outer" => CdSelector::Outermost,
-                "inner" => CdSelector::Innermost,
-                k => CdSelector::AtLevel(k.parse().map_err(|_| "bad --level")?),
-            },
+            selector: selector()?,
+        },
+        "cd-nolocks" => PolicySpec::CdNoLocks {
+            selector: selector()?,
         },
         "lru" => PolicySpec::Lru { frames },
         "ws" => PolicySpec::Ws { tau },
         "fifo" => PolicySpec::Fifo { frames },
+        "clock" => PolicySpec::Clock { frames },
         "opt" => PolicySpec::Opt { frames },
         "pff" => PolicySpec::Pff { threshold: tau },
         other => return Err(format!("unknown policy `{other}`")),

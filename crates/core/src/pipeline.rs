@@ -451,7 +451,19 @@ impl Prepared {
     /// scheduler's worker threads; every policy is a plain data
     /// structure, so this costs nothing.
     pub fn build_policy(&self, spec: PolicySpec) -> Box<dyn Policy + Send> {
-        match spec {
+        self.build_policy_while(spec, || true)
+            .expect("an idle poll never stops the build")
+    }
+
+    /// [`Prepared::build_policy`] under a cooperative poll, which only
+    /// OPT's lookahead pass consults (see [`Opt::for_trace_while`]).
+    /// Returns `None` when the poll stopped the build.
+    fn build_policy_while(
+        &self,
+        spec: PolicySpec,
+        keep_going: impl FnMut() -> bool,
+    ) -> Option<Box<dyn Policy + Send>> {
+        Some(match spec {
             PolicySpec::Cd { selector } => {
                 Box::new(CdPolicy::new(selector).with_min_alloc(self.config.min_alloc))
             }
@@ -464,9 +476,11 @@ impl Prepared {
             PolicySpec::Ws { tau } => Box::new(WorkingSet::new(tau.max(1))),
             PolicySpec::Fifo { frames } => Box::new(Fifo::new(frames.max(1))),
             PolicySpec::Clock { frames } => Box::new(Clock::new(frames.max(1))),
-            PolicySpec::Opt { frames } => {
-                Box::new(Opt::for_trace(&self.plain_trace, frames.max(1)))
-            }
+            PolicySpec::Opt { frames } => Box::new(Opt::for_trace_while(
+                &self.plain_trace,
+                frames.max(1),
+                keep_going,
+            )?),
             PolicySpec::Pff { threshold } => Box::new(Pff::new(threshold.max(1))),
             PolicySpec::DampedWs { tau, reserve_cap } => {
                 Box::new(DampedWs::new(tau.max(1), reserve_cap))
@@ -483,7 +497,7 @@ impl Prepared {
                 max_interval.max(min_interval.max(1)),
                 fault_quota.max(1),
             )),
-        }
+        })
     }
 
     /// The label the built policy will report, e.g. `"LRU(26)"`.
@@ -531,13 +545,19 @@ impl Prepared {
     /// loop (see [`simulate_with`]). Metrics are identical either way.
     /// The batch service runs every sim job through here, under the
     /// job's deadline token.
+    ///
+    /// OPT's lookahead pass costs O(references) before the first one is
+    /// simulated, so it polls the same token; a stop there is
+    /// [`SimError::DeadlineExceeded`] with no references done.
     pub fn run_policy_traced(
         &self,
         spec: PolicySpec,
         tracer: &mut dyn Tracer,
         token: &CancelToken,
     ) -> Result<Metrics, SimError> {
-        let mut policy = self.build_policy(spec);
+        let mut policy = self
+            .build_policy_while(spec, || !token.should_stop())
+            .ok_or(SimError::DeadlineExceeded { refs_done: 0 })?;
         simulate_with(
             self.trace_for(spec),
             policy.as_mut(),

@@ -33,7 +33,9 @@ use cdmm_trace::{Event, PageId, PageRange, Run};
 
 use crate::metrics::Metrics;
 use crate::observe::{AllocDecision, SimEvent};
-use crate::policy::{batch_all_hit, batch_all_miss, classify_run, Policy, RunClass};
+use crate::policy::{
+    batch_all_hit, batch_all_miss, classify_run, cycle_period, warm_up_cycle, Policy, RunClass,
+};
 use crate::recency::RecencySet;
 
 /// How the policy picks one request out of an `ALLOCATE` list.
@@ -609,7 +611,7 @@ impl Policy for CdPolicy {
             // a degraded policy has `target == u64::MAX` (plain demand
             // paging, no evictions). Locks or a hard limit put lock
             // breaking and pin-skipping in play — per-ref handles those.
-            match classify_run(&self.resident, start, stride, len) {
+            match classify_run(start, stride, len, |p| self.resident.contains(p)) {
                 RunClass::AllHit => batch_all_hit(&mut self.resident, start, stride, len, metrics),
                 RunClass::AllMiss => {
                     batch_all_miss(&mut self.resident, start, stride, len, self.target, metrics)
@@ -632,27 +634,16 @@ impl Policy for CdPolicy {
         if self.tracing {
             return crate::policy::reference_cycle_per_run(self, body, reps, metrics);
         }
-        let period: u64 = body.iter().map(|r| r.len as u64).sum();
-        for it in 0..reps {
-            let faults_before = metrics.faults;
-            for r in body {
-                self.reference_run(r.start, r.stride, r.len, metrics);
-            }
-            if metrics.faults == faults_before {
-                // Steady state. CD hits only touch recency order — no
-                // trims, no lock or target changes (those move at
-                // directives, and cycle bodies contain none) — so
-                // replaying the same touch sequence is idempotent and
-                // every remaining iteration hits everywhere at this
-                // resident size. Degradation is directive-driven too,
-                // hence constant across the skipped references.
-                let skipped = (reps - 1 - it) as u64 * period;
-                metrics.record_hits(self.resident.len(), skipped);
-                if self.degraded {
-                    metrics.degraded_refs += skipped;
-                }
-                return;
-            }
+        // Steady state. CD hits only touch recency order — no trims, no
+        // lock or target changes (those move at directives, and cycle
+        // bodies contain none) — so replaying the same touch sequence
+        // is idempotent and every remaining iteration hits everywhere at
+        // this resident size. Degradation is directive-driven too, hence
+        // constant across the skipped references.
+        let skipped = warm_up_cycle(self, body, reps, metrics) as u64 * cycle_period(body);
+        metrics.record_hits(self.resident.len(), skipped);
+        if self.degraded {
+            metrics.degraded_refs += skipped;
         }
     }
 

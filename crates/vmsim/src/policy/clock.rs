@@ -1,23 +1,23 @@
 //! Clock (second-chance) replacement — the cheap LRU approximation real
 //! kernels of the paper's era actually shipped.
 
-use std::collections::HashMap;
+use cdmm_trace::{PageId, Run};
 
-use cdmm_trace::PageId;
-
-use crate::policy::Policy;
+use crate::metrics::Metrics;
+use crate::policy::{classify_run, cycle_period, warm_up_cycle, Policy, RunClass, SlotTable};
 
 /// Fixed-allocation Clock with one use bit per frame.
 ///
 /// The frame table grows on demand up to the allocation, so a huge
 /// allocation costs only the frames the trace actually fills. Until
 /// the table is full the hand always sits on the next empty frame, so
-/// growing it changes nothing about the schedule.
+/// growing it changes nothing about the schedule. A dense page → frame
+/// table, grown by page id, answers membership.
 #[derive(Debug, Clone)]
 pub struct Clock {
     frames: Vec<(PageId, bool)>,
     capacity: usize,
-    index: HashMap<PageId, usize>,
+    slot: SlotTable,
     hand: usize,
 }
 
@@ -32,7 +32,7 @@ impl Clock {
         Clock {
             frames: Vec::new(),
             capacity: frames,
-            index: HashMap::new(),
+            slot: SlotTable::default(),
             hand: 0,
         }
     }
@@ -48,7 +48,7 @@ impl Policy for Clock {
     }
 
     fn reference(&mut self, page: PageId) -> bool {
-        if let Some(&slot) = self.index.get(&page) {
+        if let Some(slot) = self.slot.get(page) {
             // Hit: set the use bit.
             self.frames[slot].1 = true;
             return false;
@@ -64,16 +64,51 @@ impl Policy for Clock {
                 self.advance();
             }
             let (old, _) = self.frames[self.hand];
-            self.index.remove(&old);
+            self.slot.remove(old);
             self.frames[self.hand] = (page, true);
         }
-        self.index.insert(page, self.hand);
+        self.slot.set(page, self.hand);
         self.advance();
         true
     }
 
     fn resident(&self) -> usize {
-        self.index.len()
+        self.frames.len()
+    }
+
+    fn reference_run(&mut self, start: PageId, stride: i32, len: u32, metrics: &mut Metrics) {
+        if len <= 1 {
+            return crate::policy::reference_run_per_ref(self, start, stride, len, metrics);
+        }
+        if stride == 0 {
+            // The first reference settles residency and sets the use
+            // bit; the rest are hits that set it again.
+            let fault = self.reference(start);
+            metrics.record(self.frames.len(), fault);
+            metrics.record_hits(self.frames.len(), (len - 1) as u64);
+            return;
+        }
+        match classify_run(start, stride, len, |p| self.slot.contains(p)) {
+            RunClass::AllHit => {
+                // Hits only set use bits; the hand stays put.
+                Run { start, stride, len }.for_each_page(|p| {
+                    if let Some(slot) = self.slot.get(p) {
+                        self.frames[slot].1 = true;
+                    }
+                });
+                metrics.record_hits(self.frames.len(), len as u64);
+            }
+            RunClass::AllMiss | RunClass::Mixed => {
+                crate::policy::reference_run_per_ref(self, start, stride, len, metrics)
+            }
+        }
+    }
+
+    fn reference_cycle(&mut self, body: &[Run], reps: u32, metrics: &mut Metrics) {
+        // A fault-free iteration left every body page's use bit set, so
+        // each remaining iteration sets bits that are already set.
+        let rest = warm_up_cycle(self, body, reps, metrics);
+        metrics.record_hits(self.frames.len(), rest as u64 * cycle_period(body));
     }
 }
 
@@ -81,6 +116,7 @@ impl Policy for Clock {
 mod tests {
     use super::*;
     use crate::policy::lru::Lru;
+    use crate::policy::{check_kernels, run};
     use cdmm_trace::synth;
 
     fn faults(trace: &cdmm_trace::Trace, mut p: impl Policy) -> u64 {
@@ -150,5 +186,32 @@ mod tests {
     #[should_panic(expected = "at least one frame")]
     fn zero_frames_panics() {
         Clock::new(0);
+    }
+
+    #[test]
+    fn stride_zero_run_settles_once_then_hits() {
+        let script: &[(&[Run], u32)] = &[(&[run(4, 0, 50)], 1)];
+        let (_, m, probe) = check_kernels(Clock::new(2), script, &[5, 6, 4]);
+        assert_eq!((m.refs, m.faults, m.mem_integral), (50, 1, 50));
+        assert_eq!(probe, vec![true, true, true]);
+    }
+
+    #[test]
+    fn all_hit_run_sets_use_bits() {
+        // 0..=3 fault in; 3's fault clears every bit and replaces 0, so
+        // the hand rests on page 1. The all-hit run over 1 and 3 sets
+        // 1's bit again: the next fault spares 1 and takes 2.
+        let script: &[(&[Run], u32)] = &[(&[run(0, 1, 4)], 1), (&[run(1, 2, 2)], 1)];
+        let (_, m, probe) = check_kernels(Clock::new(3), script, &[4, 1, 2]);
+        assert_eq!((m.refs, m.faults), (6, 4));
+        assert_eq!(probe, vec![true, false, true], "1 got its second chance");
+    }
+
+    #[test]
+    fn steady_cycle_then_fault_sweeps_the_set_bits() {
+        let script: &[(&[Run], u32)] = &[(&[run(0, 1, 2)], 5)];
+        let (_, m, probe) = check_kernels(Clock::new(2), script, &[2, 1, 0]);
+        assert_eq!((m.refs, m.faults), (10, 2));
+        assert_eq!(probe, vec![true, false, true]);
     }
 }

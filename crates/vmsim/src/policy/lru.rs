@@ -4,7 +4,9 @@ use cdmm_trace::{PageId, Run};
 
 use crate::metrics::Metrics;
 use crate::observe::SimEvent;
-use crate::policy::{batch_all_hit, batch_all_miss, classify_run, Policy, RunClass};
+use crate::policy::{
+    batch_all_hit, batch_all_miss, classify_run, cycle_period, warm_up_cycle, Policy, RunClass,
+};
 use crate::recency::RecencySet;
 
 /// LRU with a fixed frame allocation (the paper's static baseline).
@@ -15,7 +17,6 @@ use crate::recency::RecencySet;
 pub struct Lru {
     frames: usize,
     set: RecencySet,
-    faults: u64,
     tracing: bool,
     events: Vec<SimEvent>,
 }
@@ -31,7 +32,6 @@ impl Lru {
         Lru {
             frames,
             set: RecencySet::new(),
-            faults: 0,
             tracing: false,
             events: Vec::new(),
         }
@@ -40,11 +40,6 @@ impl Lru {
     /// The fixed allocation.
     pub fn frames(&self) -> usize {
         self.frames
-    }
-
-    /// Faults recorded so far.
-    pub fn faults(&self) -> u64 {
-        self.faults
     }
 
     /// Releases every resident page (used when the multiprogramming
@@ -65,7 +60,6 @@ impl Policy for Lru {
         if hit {
             return false;
         }
-        self.faults += 1;
         if self.set.len() > self.frames {
             // The just-touched page is the most recent; pop_lru removes a
             // different (older) page.
@@ -112,19 +106,16 @@ impl Policy for Lru {
             metrics.record_hits(self.set.len(), (len - 1) as u64);
             return;
         }
-        match classify_run(&self.set, start, stride, len) {
+        match classify_run(start, stride, len, |p| self.set.contains(p)) {
             RunClass::AllHit => batch_all_hit(&mut self.set, start, stride, len, metrics),
-            RunClass::AllMiss => {
-                batch_all_miss(
-                    &mut self.set,
-                    start,
-                    stride,
-                    len,
-                    self.frames as u64,
-                    metrics,
-                );
-                self.faults += len as u64;
-            }
+            RunClass::AllMiss => batch_all_miss(
+                &mut self.set,
+                start,
+                stride,
+                len,
+                self.frames as u64,
+                metrics,
+            ),
             RunClass::Mixed => {
                 crate::policy::reference_run_per_ref(self, start, stride, len, metrics)
             }
@@ -135,23 +126,13 @@ impl Policy for Lru {
         if self.tracing {
             return crate::policy::reference_cycle_per_run(self, body, reps, metrics);
         }
-        let period: u64 = body.iter().map(|r| r.len as u64).sum();
-        for it in 0..reps {
-            let faults_before = self.faults;
-            for r in body {
-                self.reference_run(r.start, r.stride, r.len, metrics);
-            }
-            if self.faults == faults_before {
-                // Steady state: a fault-free iteration leaves the body's
-                // pages resident, and LRU hits never evict, so replaying
-                // the same touch sequence is idempotent — every further
-                // iteration hits everywhere at a constant resident size
-                // and reproduces exactly this recency order.
-                let skipped = (reps - 1 - it) as u64 * period;
-                metrics.record_hits(self.set.len(), skipped);
-                return;
-            }
-        }
+        // Steady state: a fault-free iteration leaves the body's pages
+        // resident, and LRU hits never evict, so replaying the same
+        // touch sequence is idempotent — every further iteration hits
+        // everywhere at a constant resident size and reproduces exactly
+        // this recency order.
+        let rest = warm_up_cycle(self, body, reps, metrics);
+        metrics.record_hits(self.set.len(), rest as u64 * cycle_period(body));
     }
 }
 

@@ -76,9 +76,10 @@ pub trait Policy {
     /// per-reference driver loop would: one [`Metrics::record`] after
     /// each reference, plus the degraded-reference count.
     ///
-    /// The default decodes the run reference by reference; the three
-    /// paper policies (CD, LRU, WS) override it with closed-form batch
-    /// kernels and fall back to this decode in the hard cases. Whatever
+    /// The default decodes the run reference by reference; the paper
+    /// policies (CD, LRU, WS) and the served baselines (FIFO, Clock,
+    /// OPT, PFF) override it with closed-form batch kernels and fall
+    /// back to this decode in the hard cases. Whatever
     /// path is taken, the resulting policy state and metrics must be
     /// byte-identical to the per-ref loop — the contract the
     /// `run_level_equivalence` differential harness pins.
@@ -91,11 +92,11 @@ pub trait Policy {
     /// [`Policy::reference_run`].
     ///
     /// The default replays the body run by run every iteration. The
-    /// paper policies override it with a *steady-state* kernel: they
-    /// execute iterations through [`Policy::reference_run`] until one
-    /// completes without a fault, prove from that that every remaining
-    /// iteration is identical, and account for all of them at once —
-    /// the run-level counterpart of a loop reaching its resident
+    /// policies with run kernels override it with a *steady-state*
+    /// kernel: they execute iterations through [`Policy::reference_run`]
+    /// until one completes without a fault, prove from that that every
+    /// remaining iteration is identical, and account for all of them at
+    /// once — the run-level counterpart of a loop reaching its resident
     /// working set.
     fn reference_cycle(&mut self, body: &[Run], reps: u32, metrics: &mut Metrics) {
         reference_cycle_per_run(self, body, reps, metrics);
@@ -167,7 +168,38 @@ pub fn reference_run_per_ref<P: Policy + ?Sized>(
     }
 }
 
-/// How a stride ≠ 0 run (all pages distinct) relates to a recency set.
+/// Runs a cycle's iterations through [`Policy::reference_run`] until
+/// one completes without a fault, and returns how many iterations are
+/// left after it (0 when none was fault-free, or the last one was).
+///
+/// Every policy that calls this shares one property: a hit never
+/// evicts. A fault-free iteration therefore leaves every body page
+/// resident, so each remaining iteration hits everywhere at the same
+/// resident size — the caller accounts for them in closed form.
+pub(crate) fn warm_up_cycle<P: Policy + ?Sized>(
+    policy: &mut P,
+    body: &[Run],
+    reps: u32,
+    metrics: &mut Metrics,
+) -> u32 {
+    for it in 0..reps {
+        let faults_before = metrics.faults;
+        for r in body {
+            policy.reference_run(r.start, r.stride, r.len, metrics);
+        }
+        if metrics.faults == faults_before {
+            return reps - 1 - it;
+        }
+    }
+    0
+}
+
+/// References in one iteration of a cycle body.
+pub(crate) fn cycle_period(body: &[Run]) -> u64 {
+    body.iter().map(|r| r.len as u64).sum()
+}
+
+/// How a stride ≠ 0 run (all pages distinct) relates to a resident set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum RunClass {
     /// Every run page is resident: touches only, no faults possible.
@@ -179,17 +211,23 @@ pub(crate) enum RunClass {
     Mixed,
 }
 
-/// Classifies a stride ≠ 0 run against the current resident set. Sound
-/// because runs with nonzero stride visit distinct pages: an `AllHit`
-/// run causes no evictions (hits never evict), so residency cannot
-/// change mid-run, and an `AllMiss` run never revisits what it evicts.
-pub(crate) fn classify_run(set: &RecencySet, start: PageId, stride: i32, len: u32) -> RunClass {
+/// Classifies a stride ≠ 0 run against the current resident set, given
+/// as a membership test. Sound for every policy whose hits never evict:
+/// runs with nonzero stride visit distinct pages, so an `AllHit` run
+/// cannot change residency mid-run, and an `AllMiss` run never revisits
+/// what it evicts.
+pub(crate) fn classify_run(
+    start: PageId,
+    stride: i32,
+    len: u32,
+    resident: impl Fn(PageId) -> bool,
+) -> RunClass {
     let mut p = start.0 as i64;
     let stride = stride as i64;
-    let first = set.contains(PageId(p as u32));
+    let first = resident(PageId(p as u32));
     for _ in 1..len {
         p += stride;
-        if set.contains(PageId(p as u32)) != first {
+        if resident(PageId(p as u32)) != first {
             return RunClass::Mixed;
         }
     }
@@ -197,6 +235,78 @@ pub(crate) fn classify_run(set: &RecencySet, start: PageId, stride: i32, len: u3
         RunClass::AllHit
     } else {
         RunClass::AllMiss
+    }
+}
+
+/// A dense set of resident pages for the fixed-space policies that only
+/// ask whether a page is resident (FIFO, PFF). One flag per page id,
+/// grown on demand by page id — never by allocation size.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PageSet(Vec<bool>);
+
+impl PageSet {
+    /// Is `page` resident?
+    #[inline]
+    pub(crate) fn contains(&self, page: PageId) -> bool {
+        self.0.get(page.0 as usize).copied().unwrap_or(false)
+    }
+
+    /// Marks `page` resident.
+    #[inline]
+    pub(crate) fn insert(&mut self, page: PageId) {
+        let idx = page.0 as usize;
+        if idx >= self.0.len() {
+            self.0.resize(idx + 1, false);
+        }
+        self.0[idx] = true;
+    }
+
+    /// Marks a resident `page` as no longer resident.
+    #[inline]
+    pub(crate) fn remove(&mut self, page: PageId) {
+        self.0[page.0 as usize] = false;
+    }
+}
+
+/// A dense page → slot map for the fixed-space policies that find a
+/// resident page's entry in a slot array (Clock's frames, OPT's
+/// resident list). One `u32` per page id, grown on demand by page id —
+/// never by allocation size — with a sentinel for "not resident".
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SlotTable(Vec<u32>);
+
+impl SlotTable {
+    const NONE: u32 = u32::MAX;
+
+    /// The slot `page` occupies, if it is resident.
+    #[inline]
+    pub(crate) fn get(&self, page: PageId) -> Option<usize> {
+        match self.0.get(page.0 as usize) {
+            Some(&slot) if slot != Self::NONE => Some(slot as usize),
+            _ => None,
+        }
+    }
+
+    /// Is `page` resident?
+    #[inline]
+    pub(crate) fn contains(&self, page: PageId) -> bool {
+        self.get(page).is_some()
+    }
+
+    /// Records that `page` now occupies `slot`.
+    #[inline]
+    pub(crate) fn set(&mut self, page: PageId, slot: usize) {
+        let idx = page.0 as usize;
+        if idx >= self.0.len() {
+            self.0.resize(idx + 1, Self::NONE);
+        }
+        self.0[idx] = slot as u32;
+    }
+
+    /// Marks a resident `page` as no longer resident.
+    #[inline]
+    pub(crate) fn remove(&mut self, page: PageId) {
+        self.0[page.0 as usize] = Self::NONE;
     }
 }
 
@@ -267,5 +377,61 @@ pub(crate) fn batch_all_miss(
             set.touch(PageId(p as u32));
             p += stride64;
         }
+    }
+}
+
+/// Drives a script of runs and cycles — `(body, reps)`, with `reps == 1`
+/// for plain runs — through `policy`'s run kernels, and a clone through
+/// the per-reference decode, asserting identical metrics after each
+/// step; then references the `probe` pages on both, asserting identical
+/// faults and resident sizes. Returns the kernel-driven policy, its
+/// metrics after the script, and the probe's fault outcomes.
+#[cfg(test)]
+pub(crate) fn check_kernels<P: Policy + Clone>(
+    mut policy: P,
+    script: &[(&[Run], u32)],
+    probe: &[u32],
+) -> (P, Metrics, Vec<bool>) {
+    let mut oracle = policy.clone();
+    let (mut fast, mut slow) = (Metrics::new(2000), Metrics::new(2000));
+    for &(body, reps) in script {
+        if reps == 1 {
+            for r in body {
+                policy.reference_run(r.start, r.stride, r.len, &mut fast);
+            }
+        } else {
+            policy.reference_cycle(body, reps, &mut fast);
+        }
+        for _ in 0..reps {
+            for r in body {
+                reference_run_per_ref(&mut oracle, r.start, r.stride, r.len, &mut slow);
+            }
+        }
+        assert_eq!(
+            fast,
+            slow,
+            "{}: kernel drifted from per-ref",
+            policy.label()
+        );
+    }
+    let faults = probe
+        .iter()
+        .map(|&p| {
+            let fault = policy.reference(PageId(p));
+            assert_eq!(fault, oracle.reference(PageId(p)), "probe {p}");
+            assert_eq!(policy.resident(), oracle.resident(), "probe {p}");
+            fault
+        })
+        .collect();
+    (policy, fast, faults)
+}
+
+/// Shorthand for a run in kernel test scripts.
+#[cfg(test)]
+pub(crate) fn run(start: u32, stride: i32, len: u32) -> Run {
+    Run {
+        start: PageId(start),
+        stride,
+        len,
     }
 }

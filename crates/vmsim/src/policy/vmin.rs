@@ -13,7 +13,7 @@ use std::collections::HashSet;
 
 use cdmm_trace::{EventSource, PageId};
 
-use crate::policy::opt::next_use_chain;
+use crate::policy::opt::next_use_chain_while;
 use crate::policy::Policy;
 
 const NEVER: u64 = u64::MAX;
@@ -36,7 +36,8 @@ impl Vmin {
     /// Panics if `tau` is zero.
     pub fn for_trace<S: EventSource + ?Sized>(trace: &S, tau: u64) -> Self {
         assert!(tau > 0, "VMIN window must be positive");
-        let next_use = next_use_chain(trace);
+        let next_use =
+            next_use_chain_while(trace, || true).expect("an idle poll never stops the pass");
         Vmin {
             tau,
             next_use,

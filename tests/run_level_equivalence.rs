@@ -5,6 +5,10 @@
 //! stream where tracing applies — on every reproduced workload and on
 //! an adversarial seeded trace generator.
 //!
+//! The served baselines — FIFO, Clock, OPT and PFF — are also checked
+//! against the hash-based implementations their dense kernels replaced,
+//! kept here verbatim as independent oracles (`models`).
+//!
 //! The generator (SplitMix64, seed from `CDMM_EQUIV_SEED`, default 42)
 //! aims at the fast paths' fallback seams: runs straddling directive
 //! boundaries, strides larger than the page count, negative strides,
@@ -18,13 +22,245 @@ use cdmm_core::{prepare, PipelineConfig, PolicySpec, Prepared};
 use cdmm_lang::ast::AllocArg;
 use cdmm_trace::{CompressedTrace, Event, PageId, PageRange, Trace};
 use cdmm_vmsim::policy::cd::{CdPolicy, CdSelector};
+use cdmm_vmsim::policy::clock::Clock;
+use cdmm_vmsim::policy::fifo::Fifo;
 use cdmm_vmsim::policy::lru::Lru;
+use cdmm_vmsim::policy::opt::Opt;
+use cdmm_vmsim::policy::pff::Pff;
 use cdmm_vmsim::policy::ws::WorkingSet;
 use cdmm_vmsim::{
     simulate, simulate_with, CancelToken, Detail, EventLog, Metrics, NullTracer, Policy, SimConfig,
     TimedEvent, Tracer,
 };
 use cdmm_workloads::{all, Scale};
+
+/// The hash-based FIFO, Clock, OPT and PFF bodies that the dense,
+/// run-level implementations replaced, kept verbatim as oracles.
+mod models {
+    use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+
+    use cdmm_trace::{EventSource, PageId};
+    use cdmm_vmsim::Policy;
+
+    pub struct Fifo {
+        frames: usize,
+        queue: VecDeque<PageId>,
+        resident: HashSet<PageId>,
+    }
+
+    impl Fifo {
+        pub fn new(frames: usize) -> Self {
+            assert!(frames > 0, "FIFO needs at least one frame");
+            Fifo {
+                frames,
+                queue: VecDeque::new(),
+                resident: HashSet::new(),
+            }
+        }
+    }
+
+    impl Policy for Fifo {
+        fn label(&self) -> String {
+            format!("FIFO({})", self.frames)
+        }
+
+        fn reference(&mut self, page: PageId) -> bool {
+            if self.resident.contains(&page) {
+                return false;
+            }
+            if self.resident.len() >= self.frames {
+                if let Some(victim) = self.queue.pop_front() {
+                    self.resident.remove(&victim);
+                }
+            }
+            self.resident.insert(page);
+            self.queue.push_back(page);
+            true
+        }
+
+        fn resident(&self) -> usize {
+            self.resident.len()
+        }
+    }
+
+    pub struct Clock {
+        frames: Vec<(PageId, bool)>,
+        capacity: usize,
+        index: HashMap<PageId, usize>,
+        hand: usize,
+    }
+
+    impl Clock {
+        pub fn new(frames: usize) -> Self {
+            assert!(frames > 0, "Clock needs at least one frame");
+            Clock {
+                frames: Vec::new(),
+                capacity: frames,
+                index: HashMap::new(),
+                hand: 0,
+            }
+        }
+
+        fn advance(&mut self) {
+            self.hand = (self.hand + 1) % self.capacity;
+        }
+    }
+
+    impl Policy for Clock {
+        fn label(&self) -> String {
+            format!("CLOCK({})", self.capacity)
+        }
+
+        fn reference(&mut self, page: PageId) -> bool {
+            if let Some(&slot) = self.index.get(&page) {
+                self.frames[slot].1 = true;
+                return false;
+            }
+            if self.frames.len() < self.capacity {
+                self.frames.push((page, true));
+            } else {
+                while self.frames[self.hand].1 {
+                    self.frames[self.hand].1 = false;
+                    self.advance();
+                }
+                let (old, _) = self.frames[self.hand];
+                self.index.remove(&old);
+                self.frames[self.hand] = (page, true);
+            }
+            self.index.insert(page, self.hand);
+            self.advance();
+            true
+        }
+
+        fn resident(&self) -> usize {
+            self.index.len()
+        }
+    }
+
+    pub struct Pff {
+        threshold: u64,
+        clock: u64,
+        last_fault: u64,
+        resident: HashMap<PageId, ()>,
+        used_since_fault: HashSet<PageId>,
+    }
+
+    impl Pff {
+        pub fn new(threshold: u64) -> Self {
+            assert!(threshold > 0, "PFF threshold must be positive");
+            Pff {
+                threshold,
+                clock: 0,
+                last_fault: 0,
+                resident: HashMap::new(),
+                used_since_fault: HashSet::new(),
+            }
+        }
+    }
+
+    impl Policy for Pff {
+        fn label(&self) -> String {
+            format!("PFF({})", self.threshold)
+        }
+
+        fn reference(&mut self, page: PageId) -> bool {
+            self.clock += 1;
+            if self.resident.contains_key(&page) {
+                self.used_since_fault.insert(page);
+                return false;
+            }
+            if self.clock - self.last_fault > self.threshold {
+                self.resident
+                    .retain(|p, ()| self.used_since_fault.contains(p));
+            }
+            self.last_fault = self.clock;
+            self.used_since_fault.clear();
+            self.resident.insert(page, ());
+            self.used_since_fault.insert(page);
+            true
+        }
+
+        fn resident(&self) -> usize {
+            self.resident.len()
+        }
+    }
+
+    const NEVER: u64 = u64::MAX;
+
+    fn next_use_chain<S: EventSource + ?Sized>(trace: &S) -> Vec<u64> {
+        const NO_POS: usize = usize::MAX;
+        let mut refs: Vec<PageId> = Vec::with_capacity(trace.ref_count() as usize);
+        trace.for_each_ref(|p| refs.push(p));
+        let mut next_use = vec![NEVER; refs.len()];
+        let mut last_pos = vec![NO_POS; trace.page_count_hint()];
+        for (i, &p) in refs.iter().enumerate().rev() {
+            let idx = p.0 as usize;
+            if idx >= last_pos.len() {
+                last_pos.resize(idx + 1, NO_POS);
+            }
+            if last_pos[idx] != NO_POS {
+                next_use[i] = last_pos[idx] as u64;
+            }
+            last_pos[idx] = i;
+        }
+        next_use
+    }
+
+    pub struct Opt {
+        frames: usize,
+        next_use: Vec<u64>,
+        pos: usize,
+        by_next: BTreeSet<(u64, PageId)>,
+        resident: HashMap<PageId, u64>,
+    }
+
+    impl Opt {
+        pub fn for_trace<S: EventSource + ?Sized>(trace: &S, frames: usize) -> Self {
+            assert!(frames > 0, "OPT needs at least one page frame");
+            Opt {
+                frames,
+                next_use: next_use_chain(trace),
+                pos: 0,
+                by_next: BTreeSet::new(),
+                resident: HashMap::new(),
+            }
+        }
+    }
+
+    impl Policy for Opt {
+        fn label(&self) -> String {
+            format!("OPT({})", self.frames)
+        }
+
+        fn reference(&mut self, page: PageId) -> bool {
+            let i = self.pos;
+            self.pos += 1;
+            let next = self.next_use.get(i).copied().unwrap_or(NEVER);
+            let fault = match self.resident.remove(&page) {
+                Some(old_next) => {
+                    self.by_next.remove(&(old_next, page));
+                    false
+                }
+                None => {
+                    if self.resident.len() >= self.frames {
+                        if let Some(&victim) = self.by_next.iter().next_back() {
+                            self.by_next.remove(&victim);
+                            self.resident.remove(&victim.1);
+                        }
+                    }
+                    true
+                }
+            };
+            self.resident.insert(page, next);
+            self.by_next.insert((next, page));
+            fault
+        }
+
+        fn resident(&self) -> usize {
+            self.resident.len()
+        }
+    }
+}
 
 fn equiv_seed() -> u64 {
     std::env::var("CDMM_EQUIV_SEED")
@@ -391,5 +627,109 @@ fn seeded_adversarial_campaigns_are_byte_identical() {
                 &format!("seed={seed} campaign={campaign} traced WS({tau})"),
             );
         }
+    }
+}
+
+/// [`assert_equivalent`] plus the hash-based `model`'s per-reference
+/// metrics on the flat trace: all four drives must equal the oracle.
+fn assert_matches_model<M: Policy, P: Policy, F: Fn() -> P>(
+    mut model: M,
+    make: F,
+    flat: &Trace,
+    compressed: &CompressedTrace,
+    what: &str,
+) -> Metrics {
+    let want = simulate(flat, &mut model, SimConfig::default());
+    let got = assert_equivalent(make, flat, compressed, what);
+    assert_eq!(got, want, "{what}: drifted from the hash-based model");
+    got
+}
+
+/// [`assert_matches_model`] on one workload's plain trace, plus the
+/// pipeline route for `spec`.
+fn check_served<M: Policy, P: Policy, F: Fn() -> P>(
+    p: &Prepared,
+    flat: &Trace,
+    model: M,
+    make: F,
+    spec: PolicySpec,
+) {
+    let what = format!("{} {}", p.name(), make().label());
+    let m = assert_matches_model(model, make, flat, p.plain_trace(), &what);
+    assert_eq!(m, p.run_policy(spec), "{what}: pipeline route");
+}
+
+#[test]
+fn served_baselines_match_their_hash_based_models_on_every_workload() {
+    for p in prepared_workloads() {
+        let flat = p.plain_trace().to_trace();
+        for frames in [2usize, 8, 32] {
+            let model = models::Fifo::new(frames);
+            let spec = PolicySpec::Fifo { frames };
+            check_served(&p, &flat, model, || Fifo::new(frames), spec);
+            let model = models::Clock::new(frames);
+            let spec = PolicySpec::Clock { frames };
+            check_served(&p, &flat, model, || Clock::new(frames), spec);
+            let model = models::Opt::for_trace(&flat, frames);
+            let spec = PolicySpec::Opt { frames };
+            let make = || Opt::for_trace(p.plain_trace(), frames);
+            check_served(&p, &flat, model, make, spec);
+        }
+        for threshold in [10u64, 100, 1000] {
+            let model = models::Pff::new(threshold);
+            let spec = PolicySpec::Pff { threshold };
+            check_served(&p, &flat, model, || Pff::new(threshold), spec);
+        }
+    }
+}
+
+/// Salt for the served-baseline campaigns' own random stream, so the
+/// LRU/WS/CD campaigns above keep exactly their cases at every seed.
+const BASELINE_SALT: u64 = 0x5eed_ba5e_11e5_0001;
+
+/// One served-baseline case of a seeded campaign: the model and the
+/// equivalence drives, plus the traced event streams when `traced`.
+fn check_campaign<M: Policy, P: Policy, F: Fn() -> P>(
+    model: M,
+    make: F,
+    flat: &Trace,
+    compressed: &CompressedTrace,
+    campaign: &str,
+    traced: bool,
+) {
+    let what = format!("{campaign} {}", make().label());
+    assert_matches_model(model, &make, flat, compressed, &what);
+    if traced {
+        assert_same_events(&make, flat, compressed, &what);
+    }
+}
+
+#[test]
+fn seeded_campaigns_match_the_hash_based_models() {
+    let seed = equiv_seed();
+    let mut rng = SplitMix64(seed ^ BASELINE_SALT);
+    for campaign in 0..500u32 {
+        let flat = adversarial_trace(&mut rng);
+        let compressed = CompressedTrace::from_trace(&flat);
+        let pages = compressed.virtual_pages().max(1) as u64;
+        let (c, comp) = (&format!("seed={seed} campaign={campaign}"), &compressed);
+        // Every 25th campaign also pins the traced SimEvent streams.
+        let traced = campaign % 25 == 0;
+
+        let fifo = 1 + rng.below(pages + 4) as usize;
+        let model = models::Fifo::new(fifo);
+        check_campaign(model, || Fifo::new(fifo), &flat, comp, c, traced);
+
+        let clock = 1 + rng.below(pages + 4) as usize;
+        let model = models::Clock::new(clock);
+        check_campaign(model, || Clock::new(clock), &flat, comp, c, traced);
+
+        let opt = 1 + rng.below(pages + 4) as usize;
+        let model = models::Opt::for_trace(&flat, opt);
+        check_campaign(model, || Opt::for_trace(comp, opt), &flat, comp, c, traced);
+
+        let threshold = 1 + rng.below(300);
+        let model = models::Pff::new(threshold);
+        check_campaign(model, || Pff::new(threshold), &flat, comp, c, traced);
     }
 }

@@ -9,7 +9,8 @@
 //!   of the on-disk cache format, so its values for one program must
 //!   never move;
 //! - a traced run under a stopped token fails typed before the first
-//!   reference, flushes its tracer and leaves the policy untraced;
+//!   reference, flushes its tracer and leaves the policy untraced, and
+//!   OPT's lookahead pass stops under the same token;
 //! - `policy_label` names exactly the policy `build_policy` builds;
 //! - the tracer's `Detail` level decides what a run delivers and which
 //!   loop it takes: below `Decisions` the policy is never instrumented.
@@ -127,6 +128,21 @@ fn cancelled_traced_run_stops_flushes_and_leaves_tracing_off() {
     assert_eq!(p.run_policy_traced(spec, &mut log, &token), stopped);
     assert!(log.is_empty());
     assert_eq!(p.run_policy_cancellable(spec, &token), stopped);
+}
+
+#[test]
+fn cancelled_opt_run_stops_before_its_lookahead() {
+    // OPT's O(references) next-use pass polls the run's token too, so a
+    // stopped token fails it typed with no reference done.
+    let token = CancelToken::new();
+    token.cancel();
+    let stopped = Err(SimError::DeadlineExceeded { refs_done: 0 });
+    let p = main_small();
+    let spec = PolicySpec::Opt { frames: 8 };
+    assert_eq!(p.run_policy_cancellable(spec, &token), stopped);
+    let mut log = EventLog::new(64);
+    assert_eq!(p.run_policy_traced(spec, &mut log, &token), stopped);
+    assert!(log.is_empty());
 }
 
 #[test]
