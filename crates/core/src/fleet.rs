@@ -62,7 +62,7 @@ pub struct ChaosSpec {
 }
 
 /// Everything needed to manufacture and schedule a fleet.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetSpec {
     /// Number of tenant processes to clone.
     pub tenants: usize,

@@ -23,7 +23,7 @@ use cdmm_vmsim::{simulate_with, Metrics, NullTracer, SimConfig, SimError, Tracer
 use cdmm_workloads::DirectiveLevel;
 
 /// Pipeline-wide knobs.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PipelineConfig {
     /// Page/element geometry (default: the paper's 256-byte pages).
     pub geometry: PageGeometry,

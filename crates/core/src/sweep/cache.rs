@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use cdmm_trace::{COp, CompressedTrace, Event, Trace};
+use cdmm_trace::{COp, CompressedTrace, Event};
 use cdmm_vmsim::observe::{Detail, SharedTracer, SimEvent};
 use cdmm_vmsim::{ExecStats, LruCurve, Metrics, WsCurve};
 
@@ -164,22 +164,11 @@ fn fingerprint_event(h: &mut KeyHasher, e: &Event) {
     }
 }
 
-/// Absorbs a full trace — reference string *and* directive stream — into
-/// a hasher. Two traces differing in any event produce different keys.
-pub fn fingerprint_trace(h: &mut KeyHasher, t: &Trace) {
-    h.write_u64(t.virtual_pages as u64);
-    h.write_u64(t.events.len() as u64);
-    for e in &t.events {
-        fingerprint_event(h, e);
-    }
-}
-
-/// Absorbs a compressed trace by its run/directive ops — O(ops), not
-/// O(references). The builder is deterministic, so two compressed
-/// traces encode the same event stream iff their ops are identical;
-/// hashing ops therefore distinguishes content exactly like
-/// [`fingerprint_trace`] (under a distinct tag, so the two forms never
-/// collide with each other).
+/// Absorbs a compressed trace — reference string *and* directive
+/// stream — by its run/directive ops: O(ops), not O(references). The
+/// builder is deterministic, so two compressed traces encode the same
+/// event stream iff their ops are identical, and hashing the ops
+/// distinguishes content exactly.
 pub fn fingerprint_compressed(h: &mut KeyHasher, t: &CompressedTrace) {
     h.write_u64(t.virtual_pages() as u64);
     h.write_u64(t.op_count() as u64);
@@ -470,11 +459,6 @@ impl ResultCache {
         Self::at_dir(&dir)
     }
 
-    /// Is any storage (memory or disk) behind this cache?
-    pub fn is_enabled(&self) -> bool {
-        self.store.is_some()
-    }
-
     /// Number of entries currently held.
     pub fn len(&self) -> usize {
         self.store
@@ -585,17 +569,13 @@ impl ResultCache {
     /// the file is deterministic) goes to a `.tmp` sibling, is synced,
     /// and atomically renamed over `results.jsonl`. A `kill -9` at any
     /// instant leaves either the previous complete generation or the
-    /// new one — never a torn file.
+    /// new one — never a torn file. A failed write keeps its entries
+    /// pending, so the next flush (or the one on drop) writes them.
     pub fn flush(&self) -> std::io::Result<usize> {
         let Some(s) = &self.store else { return Ok(0) };
         let Some(path) = &s.path else { return Ok(0) };
-        let drained = {
-            let mut pending = s.pending.lock().expect("cache lock");
-            let n = pending.len();
-            pending.clear();
-            n
-        };
-        if drained == 0 {
+        let drained = std::mem::take(&mut *s.pending.lock().expect("cache lock"));
+        if drained.is_empty() {
             return Ok(0);
         }
         let mut entries: Vec<(CacheKey, Metrics)> = {
@@ -608,8 +588,11 @@ impl ResultCache {
             out.push_str(&encode_line(*k, m));
             out.push('\n');
         }
-        atomic_write(path, &out)?;
-        Ok(drained)
+        if let Err(e) = atomic_write(path, &out) {
+            s.pending.lock().expect("cache lock").extend(drained);
+            return Err(e);
+        }
+        Ok(drained.len())
     }
 
     /// Snapshot of the execution counters.
@@ -782,6 +765,31 @@ mod tests {
         let c2 = ResultCache::at_dir(&dir).expect("reopen");
         assert_eq!(c2.len(), 20);
         assert_eq!(c2.discarded_entries(), 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A flush whose write fails (here a directory squats on the temp
+    /// path) loses nothing: the next flush, or the one on drop, writes
+    /// the entries it could not.
+    #[test]
+    fn failed_flush_keeps_its_entries_pending() {
+        let dir = temp_dir("flushfail");
+        let path = dir.join(CACHE_FILE);
+        let lines = || fs::read_to_string(&path).map_or(0, |t| t.lines().count());
+        let c = ResultCache::at_dir(&dir).expect("open");
+        c.insert(CacheKey { hi: 1, lo: 1 }, sample_metrics(1));
+        fs::create_dir(tmp_path(&path)).expect("squat the temp path");
+        assert!(c.flush().is_err(), "the temp file cannot be created");
+        fs::remove_dir(tmp_path(&path)).expect("unsquat");
+        assert_eq!(c.flush().expect("flush"), 1, "the entry is still pending");
+        assert_eq!(lines(), 1);
+
+        c.insert(CacheKey { hi: 2, lo: 2 }, sample_metrics(2));
+        fs::create_dir(tmp_path(&path)).expect("squat again");
+        assert!(c.flush().is_err());
+        fs::remove_dir(tmp_path(&path)).expect("unsquat");
+        drop(c);
+        assert_eq!(lines(), 2, "the flush on drop wrote the pending entry");
         let _ = fs::remove_dir_all(&dir);
     }
 

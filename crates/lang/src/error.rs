@@ -47,6 +47,9 @@ pub enum LangError {
     BadExtent { name: String, span: Span },
     /// Semantic error: the same name was declared twice.
     DuplicateDeclaration { name: String, span: Span },
+    /// Semantic error: this array takes the program's declared elements
+    /// past the cap of `1 << 24`.
+    TooLarge { name: String, span: Span },
     /// A directive line (`!MD$ ...`) was malformed.
     BadDirective { reason: String, span: Span },
 }
@@ -66,6 +69,7 @@ impl LangError {
             | LangError::UnknownParameter { span, .. }
             | LangError::BadExtent { span, .. }
             | LangError::DuplicateDeclaration { span, .. }
+            | LangError::TooLarge { span, .. }
             | LangError::BadDirective { span, .. } => Some(*span),
             LangError::UnexpectedEof { .. } => None,
         }
@@ -135,6 +139,13 @@ impl fmt::Display for LangError {
             }
             LangError::DuplicateDeclaration { name, span } => {
                 write!(f, "{span}: `{name}` declared more than once")
+            }
+            LangError::TooLarge { name, span } => {
+                write!(
+                    f,
+                    "{span}: array `{name}` takes the declared elements past the limit of {}",
+                    crate::sema::MAX_ELEMENTS
+                )
             }
             LangError::BadDirective { reason, span } => {
                 write!(f, "{span}: malformed memory directive: {reason}")

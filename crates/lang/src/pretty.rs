@@ -147,13 +147,6 @@ pub fn directive_source(dir: &Directive) -> String {
     dir.to_string()
 }
 
-/// Renders an expression (exposed for diagnostics and reports).
-pub fn expr_source(expr: &Expr) -> String {
-    let mut s = String::new();
-    print_expr(&mut s, expr);
-    s
-}
-
 /// Precedence levels for parenthesization.
 fn prec(expr: &Expr) -> u8 {
     match expr {

@@ -17,6 +17,12 @@ pub const INTRINSICS: &[&str] = &[
     "ABS", "SQRT", "EXP", "ALOG", "SIN", "COS", "MOD", "MIN", "MAX", "FLOAT", "INT", "SIGN",
 ];
 
+/// The most elements a program may declare over all its arrays: `1 << 24`,
+/// 128 MiB of `f64` interpreter storage. The largest paper workload,
+/// CONDUCT at paper scale, declares 17,328. A program past the cap is a
+/// [`LangError::TooLarge`], never an allocation abort or a wrapped size.
+pub(crate) const MAX_ELEMENTS: u64 = 1 << 24;
+
 /// The resolved shape of one declared array.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArrayShape {
@@ -89,6 +95,7 @@ pub fn analyze(program: &mut Program) -> LangResult<SymbolTable> {
         }
     }
 
+    let mut declared: u64 = 0;
     for decl in &program.arrays {
         if decl.extents.is_empty() || decl.extents.len() > 2 {
             return Err(LangError::BadExtent {
@@ -107,6 +114,15 @@ pub fn analyze(program: &mut Program) -> LangResult<SymbolTable> {
             cols: if dims.len() == 2 { dims[1] } else { 1 },
             rank: dims.len(),
         };
+        declared = shape
+            .rows
+            .checked_mul(shape.cols)
+            .and_then(|n| n.checked_add(declared))
+            .filter(|&n| n <= MAX_ELEMENTS)
+            .ok_or_else(|| LangError::TooLarge {
+                name: decl.name.clone(),
+                span: decl.loc.0,
+            })?;
         if syms.arrays.insert(decl.name.clone(), shape).is_some() {
             return Err(LangError::DuplicateDeclaration {
                 name: decl.name.clone(),
@@ -305,6 +321,41 @@ mod tests {
         assert_eq!((w.rows, w.cols, w.rank), (12, 1, 1));
         assert_eq!(syms.order, vec!["A", "V", "W"]);
         assert_eq!(syms.total_elements(), 24 + 4 + 12);
+    }
+
+    /// Oversized declarations fail with a typed error naming the array:
+    /// one whose element count overflows `u64` (it used to wrap to 0)
+    /// and one past the cap, alone or summed over arrays. The nine paper
+    /// workloads analyse under the cap at both scales
+    /// (`cdmm-workloads`' `all_workloads_parse_and_check`).
+    #[test]
+    fn declarations_past_the_element_cap_are_typed_errors() {
+        for (src, name) in [
+            (
+                "PROGRAM B\nDIMENSION A(4294967296,4294967296)\nA(1,1) = 1.0\nEND",
+                "A",
+            ),
+            ("PROGRAM B\nDIMENSION A(100000,100000)\nEND", "A"),
+            ("PROGRAM B\nDIMENSION V(16), A(4096,4096)\nEND", "A"),
+        ] {
+            let mut p = parse(src).unwrap();
+            match analyze(&mut p) {
+                Err(LangError::TooLarge { name: got, .. }) => assert_eq!(got, name, "{src}"),
+                other => panic!("{src}: {other:?}"),
+            }
+        }
+        let err = analyze(&mut parse("PROGRAM B\nDIMENSION Q(16777217)\nEND").unwrap())
+            .expect_err("one past the cap");
+        assert_eq!(
+            err.to_string(),
+            "line 2: array `Q` takes the declared elements past the limit of 16777216"
+        );
+        let (_, syms) = analyzed("PROGRAM B\nDIMENSION A(4096,4096)\nEND");
+        assert_eq!(
+            syms.total_elements(),
+            MAX_ELEMENTS,
+            "the cap itself is allowed"
+        );
     }
 
     #[test]

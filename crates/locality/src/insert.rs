@@ -19,7 +19,7 @@ use crate::size::SizeReport;
 use crate::Analysis;
 
 /// What to insert.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct InsertOptions {
     /// Insert `ALLOCATE` directives (Algorithm 1).
     pub allocate: bool,

@@ -2,15 +2,15 @@
 //!
 //! Every decision the injector makes is a pure function of `(seed,
 //! site, job, attempt)` through SplitMix64, so a chaos run is exactly
-//! replayable: the same seed injects the same torn writes, short reads,
-//! ENOSPC failures, and mid-job panics, and the chaos tests can assert
-//! the surviving responses byte-identical to a fault-free run.
+//! replayable: the same seed injects the same torn writes and mid-job
+//! panics, and the chaos tests can assert the surviving responses
+//! byte-identical to a fault-free run.
 //!
 //! Injected faults are journaled as JSON lines; CI uploads the journal
 //! as an artifact so a red chaos job ships its own repro script.
 
 use std::fs;
-use std::io::{self, Write};
+use std::io;
 use std::path::Path;
 use std::sync::Mutex;
 
@@ -31,29 +31,13 @@ pub enum FaultSite {
     JobPanic,
     /// Truncate a file mid-line, as a `kill -9` during an append would.
     TornWrite,
-    /// Deliver only a prefix of a file's bytes to the reader.
-    ShortRead,
-    /// Fail a write with an ENOSPC-shaped error after a byte budget.
-    WriteNoSpace,
 }
 
 impl FaultSite {
-    /// Stable wire/journal tag.
-    pub fn name(self) -> &'static str {
-        match self {
-            FaultSite::JobPanic => "job_panic",
-            FaultSite::TornWrite => "torn_write",
-            FaultSite::ShortRead => "short_read",
-            FaultSite::WriteNoSpace => "write_nospace",
-        }
-    }
-
     fn tag(self) -> u64 {
         match self {
             FaultSite::JobPanic => 0x1,
             FaultSite::TornWrite => 0x2,
-            FaultSite::ShortRead => 0x3,
-            FaultSite::WriteNoSpace => 0x4,
         }
     }
 
@@ -67,18 +51,17 @@ impl FaultSite {
 pub struct FaultInjector {
     seed: u64,
     /// Injection probability per site, in percent.
-    rates: [u8; 4],
+    rates: [u8; 2],
     journal: Mutex<Vec<String>>,
 }
 
 impl FaultInjector {
-    /// An injector with default rates: 30% mid-job panics; file faults
-    /// (torn writes, short reads, ENOSPC) always fire when their
-    /// helpers are invoked.
+    /// An injector with default rates: 30% mid-job panics; torn writes
+    /// always fire when [`FaultInjector::tear_tail`] is invoked.
     pub fn new(seed: u64) -> Self {
         FaultInjector {
             seed,
-            rates: [30, 100, 100, 100],
+            rates: [30, 100],
             journal: Mutex::new(Vec::new()),
         }
     }
@@ -156,32 +139,6 @@ impl FaultInjector {
         Ok(cut)
     }
 
-    /// Reads `path`, delivering only a deterministic prefix — a short
-    /// read. The prefix is at least half the file so headers survive.
-    pub fn short_read(&self, path: &Path, salt: u64) -> io::Result<Vec<u8>> {
-        let data = fs::read(path)?;
-        if data.len() < 2 {
-            return Ok(data);
-        }
-        let half = data.len() as u64 / 2;
-        let keep = (half + self.roll(FaultSite::ShortRead, salt, 0, half)) as usize;
-        self.log(format!(
-            "{{\"site\":\"short_read\",\"path\":\"{}\",\"salt\":{salt},\"kept\":{keep},\"len\":{}}}",
-            path.display(),
-            data.len()
-        ));
-        Ok(data[..keep].to_vec())
-    }
-
-    /// Wraps a writer so it fails with an ENOSPC-shaped error once
-    /// `budget_bytes` have been written.
-    pub fn no_space_writer<W: Write>(&self, inner: W, budget_bytes: usize) -> NoSpaceWriter<W> {
-        NoSpaceWriter {
-            inner,
-            remaining: budget_bytes,
-        }
-    }
-
     /// Snapshot of the journal lines recorded so far.
     pub fn journal_lines(&self) -> Vec<String> {
         self.journal.lock().expect("journal lock").clone()
@@ -199,30 +156,6 @@ impl FaultInjector {
             out.push('\n');
         }
         fs::write(path, out)
-    }
-}
-
-/// A writer that runs out of disk after a fixed byte budget (see
-/// [`FaultInjector::no_space_writer`]).
-#[derive(Debug)]
-pub struct NoSpaceWriter<W: Write> {
-    inner: W,
-    remaining: usize,
-}
-
-impl<W: Write> Write for NoSpaceWriter<W> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        if self.remaining == 0 {
-            return Err(io::Error::other("injected ENOSPC: no space left on device"));
-        }
-        let n = buf.len().min(self.remaining);
-        let written = self.inner.write(&buf[..n])?;
-        self.remaining -= written;
-        Ok(written)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
     }
 }
 
@@ -293,35 +226,6 @@ mod tests {
         FaultInjector::new(99).tear_tail(&path, 0).expect("tear 2");
         assert_eq!(fs::read_to_string(&path).expect("read"), text);
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn short_read_returns_a_proper_prefix() {
-        let dir = std::env::temp_dir().join(format!("cdmm-faults-short-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("blob.bin");
-        let data: Vec<u8> = (0..=255).collect();
-        fs::write(&path, &data).expect("seed");
-        let f = FaultInjector::new(5);
-        let got = f.short_read(&path, 0).expect("short read");
-        assert!(got.len() >= data.len() / 2 && got.len() < data.len());
-        assert_eq!(&got[..], &data[..got.len()], "a prefix, not garbage");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn no_space_writer_fails_after_budget() {
-        let f = FaultInjector::new(1);
-        let mut sink = Vec::new();
-        {
-            let mut w = f.no_space_writer(&mut sink, 10);
-            assert_eq!(w.write(b"0123456").expect("fits"), 7);
-            assert_eq!(w.write(b"789abcdef").expect("partial"), 3);
-            let err = w.write(b"x").expect_err("disk full");
-            assert!(err.to_string().contains("ENOSPC"), "{err}");
-        }
-        assert_eq!(&sink, b"0123456789");
     }
 
     #[test]

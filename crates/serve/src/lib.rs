@@ -20,9 +20,9 @@
 //!   retry/backoff, per-job deadlines via [`cdmm_vmsim::CancelToken`],
 //!   bounded-queue admission control, and crash-safe result caching
 //!   through [`cdmm_core::ResultCache`]'s atomic-rename persistence.
-//! - [`faults`] — a seeded fault injector (mid-job panics, torn writes,
-//!   short reads, ENOSPC) that drives the chaos suite; production code
-//!   never constructs one.
+//! - [`faults`] — a seeded fault injector (mid-job panics, torn cache
+//!   tails) that drives the chaos suite; production code never
+//!   constructs one.
 //!
 //! The contract the chaos tests pin down: for a fixed request stream and
 //! seed, every *successful* response is byte-identical whether or not

@@ -19,7 +19,10 @@
 //! cloned paper workloads, answered with the integer digest of a
 //! [`FleetReport`]), and `"sweep"` (a whole LRU or WS operating curve
 //! answered by the one-pass sweep kernels, digested to one
-//! checksummed row).
+//! checksummed row). One table, `FIELDS`, lists every top-level field
+//! with its treatment under each kind; the fields all kinds share are
+//! read once, and each request carries the core's own
+//! [`PipelineConfig`] or [`FleetSpec`].
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -56,12 +59,9 @@ pub struct JobRequest {
     pub scale: Scale,
     /// The policy operating point to run.
     pub policy: PolicySpec,
-    /// Page size in bytes (default: the paper's 256).
-    pub page_bytes: Option<u64>,
-    /// Fault service time in references (default 2000).
-    pub fault_service: Option<u64>,
-    /// Minimum CD allocation in pages (default 2).
-    pub min_alloc: Option<u64>,
+    /// The defaults with `page_bytes`, `fault_service` and `min_alloc`
+    /// applied.
+    config: PipelineConfig,
     /// Per-job deadline in milliseconds (absent: service default).
     pub deadline_ms: Option<u64>,
     /// Stream the job's [`cdmm_vmsim::SimEvent`]s to a checksummed
@@ -78,28 +78,8 @@ pub struct JobRequest {
 impl JobRequest {
     /// The pipeline configuration this request asks for.
     pub fn pipeline_config(&self) -> PipelineConfig {
-        pipeline_config(self.page_bytes, self.fault_service, self.min_alloc)
+        self.config
     }
-}
-
-/// The default pipeline configuration with a request's optional
-/// geometry and simulation knobs applied.
-fn pipeline_config(
-    page_bytes: Option<u64>,
-    fault_service: Option<u64>,
-    min_alloc: Option<u64>,
-) -> PipelineConfig {
-    let mut cfg = PipelineConfig::default();
-    if let Some(pb) = page_bytes {
-        cfg.geometry = PageGeometry::new(pb.max(4), cfg.geometry.elem_bytes);
-    }
-    if let Some(fs) = fault_service {
-        cfg.fault_service = fs;
-    }
-    if let Some(ma) = min_alloc {
-        cfg.min_alloc = ma;
-    }
-    cfg
 }
 
 /// The most tenants one fleet job may ask for. Preparing a fleet costs
@@ -113,31 +93,8 @@ pub const MAX_FLEET_TENANTS: u64 = 10_000;
 pub struct FleetRequest {
     /// Caller-chosen id, echoed on the response line.
     pub id: String,
-    /// Tenant processes to manufacture (at most
-    /// [`MAX_FLEET_TENANTS`]).
-    pub tenants: u64,
-    /// Fleet seed (absent: the [`FleetSpec`] default).
-    pub seed: Option<u64>,
-    /// Work-distribution shards (never affects the report).
-    pub shards: Option<u64>,
-    /// Workload rotation, from the comma-separated `workloads` field.
-    /// Empty means the default rotation.
-    pub workloads: Vec<String>,
-    /// Policy rotation, from the comma-separated `mix` field (e.g.
-    /// `"cd,ws:2000,lru:16"`). Empty means the default mix.
-    pub mix: Vec<PolicySpec>,
-    /// Page frames per memory-pool cell.
-    pub frames: Option<u64>,
-    /// Tenants sharing one cell.
-    pub cell: Option<u64>,
-    /// Scheduling quantum in references.
-    pub quantum: Option<u64>,
-    /// Admission control (absent: the [`FleetSpec`] default).
-    pub admission: Option<Admission>,
-    /// Seeded per-tenant perturbation (absent: on).
-    pub jitter: Option<bool>,
-    /// Workload scale preset.
-    pub scale: Scale,
+    /// The [`FleetSpec`] defaults with the request's knobs applied.
+    spec: FleetSpec,
     /// Per-job deadline in milliseconds (absent: service default).
     pub deadline_ms: Option<u64>,
     /// Stream the fleet's merged scheduler/policy events to a
@@ -157,40 +114,7 @@ impl FleetRequest {
     /// comes from running many jobs at once, and the report is
     /// byte-identical at any thread count anyway.
     pub fn fleet_spec(&self) -> FleetSpec {
-        let mut spec = FleetSpec {
-            tenants: self.tenants as usize,
-            scale: self.scale,
-            threads: 1,
-            ..FleetSpec::default()
-        };
-        if let Some(s) = self.seed {
-            spec.seed = s;
-        }
-        if let Some(s) = self.shards {
-            spec.shards = s as usize;
-        }
-        if !self.workloads.is_empty() {
-            spec.workloads = self.workloads.clone();
-        }
-        if !self.mix.is_empty() {
-            spec.policy_mix = self.mix.clone();
-        }
-        if let Some(f) = self.frames {
-            spec.frames_per_cell = f;
-        }
-        if let Some(c) = self.cell {
-            spec.tenants_per_cell = c as usize;
-        }
-        if let Some(q) = self.quantum {
-            spec.quantum = q;
-        }
-        if let Some(a) = self.admission {
-            spec.admission = a;
-        }
-        if let Some(j) = self.jitter {
-            spec.jitter = j;
-        }
-        spec
+        self.spec.clone()
     }
 }
 
@@ -229,12 +153,9 @@ pub struct SweepRequest {
     /// WS grid density in points per decade (default 6). Rejected for
     /// LRU sweeps, which always cover the full allocation range.
     pub points: Option<u32>,
-    /// Page size in bytes (default: the paper's 256).
-    pub page_bytes: Option<u64>,
-    /// Fault service time in references (default 2000).
-    pub fault_service: Option<u64>,
-    /// Minimum CD allocation in pages (default 2).
-    pub min_alloc: Option<u64>,
+    /// The defaults with `page_bytes`, `fault_service` and `min_alloc`
+    /// applied.
+    config: PipelineConfig,
     /// Per-job deadline in milliseconds (absent: service default).
     pub deadline_ms: Option<u64>,
     /// Caller identity for per-client accounting.
@@ -244,7 +165,7 @@ pub struct SweepRequest {
 impl SweepRequest {
     /// The pipeline configuration this request asks for.
     pub fn pipeline_config(&self) -> PipelineConfig {
-        pipeline_config(self.page_bytes, self.fault_service, self.min_alloc)
+        self.config
     }
 }
 
@@ -276,27 +197,6 @@ impl Request {
             Request::Sim(r) => r.deadline_ms,
             Request::Fleet(r) => r.deadline_ms,
             Request::Sweep(r) => r.deadline_ms,
-        }
-    }
-
-    /// Whether the caller asked for the per-job event stream. Sweep
-    /// jobs never stream: the curve kernels skip simulation entirely,
-    /// so there is no event stream to forward (the parser rejects
-    /// `"trace":true` on them).
-    pub fn trace(&self) -> bool {
-        match self {
-            Request::Sim(r) => r.trace,
-            Request::Fleet(r) => r.trace,
-            Request::Sweep(_) => false,
-        }
-    }
-
-    /// Whether the caller asked for a metrics digest on the response.
-    pub fn metrics(&self) -> bool {
-        match self {
-            Request::Sim(r) => r.metrics,
-            Request::Fleet(r) => r.metrics,
-            Request::Sweep(_) => false,
         }
     }
 
@@ -771,205 +671,160 @@ fn parse_mix_token(tok: &str) -> Result<PolicySpec, String> {
     }
 }
 
-/// Top-level fields a sim job accepts. Anything else is a typed
+/// The three job kinds, in the column order of `FIELDS`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum JobKind {
+    Sim,
+    Sweep,
+    Fleet,
+}
+
+impl JobKind {
+    fn tag(self) -> &'static str {
+        match self {
+            JobKind::Sim => "sim",
+            JobKind::Sweep => "sweep",
+            JobKind::Fleet => "fleet",
+        }
+    }
+}
+
+/// How one job kind treats a top-level request field.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Treatment {
+    /// The kind reads the field.
+    Accepted,
+    /// Another kind's field: `field "X" does not apply to K jobs`.
+    Foreign,
+    /// `unknown request field "X"`, as is any name not in `FIELDS`.
+    Unknown,
+}
+
+use Treatment::{Accepted, Foreign, Unknown};
+
+/// The request schema: every top-level field with its treatment under
+/// `[sim, sweep, fleet]`. A field outside a kind's schema is a typed
 /// `bad_request` — a `"trace":true` typo must fail loudly, not
-/// silently run without the passthrough it asked for.
-const SIM_KEYS: &[&str] = &[
-    "id",
-    "job",
-    "workload",
-    "source",
-    "name",
-    "policy",
-    "level",
-    "frames",
-    "tau",
-    "threshold",
-    "scale",
-    "page_bytes",
-    "fault_service",
-    "min_alloc",
-    "deadline_ms",
-    "trace",
-    "metrics",
-    "client",
+/// silently run without the passthrough it asked for. The README's
+/// field table mirrors this one (a unit test compares them).
+const FIELDS: &[(&str, [Treatment; 3])] = &[
+    ("id", [Accepted, Accepted, Accepted]),
+    ("job", [Accepted, Accepted, Accepted]),
+    ("workload", [Accepted, Accepted, Foreign]),
+    ("source", [Accepted, Accepted, Foreign]),
+    ("name", [Accepted, Accepted, Unknown]),
+    ("policy", [Accepted, Foreign, Foreign]),
+    ("level", [Accepted, Foreign, Foreign]),
+    ("frames", [Accepted, Foreign, Accepted]),
+    ("tau", [Accepted, Foreign, Unknown]),
+    ("threshold", [Accepted, Foreign, Unknown]),
+    ("family", [Unknown, Accepted, Unknown]),
+    ("points", [Unknown, Accepted, Unknown]),
+    ("tenants", [Unknown, Unknown, Accepted]),
+    ("seed", [Unknown, Unknown, Accepted]),
+    ("shards", [Unknown, Unknown, Accepted]),
+    ("workloads", [Unknown, Unknown, Accepted]),
+    ("mix", [Unknown, Unknown, Accepted]),
+    ("cell", [Unknown, Unknown, Accepted]),
+    ("quantum", [Unknown, Unknown, Accepted]),
+    ("admission", [Unknown, Unknown, Accepted]),
+    ("jitter", [Unknown, Unknown, Accepted]),
+    ("scale", [Accepted, Accepted, Accepted]),
+    ("page_bytes", [Accepted, Accepted, Unknown]),
+    ("fault_service", [Accepted, Accepted, Unknown]),
+    ("min_alloc", [Accepted, Accepted, Unknown]),
+    ("deadline_ms", [Accepted, Accepted, Accepted]),
+    // A sweep never simulates, so it has no event stream to opt into.
+    ("trace", [Accepted, Foreign, Accepted]),
+    ("metrics", [Accepted, Foreign, Accepted]),
+    ("client", [Accepted, Accepted, Accepted]),
 ];
 
-/// Top-level fields a sweep job accepts. No `trace`/`metrics`: the
-/// curve kernels never simulate, so there is no event stream to opt
-/// into — a request asking for one must fail loudly.
-const SWEEP_KEYS: &[&str] = &[
-    "id",
-    "job",
-    "workload",
-    "source",
-    "name",
-    "family",
-    "points",
-    "scale",
-    "page_bytes",
-    "fault_service",
-    "min_alloc",
-    "deadline_ms",
-    "client",
-];
-
-/// Top-level fields a fleet job accepts.
-const FLEET_KEYS: &[&str] = &[
-    "id",
-    "job",
-    "tenants",
-    "seed",
-    "shards",
-    "workloads",
-    "mix",
-    "frames",
-    "cell",
-    "quantum",
-    "admission",
-    "jitter",
-    "scale",
-    "deadline_ms",
-    "trace",
-    "metrics",
-    "client",
-];
-
-/// Rejects any top-level field outside the job kind's schema.
-fn reject_unknown(fields: &BTreeMap<String, Scalar>, known: &[&str]) -> Result<(), String> {
-    for key in fields.keys() {
-        if !known.contains(&key.as_str()) {
-            return Err(format!("unknown request field \"{key}\""));
-        }
-    }
-    Ok(())
-}
-
-/// Parses the `scale` preset every job kind accepts (default: small).
-fn parse_scale(fields: &BTreeMap<String, Scalar>) -> Result<Scale, String> {
-    match get_str(fields, "scale")?.as_deref() {
-        None | Some("small") => Ok(Scale::Small),
-        Some("paper") => Ok(Scale::Paper),
-        Some(other) => Err(format!("unknown scale \"{other}\"")),
-    }
-}
-
-/// Parses the optional `client` identity every job kind accepts.
-fn parse_client(fields: &BTreeMap<String, Scalar>) -> Result<Option<String>, String> {
-    let client = get_str(fields, "client")?;
-    if client.as_deref() == Some("") {
-        return Err("field \"client\" must be non-empty".into());
-    }
-    Ok(client)
-}
-
-/// Parses the `trace`/`metrics`/`client` observability fields shared by
-/// the sim and fleet job kinds.
-fn parse_observability(
-    fields: &BTreeMap<String, Scalar>,
-) -> Result<(bool, bool, Option<String>), String> {
-    let trace = get_bool(fields, "trace")?.unwrap_or(false);
-    let metrics = get_bool(fields, "metrics")?.unwrap_or(false);
-    Ok((trace, metrics, parse_client(fields)?))
-}
-
-/// Parses the fleet job fields into a [`FleetRequest`].
-fn parse_fleet(id: String, fields: &BTreeMap<String, Scalar>) -> Result<FleetRequest, String> {
-    for sim_only in ["workload", "source", "policy", "level"] {
-        if fields.contains_key(sim_only) {
-            return Err(format!("field \"{sim_only}\" does not apply to fleet jobs"));
-        }
-    }
-    reject_unknown(fields, FLEET_KEYS)?;
-    let tenants = get_u64(fields, "tenants")?.ok_or("fleet jobs need a \"tenants\" field")?;
-    if tenants > MAX_FLEET_TENANTS {
+/// Rejects the first foreign field in `FIELDS` order, then the first
+/// field (in name order) the kind does not accept.
+fn check_fields(fields: &BTreeMap<String, Scalar>, kind: JobKind) -> Result<(), String> {
+    let col = kind as usize;
+    if let Some((name, _)) = FIELDS
+        .iter()
+        .find(|(name, t)| t[col] == Foreign && fields.contains_key(*name))
+    {
         return Err(format!(
-            "field \"tenants\" must be at most {MAX_FLEET_TENANTS}, got {tenants}"
+            "field \"{name}\" does not apply to {} jobs",
+            kind.tag()
         ));
     }
-    let workloads = match get_str(fields, "workloads")? {
-        None => Vec::new(),
-        Some(s) => {
-            let names: Vec<String> = s
-                .split(',')
-                .map(str::trim)
-                .filter(|n| !n.is_empty())
-                .map(String::from)
-                .collect();
-            if names.is_empty() {
-                return Err("field \"workloads\" names no workloads".into());
-            }
-            names
-        }
-    };
-    let mix = match get_str(fields, "mix")? {
-        None => Vec::new(),
-        Some(s) => {
-            let toks: Vec<&str> = s
-                .split(',')
-                .map(str::trim)
-                .filter(|t| !t.is_empty())
-                .collect();
-            if toks.is_empty() {
-                return Err("field \"mix\" names no policies".into());
-            }
-            toks.into_iter()
-                .map(parse_mix_token)
-                .collect::<Result<Vec<_>, _>>()?
-        }
-    };
-    let admission = match fields.get("admission") {
-        None | Some(Scalar::Null) => None,
-        Some(Scalar::Str(s)) if s == "free" => Some(Admission::Free),
-        Some(Scalar::Num(n)) => Some(Admission::PiLevel(n.parse::<u32>().map_err(|_| {
-            format!("field \"admission\" must be \"free\" or a PI level, got `{n}`")
-        })?)),
-        Some(other) => {
-            return Err(format!(
-                "field \"admission\" must be \"free\" or a PI level, got {other:?}"
-            ))
-        }
-    };
-    let scale = parse_scale(fields)?;
-    let (trace, metrics, client) = parse_observability(fields)?;
-    Ok(FleetRequest {
-        id,
-        tenants,
-        seed: get_u64(fields, "seed")?,
-        shards: get_u64(fields, "shards")?,
-        workloads,
-        mix,
-        frames: get_u64(fields, "frames")?,
-        cell: get_u64(fields, "cell")?,
-        quantum: get_u64(fields, "quantum")?,
-        admission,
-        jitter: get_bool(fields, "jitter")?,
-        scale,
-        deadline_ms: get_u64(fields, "deadline_ms")?,
-        trace,
-        metrics,
-        client,
-    })
+    let accepted = |key: &str| FIELDS.iter().any(|(n, t)| *n == key && t[col] == Accepted);
+    match fields.keys().find(|key| !accepted(key)) {
+        Some(key) => Err(format!("unknown request field \"{key}\"")),
+        None => Ok(()),
+    }
 }
 
-/// Parses one request line, dispatching on the optional `job` field
-/// (`"sim"`, the default, or `"fleet"`). Errors are caller-facing
-/// strings — they end up in the `detail` of a `bad_request` response.
+/// Parses one request line: the fields every kind shares once, then
+/// the kind's own. Errors are caller-facing strings — they end up in
+/// the `detail` of a `bad_request` response.
 pub fn parse_request(line: &str) -> Result<Request, String> {
     let fields = parse_flat_object(line)?;
     let id = get_str(&fields, "id")?.ok_or("missing required field \"id\"")?;
     if id.is_empty() {
         return Err("field \"id\" must be non-empty".into());
     }
-    match get_str(&fields, "job")?.as_deref() {
-        None | Some("sim") => parse_sim(id, &fields).map(Request::Sim),
-        Some("fleet") => parse_fleet(id, &fields).map(Request::Fleet),
-        Some("sweep") => parse_sweep(id, &fields).map(Request::Sweep),
-        Some(other) => Err(format!("unknown job kind \"{other}\"")),
+    let kind = match get_str(&fields, "job")?.as_deref() {
+        None | Some("sim") => JobKind::Sim,
+        Some("sweep") => JobKind::Sweep,
+        Some("fleet") => JobKind::Fleet,
+        Some(other) => return Err(format!("unknown job kind \"{other}\"")),
+    };
+    check_fields(&fields, kind)?;
+    let scale = match get_str(&fields, "scale")?.as_deref() {
+        None | Some("small") => Scale::Small,
+        Some("paper") => Scale::Paper,
+        Some(other) => return Err(format!("unknown scale \"{other}\"")),
+    };
+    let trace = get_bool(&fields, "trace")?.unwrap_or(false);
+    let metrics = get_bool(&fields, "metrics")?.unwrap_or(false);
+    let client = get_str(&fields, "client")?;
+    if client.as_deref() == Some("") {
+        return Err("field \"client\" must be non-empty".into());
     }
+    let deadline_ms = get_u64(&fields, "deadline_ms")?;
+    Ok(match kind {
+        JobKind::Sim => Request::Sim(JobRequest {
+            id,
+            work: parse_work(&fields)?,
+            scale,
+            policy: parse_policy(&fields)?,
+            config: parse_config(&fields)?,
+            deadline_ms,
+            trace,
+            metrics,
+            client,
+        }),
+        JobKind::Sweep => {
+            let (family, points) = parse_family(&fields)?;
+            Request::Sweep(SweepRequest {
+                id,
+                work: parse_work(&fields)?,
+                scale,
+                family,
+                points,
+                config: parse_config(&fields)?,
+                deadline_ms,
+                client,
+            })
+        }
+        JobKind::Fleet => Request::Fleet(FleetRequest {
+            id,
+            spec: parse_fleet(&fields, scale)?,
+            deadline_ms,
+            trace,
+            metrics,
+            client,
+        }),
+    })
 }
 
-/// Resolves the shared `workload`/`source`/`name` fields into a
+/// Resolves the `workload`/`source`/`name` fields into a
 /// [`WorkSource`].
 fn parse_work(fields: &BTreeMap<String, Scalar>) -> Result<WorkSource, String> {
     match (get_str(fields, "workload")?, get_str(fields, "source")?) {
@@ -983,22 +838,20 @@ fn parse_work(fields: &BTreeMap<String, Scalar>) -> Result<WorkSource, String> {
     }
 }
 
-/// Parses the sweep job fields into a [`SweepRequest`].
-fn parse_sweep(id: String, fields: &BTreeMap<String, Scalar>) -> Result<SweepRequest, String> {
-    for sim_only in [
-        "policy",
-        "level",
-        "frames",
-        "tau",
-        "threshold",
-        "trace",
-        "metrics",
-    ] {
-        if fields.contains_key(sim_only) {
-            return Err(format!("field \"{sim_only}\" does not apply to sweep jobs"));
-        }
+/// The default [`PipelineConfig`] with the `page_bytes` (at least 4),
+/// `fault_service` and `min_alloc` fields applied.
+fn parse_config(fields: &BTreeMap<String, Scalar>) -> Result<PipelineConfig, String> {
+    let mut cfg = PipelineConfig::default();
+    if let Some(pb) = get_u64(fields, "page_bytes")? {
+        cfg.geometry = PageGeometry::new(pb.max(4), cfg.geometry.elem_bytes);
     }
-    reject_unknown(fields, SWEEP_KEYS)?;
+    cfg.fault_service = get_u64(fields, "fault_service")?.unwrap_or(cfg.fault_service);
+    cfg.min_alloc = get_u64(fields, "min_alloc")?.unwrap_or(cfg.min_alloc);
+    Ok(cfg)
+}
+
+/// Parses a sweep's `family` and its WS grid density `points`.
+fn parse_family(fields: &BTreeMap<String, Scalar>) -> Result<(SweepFamily, Option<u32>), String> {
     let family = match get_str(fields, "family")?.as_deref() {
         Some("lru") => SweepFamily::Lru,
         Some("ws") => SweepFamily::Ws,
@@ -1014,41 +867,70 @@ fn parse_sweep(id: String, fields: &BTreeMap<String, Scalar>) -> Result<SweepReq
             return Err("field \"points\" must be in 1..=64 (points per decade)".into());
         }
     }
-    let scale = parse_scale(fields)?;
-    let client = parse_client(fields)?;
-    Ok(SweepRequest {
-        id,
-        work: parse_work(fields)?,
-        scale,
-        family,
-        points: points.map(|p| p as u32),
-        page_bytes: get_u64(fields, "page_bytes")?,
-        fault_service: get_u64(fields, "fault_service")?,
-        min_alloc: get_u64(fields, "min_alloc")?,
-        deadline_ms: get_u64(fields, "deadline_ms")?,
-        client,
-    })
+    Ok((family, points.map(|p| p as u32)))
 }
 
-/// Parses the classic single-simulation job fields.
-fn parse_sim(id: String, fields: &BTreeMap<String, Scalar>) -> Result<JobRequest, String> {
-    reject_unknown(fields, SIM_KEYS)?;
-    let work = parse_work(fields)?;
-    let scale = parse_scale(fields)?;
-    let (trace, metrics, client) = parse_observability(fields)?;
-    Ok(JobRequest {
-        id,
-        work,
+/// The [`FleetSpec`] defaults with the fleet fields applied, execution
+/// pinned to one thread (see [`FleetRequest::fleet_spec`]).
+fn parse_fleet(fields: &BTreeMap<String, Scalar>, scale: Scale) -> Result<FleetSpec, String> {
+    let tenants = get_u64(fields, "tenants")?.ok_or("fleet jobs need a \"tenants\" field")?;
+    if tenants > MAX_FLEET_TENANTS {
+        return Err(format!(
+            "field \"tenants\" must be at most {MAX_FLEET_TENANTS}, got {tenants}"
+        ));
+    }
+    let mut spec = FleetSpec {
+        tenants: tenants as usize,
         scale,
-        policy: parse_policy(fields)?,
-        page_bytes: get_u64(fields, "page_bytes")?,
-        fault_service: get_u64(fields, "fault_service")?,
-        min_alloc: get_u64(fields, "min_alloc")?,
-        deadline_ms: get_u64(fields, "deadline_ms")?,
-        trace,
-        metrics,
-        client,
-    })
+        threads: 1,
+        ..FleetSpec::default()
+    };
+    if let Some(s) = get_str(fields, "workloads")? {
+        spec.workloads = s
+            .split(',')
+            .map(str::trim)
+            .filter(|n| !n.is_empty())
+            .map(String::from)
+            .collect();
+        if spec.workloads.is_empty() {
+            return Err("field \"workloads\" names no workloads".into());
+        }
+    }
+    if let Some(s) = get_str(fields, "mix")? {
+        let toks: Vec<&str> = s
+            .split(',')
+            .map(str::trim)
+            .filter(|t| !t.is_empty())
+            .collect();
+        if toks.is_empty() {
+            return Err("field \"mix\" names no policies".into());
+        }
+        spec.policy_mix = toks
+            .into_iter()
+            .map(parse_mix_token)
+            .collect::<Result<_, _>>()?;
+    }
+    match fields.get("admission") {
+        None | Some(Scalar::Null) => {}
+        Some(Scalar::Str(s)) if s == "free" => spec.admission = Admission::Free,
+        Some(Scalar::Num(n)) => {
+            spec.admission = Admission::PiLevel(n.parse::<u32>().map_err(|_| {
+                format!("field \"admission\" must be \"free\" or a PI level, got `{n}`")
+            })?)
+        }
+        Some(other) => {
+            return Err(format!(
+                "field \"admission\" must be \"free\" or a PI level, got {other:?}"
+            ))
+        }
+    }
+    spec.seed = get_u64(fields, "seed")?.unwrap_or(spec.seed);
+    spec.shards = get_u64(fields, "shards")?.map_or(spec.shards, |s| s as usize);
+    spec.frames_per_cell = get_u64(fields, "frames")?.unwrap_or(spec.frames_per_cell);
+    spec.tenants_per_cell = get_u64(fields, "cell")?.map_or(spec.tenants_per_cell, |c| c as usize);
+    spec.quantum = get_u64(fields, "quantum")?.unwrap_or(spec.quantum);
+    spec.jitter = get_bool(fields, "jitter")?.unwrap_or(spec.jitter);
+    Ok(spec)
 }
 
 #[cfg(test)]
@@ -1182,50 +1064,329 @@ mod tests {
         assert_eq!(cfg.min_alloc, 4);
     }
 
+    /// One line per rejection site: each line carries exactly one fault,
+    /// and its `bad_request` detail is pinned byte for byte.
     #[test]
-    fn malformed_requests_are_typed_errors() {
-        for (line, needle) in [
-            ("not json", "not a JSON object"),
-            ("{\"id\":\"x\"}", "workload"),
-            (r#"{"id":"x","workload":"MAIN"}"#, "policy"),
-            (r#"{"id":"x","workload":"MAIN","policy":"lru"}"#, "frames"),
+    fn every_single_fault_detail_is_pinned() {
+        for (line, want) in [
+            // The flat-object scanner.
+            ("not json", "request is not a JSON object"),
             (
-                r#"{"id":"x","workload":"MAIN","policy":"zap"}"#,
-                "unknown policy",
+                r#"{"id":"x","nested":{"a":1},"policy":"cd"}"#,
+                r#"field "nested": nested values are not supported"#,
             ),
-            (
-                r#"{"id":"x","workload":"M","source":"S","policy":"cd"}"#,
-                "not both",
-            ),
-            (
-                r#"{"id":"x","workload":"MAIN","policy":"cd","level":"middle"}"#,
-                "unknown CD level",
-            ),
-            (
-                r#"{"id":"x","workload":"MAIN","policy":"cd","scale":"huge"}"#,
-                "unknown scale",
-            ),
-            (r#"{"id":"x","nested":{"a":1},"policy":"cd"}"#, "nested"),
             (
                 r#"{"id":"x","id":"y","workload":"MAIN","policy":"cd"}"#,
-                "duplicate",
+                r#"duplicate field "id""#,
             ),
             (
                 r#"{"id":"x","workload":"MAIN","policy":"cd"} extra"#,
-                "trailing",
+                "trailing garbage `e` after object",
             ),
-            (r#"{"id":"","workload":"MAIN","policy":"cd"}"#, "non-empty"),
+            (
+                r#"{"id":"x","workload":MAIN,"policy":"cd"}"#,
+                r#"field "workload": bad value `MAIN`"#,
+            ),
+            (r#"{"id" "x"}"#, r#"missing ':' after "id""#),
+            (r#"{"id":"x""#, "expected ',' or '}', found None"),
+            // Identity and job kind.
+            (
+                r#"{"workload":"MAIN","policy":"cd"}"#,
+                r#"missing required field "id""#,
+            ),
+            (
+                r#"{"id":"","workload":"MAIN","policy":"cd"}"#,
+                r#"field "id" must be non-empty"#,
+            ),
+            (
+                r#"{"id":7,"workload":"MAIN","policy":"cd"}"#,
+                r#"field "id" must be a string, got Num("7")"#,
+            ),
+            (
+                r#"{"id":"x","job":"batch","tenants":4}"#,
+                r#"unknown job kind "batch""#,
+            ),
+            // Unknown and foreign fields, per kind.
+            (
+                r#"{"id":"x","workload":"MAIN","policy":"cd","trace_on":true}"#,
+                r#"unknown request field "trace_on""#,
+            ),
+            (
+                r#"{"id":"x","workload":"MAIN","policy":"cd","Trace":true}"#,
+                r#"unknown request field "Trace""#,
+            ),
+            (
+                r#"{"id":"x","workload":"MAIN","policy":"cd","tenants":4}"#,
+                r#"unknown request field "tenants""#,
+            ),
+            (
+                r#"{"id":"x","workload":"MAIN","policy":"cd","family":"lru"}"#,
+                r#"unknown request field "family""#,
+            ),
+            (
+                r#"{"id":"x","job":"sweep","workload":"MAIN","family":"lru","tenants":4}"#,
+                r#"unknown request field "tenants""#,
+            ),
+            (
+                r#"{"id":"x","job":"sweep","workload":"MAIN","family":"lru","policy":"lru"}"#,
+                r#"field "policy" does not apply to sweep jobs"#,
+            ),
+            (
+                r#"{"id":"x","job":"sweep","workload":"MAIN","family":"lru","frames":8}"#,
+                r#"field "frames" does not apply to sweep jobs"#,
+            ),
+            (
+                r#"{"id":"x","job":"sweep","workload":"MAIN","family":"lru","trace":true}"#,
+                r#"field "trace" does not apply to sweep jobs"#,
+            ),
+            (
+                r#"{"id":"x","job":"sweep","workload":"MAIN","family":"lru","metrics":true}"#,
+                r#"field "metrics" does not apply to sweep jobs"#,
+            ),
+            (
+                r#"{"id":"x","job":"fleet","tenants":4,"shard":3}"#,
+                r#"unknown request field "shard""#,
+            ),
+            (
+                r#"{"id":"x","job":"fleet","tenants":4,"name":"T"}"#,
+                r#"unknown request field "name""#,
+            ),
+            (
+                r#"{"id":"x","job":"fleet","tenants":4,"tau":9}"#,
+                r#"unknown request field "tau""#,
+            ),
+            (
+                r#"{"id":"x","job":"fleet","tenants":4,"page_bytes":512}"#,
+                r#"unknown request field "page_bytes""#,
+            ),
+            (
+                r#"{"id":"x","job":"fleet","tenants":4,"family":"lru"}"#,
+                r#"unknown request field "family""#,
+            ),
+            (
+                r#"{"id":"x","job":"fleet","tenants":4,"workload":"MAIN"}"#,
+                r#"field "workload" does not apply to fleet jobs"#,
+            ),
+            (
+                r#"{"id":"x","job":"fleet","tenants":4,"source":"S"}"#,
+                r#"field "source" does not apply to fleet jobs"#,
+            ),
+            (
+                r#"{"id":"x","job":"fleet","tenants":4,"policy":"cd"}"#,
+                r#"field "policy" does not apply to fleet jobs"#,
+            ),
+            (
+                r#"{"id":"x","job":"fleet","tenants":4,"level":2}"#,
+                r#"field "level" does not apply to fleet jobs"#,
+            ),
+            // Fields every kind shares.
+            (
+                r#"{"id":"x","workload":"MAIN","policy":"cd","scale":"huge"}"#,
+                r#"unknown scale "huge""#,
+            ),
+            (
+                r#"{"id":"x","job":"fleet","tenants":4,"scale":"huge"}"#,
+                r#"unknown scale "huge""#,
+            ),
+            (
+                r#"{"id":"x","workload":"MAIN","policy":"cd","client":""}"#,
+                r#"field "client" must be non-empty"#,
+            ),
+            (
+                r#"{"id":"x","job":"sweep","workload":"MAIN","family":"lru","client":3}"#,
+                r#"field "client" must be a string, got Num("3")"#,
+            ),
+            (
+                r#"{"id":"x","workload":"MAIN","policy":"cd","trace":1}"#,
+                r#"field "trace" must be a boolean, got Num("1")"#,
+            ),
+            (
+                r#"{"id":"x","job":"fleet","tenants":4,"metrics":"yes"}"#,
+                r#"field "metrics" must be a boolean, got Str("yes")"#,
+            ),
+            (
+                r#"{"id":"x","workload":"MAIN","policy":"cd","deadline_ms":-1}"#,
+                "field \"deadline_ms\" must be a non-negative integer, got `-1`",
+            ),
+            (
+                r#"{"id":"x","job":"sweep","workload":"MAIN","family":"lru","job_kind":1}"#,
+                r#"unknown request field "job_kind""#,
+            ),
+            // The work source.
+            (
+                r#"{"id":"x","workload":"M","source":"S","policy":"cd"}"#,
+                r#"give "workload" or "source", not both"#,
+            ),
+            (
+                r#"{"id":"x","policy":"cd"}"#,
+                r#"missing "workload" or "source""#,
+            ),
+            (r#"{"id":"x"}"#, r#"missing "workload" or "source""#),
+            (
+                r#"{"id":"x","job":"sweep","family":"lru"}"#,
+                r#"missing "workload" or "source""#,
+            ),
+            (
+                r#"{"id":"x","source":"S","name":4,"policy":"cd"}"#,
+                r#"field "name" must be a string, got Num("4")"#,
+            ),
+            // Policy, CD level and policy parameters.
+            (
+                r#"{"id":"x","workload":"MAIN"}"#,
+                r#"missing required field "policy""#,
+            ),
+            (
+                r#"{"id":"x","workload":"MAIN","policy":"zap"}"#,
+                r#"unknown policy "zap""#,
+            ),
+            (
+                r#"{"id":"x","workload":"MAIN","policy":"cd","level":"middle"}"#,
+                r#"unknown CD level "middle""#,
+            ),
+            (
+                r#"{"id":"x","workload":"MAIN","policy":"cd-nolocks","level":-1}"#,
+                "CD level must be a small integer, got `-1`",
+            ),
+            (
+                r#"{"id":"x","workload":"MAIN","policy":"cd","level":true}"#,
+                r#"bad "level": Bool(true)"#,
+            ),
+            (
+                r#"{"id":"x","workload":"MAIN","policy":"lru"}"#,
+                r#"policy "lru" needs a "frames" field"#,
+            ),
+            (
+                r#"{"id":"x","workload":"MAIN","policy":"opt","frames":"8"}"#,
+                r#"field "frames" must be a number, got Str("8")"#,
+            ),
+            (
+                r#"{"id":"x","workload":"MAIN","policy":"ws"}"#,
+                r#"policy "ws" needs a "tau" field"#,
+            ),
             (
                 r#"{"id":"x","workload":"MAIN","policy":"ws","tau":-4}"#,
-                "non-negative",
+                "field \"tau\" must be a non-negative integer, got `-4`",
+            ),
+            (
+                r#"{"id":"x","workload":"MAIN","policy":"pff"}"#,
+                r#"policy "pff" needs a "threshold" field"#,
+            ),
+            // Pipeline knobs.
+            (
+                r#"{"id":"x","workload":"MAIN","policy":"cd","page_bytes":1.5}"#,
+                "field \"page_bytes\" must be a non-negative integer, got `1.5`",
+            ),
+            (
+                r#"{"id":"x","job":"sweep","workload":"MAIN","family":"lru","fault_service":true}"#,
+                r#"field "fault_service" must be a number, got Bool(true)"#,
+            ),
+            (
+                r#"{"id":"x","workload":"MAIN","policy":"cd","min_alloc":-2}"#,
+                "field \"min_alloc\" must be a non-negative integer, got `-2`",
+            ),
+            // Sweep family and grid density.
+            (
+                r#"{"id":"x","job":"sweep","workload":"MAIN"}"#,
+                r#"sweep jobs need a "family" field ("lru" or "ws")"#,
+            ),
+            (
+                r#"{"id":"x","job":"sweep","workload":"MAIN","family":"opt"}"#,
+                r#"unknown sweep family "opt""#,
+            ),
+            (
+                r#"{"id":"x","job":"sweep","workload":"MAIN","family":"lru","points":4}"#,
+                r#"field "points" only applies to "ws" sweeps"#,
+            ),
+            (
+                r#"{"id":"x","job":"sweep","workload":"MAIN","family":"ws","points":0}"#,
+                r#"field "points" must be in 1..=64 (points per decade)"#,
+            ),
+            (
+                r#"{"id":"x","job":"sweep","workload":"MAIN","family":"ws","points":65}"#,
+                r#"field "points" must be in 1..=64 (points per decade)"#,
+            ),
+            // Fleet knobs.
+            (
+                r#"{"id":"x","job":"fleet"}"#,
+                r#"fleet jobs need a "tenants" field"#,
+            ),
+            (
+                r#"{"id":"x","job":"fleet","tenants":10001}"#,
+                r#"field "tenants" must be at most 10000, got 10001"#,
+            ),
+            (
+                r#"{"id":"x","job":"fleet","tenants":4,"workloads":" , "}"#,
+                r#"field "workloads" names no workloads"#,
+            ),
+            (
+                r#"{"id":"x","job":"fleet","tenants":4,"mix":","}"#,
+                r#"field "mix" names no policies"#,
+            ),
+            (
+                r#"{"id":"x","job":"fleet","tenants":4,"mix":"cd,zap"}"#,
+                r#"unknown mix policy "zap""#,
+            ),
+            (
+                r#"{"id":"x","job":"fleet","tenants":4,"mix":"lru"}"#,
+                r#"mix policy "lru" needs "lru:<frames>""#,
+            ),
+            (
+                r#"{"id":"x","job":"fleet","tenants":4,"mix":"ws:x"}"#,
+                r#"mix policy "ws:x": tau must be a non-negative integer"#,
+            ),
+            (
+                r#"{"id":"x","job":"fleet","tenants":4,"mix":"cd:zz"}"#,
+                r#"mix policy "cd:zz": unknown CD level "zz""#,
+            ),
+            (
+                r#"{"id":"x","job":"fleet","tenants":4,"admission":"vip"}"#,
+                r#"field "admission" must be "free" or a PI level, got Str("vip")"#,
+            ),
+            (
+                r#"{"id":"x","job":"fleet","tenants":4,"admission":-1}"#,
+                "field \"admission\" must be \"free\" or a PI level, got `-1`",
+            ),
+            (
+                r#"{"id":"x","job":"fleet","tenants":4,"jitter":7}"#,
+                r#"field "jitter" must be a boolean, got Num("7")"#,
+            ),
+            (
+                r#"{"id":"x","job":"fleet","tenants":4,"seed":-1}"#,
+                "field \"seed\" must be a non-negative integer, got `-1`",
+            ),
+            (
+                r#"{"id":"x","job":"fleet","tenants":4,"quantum":"fast"}"#,
+                r#"field "quantum" must be a number, got Str("fast")"#,
             ),
         ] {
-            let err = parse_request(line).expect_err(line);
-            assert!(
-                err.contains(needle),
-                "`{line}` → `{err}` (wanted `{needle}`)"
-            );
+            assert_eq!(parse_request(line).expect_err(line), want, "{line}");
         }
+    }
+
+    /// The README's field table is the schema clients read: the same
+    /// fields in the same order, each with the treatment `FIELDS` gives
+    /// it ("yes" and "required" are both accepted).
+    #[test]
+    fn readme_field_table_matches_the_schema() {
+        let readme = include_str!("../../../README.md");
+        let table: Vec<(&str, [Treatment; 3])> = readme
+            .lines()
+            .skip_while(|l| *l != "| field | sim | sweep | fleet | meaning |")
+            .skip(2)
+            .take_while(|l| l.starts_with('|'))
+            .map(|row| {
+                let cells: Vec<&str> = row.split('|').map(str::trim).collect();
+                let treat = |cell: &str| match cell {
+                    "yes" | "required" => Accepted,
+                    "does not apply" => Foreign,
+                    "unknown" => Unknown,
+                    other => panic!("`{other}` in README row {row}"),
+                };
+                let name = cells[1].trim_matches('`');
+                (name, [treat(cells[2]), treat(cells[3]), treat(cells[4])])
+            })
+            .collect();
+        assert_eq!(table, FIELDS);
     }
 
     #[test]
@@ -1281,7 +1442,6 @@ mod tests {
     fn fleet_request_parses_with_defaults() {
         let r = fleet(r#"{"id":"f1","job":"fleet","tenants":64}"#);
         assert_eq!(r.id, "f1");
-        assert_eq!(r.tenants, 64);
         let spec = r.fleet_spec();
         assert_eq!(spec.tenants, 64);
         assert_eq!(spec.threads, 1, "fleet jobs are pinned to one thread");
@@ -1294,9 +1454,10 @@ mod tests {
         let r = fleet(
             r#"{"id":"f2","job":"fleet","tenants":128,"seed":42,"shards":5,"workloads":"FDJAC, TQL","mix":"cd:innermost,ws:2000,lru:16","frames":48,"cell":3,"quantum":200,"admission":2,"jitter":false,"deadline_ms":900}"#,
         );
-        assert_eq!(r.workloads, vec!["FDJAC".to_string(), "TQL".to_string()]);
+        let spec = r.fleet_spec();
+        assert_eq!(spec.workloads, vec!["FDJAC".to_string(), "TQL".to_string()]);
         assert_eq!(
-            r.mix,
+            spec.policy_mix,
             vec![
                 PolicySpec::Cd {
                     selector: CdSelector::Innermost
@@ -1306,7 +1467,6 @@ mod tests {
             ]
         );
         assert_eq!(r.deadline_ms, Some(900));
-        let spec = r.fleet_spec();
         assert_eq!(spec.seed, 42);
         assert_eq!(spec.shards, 5);
         assert_eq!(spec.frames_per_cell, 48);
@@ -1347,55 +1507,6 @@ mod tests {
     }
 
     #[test]
-    fn malformed_fleet_requests_are_typed_errors() {
-        for (line, needle) in [
-            (r#"{"id":"x","job":"fleet"}"#, "tenants"),
-            (
-                r#"{"id":"x","job":"fleet","tenants":10001}"#,
-                "at most 10000",
-            ),
-            (
-                r#"{"id":"x","job":"batch","tenants":4}"#,
-                "unknown job kind",
-            ),
-            (
-                r#"{"id":"x","job":"fleet","tenants":4,"policy":"cd"}"#,
-                "does not apply to fleet jobs",
-            ),
-            (
-                r#"{"id":"x","job":"fleet","tenants":4,"mix":"zap"}"#,
-                "unknown mix policy",
-            ),
-            (
-                r#"{"id":"x","job":"fleet","tenants":4,"mix":"lru"}"#,
-                "needs \"lru:<frames>\"",
-            ),
-            (
-                r#"{"id":"x","job":"fleet","tenants":4,"mix":" , "}"#,
-                "no policies",
-            ),
-            (
-                r#"{"id":"x","job":"fleet","tenants":4,"workloads":","}"#,
-                "no workloads",
-            ),
-            (
-                r#"{"id":"x","job":"fleet","tenants":4,"admission":"vip"}"#,
-                "admission",
-            ),
-            (
-                r#"{"id":"x","job":"fleet","tenants":4,"jitter":7}"#,
-                "boolean",
-            ),
-        ] {
-            let err = parse_request(line).expect_err(line);
-            assert!(
-                err.contains(needle),
-                "`{line}` → `{err}` (wanted `{needle}`)"
-            );
-        }
-    }
-
-    #[test]
     fn fleet_rows_are_integer_only_and_deterministic() {
         use cdmm_vmsim::{Histogram, HistogramSummary};
         let mut st = Histogram::new();
@@ -1421,30 +1532,6 @@ mod tests {
         assert!(a.contains("\"cpu_pm\":756"), "{a}");
         assert!(a.contains("\"st_p99\":"), "{a}");
         assert!(!a.contains('.'), "floats leaked into the row: {a}");
-    }
-
-    #[test]
-    fn unknown_top_level_fields_are_rejected() {
-        for (line, needle) in [
-            (
-                r#"{"id":"x","workload":"MAIN","policy":"cd","trace_on":true}"#,
-                "unknown request field \"trace_on\"",
-            ),
-            (
-                r#"{"id":"x","workload":"MAIN","policy":"cd","Trace":true}"#,
-                "unknown request field \"Trace\"",
-            ),
-            (
-                r#"{"id":"x","job":"fleet","tenants":4,"shard":3}"#,
-                "unknown request field \"shard\"",
-            ),
-        ] {
-            let err = parse_request(line).expect_err(line);
-            assert!(
-                err.contains(needle),
-                "`{line}` → `{err}` (wanted `{needle}`)"
-            );
-        }
     }
 
     #[test]

@@ -33,14 +33,14 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use cdmm_core::fleet::{prepare_fleet, FleetError};
-use cdmm_core::sweep::{self, spec_key, Point, SweepPlan};
+use cdmm_core::sweep::{self, spec_key, CacheKey, KeyHasher, Point, SweepPlan};
 use cdmm_core::{
     panic_message, prepare_cancellable, Executor, InterpError, PipelineConfig, PipelineError,
     Prepared, ResultCache,
 };
 use cdmm_vmsim::{
-    CancelToken, FleetReport, Histogram, JsonlSink, Metrics, MetricsRegistry, NullTracer,
-    ProgressCounters, SimError, Tee, Tracer,
+    CancelToken, Histogram, JsonlSink, Metrics, MetricsRegistry, NullTracer, ProgressCounters,
+    SimError, Tee, Tracer,
 };
 use cdmm_workloads::{by_name, Scale};
 
@@ -136,28 +136,12 @@ pub struct ClientStats {
     pub failed: u64,
 }
 
-/// How one supervised job ended, before response encoding. `extra`
-/// carries pre-encoded observability members (`trace_lines`,
-/// `trace_c`, `metrics`) spliced onto the response row; it is empty
-/// unless the request opted in.
+/// How one supervised job ended, whatever its kind: its encoded
+/// success row (with any opted-in observability members spliced on)
+/// and the references it walked, or a typed failure.
 enum JobOutcome {
-    Ok {
-        label: String,
-        metrics: Box<Metrics>,
-        extra: String,
-    },
-    FleetOk {
-        report: Box<FleetReport>,
-        extra: String,
-    },
-    SweepOk {
-        family: SweepFamily,
-        points: Vec<Point>,
-    },
-    Err {
-        kind: ErrorKind,
-        detail: String,
-    },
+    Ok { row: String, refs: u64 },
+    Err { kind: ErrorKind, detail: String },
 }
 
 /// A fault-tolerant batch executor over the simulation pipeline.
@@ -166,8 +150,9 @@ pub struct BatchService {
     exec: Executor,
     cache: ResultCache,
     faults: Option<Arc<FaultInjector>>,
-    /// Memoized prepared programs, keyed by (source, knobs) hash.
-    programs: Mutex<HashMap<u128, Arc<Prepared>>>,
+    /// Memoized prepared programs, keyed by (name, source) hash and the
+    /// whole pipeline configuration.
+    programs: Mutex<HashMap<(CacheKey, PipelineConfig), Arc<Prepared>>>,
     latency: Mutex<Histogram>,
     clients: Mutex<BTreeMap<String, ClientStats>>,
     progress: Option<Arc<ProgressCounters>>,
@@ -283,16 +268,12 @@ impl BatchService {
     pub fn handle_batch(&self, lines: &[&str]) -> Vec<String> {
         self.requests
             .fetch_add(lines.len() as u64, Ordering::Relaxed);
-        // Parse every line first; admission control only counts jobs
-        // that could actually run.
-        let mut parsed: Vec<Result<Request, String>> = Vec::with_capacity(lines.len());
-        for line in lines {
-            parsed.push(parse_request(line));
-        }
+        // Admission control only counts jobs that parse, so they could
+        // actually run.
         let mut admitted: Vec<(usize, Request)> = Vec::new();
         let mut responses: Vec<Option<String>> = vec![None; lines.len()];
-        for (i, p) in parsed.into_iter().enumerate() {
-            match p {
+        for (i, line) in lines.iter().enumerate() {
+            match parse_request(line) {
                 Err(detail) => {
                     responses[i] = Some(encode_err(
                         &request_id_hint(lines[i]),
@@ -329,33 +310,15 @@ impl BatchService {
                 p.sub_queued(1);
                 p.add_done(1);
                 p.record_latency_ms(wall / 1_000_000);
-                let refs = match &outcome {
-                    JobOutcome::Ok { metrics, .. } => metrics.refs,
-                    JobOutcome::FleetOk { report, .. } => report.total_refs,
-                    // One curve pass walked the trace once, whatever
-                    // the point count.
-                    JobOutcome::SweepOk { points, .. } => {
-                        points.first().map_or(0, |p| p.metrics.refs)
-                    }
-                    JobOutcome::Err { .. } => 0,
-                };
-                p.add_refs(refs);
+                if let JobOutcome::Ok { refs, .. } = &outcome {
+                    p.add_refs(*refs);
+                }
             }
             outcome
         });
         for ((i, req), outcome) in admitted.iter().zip(outcomes) {
             let line = match outcome {
-                Ok(JobOutcome::Ok {
-                    label,
-                    metrics,
-                    extra,
-                }) => attach_fields(&encode_ok(req.id(), &label, &metrics), &extra),
-                Ok(JobOutcome::FleetOk { report, extra }) => {
-                    attach_fields(&encode_fleet_ok(req.id(), &report), &extra)
-                }
-                Ok(JobOutcome::SweepOk { family, points }) => {
-                    encode_sweep_ok(req.id(), family, &points)
-                }
+                Ok(JobOutcome::Ok { row, .. }) => row,
                 Ok(JobOutcome::Err { kind, detail }) => encode_err(req.id(), kind, &detail),
                 // The executor's catch_unwind is the last line of
                 // defense — a panic that escaped the retry loop.
@@ -364,9 +327,8 @@ impl BatchService {
             self.tally_client(req.client(), line.contains("\"ok\":true"));
             responses[*i] = Some(line);
         }
-        if let Err(e) = self.cache.flush() {
+        if self.cache.flush().is_err() {
             self.flush_failures.fetch_add(1, Ordering::Relaxed);
-            let _ = e;
         }
 
         let out: Vec<String> = responses
@@ -446,25 +408,20 @@ impl BatchService {
     /// stream is the product, so it must actually run — but its metrics
     /// still land in the cache for later untraced calls.
     fn execute_sim(&self, req: &JobRequest, token: &CancelToken) -> JobOutcome {
-        let prepared = match self.resolve_program(
-            &req.work,
-            req.scale,
-            req.pipeline_config(),
-            [req.page_bytes, req.fault_service, req.min_alloc],
-            token,
-        ) {
-            Ok(p) => p,
-            Err(outcome) => return outcome,
-        };
+        let prepared =
+            match self.resolve_program(&req.work, req.scale, req.pipeline_config(), token) {
+                Ok(p) => p,
+                Err(outcome) => return outcome,
+            };
         let label = prepared.policy_label(req.policy);
         let key = spec_key(&prepared, req.policy);
+        let ok = |m: &Metrics, extra: &str| JobOutcome::Ok {
+            row: attach_fields(&encode_ok(&req.id, &label, m), extra),
+            refs: m.refs,
+        };
         if !req.trace && !req.metrics {
             if let Some(metrics) = self.cache.lookup(key) {
-                return JobOutcome::Ok {
-                    label,
-                    metrics: Box::new(metrics),
-                    extra: String::new(),
-                };
+                return ok(&metrics, "");
             }
         }
         let t0 = Instant::now();
@@ -476,11 +433,7 @@ impl BatchService {
             Ok((Ok(metrics), extra)) => {
                 self.cache.record_sim(t0.elapsed());
                 self.cache.insert(key, metrics);
-                JobOutcome::Ok {
-                    label,
-                    metrics: Box::new(metrics),
-                    extra,
-                }
+                ok(&metrics, &extra)
             }
             Ok((Err(SimError::DeadlineExceeded { refs_done }), _)) => deadline_exceeded(refs_done),
             Ok((Err(other), _)) => JobOutcome::Err {
@@ -526,7 +479,7 @@ impl BatchService {
         let safe = |c: char| c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-');
         let mut name: String = id.chars().map(|c| if safe(c) { c } else { '_' }).collect();
         if !id.chars().all(safe) {
-            let mut h = cdmm_core::sweep::KeyHasher::new();
+            let mut h = KeyHasher::new();
             h.write_str(id);
             name.push_str(&format!("+{:016x}", h.finish().lo));
         }
@@ -571,9 +524,9 @@ impl BatchService {
         });
         match run {
             Err(outcome) => outcome,
-            Ok((Ok(report), extra)) => JobOutcome::FleetOk {
-                report: Box::new(report),
-                extra,
+            Ok((Ok(report), extra)) => JobOutcome::Ok {
+                row: attach_fields(&encode_fleet_ok(&req.id, &report), &extra),
+                refs: report.total_refs,
             },
             Ok((Err(FleetError::Sim(SimError::DeadlineExceeded { refs_done })), _)) => {
                 deadline_exceeded(refs_done)
@@ -593,16 +546,11 @@ impl BatchService {
     /// O(log) evaluation, byte-identical to per-point simulation by the
     /// curve-equivalence gate.
     fn execute_sweep(&self, req: &SweepRequest, token: &CancelToken) -> JobOutcome {
-        let prepared = match self.resolve_program(
-            &req.work,
-            req.scale,
-            req.pipeline_config(),
-            [req.page_bytes, req.fault_service, req.min_alloc],
-            token,
-        ) {
-            Ok(p) => p,
-            Err(outcome) => return outcome,
-        };
+        let prepared =
+            match self.resolve_program(&req.work, req.scale, req.pipeline_config(), token) {
+                Ok(p) => p,
+                Err(outcome) => return outcome,
+            };
         let params: Vec<u64> = match req.family {
             SweepFamily::Lru => sweep::full_lru_range(&prepared).map(|m| m as u64).collect(),
             SweepFamily::Ws => sweep::ws_tau_grid(&prepared, req.points.unwrap_or(6)),
@@ -633,23 +581,23 @@ impl BatchService {
                     .collect()
             }
         };
-        JobOutcome::SweepOk {
-            family: req.family,
-            points,
+        JobOutcome::Ok {
+            row: encode_sweep_ok(&req.id, req.family, &points),
+            // One curve pass walked the trace once, whatever the point
+            // count.
+            refs: points.first().map_or(0, |p| p.metrics.refs),
         }
     }
 
-    /// Resolves and memoizes a prepared program. A deadline expiring
-    /// during trace generation surfaces as a typed `deadline_exceeded`;
-    /// cancelled prepares are never memoized (only completed ones reach
-    /// the memo insert). `knobs` is every geometry field that changes
-    /// the pipeline output, in memo-key order.
+    /// Resolves and memoizes a prepared program under `cfg`. A deadline
+    /// expiring during trace generation surfaces as a typed
+    /// `deadline_exceeded`; cancelled prepares are never memoized (only
+    /// completed ones reach the memo insert).
     fn resolve_program(
         &self,
         work: &WorkSource,
         scale: Scale,
         cfg: PipelineConfig,
-        knobs: [Option<u64>; 3],
         token: &CancelToken,
     ) -> Result<Arc<Prepared>, JobOutcome> {
         let (name, source) = match work {
@@ -664,7 +612,10 @@ impl BatchService {
             },
             WorkSource::Inline { name, source } => (name.clone(), source.clone()),
         };
-        let memo_key = program_memo_key(&name, &source, knobs);
+        let mut h = KeyHasher::new();
+        h.write_str(&name);
+        h.write_str(&source);
+        let memo_key = (h.finish(), cfg);
         if let Some(p) = self
             .programs
             .lock()
@@ -754,22 +705,6 @@ fn observability_extra(sink: Option<&JsonlSink>, registry: Option<&MetricsRegist
         parts.push(encode_registry(&r.snapshot()));
     }
     parts.join(",")
-}
-
-/// Hash key for the prepared-program memo: program identity plus every
-/// knob that changes the pipeline output
-/// (`[page_bytes, fault_service, min_alloc]`).
-fn program_memo_key(name: &str, source: &str, knobs: [Option<u64>; 3]) -> u128 {
-    use cdmm_core::sweep::KeyHasher;
-    let [page_bytes, fault_service, min_alloc] = knobs;
-    let mut h = KeyHasher::new();
-    h.write_str(name);
-    h.write_str(source);
-    h.write_u64(page_bytes.unwrap_or(0));
-    h.write_u64(fault_service.unwrap_or(u64::MAX));
-    h.write_u64(min_alloc.unwrap_or(u64::MAX));
-    let k = h.finish();
-    ((k.hi as u128) << 64) | k.lo as u128
 }
 
 /// Best-effort id extraction from a line that failed to parse, so even
@@ -1051,6 +986,34 @@ mod tests {
         let stats = s.cache().stats();
         assert_eq!((stats.cache_hits, stats.cache_misses), (1, 1));
         assert_eq!(stats.sim_points, 1, "second call hit, no new simulation");
+    }
+
+    /// A flush that fails (a directory squats on the cache's temp path)
+    /// changes no row and is counted; once the path clears, the next
+    /// batch writes the entries to disk although it only hits the cache.
+    #[test]
+    fn failed_flushes_are_counted_and_their_entries_written_later() {
+        let dir = scratch_dir("flush");
+        let lines = [
+            r#"{"id":"f1","workload":"MAIN","policy":"lru","frames":8}"#,
+            r#"{"id":"f2","workload":"MAIN","policy":"ws","tau":500}"#,
+        ];
+        let s = service(ServeConfig {
+            cache_dir: Some(dir.clone()),
+            ..ServeConfig::default()
+        });
+        let tmp = dir.join("results.jsonl.tmp");
+        std::fs::create_dir(&tmp).expect("squat the temp path");
+        let first = s.handle_batch(&lines);
+        assert_eq!(first, service(ServeConfig::default()).handle_batch(&lines));
+        assert_eq!(s.stats().flush_failures, 1);
+        std::fs::remove_dir(&tmp).expect("unsquat");
+        assert_eq!(s.handle_batch(&lines), first);
+        assert_eq!(s.cache().stats().cache_hits, 2, "the second batch only hit");
+        assert_eq!(s.stats().flush_failures, 1);
+        let persisted = std::fs::read_to_string(dir.join("results.jsonl")).expect("flushed");
+        assert_eq!(persisted.lines().count(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -521,21 +521,6 @@ impl JsonlSink {
         })
     }
 
-    /// Creates `<name>.trace.jsonl` next to the sweep cache: under
-    /// `CDMM_CACHE_DIR` when set, else `CARGO_TARGET_DIR`/`target` +
-    /// `cdmm-cache/`.
-    pub fn in_cache_dir(name: &str) -> std::io::Result<Self> {
-        let dir = std::env::var_os("CDMM_CACHE_DIR")
-            .map(PathBuf::from)
-            .unwrap_or_else(|| {
-                std::env::var_os("CARGO_TARGET_DIR")
-                    .map(PathBuf::from)
-                    .unwrap_or_else(|| PathBuf::from("target"))
-                    .join("cdmm-cache")
-            });
-        Self::create(&dir.join(format!("{name}.trace.jsonl")))
-    }
-
     /// Stops recording after `limit` events (the file notes the
     /// truncation via [`JsonlSink::truncated`]); `None` is unbounded.
     pub fn with_limit(mut self, limit: Option<u64>) -> Self {

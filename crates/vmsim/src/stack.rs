@@ -296,28 +296,6 @@ impl StackProfile {
         Self::from_histogram(pass.hist, pass.cold, pass.refs, pass.distinct)
     }
 
-    /// [`StackProfile::compute`] under a cooperative cancellation poll:
-    /// `keep_going` is consulted once per compressed op (the
-    /// [`EventSource::for_each_run_while`] contract), so a deadline'd
-    /// caller profiling a huge trace stops within one op, not after the
-    /// whole pass. Returns `None` when the poll stopped the stream.
-    pub fn compute_cancellable<S: EventSource + ?Sized>(
-        trace: &S,
-        keep_going: impl FnMut() -> bool,
-    ) -> Option<StackProfile> {
-        let hint = trace.page_count_hint().max(16);
-        let mut pass = TreePass::new(hint);
-        if !trace.for_each_run_while(keep_going, |run| pass.feed(run)) {
-            return None;
-        }
-        Some(Self::from_histogram(
-            pass.hist,
-            pass.cold,
-            pass.refs,
-            pass.distinct,
-        ))
-    }
-
     /// Builds the profile from a finished [`TreePass`] — the curve
     /// kernel shares the pass and wraps the resulting profile.
     pub(crate) fn from_pass(pass: TreePass) -> StackProfile {
