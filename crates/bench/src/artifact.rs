@@ -26,9 +26,8 @@ use std::path::{Path, PathBuf};
 /// Artifact schema version tag. Bump when the shape changes; the
 /// parser accepts the current tag and every entry of
 /// [`COMPAT_SCHEMAS`], and rejects everything else. `cdmm-bench/2`
-/// adds scheduler-plane wall counters (`sched_*` fields, classified as
-/// wall measurements by [`is_wall_field`]); the shape is otherwise
-/// unchanged, so `/1` baselines still parse.
+/// differs from `/1` only by fields no bench writes any more, so `/1`
+/// baselines still parse.
 pub const SCHEMA: &str = "cdmm-bench/2";
 
 /// Older schema tags [`Artifact::from_json`] still accepts, so
@@ -195,12 +194,9 @@ impl Artifact {
 /// dependent, threshold-compared by the regression gate) rather than a
 /// deterministic simulation metric (exact-compared). `_ns` names are
 /// durations (regress upward); `_per_sec` names are throughputs
-/// (regress downward). `sched_*` names are scheduler-plane counters
-/// (shard claims/steals) that depend on run geometry and thread
-/// timing, so they are tolerance-gated like wall measurements rather
-/// than exact-compared.
+/// (regress downward).
 pub fn is_wall_field(name: &str) -> bool {
-    name.ends_with("_ns") || name.ends_with("_per_sec") || name.starts_with("sched_")
+    name.ends_with("_ns") || name.ends_with("_per_sec")
 }
 
 struct Parser<'a> {
@@ -438,8 +434,6 @@ mod tests {
         assert!(is_wall_field("simulate_ns"));
         assert!(is_wall_field("refs_per_sec"));
         assert!(is_wall_field("requests_per_sec"));
-        assert!(is_wall_field("sched_claims"));
-        assert!(is_wall_field("sched_steals"));
         assert!(!is_wall_field("faults"));
         assert!(!is_wall_field("mean_mem"));
         assert!(!is_wall_field("scheduler_depth"));

@@ -1,6 +1,7 @@
 //! Fleet-scheduler benchmark: drives seeded multi-tenant fleets through
-//! the sharded work-stealing scheduler and writes the `BENCH_fleet.json`
-//! artifact, comparing it against the checked-in baseline.
+//! the cell scheduler (one executor job per cell) and writes the
+//! `BENCH_fleet.json` artifact, comparing it against the checked-in
+//! baseline.
 //!
 //! ```text
 //! fleet_bench [--small] [--threads N] [--quick] [--bench-out DIR]
@@ -11,21 +12,20 @@
 //! all-CD fleet, and an all-WS fleet, each over the default workload
 //! rotation. Every deterministic field (tenant count, cells, makespan,
 //! faults, swap events, ST-cost and swapper-pressure percentiles, CPU
-//! permille) is exact-compared against the baseline; `wall_ns`,
-//! `tenants_per_sec`, and the `sched_*` scheduler counters are wall
-//! fields, threshold-compared (or advisory under
-//! `CDMM_WALL_ADVISORY=1`). `CDMM_BLESS=1` overwrites the baseline
-//! instead of comparing.
+//! permille) is exact-compared against the baseline; `wall_ns` and
+//! `tenants_per_sec` are wall fields, threshold-compared (or advisory
+//! under `CDMM_WALL_ADVISORY=1`). `CDMM_BLESS=1` overwrites the
+//! baseline instead of comparing.
 //!
-//! Every run goes through the observed scheduler, so the mixed fleet
-//! also prints the [`FleetScorecard`] (worker timelines, phase spans,
-//! hottest cells) to stderr; `--progress-out`/`--progress-tty` stream
-//! live progress frames while the fleets run.
+//! The mixed fleet also prints its [`render_fleet`] scorecard (totals,
+//! distributions, policy families, hottest cells) to stderr;
+//! `--progress-out`/`--progress-tty` stream live progress frames while
+//! the fleets run.
 //!
-//! Knobs: `CDMM_FLEET_TENANTS` / `CDMM_FLEET_SEED` / `CDMM_FLEET_SHARDS`
-//! override the fleet shape for exploratory runs — any override skips
-//! the baseline comparison, since the deterministic fields only match
-//! at the blessed shape.
+//! Knobs: `CDMM_FLEET_TENANTS` / `CDMM_FLEET_SEED` override the fleet
+//! shape for exploratory runs — either override skips the baseline
+//! comparison, since the deterministic fields only match at the blessed
+//! shape.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -39,9 +39,7 @@ use cdmm_core::pipeline::PolicySpec;
 use cdmm_core::report::render_fleet;
 use cdmm_core::sweep::ResultCache;
 use cdmm_vmsim::policy::cd::CdSelector;
-use cdmm_vmsim::{
-    CancelToken, FleetReport, FleetScorecard, NullTracer, ProgressExporter, SharedSink,
-};
+use cdmm_vmsim::{CancelToken, FleetReport, NullTracer, ProgressExporter, SharedSink};
 use cdmm_workloads::Scale;
 
 fn baseline_dir() -> PathBuf {
@@ -72,11 +70,8 @@ fn mixes() -> Vec<(&'static str, Vec<PolicySpec>)> {
     ]
 }
 
-/// One artifact row from one fleet run. The `sched_*` counters come
-/// from the wall-side scorecard: they depend on thread timing and the
-/// auto-shard choice, so [`cdmm_bench::artifact::is_wall_field`]
-/// classifies them as tolerance-gated rather than exact.
-fn entry(id: &str, r: &FleetReport, sc: &FleetScorecard, wall_ns: u64) -> Entry {
+/// One artifact row from one fleet run.
+fn entry(id: &str, r: &FleetReport, wall_ns: u64) -> Entry {
     let per_sec = r.tenants.len() as f64 / (wall_ns.max(1) as f64 / 1e9);
     Entry::new(id)
         .int("tenants", r.tenants.len() as u64)
@@ -91,18 +86,14 @@ fn entry(id: &str, r: &FleetReport, sc: &FleetScorecard, wall_ns: u64) -> Entry 
         .int("sw_p99", r.swap_pressure.p99)
         .int("wall_ns", wall_ns)
         .float("tenants_per_sec", per_sec)
-        .int("sched_claims", sc.shard_claims)
-        .int("sched_steals", sc.shard_steals)
 }
 
 fn run(env: &BenchEnv) -> Result<(), String> {
     let o = env.options();
-    let overridden = env_u64("CDMM_FLEET_TENANTS").is_some()
-        || env_u64("CDMM_FLEET_SEED").is_some()
-        || env_u64("CDMM_FLEET_SHARDS").is_some();
+    let overridden =
+        env_u64("CDMM_FLEET_TENANTS").is_some() || env_u64("CDMM_FLEET_SEED").is_some();
     let tenants = env_u64("CDMM_FLEET_TENANTS").unwrap_or(if o.quick { 64 } else { 256 }) as usize;
     let seed = env_u64("CDMM_FLEET_SEED").unwrap_or(1);
-    let shards = env_u64("CDMM_FLEET_SHARDS").unwrap_or(0) as usize;
     let threads = o.executor().threads();
     let scale_tag = match env.scale() {
         Scale::Paper => "paper",
@@ -128,13 +119,12 @@ fn run(env: &BenchEnv) -> Result<(), String> {
             // Tight cells: four tenants on 24 frames keeps the swapper
             // and admission paths hot instead of benching an idle pool.
             frames_per_cell: 24,
-            shards,
             threads,
             ..FleetSpec::default()
         };
         let prepared = prepare_fleet(&spec).map_err(|e| format!("fleet/{name}: {e}"))?;
         let t0 = Instant::now();
-        let (report, scorecard) = match env.tracer() {
+        let report = match env.tracer() {
             Some(t) => {
                 let mut sink = SharedSink::new(t);
                 prepared.run_observed(&mut sink, Some(&counters), &token)
@@ -145,26 +135,20 @@ fn run(env: &BenchEnv) -> Result<(), String> {
         let wall_ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         eprintln!(
             "fleet/{name}: {} tenants over {} cells in {:.1} ms — makespan {}, \
-             {} faults, {} swap-outs, {} claims ({} stolen)",
+             {} faults, {} swap-outs",
             report.tenants.len(),
             report.cells.len(),
             wall_ns as f64 / 1e6,
             report.makespan,
             report.total_faults,
             report.swap_events,
-            scorecard.shard_claims,
-            scorecard.shard_steals,
         );
         if name == "mixed" {
             eprint!("{}", render_fleet(&report));
-            eprint!("{}", scorecard.render());
         }
-        fresh.entries.push(entry(
-            &format!("fleet/{name}"),
-            &report,
-            &scorecard,
-            wall_ns,
-        ));
+        fresh
+            .entries
+            .push(entry(&format!("fleet/{name}"), &report, wall_ns));
     }
     let frames = exporter.finish();
     if frames > 0 {
@@ -183,7 +167,6 @@ fn run(env: &BenchEnv) -> Result<(), String> {
         seed,
         scale: env.scale(),
         policy_mix: mixes().remove(0).1,
-        shards,
         threads,
         ..FleetSpec::default()
     };

@@ -1,6 +1,5 @@
 //! Fleet assembly: clone paper workloads into thousands of tenants and
-//! hand them to the sharded, work-stealing scheduler in
-//! [`cdmm_vmsim::fleet`].
+//! hand them to the cell scheduler in [`cdmm_vmsim::fleet`].
 //!
 //! The vmsim layer schedules *tenants it is given*; this module is the
 //! part that manufactures them. A [`FleetSpec`] names a handful of
@@ -23,9 +22,9 @@
 //! fleet over 3 workloads compiles and traces at most 9 programs, then
 //! clones the compressed traces (cheap `Vec` clones) per tenant.
 //!
-//! Everything is derived from `(spec, seed)` alone — never from thread
-//! or shard geometry — so the fleet report does not depend on how it
-//! was executed.
+//! Everything is derived from `(spec, seed)` alone — never from the
+//! thread count — so the fleet report does not depend on how it was
+//! executed.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -34,8 +33,8 @@ use cdmm_trace::{CancelToken, CompressedTrace, DirectiveFuzzer, TenantJitter};
 use cdmm_vmsim::policy::cd::CdPolicy;
 use cdmm_vmsim::policy::Policy;
 use cdmm_vmsim::{
-    run_fleet, Admission, FleetConfig, FleetReport, FleetScorecard, NullTracer, ProgressCounters,
-    SimError, TenantSpec, Tracer,
+    run_fleet, Admission, FleetConfig, FleetReport, NullTracer, ProgressCounters, SimError,
+    TenantSpec, Tracer,
 };
 use cdmm_workloads::Scale;
 
@@ -83,9 +82,6 @@ pub struct FleetSpec {
     pub quantum: u64,
     /// Admission control at cell entry.
     pub admission: Admission,
-    /// Work-distribution batches (0 = one shard per cell). Never
-    /// affects results.
-    pub shards: usize,
     /// Worker threads (1 = serial). Never affects results.
     pub threads: usize,
     /// Apply seeded per-tenant perturbation. Off, every clone of a
@@ -116,7 +112,6 @@ impl Default for FleetSpec {
             tenants_per_cell: 4,
             quantum: 300,
             admission: Admission::PiLevel(1),
-            shards: 0,
             threads: 1,
             jitter: true,
             chaos: Vec::new(),
@@ -128,13 +123,14 @@ impl Default for FleetSpec {
 /// Fleet assembly or execution failure.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FleetError {
-    /// The spec names zero tenants, workloads, or policies.
+    /// The spec names zero tenants, workloads or policies, or asks for
+    /// cells with no tenants or frames, or a zero quantum.
     Empty(&'static str),
     /// A workload name not in the paper's table.
     UnknownWorkload(String),
     /// Compile/trace failure for one of the cloned programs.
     Pipeline(PipelineError),
-    /// Scheduler rejection (degenerate cell geometry, cancellation).
+    /// Scheduler failure (cancellation).
     Sim(SimError),
 }
 
@@ -180,11 +176,6 @@ impl PreparedFleet {
         self.tenants.len()
     }
 
-    /// The scheduler configuration the run will use.
-    pub fn config(&self) -> &FleetConfig {
-        &self.config
-    }
-
     /// Runs the fleet to completion under a cooperative
     /// [`CancelToken`], with an event [`Tracer`] attached (cell event
     /// streams are replayed into it deterministically, in cell order;
@@ -194,20 +185,18 @@ impl PreparedFleet {
         tracer: &mut dyn Tracer,
         token: &CancelToken,
     ) -> Result<FleetReport, FleetError> {
-        Ok(self.run_observed(tracer, None, token)?.0)
+        self.run_observed(tracer, None, token)
     }
 
-    /// [`PreparedFleet::run_cancellable`] with the full observability
-    /// plane: returns the wall-side [`FleetScorecard`] next to the
-    /// deterministic report and bumps the optional shared
-    /// [`ProgressCounters`] as cells finish, so callers can stream live
-    /// progress frames while the fleet runs.
+    /// [`PreparedFleet::run_cancellable`] that also bumps the optional
+    /// shared [`ProgressCounters`] as cells finish, so callers can
+    /// stream live progress frames while the fleet runs.
     pub fn run_observed(
         self,
         tracer: &mut dyn Tracer,
         progress: Option<&ProgressCounters>,
         token: &CancelToken,
-    ) -> Result<(FleetReport, FleetScorecard), FleetError> {
+    ) -> Result<FleetReport, FleetError> {
         Ok(run_fleet(
             self.tenants,
             self.config,
@@ -314,6 +303,17 @@ pub fn prepare_fleet(spec: &FleetSpec) -> Result<PreparedFleet, FleetError> {
     if spec.policy_mix.is_empty() {
         return Err(FleetError::Empty("policy in the mix"));
     }
+    // The scheduler rejects these too, but only after every workload
+    // is compiled, and as a run failure rather than a bad spec.
+    if spec.frames_per_cell == 0 {
+        return Err(FleetError::Empty("frame per cell"));
+    }
+    if spec.quantum == 0 {
+        return Err(FleetError::Empty("reference per quantum"));
+    }
+    if spec.tenants_per_cell == 0 {
+        return Err(FleetError::Empty("tenant per cell"));
+    }
 
     // Resolve workload names up front so a typo fails before any
     // compilation happens.
@@ -386,7 +386,6 @@ pub fn prepare_fleet(spec: &FleetSpec) -> Result<PreparedFleet, FleetError> {
         quantum: spec.quantum,
         fault_service: spec.config.fault_service,
         admission: spec.admission,
-        shards: spec.shards,
         threads: spec.threads,
     };
     Ok(PreparedFleet { tenants, config })
@@ -553,6 +552,37 @@ mod tests {
         let mut spec = small_spec();
         spec.policy_mix.clear();
         assert!(matches!(prepare_fleet(&spec), Err(FleetError::Empty(_))));
+        // Degenerate cells are bad specs too, rejected before any
+        // workload name resolves (NOSUCH would otherwise fail first).
+        let base = FleetSpec {
+            workloads: vec!["NOSUCH".into()],
+            ..small_spec()
+        };
+        for (bad, what) in [
+            (
+                FleetSpec {
+                    frames_per_cell: 0,
+                    ..base.clone()
+                },
+                "frame per cell",
+            ),
+            (
+                FleetSpec {
+                    quantum: 0,
+                    ..base.clone()
+                },
+                "reference per quantum",
+            ),
+            (
+                FleetSpec {
+                    tenants_per_cell: 0,
+                    ..base.clone()
+                },
+                "tenant per cell",
+            ),
+        ] {
+            assert_eq!(prepare_fleet(&bad).err(), Some(FleetError::Empty(what)));
+        }
     }
 
     #[test]

@@ -224,9 +224,10 @@ pub fn render_table4(rows: &[Table4Row]) -> String {
 }
 
 /// Renders a fleet run as a plain-text scorecard: headline totals, the
-/// space-time and swapper-pressure distributions, and a per-policy-family
+/// space-time and swapper-pressure distributions, a per-policy-family
 /// breakdown (families keyed by the label prefix before the parameter,
-/// so `WS(1700)` and `WS(2300)` fold into one `WS` row).
+/// so `WS(1700)` and `WS(2300)` fold into one `WS` row), and the (at
+/// most three) cells with the most swap-outs, ties to the lower index.
 pub fn render_fleet(report: &cdmm_vmsim::FleetReport) -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -292,6 +293,22 @@ pub fn render_fleet(report: &cdmm_vmsim::FleetReport) -> String {
             faults,
             swaps,
             st / *tenants as f64
+        );
+    }
+    let mut hottest: Vec<usize> = (0..report.cells.len())
+        .filter(|&i| report.cells[i].swap_events > 0)
+        .collect();
+    hottest.sort_by_key(|&i| (std::cmp::Reverse(report.cells[i].swap_events), i));
+    hottest.truncate(3);
+    if !hottest.is_empty() {
+        let _ = writeln!(out, "\nhottest cells by swap-outs:");
+    }
+    for i in hottest {
+        let cell = &report.cells[i];
+        let _ = writeln!(
+            out,
+            "  cell {i}: {} swap-outs, {} forced admissions, util {:.2}",
+            cell.swap_events, cell.forced_admissions, report.cpu_per_cell[i]
         );
     }
     out
@@ -449,6 +466,48 @@ mod tests {
         assert!(md.contains("| MAIN |"));
         assert!(md.contains("| recovered |"), "recovered column in header");
         assert!(md.contains("### Table 4"));
+    }
+
+    #[test]
+    fn render_fleet_lists_the_hottest_cells() {
+        use cdmm_vmsim::{CellReport, FleetReport, Histogram, HistogramSummary};
+        let cell = |swap_events, forced_admissions| CellReport {
+            makespan: 100,
+            busy: 50,
+            total_faults: 0,
+            swap_events,
+            forced_admissions,
+        };
+        let empty = HistogramSummary::of(&Histogram::new());
+        let mut report = FleetReport {
+            tenants: Vec::new(),
+            cells: vec![cell(0, 0), cell(3, 1), cell(5, 0), cell(3, 2), cell(1, 0)],
+            makespan: 100,
+            total_refs: 0,
+            total_faults: 0,
+            swap_events: 12,
+            cpu_utilization: 0.5,
+            cpu_per_cell: vec![0.5, 0.25, 0.75, 0.5, 1.0],
+            st_cost: empty,
+            swap_pressure: empty,
+        };
+        let s = render_fleet(&report);
+        let hot = s
+            .split_once("hottest cells by swap-outs:\n")
+            .expect("section")
+            .1;
+        assert_eq!(
+            hot.lines().collect::<Vec<_>>(),
+            [
+                "  cell 2: 5 swap-outs, 0 forced admissions, util 0.75",
+                "  cell 1: 3 swap-outs, 1 forced admissions, util 0.25",
+                "  cell 3: 3 swap-outs, 2 forced admissions, util 0.50",
+            ]
+        );
+        for c in &mut report.cells {
+            c.swap_events = 0;
+        }
+        assert!(!render_fleet(&report).contains("hottest"));
     }
 
     #[test]

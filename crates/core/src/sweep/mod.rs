@@ -13,8 +13,9 @@
 //!
 //! Sweeps run through two engine pieces:
 //!
-//! - [`Executor`] shards the point grid across scoped worker threads and
-//!   merges results in deterministic parameter order;
+//! - [`Executor`] (the workspace's one thread pool, defined in
+//!   `cdmm_vmsim::executor`) spreads the point grid over scoped worker
+//!   threads and merges results in deterministic parameter order;
 //! - [`ResultCache`] memoizes each `(program, policy, parameter)` point
 //!   under a content-addressed key, optionally persisted under
 //!   `target/cdmm-cache/`.
@@ -30,7 +31,6 @@
 //! suite holds them to.
 
 pub mod cache;
-pub mod executor;
 pub mod plan;
 
 use std::time::Instant;
@@ -41,7 +41,7 @@ use cdmm_vmsim::Metrics;
 use crate::pipeline::{PolicySpec, Prepared};
 
 pub use cache::{CacheKey, KeyHasher, ResultCache};
-pub use executor::{panic_message, Executor, JobError};
+pub use cdmm_vmsim::executor::{panic_message, Executor, JobError};
 pub use plan::SweepPlan;
 
 /// One simulated operating point of a policy family.

@@ -167,7 +167,7 @@ fn main() -> ExitCode {
     let frames = exporter.finish();
     let st = service.stats();
     eprintln!(
-        "cdmm-serve: {} requests, {} ok, {} failed ({} shed, {} deadline), {} retries, p50 {} ns, p99 {} ns",
+        "cdmm-serve: {} requests, {} ok, {} failed ({} shed, {} deadline), {} retries, p50 ≤ {} ns, p99 ≤ {} ns",
         st.requests,
         st.ok,
         st.failed,

@@ -722,7 +722,6 @@ const FIELDS: &[(&str, [Treatment; 3])] = &[
     ("points", [Unknown, Accepted, Unknown]),
     ("tenants", [Unknown, Unknown, Accepted]),
     ("seed", [Unknown, Unknown, Accepted]),
-    ("shards", [Unknown, Unknown, Accepted]),
     ("workloads", [Unknown, Unknown, Accepted]),
     ("mix", [Unknown, Unknown, Accepted]),
     ("cell", [Unknown, Unknown, Accepted]),
@@ -925,7 +924,6 @@ fn parse_fleet(fields: &BTreeMap<String, Scalar>, scale: Scale) -> Result<FleetS
         }
     }
     spec.seed = get_u64(fields, "seed")?.unwrap_or(spec.seed);
-    spec.shards = get_u64(fields, "shards")?.map_or(spec.shards, |s| s as usize);
     spec.frames_per_cell = get_u64(fields, "frames")?.unwrap_or(spec.frames_per_cell);
     spec.tenants_per_cell = get_u64(fields, "cell")?.map_or(spec.tenants_per_cell, |c| c as usize);
     spec.quantum = get_u64(fields, "quantum")?.unwrap_or(spec.quantum);
@@ -1144,8 +1142,8 @@ mod tests {
                 r#"field "metrics" does not apply to sweep jobs"#,
             ),
             (
-                r#"{"id":"x","job":"fleet","tenants":4,"shard":3}"#,
-                r#"unknown request field "shard""#,
+                r#"{"id":"x","job":"fleet","tenants":4,"shards":3}"#,
+                r#"unknown request field "shards""#,
             ),
             (
                 r#"{"id":"x","job":"fleet","tenants":4,"name":"T"}"#,
@@ -1452,7 +1450,7 @@ mod tests {
     #[test]
     fn fleet_request_parses_every_knob() {
         let r = fleet(
-            r#"{"id":"f2","job":"fleet","tenants":128,"seed":42,"shards":5,"workloads":"FDJAC, TQL","mix":"cd:innermost,ws:2000,lru:16","frames":48,"cell":3,"quantum":200,"admission":2,"jitter":false,"deadline_ms":900}"#,
+            r#"{"id":"f2","job":"fleet","tenants":128,"seed":42,"workloads":"FDJAC, TQL","mix":"cd:innermost,ws:2000,lru:16","frames":48,"cell":3,"quantum":200,"admission":2,"jitter":false,"deadline_ms":900}"#,
         );
         let spec = r.fleet_spec();
         assert_eq!(spec.workloads, vec!["FDJAC".to_string(), "TQL".to_string()]);
@@ -1468,7 +1466,6 @@ mod tests {
         );
         assert_eq!(r.deadline_ms, Some(900));
         assert_eq!(spec.seed, 42);
-        assert_eq!(spec.shards, 5);
         assert_eq!(spec.frames_per_cell, 48);
         assert_eq!(spec.tenants_per_cell, 3);
         assert_eq!(spec.quantum, 200);

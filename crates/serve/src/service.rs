@@ -258,7 +258,11 @@ impl BatchService {
         }
     }
 
-    /// Per-request wall-time percentile in nanoseconds (p in [0, 1]).
+    /// An upper bound, in nanoseconds, on the `p`-quantile request
+    /// wall time (`p` in [0, 1]): the top of the log₂ [`Histogram`]
+    /// bucket holding that request, clamped to the slowest request. It
+    /// is within a factor of two of the true percentile, not a measured
+    /// latency, so print it as a bound (`p50 ≤ … ns`).
     pub fn latency_ns(&self, p: f64) -> u64 {
         self.latency.lock().expect("latency lock").percentile(p)
     }
@@ -1083,8 +1087,26 @@ mod tests {
     }
 
     #[test]
+    fn degenerate_fleet_cells_are_bad_requests() {
+        let s = service(ServeConfig::default());
+        let out = s.handle_batch(&[
+            r#"{"id":"c","job":"fleet","tenants":4,"cell":0}"#,
+            r#"{"id":"q","job":"fleet","tenants":4,"quantum":0}"#,
+            r#"{"id":"f","job":"fleet","tenants":4,"frames":0}"#,
+        ]);
+        assert_eq!(
+            out,
+            [
+                r#"{"v":1,"id":"c","ok":false,"error":"bad_request","detail":"a fleet needs at least one tenant per cell"}"#,
+                r#"{"v":1,"id":"q","ok":false,"error":"bad_request","detail":"a fleet needs at least one reference per quantum"}"#,
+                r#"{"v":1,"id":"f","ok":false,"error":"bad_request","detail":"a fleet needs at least one frame per cell"}"#,
+            ]
+        );
+    }
+
+    #[test]
     fn fleet_rows_are_deterministic_across_service_geometry() {
-        let line = r#"{"id":"fd","job":"fleet","tenants":8,"workloads":"FDJAC,TQL","mix":"cd,ws:2000","frames":48,"cell":4,"seed":11,"shards":3}"#;
+        let line = r#"{"id":"fd","job":"fleet","tenants":8,"workloads":"FDJAC,TQL","mix":"cd,ws:2000","frames":48,"cell":4,"seed":11}"#;
         let mk = |threads| {
             service(ServeConfig {
                 threads,

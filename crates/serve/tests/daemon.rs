@@ -47,4 +47,20 @@ fn oversized_inline_sources_are_typed_rows_and_the_batch_completes() {
     for row in &rows[1..3] {
         assert!(row.contains("compile: line 2: array `A`"), "{row}");
     }
+    // The shutdown summary's latencies are log₂ bucket bounds, and it
+    // labels them as bounds rather than measurements.
+    let summary = stderr
+        .lines()
+        .find(|l| l.starts_with("cdmm-serve: 4 requests, 2 ok, 2 failed"))
+        .unwrap_or_else(|| panic!("no shutdown summary in {stderr}"));
+    let bounds = summary
+        .split_once(" retries, ")
+        .map(|(_, tail)| tail)
+        .unwrap_or_else(|| panic!("{summary}"));
+    let words: Vec<&str> = bounds.split(' ').collect();
+    assert!(
+        matches!(words[..], ["p50", "≤", p50, "ns,", "p99", "≤", p99, "ns"]
+            if p50.parse::<u64>().is_ok() && p99.parse::<u64>().is_ok()),
+        "{summary}"
+    );
 }

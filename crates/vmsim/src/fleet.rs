@@ -1,5 +1,5 @@
-//! Fleet-scale multiprogramming: thousands of tenants, sharded cells,
-//! work-stealing workers, deterministic merge.
+//! Fleet-scale multiprogramming: thousands of tenants in independent
+//! memory cells, one [`Executor`] job per cell, deterministic merge.
 //!
 //! The paper's Section 4 leaves CD's multiprogramming performance "still
 //! to be evaluated". This module runs the Section-4 dispatch/swapper
@@ -12,13 +12,12 @@
 //! [`FleetConfig::frames_per_cell`] page frames under one Section-4
 //! dispatch loop (round-robin quanta, fault blocking, PI-driven
 //! ALLOCATE with the Figure-6 swapper, load control). Cell membership
-//! is fixed by submission order alone. A **shard** is purely a unit of
-//! work distribution — a contiguous batch of cells a worker claims (or
-//! steals) — and never a memory domain. Because cells are mutually
-//! independent and merged by cell index, the [`FleetReport`] is
-//! byte-identical at any thread count *and* any shard count: execution
-//! geometry is not allowed to touch semantics. This is the same
-//! contract the sweep executor pins for parameter sweeps.
+//! is fixed by submission order alone. Each cell is one job of the
+//! shared [`Executor`], which only decides which worker runs it and
+//! when. Because cells are mutually independent and merged by cell
+//! index, the [`FleetReport`] is byte-identical at any thread count:
+//! execution geometry is not allowed to touch semantics. This is the
+//! same contract the executor pins for parameter sweeps.
 //!
 //! # Run-granular dispatch
 //!
@@ -35,13 +34,13 @@
 use cdmm_trace::{COp, CancelToken, CompressedTrace, Event, PageId, Run};
 
 use crate::error::SimError;
+use crate::executor::Executor;
 use crate::metrics::Metrics;
-use crate::observe::{Detail, Histogram, SimEvent, Span, Tracer};
+use crate::observe::{Detail, Histogram, SimEvent, Tracer};
 use crate::policy::Policy;
 use crate::progress::ProgressCounters;
 use crate::stats::HistogramSummary;
 
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -89,9 +88,6 @@ pub struct FleetConfig {
     pub fault_service: u64,
     /// Admission-control rule for arriving tenants.
     pub admission: Admission,
-    /// Work-distribution batches of cells (0 = auto). Never affects
-    /// results, only which worker runs which cell.
-    pub shards: usize,
     /// Worker threads (0 or 1 = serial). Never affects results.
     pub threads: usize,
 }
@@ -104,7 +100,6 @@ impl Default for FleetConfig {
             quantum: 300,
             fault_service: 2_000,
             admission: Admission::Free,
-            shards: 0,
             threads: 1,
         }
     }
@@ -143,8 +138,8 @@ pub struct CellReport {
     pub forced_admissions: u64,
 }
 
-/// Result of one fleet run. Byte-identical across thread and shard
-/// counts for the same tenants and configuration.
+/// Result of one fleet run. Byte-identical across thread counts for
+/// the same tenants and configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetReport {
     /// Per-tenant results, in submission order.
@@ -163,10 +158,9 @@ pub struct FleetReport {
     pub cpu_utilization: f64,
     /// Per-cell utilization (`busy / makespan`, 0 for an instantly-done
     /// cell), in cell order — the deterministic utilization breakdown.
-    /// Per-*worker* utilization is execution geometry and therefore
-    /// lives in the wall-side [`FleetScorecard`] instead: a worker
-    /// vector in this report would break byte-identity across thread
-    /// counts.
+    /// Nothing here names a worker: which thread ran a cell is
+    /// execution geometry, and a worker vector would break
+    /// byte-identity across thread counts.
     pub cpu_per_cell: Vec<f64>,
     /// Distribution of per-tenant space-time cost (`ST`, floored to
     /// integer cost units).
@@ -174,137 +168,6 @@ pub struct FleetReport {
     /// Distribution of per-tenant swap-out counts — the fleet's
     /// swapper-pressure profile.
     pub swap_pressure: HistogramSummary,
-}
-
-/// One worker's wall-side utilization timeline in a fleet run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WorkerTimeline {
-    /// Worker index.
-    pub worker: u32,
-    /// Wall nanoseconds spent running cells.
-    pub busy_ns: u64,
-    /// Wall nanoseconds spent hunting for shards (or drained of work).
-    pub idle_ns: u64,
-    /// Cells this worker ran.
-    pub cells_run: u64,
-    /// Shards this worker claimed.
-    pub claims: u64,
-    /// Claims that were steals (shards outside the worker's own
-    /// allotment).
-    pub steals: u64,
-}
-
-impl WorkerTimeline {
-    /// Fraction of this worker's wall time spent running cells.
-    pub fn utilization(&self) -> f64 {
-        let total = self.busy_ns + self.idle_ns;
-        if total == 0 {
-            0.0
-        } else {
-            self.busy_ns as f64 / total as f64
-        }
-    }
-}
-
-/// One cell's swapper-pressure breakdown in a [`FleetScorecard`].
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct CellPressure {
-    /// Cell index.
-    pub cell: u32,
-    /// Swap-out events in this cell.
-    pub swap_events: u64,
-    /// Forced (deadlock-breaker) admissions in this cell.
-    pub forced_admissions: u64,
-    /// The cell's deterministic utilization (`busy / makespan`).
-    pub utilization: f64,
-    /// Wall nanoseconds the cell took on its worker.
-    pub wall_ns: u64,
-}
-
-/// Wall-side scheduler telemetry for one fleet run: worker-utilization
-/// timelines, shard claim/steal counters, phase spans, and per-cell
-/// swapper-pressure breakdowns.
-///
-/// Everything here depends on execution geometry and wall clocks, so it
-/// is kept strictly apart from the byte-identical [`FleetReport`].
-/// Workers keep their counters locally and the driver folds them in
-/// after the join.
-#[derive(Debug, Clone, Default)]
-pub struct FleetScorecard {
-    /// Per-worker timelines, worker order.
-    pub workers: Vec<WorkerTimeline>,
-    /// Shards claimed over the run (every shard is claimed exactly
-    /// once, so this equals the effective shard count).
-    pub shard_claims: u64,
-    /// Claims that were steals.
-    pub shard_steals: u64,
-    /// `(phase, wall_ns)` spans: prepare / simulate / report.
-    pub phase_ns: Vec<(&'static str, u64)>,
-    /// Per-cell pressure breakdowns, cell order.
-    pub cells: Vec<CellPressure>,
-}
-
-impl FleetScorecard {
-    /// An empty scorecard.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Closes a phase [`Span`] into the phase timeline.
-    pub fn close_span(&mut self, span: Span) {
-        self.phase_ns.push(span.exit());
-    }
-
-    /// Wall nanoseconds recorded for a named phase (0 when absent).
-    pub fn phase(&self, label: &str) -> u64 {
-        self.phase_ns
-            .iter()
-            .find(|(l, _)| *l == label)
-            .map_or(0, |(_, ns)| *ns)
-    }
-
-    /// The cells with the most swap-outs, descending, at most `n`.
-    pub fn hottest_cells(&self, n: usize) -> Vec<CellPressure> {
-        let mut cells = self.cells.clone();
-        cells.sort_by(|a, b| b.swap_events.cmp(&a.swap_events).then(a.cell.cmp(&b.cell)));
-        cells.truncate(n);
-        cells
-    }
-
-    /// Renders a plain-text summary.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "fleet scorecard: {} shard claims ({} stolen)",
-            self.shard_claims, self.shard_steals
-        );
-        for (label, ns) in &self.phase_ns {
-            let _ = writeln!(out, "  phase {label:<9} {:.3} ms", *ns as f64 / 1e6);
-        }
-        for w in &self.workers {
-            let _ = writeln!(
-                out,
-                "  worker {}: {:.1}% busy, {} cells, {} claims ({} stolen)",
-                w.worker,
-                w.utilization() * 100.0,
-                w.cells_run,
-                w.claims,
-                w.steals
-            );
-        }
-        for c in self.hottest_cells(3) {
-            if c.swap_events == 0 {
-                break;
-            }
-            let _ = writeln!(
-                out,
-                "  cell {}: {} swap-outs, {} forced admissions, util {:.2}",
-                c.cell, c.swap_events, c.forced_admissions, c.utilization
-            );
-        }
-        out
-    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -480,52 +343,11 @@ struct Obs {
     policy: bool,
 }
 
-/// A worker's private wall-side accounting: claims, busy time and
-/// per-cell wall costs. Kept locally — no cross-worker synchronization —
-/// and folded into the [`FleetScorecard`] after the join.
-#[derive(Debug, Default)]
-struct WorkerLocal {
-    claims: u64,
-    steals: u64,
-    busy_ns: u64,
-    cells_run: u64,
-    ended_ns: u64,
-    cell_walls: Vec<(usize, u64)>,
-}
-
-/// Runs one cell with wall-clock accounting and progress bumps wrapped
-/// around the deterministic core.
-fn run_cell_timed(
-    idx: usize,
-    cell: Vec<Tenant>,
-    config: &FleetConfig,
-    obs: Obs,
-    token: &CancelToken,
-    local: &mut WorkerLocal,
-    progress: Option<&ProgressCounters>,
-) -> Result<CellDone, SimError> {
-    let tenants = cell.len() as u64;
-    let t0 = Instant::now();
-    let r = run_cell(idx as u32, cell, config, obs, token);
-    let wall = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    local.busy_ns += wall;
-    local.cells_run += 1;
-    local.cell_walls.push((idx, wall));
-    if let Some(p) = progress {
-        p.sub_queued(tenants);
-        if let Ok(done) = &r {
-            p.add_done(tenants);
-            p.add_refs(done.reports.iter().map(|t| t.metrics.refs).sum());
-        }
-        p.record_latency_ms(wall / 1_000_000);
-    }
-    r
-}
-
 /// Runs a fleet of tenants: the one fleet driver. See the module docs
 /// for the semantics.
 ///
-/// The tracer's [`Detail`] picks what the cells record. At
+/// Cells are the jobs of an [`Executor`] with `config.threads`
+/// workers. The tracer's [`Detail`] picks what the cells record. At
 /// [`Detail::Scheduler`] they buffer scheduler events (tenant
 /// lifecycle, admission decisions, queue depth, swap-outs) and the
 /// policies keep their untraced batch kernels; at
@@ -534,21 +356,25 @@ fn run_cell_timed(
 /// replayed into the tracer in cell order after the merge, so it sees
 /// the same deterministic stream at any thread count.
 ///
-/// Next to the report comes the wall-side [`FleetScorecard`] (worker
-/// timelines, claim/steal counters, phase spans, per-cell pressure);
-/// the optional shared [`ProgressCounters`] are bumped as cells finish
-/// so a [`crate::progress::ProgressExporter`] can stream live frames.
-/// Neither can perturb the report, which is byte-identical at any
-/// `threads`/`shards` setting, traced or not. The token is polled once
-/// per scheduling burst; cancellation surfaces as
-/// [`SimError::DeadlineExceeded`].
+/// The optional shared [`ProgressCounters`] are bumped as cells finish
+/// so a [`crate::progress::ProgressExporter`] can stream live frames;
+/// they cannot perturb the report, which is byte-identical at any
+/// `threads` setting, traced or not. The token is polled once per
+/// scheduling burst; cancellation surfaces as
+/// [`SimError::DeadlineExceeded`], and cells not yet started when a
+/// cell fails are skipped.
+///
+/// # Panics
+///
+/// A panicking tenant engine panics the whole run, naming its cell:
+/// the executor reports the job index, which is the cell index.
 pub fn run_fleet(
     tenants: Vec<TenantSpec>,
     config: FleetConfig,
     tracer: &mut dyn Tracer,
     progress: Option<&ProgressCounters>,
     token: &CancelToken,
-) -> Result<(FleetReport, FleetScorecard), SimError> {
+) -> Result<FleetReport, SimError> {
     if tenants.is_empty() {
         return Err(SimError::NoProcesses);
     }
@@ -574,11 +400,8 @@ pub fn run_fleet(
         policy: detail >= Detail::Decisions,
     };
 
-    let mut scorecard = FleetScorecard::new();
-    let prep_span = Span::enter("prepare");
-
     // Build cells: contiguous groups in submission order. Membership
-    // depends only on tenants_per_cell — never on shards or threads.
+    // depends only on tenants_per_cell — never on threads.
     let n_tenants = tenants.len();
     let mut cells: Vec<Vec<Tenant>> = Vec::new();
     for (i, spec) in tenants.into_iter().enumerate() {
@@ -619,96 +442,38 @@ pub fn run_fleet(
         p.add_queued(n_tenants as u64);
     }
 
-    let threads = config.threads.clamp(1, n_cells);
-    // Auto-sharding: enough batches that a stalled worker leaves meat
-    // to steal, not so many that claim traffic dominates.
-    let shards = if config.shards == 0 {
-        n_cells.min(threads * 4)
-    } else {
-        config.shards.clamp(1, n_cells)
-    };
-    // Shard s covers the contiguous cell range [s*per, ...): balanced
-    // split, remainder spread over the first shards.
-    let shard_range = |s: usize| -> std::ops::Range<usize> {
-        let per = n_cells / shards;
-        let extra = n_cells % shards;
-        let start = s * per + s.min(extra);
-        let end = start + per + usize::from(s < extra);
-        start..end
-    };
-    scorecard.close_span(prep_span);
-
-    let sim_span = Span::enter("simulate");
-    let epoch = Instant::now();
-    let inputs: Vec<Mutex<Option<Vec<Tenant>>>> =
+    // One executor job per cell. The executor lends each job by
+    // reference, so the job takes its cell out of a slot; it returns
+    // `None` for a cell it skipped because another cell had failed.
+    let slots: Vec<Mutex<Option<Vec<Tenant>>>> =
         cells.into_iter().map(|c| Mutex::new(Some(c))).collect();
-    let outputs: Vec<Mutex<Option<Result<CellDone, SimError>>>> =
-        (0..n_cells).map(|_| Mutex::new(None)).collect();
-    let claimed: Vec<AtomicBool> = (0..shards).map(|_| AtomicBool::new(false)).collect();
     let abort = AtomicBool::new(false);
-    let work = |w: usize| -> WorkerLocal {
-        let mut local = WorkerLocal::default();
-        loop {
-            // Claim from the worker's own allotment first (shards w,
-            // w+T, …), then scan everyone's — the steal that keeps idle
-            // workers busy. A lone worker claims every shard in order.
-            let own = (w..shards).step_by(threads);
-            let next = own
-                .chain(0..shards)
-                .find(|&s| !claimed[s].swap(true, Ordering::AcqRel));
-            let Some(s) = next else { break };
-            local.claims += 1;
-            local.steals += u64::from(s % threads != w);
-            for idx in shard_range(s) {
-                let Some(cell) = inputs[idx].lock().unwrap_or_else(|e| e.into_inner()).take()
-                else {
-                    continue;
-                };
-                if abort.load(Ordering::Relaxed) {
-                    continue;
-                }
-                let r = run_cell_timed(idx, cell, &config, obs, token, &mut local, progress);
-                if r.is_err() {
-                    abort.store(true, Ordering::Relaxed);
-                }
-                *outputs[idx].lock().unwrap_or_else(|e| e.into_inner()) = Some(r);
+    let outputs = Executor::with_threads(config.threads).map(&slots, |idx, slot| {
+        let cell = slot
+            .lock()
+            .expect("a slot is locked only to take its cell, which cannot panic")
+            .take()
+            .expect("the executor runs each cell once");
+        if abort.load(Ordering::Relaxed) {
+            return None;
+        }
+        let tenants = cell.len() as u64;
+        let t0 = Instant::now();
+        let r = run_cell(idx as u32, cell, &config, obs, token);
+        if r.is_err() {
+            abort.store(true, Ordering::Relaxed);
+        }
+        if let Some(p) = progress {
+            p.sub_queued(tenants);
+            if let Ok(done) = &r {
+                p.add_done(tenants);
+                p.add_refs(done.reports.iter().map(|t| t.metrics.refs).sum());
             }
+            let wall_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            p.record_latency_ms(wall_ns / 1_000_000);
         }
-        local.ended_ns = u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        local
-    };
-    let worker_locals: Vec<WorkerLocal> = if threads == 1 {
-        vec![work(0)]
-    } else {
-        let work = &work;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads).map(|w| scope.spawn(move || work(w))).collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                .collect()
-        })
-    };
-    scorecard.close_span(sim_span);
-
-    // Fold the per-worker counters into the scorecard.
-    let report_span = Span::enter("report");
-    let mut wall_by_cell = vec![0u64; n_cells];
-    for (w, local) in worker_locals.iter().enumerate() {
-        scorecard.shard_claims += local.claims;
-        scorecard.shard_steals += local.steals;
-        scorecard.workers.push(WorkerTimeline {
-            worker: w as u32,
-            busy_ns: local.busy_ns,
-            idle_ns: local.ended_ns.saturating_sub(local.busy_ns),
-            cells_run: local.cells_run,
-            claims: local.claims,
-            steals: local.steals,
-        });
-        for &(idx, wall) in &local.cell_walls {
-            wall_by_cell[idx] = wall;
-        }
-    }
+        Some(r)
+    });
 
     // Deterministic merge, by cell index.
     let mut report = FleetReport {
@@ -728,14 +493,10 @@ pub fn run_fleet(
     let mut makespan_sum: u64 = 0;
     let mut busy_sum: u64 = 0;
     let mut replay: Vec<Vec<(u64, SimEvent)>> = Vec::new();
-    for (idx, slot) in outputs.iter().enumerate() {
-        let done = slot
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take()
-            // An aborted (skipped) cell only happens after some cell
-            // errored; surface cancellation for it too.
-            .unwrap_or(Err(SimError::DeadlineExceeded { refs_done: 0 }))?;
+    for output in outputs {
+        // A skipped cell only happens after some cell errored; surface
+        // cancellation for it too.
+        let done = output.unwrap_or(Err(SimError::DeadlineExceeded { refs_done: 0 }))?;
         for t in &done.reports {
             st_hist.record(t.metrics.st_cost() as u64);
             swap_hist.record(t.swap_outs);
@@ -747,18 +508,10 @@ pub fn run_fleet(
         report.swap_events += done.cell.swap_events;
         makespan_sum += done.cell.makespan;
         busy_sum += done.cell.busy;
-        let cell_util = if done.cell.makespan == 0 {
+        report.cpu_per_cell.push(if done.cell.makespan == 0 {
             0.0
         } else {
             done.cell.busy as f64 / done.cell.makespan as f64
-        };
-        report.cpu_per_cell.push(cell_util);
-        scorecard.cells.push(CellPressure {
-            cell: idx as u32,
-            swap_events: done.cell.swap_events,
-            forced_admissions: done.cell.forced_admissions,
-            utilization: cell_util,
-            wall_ns: wall_by_cell[idx],
         });
         report.cells.push(done.cell);
         if obs.sched {
@@ -772,7 +525,6 @@ pub fn run_fleet(
     };
     report.st_cost = HistogramSummary::of(&st_hist);
     report.swap_pressure = HistogramSummary::of(&swap_hist);
-    scorecard.close_span(report_span);
     if obs.sched {
         for events in replay {
             for (at, e) in events {
@@ -781,7 +533,7 @@ pub fn run_fleet(
         }
         tracer.flush();
     }
-    Ok((report, scorecard))
+    Ok(report)
 }
 
 struct CellDone {
@@ -1180,9 +932,9 @@ mod tests {
     use cdmm_lang::ast::AllocArg;
     use cdmm_trace::{synth, Trace};
 
-    /// An untraced, uncancelled run: just the report.
+    /// An untraced, uncancelled run.
     fn run(tenants: Vec<TenantSpec>, config: FleetConfig) -> Result<FleetReport, SimError> {
-        run_fleet(tenants, config, &mut NullTracer, None, &CancelToken::new()).map(|(r, _)| r)
+        run_fleet(tenants, config, &mut NullTracer, None, &CancelToken::new())
     }
 
     fn ws_tenant(name: &str, pages: u32, cycles: u32, arrival: u64) -> TenantSpec {
@@ -1224,7 +976,7 @@ mod tests {
     }
 
     #[test]
-    fn report_identical_across_threads_and_shards() {
+    fn report_identical_across_threads() {
         let mk = || -> Vec<TenantSpec> {
             (0..12)
                 .map(|i| {
@@ -1239,17 +991,9 @@ mod tests {
             ..Default::default()
         };
         let serial = run(mk(), base).unwrap();
-        for (threads, shards) in [(2, 0), (4, 1), (4, 3), (8, 2)] {
-            let r = run(
-                mk(),
-                FleetConfig {
-                    threads,
-                    shards,
-                    ..base
-                },
-            )
-            .unwrap();
-            assert_eq!(r, serial, "threads={threads} shards={shards}");
+        for threads in [2, 3, 4, 8] {
+            let r = run(mk(), FleetConfig { threads, ..base }).unwrap();
+            assert_eq!(r, serial, "threads={threads}");
         }
     }
 
@@ -1420,6 +1164,68 @@ mod tests {
         assert!(matches!(err, SimError::DeadlineExceeded { .. }));
     }
 
+    #[test]
+    fn cancelled_multi_cell_fleet_surfaces_deadline_at_any_thread_count() {
+        let token = CancelToken::new();
+        token.cancel();
+        for threads in [1, 4] {
+            let tenants = (0..12)
+                .map(|i| ws_tenant(&format!("t{i}"), 8, 20, 0))
+                .collect();
+            let config = FleetConfig {
+                tenants_per_cell: 2,
+                threads,
+                ..Default::default()
+            };
+            let err = run_fleet(tenants, config, &mut NullTracer, None, &token).unwrap_err();
+            assert!(
+                matches!(err, SimError::DeadlineExceeded { .. }),
+                "threads={threads}: {err:?}"
+            );
+        }
+    }
+
+    /// An engine that panics on its first reference.
+    struct Exploding;
+
+    impl Policy for Exploding {
+        fn label(&self) -> String {
+            "BOOM".into()
+        }
+        fn reference(&mut self, _page: PageId) -> bool {
+            panic!("engine exploded")
+        }
+        fn resident(&self) -> usize {
+            0
+        }
+    }
+
+    #[test]
+    fn panicking_engine_panics_the_run_naming_its_cell() {
+        use crate::executor::panic_message;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        for threads in [1, 4] {
+            let mut tenants: Vec<TenantSpec> = (0..8)
+                .map(|i| ws_tenant(&format!("t{i}"), 4, 5, 0))
+                .collect();
+            // Two tenants per cell: tenant 5 lives in cell 2.
+            tenants[5].engine = Box::new(Exploding);
+            let config = FleetConfig {
+                tenants_per_cell: 2,
+                threads,
+                ..Default::default()
+            };
+            let payload = catch_unwind(AssertUnwindSafe(|| run(tenants, config)))
+                .expect_err("a panicking engine must panic the run");
+            assert_eq!(
+                panic_message(payload.as_ref()),
+                "executor job 2 panicked: engine exploded",
+                "threads={threads}"
+            );
+        }
+    }
+
     fn observe_mix() -> Vec<TenantSpec> {
         (0..8)
             .map(|i| {
@@ -1427,34 +1233,6 @@ mod tests {
                 ws_tenant(&format!("t{i}"), pages, 15, (i as u64 % 2) * 50)
             })
             .collect()
-    }
-
-    #[test]
-    fn scorecard_covers_workers_phases_and_cells() {
-        let config = FleetConfig {
-            frames_per_cell: 20,
-            tenants_per_cell: 2,
-            threads: 3,
-            ..Default::default()
-        };
-        let mut log = EventLog::new(100_000);
-        let (report, card) =
-            run_fleet(observe_mix(), config, &mut log, None, &CancelToken::new()).unwrap();
-        assert!(!card.workers.is_empty());
-        assert_eq!(
-            card.workers.iter().map(|w| w.cells_run).sum::<u64>(),
-            report.cells.len() as u64
-        );
-        assert!(card.shard_claims > 0);
-        assert_eq!(
-            card.shard_claims,
-            card.workers.iter().map(|w| w.claims).sum::<u64>()
-        );
-        let labels: Vec<&str> = card.phase_ns.iter().map(|(l, _)| *l).collect();
-        assert_eq!(labels, ["prepare", "simulate", "report"]);
-        assert_eq!(card.cells.len(), report.cells.len());
-        assert!(card.hottest_cells(2).len() <= 2);
-        assert!(card.render().contains("worker"));
     }
 
     #[test]
@@ -1486,7 +1264,7 @@ mod tests {
         };
         let run = |threads: usize| {
             let mut log = EventLog::new(100_000);
-            let (report, _) = run_fleet(
+            let report = run_fleet(
                 observe_mix(),
                 FleetConfig { threads, ..config },
                 &mut log,
@@ -1518,8 +1296,7 @@ mod tests {
         };
         let untraced = run(observe_mix(), config).unwrap();
         let mut log = EventLog::new(100_000).with_detail(Detail::Scheduler);
-        let (report, _) =
-            run_fleet(observe_mix(), config, &mut log, None, &CancelToken::new()).unwrap();
+        let report = run_fleet(observe_mix(), config, &mut log, None, &CancelToken::new()).unwrap();
         assert_eq!(report, untraced, "tracer must not perturb the report");
         let sched_kinds = [
             "tenant_admitted",

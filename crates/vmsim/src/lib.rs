@@ -23,7 +23,9 @@
 //!   [`simulate`]'s.
 //! - [`policy::cd::CdPolicy`] — the Compiler-Directed policy (Section 4).
 //! - [`fleet`] — multiprogrammed memory cells with CD's PI-driven
-//!   allocation and swapper, sharded and work-stealing.
+//!   allocation and swapper, one [`Executor`] job per cell.
+//! - [`executor`] — the one thread pool: a parallel map whose results
+//!   merge by job index, so output never depends on thread count.
 //! - [`observe`] — event tracing: policies emit typed [`SimEvent`]s
 //!   (grants, hold-overs, evictions, lock breaks, degradations) that
 //!   [`simulate_with`] forwards to a [`Tracer`].
@@ -50,6 +52,7 @@
 
 pub mod curve;
 pub mod error;
+pub mod executor;
 pub mod fleet;
 pub mod metrics;
 pub mod observe;
@@ -63,9 +66,9 @@ pub mod stats;
 pub use cdmm_trace::CancelToken;
 pub use curve::{LruCurve, WsCurve};
 pub use error::SimError;
+pub use executor::{panic_message, Executor, JobError};
 pub use fleet::{
-    run_fleet, Admission, CellPressure, CellReport, FleetConfig, FleetReport, FleetScorecard,
-    TenantReport, TenantSpec, WorkerTimeline,
+    run_fleet, Admission, CellReport, FleetConfig, FleetReport, TenantReport, TenantSpec,
 };
 pub use metrics::{ExecStats, Metrics};
 pub use observe::{

@@ -877,9 +877,8 @@ impl Tracer for Tee<'_, '_> {
 }
 
 /// A wall-clock phase span: `enter` stamps the start, `exit` yields the
-/// label and elapsed nanoseconds. The fleet driver opens one span per
-/// scheduler phase (prepare / simulate / report) and folds the exits
-/// into the [`crate::fleet::FleetScorecard`]'s phase timeline.
+/// label and elapsed nanoseconds — a named timer for one layer or phase
+/// of a run.
 ///
 /// Spans measure wall time, so they live strictly outside the
 /// deterministic core: nothing derived from a span may enter a

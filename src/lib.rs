@@ -13,19 +13,22 @@
 //! println!("{}: {} faults", report.policy, report.metrics.faults);
 //! ```
 //!
-//! For multiprogramming at scale, the [`Fleet`] builder clones paper
-//! workloads into many perturbed tenants and schedules them over
-//! sharded memory cells (byte-identical results at any thread count):
+//! For multiprogramming at scale, a [`FleetSpec`] clones paper
+//! workloads into many perturbed tenants, and [`run_fleet_spec`]
+//! schedules them over independent memory cells (byte-identical results
+//! at any thread count; see [`fleet`]):
 //!
 //! ```
-//! use cdmm_repro::{Fleet, PolicySpec};
+//! use cdmm_repro::{run_fleet_spec, FleetSpec, PolicySpec};
 //!
-//! let report = Fleet::tenants(4)
-//!     .workloads(["FDJAC"])
-//!     .policy_mix([PolicySpec::Ws { tau: 2000 }])
-//!     .tenants_per_cell(2)
-//!     .run()
-//!     .expect("built-in workloads");
+//! let report = run_fleet_spec(&FleetSpec {
+//!     tenants: 4,
+//!     workloads: vec!["FDJAC".into()],
+//!     policy_mix: vec![PolicySpec::Ws { tau: 2000 }],
+//!     tenants_per_cell: 2,
+//!     ..FleetSpec::default()
+//! })
+//! .expect("built-in workloads");
 //! assert_eq!(report.tenants.len(), 4);
 //! ```
 //!
@@ -42,17 +45,16 @@
 pub mod fleet;
 pub mod simulation;
 
-pub use fleet::Fleet;
+pub use fleet::{prepare_fleet, run_fleet_spec, ChaosSpec, FleetError, FleetSpec, PreparedFleet};
 pub use simulation::{PreparedSimulation, Report, Simulation, SimulationError};
 
 // The names a facade user needs, lifted to the crate root.
-pub use cdmm_core::fleet::{ChaosSpec, FleetError, FleetSpec, PreparedFleet};
 pub use cdmm_core::{PipelineConfig, PipelineError, PolicySpec};
 pub use cdmm_locality::{InsertOptions, PageGeometry, SizerMode};
 pub use cdmm_vmsim::policy::cd::CdSelector;
 pub use cdmm_vmsim::{
-    Admission, CellPressure, Detail, EventLog, FleetReport, FleetScorecard, HistogramSummary,
-    JsonlSink, Metrics, MetricsRegistry, NullTracer, ProgressCounters, ProgressExporter,
-    RegistrySnapshot, SimEvent, Span, Tee, TenantReport, Tracer, WorkerTimeline,
+    Admission, CancelToken, Detail, EventLog, FleetReport, HistogramSummary, JsonlSink, Metrics,
+    MetricsRegistry, NullTracer, ProgressCounters, ProgressExporter, RegistrySnapshot, SimEvent,
+    Span, Tee, TenantReport, Tracer,
 };
 pub use cdmm_workloads::Scale;

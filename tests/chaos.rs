@@ -121,7 +121,7 @@ fn multiprogramming_terminates_on_fuzzed_streams() {
             })
             .collect();
         let expected: u64 = tenants.iter().map(|t| t.trace.ref_count()).sum();
-        let (r, _) = run_fleet(
+        let r = run_fleet(
             tenants,
             FleetConfig {
                 frames_per_cell: 12,

@@ -1,17 +1,17 @@
-//! Fleet-scheduler determinism: the central invariant of the sharded,
-//! work-stealing design is that execution geometry — worker threads and
-//! shard partitioning — never changes a single byte of the
+//! Fleet-scheduler determinism: the central invariant of the cell
+//! scheduler is that execution geometry — how many executor workers run
+//! the cells — never changes a single byte of the
 //! [`cdmm_vmsim::FleetReport`]. Cells are fixed by submission order
-//! alone; shards and threads only decide *who* runs each cell.
+//! alone; the thread count only decides *who* runs each cell, and when.
 //!
 //! The suite pins three properties:
 //!
 //! - a seeded multi-thousand-tenant fleet produces the identical report
-//!   at 1/2/4/8 threads and across shard counts;
+//!   at 1/2/4/8 threads;
 //! - with an [`EventLog`] attached, both the report AND the merged
-//!   scheduler event stream stay byte-identical across the same
-//!   geometries (events are buffered per cell and replayed in cell
-//!   order, so tracers never observe scheduling races);
+//!   scheduler event stream stay byte-identical across the same thread
+//!   counts (events are buffered per cell and replayed in cell order,
+//!   so tracers never observe scheduling races);
 //! - a chaos tenant whose fuzzed directives trip degrade-to-LRU
 //!   perturbs nothing outside its own memory cell.
 //!
@@ -53,20 +53,19 @@ fn acceptance_spec() -> FleetSpec {
     }
 }
 
-fn run_at(mut spec: FleetSpec, threads: usize, shards: usize) -> FleetReport {
+fn run_at(mut spec: FleetSpec, threads: usize) -> FleetReport {
     spec.threads = threads;
-    spec.shards = shards;
     run_fleet_spec(&spec).expect("fleet runs")
 }
 
 #[test]
 fn report_is_byte_identical_across_thread_counts() {
     let spec = acceptance_spec();
-    let reference = run_at(spec.clone(), 1, 0);
+    let reference = run_at(spec.clone(), 1);
     assert!(reference.makespan > 0);
     assert_eq!(reference.tenants.len(), spec.tenants);
     for threads in [2, 4, 8] {
-        let r = run_at(spec.clone(), threads, 0);
+        let r = run_at(spec.clone(), threads);
         assert_eq!(
             reference, r,
             "{threads} worker threads changed the fleet report"
@@ -74,25 +73,10 @@ fn report_is_byte_identical_across_thread_counts() {
     }
 }
 
-#[test]
-fn report_is_byte_identical_across_shard_counts() {
-    let spec = acceptance_spec();
-    let reference = run_at(spec.clone(), 4, 0);
-    for shards in [1, 3, 7, 64] {
-        let r = run_at(spec.clone(), 4, shards);
-        assert_eq!(reference, r, "{shards} shards changed the fleet report");
-    }
-}
-
 /// One traced run: the report plus the merged scheduler event stream
 /// the attached [`EventLog`] saw.
-fn run_traced_at(
-    mut spec: FleetSpec,
-    threads: usize,
-    shards: usize,
-) -> (FleetReport, Vec<TimedEvent>) {
+fn run_traced_at(mut spec: FleetSpec, threads: usize) -> (FleetReport, Vec<TimedEvent>) {
     spec.threads = threads;
-    spec.shards = shards;
     let mut log = EventLog::new(1 << 18);
     let report = prepare_fleet(&spec)
         .expect("fleet prepares")
@@ -105,12 +89,12 @@ fn run_traced_at(
 #[test]
 fn traced_report_and_event_stream_are_geometry_invariant() {
     let spec = acceptance_spec();
-    let (ref_report, ref_events) = run_traced_at(spec.clone(), 1, 0);
+    let (ref_report, ref_events) = run_traced_at(spec.clone(), 1);
 
     // The tracer must not perturb the report itself…
     assert_eq!(
         ref_report,
-        run_at(spec.clone(), 1, 0),
+        run_at(spec.clone(), 1),
         "attaching a tracer changed the fleet report"
     );
     // …and the stream must contain the scheduler plane.
@@ -121,19 +105,11 @@ fn traced_report_and_event_stream_are_geometry_invariant() {
     }
 
     for threads in [2, 4, 8] {
-        let (r, events) = run_traced_at(spec.clone(), threads, 0);
+        let (r, events) = run_traced_at(spec.clone(), threads);
         assert_eq!(ref_report, r, "{threads} threads changed the traced report");
         assert_eq!(
             ref_events, events,
             "{threads} threads changed the merged event stream"
-        );
-    }
-    for shards in [1, 3, 7, 64] {
-        let (r, events) = run_traced_at(spec.clone(), 4, shards);
-        assert_eq!(ref_report, r, "{shards} shards changed the traced report");
-        assert_eq!(
-            ref_events, events,
-            "{shards} shards changed the merged event stream"
         );
     }
 }
