@@ -39,7 +39,7 @@ use cdmm_core::pipeline::PolicySpec;
 use cdmm_core::report::render_fleet;
 use cdmm_core::sweep::ResultCache;
 use cdmm_vmsim::policy::cd::CdSelector;
-use cdmm_vmsim::{CancelToken, FleetReport, NullTracer, ProgressExporter, SharedSink};
+use cdmm_vmsim::{CancelToken, FleetReport, ProgressExporter};
 use cdmm_workloads::Scale;
 
 fn baseline_dir() -> PathBuf {
@@ -88,8 +88,8 @@ fn entry(id: &str, r: &FleetReport, wall_ns: u64) -> Entry {
         .float("tenants_per_sec", per_sec)
 }
 
-fn run(env: &BenchEnv) -> Result<(), String> {
-    let o = env.options();
+fn run(env: &mut BenchEnv) -> Result<(), String> {
+    let o = env.options().clone();
     let overridden =
         env_u64("CDMM_FLEET_TENANTS").is_some() || env_u64("CDMM_FLEET_SEED").is_some();
     let tenants = env_u64("CDMM_FLEET_TENANTS").unwrap_or(if o.quick { 64 } else { 256 }) as usize;
@@ -124,14 +124,9 @@ fn run(env: &BenchEnv) -> Result<(), String> {
         };
         let prepared = prepare_fleet(&spec).map_err(|e| format!("fleet/{name}: {e}"))?;
         let t0 = Instant::now();
-        let report = match env.tracer() {
-            Some(t) => {
-                let mut sink = SharedSink::new(t);
-                prepared.run_observed(&mut sink, Some(&counters), &token)
-            }
-            None => prepared.run_observed(&mut NullTracer, Some(&counters), &token),
-        }
-        .map_err(|e| format!("fleet/{name}: {e}"))?;
+        let report = prepared
+            .run_observed(env.tracer(), Some(&counters), &token)
+            .map_err(|e| format!("fleet/{name}: {e}"))?;
         let wall_ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         eprintln!(
             "fleet/{name}: {} tenants over {} cells in {:.1} ms — makespan {}, \
@@ -237,8 +232,8 @@ fn run(env: &BenchEnv) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let env = BenchEnv::new(Options::from_env());
-    let result = run(&env);
+    let mut env = BenchEnv::new(Options::from_env());
+    let result = run(&mut env);
     env.finish();
     match result {
         Ok(()) => ExitCode::SUCCESS,

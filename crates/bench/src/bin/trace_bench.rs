@@ -26,7 +26,7 @@ use cdmm_trace::{EventRef, EventSource};
 use cdmm_vmsim::policy::cd::{CdPolicy, CdSelector};
 use cdmm_vmsim::policy::lru::Lru;
 use cdmm_vmsim::policy::Policy;
-use cdmm_vmsim::{simulate, Metrics, SharedSink, SimConfig};
+use cdmm_vmsim::{simulate, Metrics, SimConfig};
 
 /// The seed driver loop, byte-for-byte the logic `simulate` had before
 /// the observability layer: no tracer, no event draining.
@@ -73,7 +73,7 @@ fn min_pair<A, B>(
 }
 
 fn main() -> ExitCode {
-    let env = BenchEnv::from_env();
+    let mut env = BenchEnv::from_env();
     let threshold: f64 = std::env::var("CDMM_OVERHEAD_PCT")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -120,14 +120,13 @@ fn main() -> ExitCode {
         );
     }
 
-    if let Some(tracer) = env.tracer() {
+    if env.options().trace_out.is_some() {
         for p in &prepared {
-            let mut sink = SharedSink::new(tracer);
             let spec = PolicySpec::Cd {
                 selector: CdSelector::AtLevel(2),
             };
             let m = p
-                .run_policy_traced(spec, &mut sink, &CancelToken::new())
+                .run_policy_traced(spec, env.tracer(), &CancelToken::new())
                 .expect("an idle token never stops a run");
             let plain = {
                 let mut cd =

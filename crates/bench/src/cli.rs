@@ -6,15 +6,16 @@
 //! `--progress-out PATH`, `--progress-tty` — parsed into [`Options`]
 //! with unknown flags rejected instead of silently ignored. [`BenchEnv`]
 //! turns parsed options into the runtime pieces the printing helpers
-//! need: a scale, an executor, and (when `--trace-out` is given) a
-//! shared [`JsonlSink`] tracer every subsystem feeds.
+//! need: a scale, an executor, and (when `--trace-out` is given) the
+//! [`JsonlSink`] a traced simulation writes to. Only `trace_bench` and
+//! `fleet_bench` run traced simulations; the other binaries accept
+//! `--trace-out` and leave the file empty.
 
 use std::fmt;
 use std::path::PathBuf;
 
 use cdmm_core::sweep::Executor;
-use cdmm_vmsim::observe::{shared, Detail, SharedTracer};
-use cdmm_vmsim::JsonlSink;
+use cdmm_vmsim::{Detail, JsonlSink, NullTracer, Tracer};
 use cdmm_workloads::Scale;
 
 /// Parsed command-line options for a bench binary.
@@ -31,8 +32,10 @@ pub struct Options {
     pub assert_hit_rate: Option<f64>,
     /// Skip serial baselines (`--quick`).
     pub quick: bool,
-    /// Write a checksummed JSONL event trace here (`--trace-out PATH`).
-    /// Rejected at parse time when the parent directory is missing.
+    /// Write a checksummed JSONL event trace here (`--trace-out PATH`;
+    /// only `trace_bench` and `fleet_bench` record events, every other
+    /// binary leaves the file empty). Rejected at parse time when the
+    /// parent directory is missing.
     pub trace_out: Option<PathBuf>,
     /// Include per-reference events in the trace (`--trace-events`;
     /// large output — off by default).
@@ -126,7 +129,7 @@ pub fn usage(bin: &str) -> String {
          --cache-dir PATH   persistent sweep-result cache\n\
          --assert-hit-rate PCT  fail unless the cache hit rate reaches PCT\n\
          --quick            skip serial baselines\n\
-         --trace-out PATH   write a checksummed JSONL event trace\n\
+         --trace-out PATH   JSONL event trace (trace_bench, fleet_bench; empty elsewhere)\n\
          --trace-events     include per-reference events in the trace\n\
          --bench-out DIR    write BENCH_*.json artifacts into DIR\n\
          --progress-out PATH  append cdmm-progress/1 JSONL frames\n\
@@ -230,21 +233,13 @@ fn parse_path(flag: &str, v: String) -> Result<PathBuf, CliError> {
 }
 
 /// Runtime environment of one bench invocation: the parsed [`Options`]
-/// plus, when `--trace-out` was given, a [`SharedTracer`] writing the
-/// JSONL event stream.
+/// plus, when `--trace-out` was given, the [`JsonlSink`] writing the
+/// event stream.
+#[derive(Debug)]
 pub struct BenchEnv {
     opts: Options,
-    tracer: Option<SharedTracer>,
-    trace_path: Option<PathBuf>,
-}
-
-impl fmt::Debug for BenchEnv {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("BenchEnv")
-            .field("opts", &self.opts)
-            .field("trace_path", &self.trace_path)
-            .finish()
-    }
+    sink: Option<JsonlSink>,
+    null: NullTracer,
 }
 
 impl BenchEnv {
@@ -256,21 +251,19 @@ impl BenchEnv {
     /// Panics when `--trace-out` names an unwritable path — a bench run
     /// that silently drops its requested trace would be worse.
     pub fn new(opts: Options) -> Self {
-        let trace_path = opts.trace_out.clone();
-        let tracer = trace_path.as_ref().map(|path| {
-            let sink = JsonlSink::create(path)
+        let sink = opts.trace_out.as_ref().map(|path| {
+            JsonlSink::create(path)
                 .unwrap_or_else(|e| panic!("--trace-out {}: {e}", path.display()))
                 .with_detail(if opts.trace_events {
                     Detail::References
                 } else {
                     Detail::Decisions
-                });
-            shared(sink)
+                })
         });
         BenchEnv {
             opts,
-            tracer,
-            trace_path,
+            sink,
+            null: NullTracer,
         }
     }
 
@@ -290,28 +283,29 @@ impl BenchEnv {
         self.opts.scale
     }
 
-    /// The executor, with the trace sink attached as its job observer
-    /// when tracing is on.
+    /// The executor the options select.
     pub fn executor(&self) -> Executor {
-        let exec = self.opts.executor();
-        match &self.tracer {
-            Some(t) => exec.with_observer(t.clone()),
-            None => exec,
+        self.opts.executor()
+    }
+
+    /// The tracer a traced run takes: the `--trace-out` sink, or
+    /// [`NullTracer`] when there is none.
+    pub fn tracer(&mut self) -> &mut dyn Tracer {
+        match &mut self.sink {
+            Some(sink) => sink,
+            None => &mut self.null,
         }
     }
 
-    /// The shared trace sink, when `--trace-out` was given.
-    pub fn tracer(&self) -> Option<&SharedTracer> {
-        self.tracer.as_ref()
-    }
-
-    /// Flushes the trace sink and reports where the trace went. Call
-    /// once at the end of `main`.
-    pub fn finish(&self) {
-        if let Some(t) = &self.tracer {
-            t.lock().expect("tracer lock").flush();
-            if let Some(path) = &self.trace_path {
-                eprintln!("trace written to {}", path.display());
+    /// Flushes the trace sink and reports where the trace went, or the
+    /// I/O error that left it incomplete. Call once at the end of
+    /// `main`.
+    pub fn finish(mut self) {
+        if let Some(sink) = &mut self.sink {
+            sink.flush();
+            match sink.error() {
+                None => eprintln!("trace written to {}", sink.path().display()),
+                Some(e) => eprintln!("--trace-out {}: {e}", sink.path().display()),
             }
         }
     }
@@ -454,11 +448,11 @@ mod tests {
 
     #[test]
     fn env_without_trace_has_no_tracer() {
-        let env = BenchEnv::new(Options {
+        let mut env = BenchEnv::new(Options {
             scale: Scale::Small,
             ..Options::default()
         });
-        assert!(env.tracer().is_none());
+        assert_eq!(env.tracer().detail(), Detail::Off);
         assert_eq!(env.scale(), Scale::Small);
         env.finish();
     }
@@ -466,13 +460,12 @@ mod tests {
     #[test]
     fn env_with_trace_out_opens_the_sink() {
         let path = std::env::temp_dir().join(format!("cdmm-cli-{}.jsonl", std::process::id()));
-        let env = BenchEnv::new(Options {
+        let mut env = BenchEnv::new(Options {
             scale: Scale::Small,
             trace_out: Some(path.clone()),
             ..Options::default()
         });
-        assert!(env.tracer().is_some());
-        assert!(env.executor().observer().is_some());
+        assert_eq!(env.tracer().detail(), Detail::Decisions);
         env.finish();
         assert!(path.exists());
         let _ = std::fs::remove_file(&path);

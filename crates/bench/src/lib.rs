@@ -11,7 +11,6 @@ use cdmm_core::fleet::{run_fleet_spec, FleetSpec};
 use cdmm_core::pipeline::{PipelineConfig, PolicySpec};
 use cdmm_core::report;
 use cdmm_core::sweep::{Executor, ResultCache};
-use cdmm_vmsim::observe::SharedTracer;
 use cdmm_vmsim::policy::cd::CdSelector;
 use cdmm_vmsim::{Admission, FleetReport};
 use cdmm_workloads::Scale;
@@ -213,18 +212,12 @@ pub fn print_sizer_ablation(env: &BenchEnv) {
 }
 
 /// Multiprogramming comparison: a CD-managed mix versus a WS-managed mix
-/// of the same three programs in the same memory (the paper's future
-/// work, Section 5), run through the fleet scheduler as one cell under
-/// free admission.
+/// of the same three programs sharing each of `frame_budgets` (the
+/// paper's future work, Section 5), run through the fleet scheduler as
+/// one cell under free admission.
 ///
-/// The two mixes are independent simulations, so they run as executor
-/// jobs; reports print in fixed order regardless of completion order.
-pub fn print_multiprog(env: &BenchEnv, total_frames: u64) {
-    print_multiprog_grid(env, &[total_frames]);
-}
-
-/// [`print_multiprog`] over several frame budgets, all simulated as one
-/// executor grid.
+/// The mixes are independent simulations, so they run as one executor
+/// grid; reports print in fixed order regardless of completion order.
 pub fn print_multiprog_grid(env: &BenchEnv, frame_budgets: &[u64]) {
     let labels = ["CD ", "WS "];
     let reports = run_multiprog_mixes(env.scale(), frame_budgets, &env.executor());
@@ -288,43 +281,18 @@ pub fn run_multiprog_mixes(
     })
 }
 
-/// Options for [`run_sweep_summary`].
-#[derive(Debug, Clone)]
-pub struct SweepSummaryOptions {
-    /// Workload scale.
-    pub scale: Scale,
-    /// Worker threads for the parallel runs.
-    pub threads: usize,
-    /// Persistent cache directory (`None` = in-memory cache).
-    pub cache_dir: Option<std::path::PathBuf>,
-    /// Fail unless the table runs reach this cache hit rate (percent).
-    pub assert_hit_rate: Option<f64>,
-    /// Skip the serial baselines (no speedup columns; used by the CI
-    /// cache-warm re-run).
-    pub quick: bool,
-    /// Write the `BENCH_tables.json` artifact into this directory
-    /// after the table runs — the canonical machine-readable output.
-    pub bench_out: Option<std::path::PathBuf>,
-}
-
 /// Prints the execution-engine summary: a per-table
-/// wall-clock/speedup/cache-hit report for Tables 2–4.
-/// Returns an error when `assert_hit_rate` is not met.
-///
-/// With an `observer` attached, the parallel executor emits one
-/// `job_done` event per sweep point and the result cache one
-/// `cache_query` event per lookup.
-pub fn run_sweep_summary(
-    opts: &SweepSummaryOptions,
-    observer: Option<SharedTracer>,
-) -> Result<(), String> {
+/// wall-clock/speedup/cache-hit report for Tables 2–4, against the
+/// persistent cache at `--cache-dir` (in memory without one).
+/// `--quick` skips the serial baselines (no speedup columns; the CI
+/// cache-warm re-run), and `--bench-out` writes the canonical
+/// `BENCH_tables.json` artifact after the table runs. Returns an error
+/// when the `--assert-hit-rate` percentage is not met.
+pub fn run_sweep_summary(opts: &Options) -> Result<(), String> {
     use std::time::Instant;
 
-    let threads = opts.threads.max(1);
-    let mut exec = Executor::with_threads(threads);
-    if let Some(t) = &observer {
-        exec = exec.with_observer(t.clone());
-    }
+    let exec = opts.executor();
+    let threads = exec.threads();
     println!(
         "Sweep engine summary ({:?} scale, {} threads, cache: {})",
         opts.scale,
@@ -336,13 +304,10 @@ pub fn run_sweep_summary(
     );
 
     // Per-table report against the configured cache.
-    let mut cache = match &opts.cache_dir {
+    let cache = match &opts.cache_dir {
         Some(dir) => ResultCache::at_dir(dir).map_err(|e| format!("cache at {dir:?}: {e}"))?,
         None => ResultCache::in_memory(),
     };
-    if let Some(t) = &observer {
-        cache = cache.with_observer(t.clone());
-    }
     if cache.discarded_entries() > 0 {
         println!(
             "cache: discarded {} corrupt persisted entries",
@@ -443,55 +408,36 @@ mod tests {
     }
 
     #[test]
-    fn traced_tables_write_a_validating_event_file() {
-        let path =
-            std::env::temp_dir().join(format!("cdmm-bench-trace-{}.jsonl", std::process::id()));
-        let env = BenchEnv::new(Options {
-            scale: Scale::Small,
-            threads: Some(2),
-            trace_out: Some(path.clone()),
-            ..Options::default()
-        });
-        print_table1(&env);
-        env.finish();
-        let lines = cdmm_vmsim::JsonlSink::validate_file(&path).expect("trace validates");
-        assert!(lines > 0, "table runs emit job_done events");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
     fn sweep_summary_asserts_hit_rate() {
         let dir = std::env::temp_dir().join(format!("cdmm-sweep-summary-{}", std::process::id()));
-        let opts = SweepSummaryOptions {
+        let opts = Options {
             scale: Scale::Small,
-            threads: 2,
+            threads: Some(2),
             cache_dir: Some(dir.clone()),
-            assert_hit_rate: None,
             quick: true,
-            bench_out: None,
+            ..Options::default()
         };
         // Cold pass populates the cache; warm pass must hit ≥90%.
-        run_sweep_summary(&opts, None).expect("cold pass");
-        let warm = SweepSummaryOptions {
+        run_sweep_summary(&opts).expect("cold pass");
+        let warm = Options {
             assert_hit_rate: Some(90.0),
             ..opts
         };
-        run_sweep_summary(&warm, None).expect("warm pass reaches 90% hits");
+        run_sweep_summary(&warm).expect("warm pass reaches 90% hits");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn sweep_summary_writes_the_tables_artifact() {
         let dir = std::env::temp_dir().join(format!("cdmm-sweep-artifact-{}", std::process::id()));
-        let opts = SweepSummaryOptions {
+        let opts = Options {
             scale: Scale::Small,
-            threads: 2,
-            cache_dir: None,
-            assert_hit_rate: None,
+            threads: Some(2),
             quick: true,
             bench_out: Some(dir.clone()),
+            ..Options::default()
         };
-        run_sweep_summary(&opts, None).expect("sweep with artifact");
+        run_sweep_summary(&opts).expect("sweep with artifact");
         let a = artifact::Artifact::read_from_dir(&dir, "tables").expect("artifact written");
         assert_eq!(a.scale, "small");
         // 8 + 8 + 14 + 14 rows across the four tables.

@@ -191,16 +191,10 @@ impl Harness {
         )
     }
 
-    /// CD metrics of the row's program under its *best* (minimal-ST)
-    /// directive set. The paper's Table 2 compares against exactly this
-    /// operating point — its row labels (`MAIN3`, `TQL1`) are the
-    /// variants that achieved each program's ST minimum.
-    pub fn cd_best(&mut self, row: &str) -> Metrics {
-        self.prepare_rows(&[row]);
-        self.cd_best_at(row)
-    }
-
-    /// [`Harness::cd_best`] for an already-prepared row.
+    /// CD metrics of an already-prepared row's program under its *best*
+    /// (minimal-ST) directive set. The paper's Table 2 compares against
+    /// exactly this operating point — its row labels (`MAIN3`, `TQL1`)
+    /// are the variants that achieved each program's ST minimum.
     pub fn cd_best_at(&self, row: &str) -> Metrics {
         let (w, _) = self.resolve(row);
         let p = self.prepared_ref(row);

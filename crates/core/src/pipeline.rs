@@ -297,9 +297,9 @@ fn content_fingerprint(
     h.finish()
 }
 
-/// A policy choice expressed as plain data, so callers (the facade,
-/// sweep drivers, benches) can pick a policy without naming concrete
-/// simulator types.
+/// A policy choice expressed as plain data, so callers (sweep drivers,
+/// the batch service, benches, examples) can pick a policy without
+/// naming concrete simulator types.
 ///
 /// [`Prepared::run_policy`] routes each variant onto the right trace:
 /// CD variants consume the instrumented trace, everything else the

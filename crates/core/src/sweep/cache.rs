@@ -22,7 +22,6 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use cdmm_trace::{COp, CompressedTrace, Event};
-use cdmm_vmsim::observe::{Detail, SharedTracer, SimEvent};
 use cdmm_vmsim::{ExecStats, LruCurve, Metrics, WsCurve};
 
 /// SplitMix64 increment (golden-ratio constant).
@@ -315,7 +314,6 @@ pub struct ResultCache {
     sim_points: AtomicU64,
     sim_wall_ns: AtomicU64,
     discarded: u64,
-    observer: Option<SharedTracer>,
 }
 
 impl ResultCache {
@@ -333,35 +331,7 @@ impl ResultCache {
             sim_points: AtomicU64::new(0),
             sim_wall_ns: AtomicU64::new(0),
             discarded,
-            observer: None,
         }
-    }
-
-    /// Attaches a shared tracer; every lookup then emits a
-    /// [`SimEvent::CacheQuery`], stamped with the running query count.
-    /// A tracer below [`Detail::Scheduler`] is dropped here so the hot
-    /// path stays clean.
-    ///
-    /// If the startup fsck quarantined damaged lines, attaching reports
-    /// them once as a [`SimEvent::CacheQuarantine`] (the
-    /// `MetricsRegistry` folds it into its `cache_quarantined_lines`
-    /// counter).
-    pub fn with_observer(mut self, observer: SharedTracer) -> Self {
-        let listening = observer
-            .lock()
-            .is_ok_and(|g| g.detail() >= Detail::Scheduler);
-        self.observer = listening.then_some(observer);
-        if self.discarded > 0 {
-            if let Some(obs) = &self.observer {
-                obs.lock().expect("tracer lock").record(
-                    0,
-                    &SimEvent::CacheQuarantine {
-                        lines: self.discarded,
-                    },
-                );
-            }
-        }
-        self
     }
 
     /// An in-memory cache (no persistence).
@@ -485,12 +455,6 @@ impl ResultCache {
         let hit = found.is_some();
         let counter = if hit { &self.hits } else { &self.misses };
         counter.fetch_add(1, Ordering::Relaxed);
-        if let Some(obs) = &self.observer {
-            let at = self.hits.load(Ordering::Relaxed) + self.misses.load(Ordering::Relaxed);
-            obs.lock()
-                .expect("tracer lock")
-                .record(at, &SimEvent::CacheQuery { hit });
-        }
         found
     }
 
@@ -700,33 +664,6 @@ mod tests {
         assert_eq!(s.cache_misses, 2);
     }
 
-    #[test]
-    fn observed_cache_emits_one_query_event_per_lookup() {
-        use cdmm_vmsim::observe::{shared, NullTracer, Tracer};
-        use std::sync::Arc;
-
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        struct Forward(Arc<Mutex<Vec<bool>>>);
-        impl Tracer for Forward {
-            fn record(&mut self, _at: u64, event: &SimEvent) {
-                if let SimEvent::CacheQuery { hit } = event {
-                    self.0.lock().unwrap().push(*hit);
-                }
-            }
-        }
-
-        let c = ResultCache::in_memory().with_observer(shared(Forward(Arc::clone(&seen))));
-        let k = CacheKey { hi: 1, lo: 2 };
-        assert_eq!(c.lookup(k), None);
-        c.insert(k, sample_metrics(4));
-        assert!(c.lookup(k).is_some());
-        assert_eq!(*seen.lock().unwrap(), vec![false, true]);
-
-        // A disabled tracer is dropped at attach time.
-        let c = ResultCache::in_memory().with_observer(shared(NullTracer));
-        assert!(c.observer.is_none());
-    }
-
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
             "cdmm-cache-{tag}-{}-{:?}",
@@ -871,31 +808,11 @@ mod tests {
     }
 
     #[test]
-    fn quarantine_is_reported_to_the_observer() {
-        use cdmm_vmsim::observe::{shared, Tracer};
-        use cdmm_vmsim::MetricsRegistry;
-        use std::sync::Arc;
-
-        // The registry folds the event into its counter…
-        struct Registry(MetricsRegistry, Arc<Mutex<u64>>);
-        impl Tracer for Registry {
-            fn record(&mut self, at: u64, event: &SimEvent) {
-                self.0.record(at, event);
-                *self.1.lock().unwrap() = self.0.counter("cache_quarantined_lines");
-            }
-        }
-
+    fn quarantine_is_reported_in_discarded_entries() {
         let dir = temp_dir("qobs");
         fs::write(dir.join(CACHE_FILE), "torn garbage line\nmore rot\n").expect("seed");
-        let counted = Arc::new(Mutex::new(0));
-        let c = ResultCache::at_dir(&dir)
-            .expect("open")
-            .with_observer(shared(Registry(
-                MetricsRegistry::new(),
-                Arc::clone(&counted),
-            )));
+        let c = ResultCache::at_dir(&dir).expect("open");
         assert_eq!(c.discarded_entries(), 2);
-        assert_eq!(*counted.lock().unwrap(), 2);
         let _ = fs::remove_dir_all(&dir);
     }
 

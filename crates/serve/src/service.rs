@@ -450,7 +450,9 @@ impl BatchService {
     /// Runs `job` under the tracer a request's `trace`/`metrics` flags
     /// ask for — the JSONL sidecar, a fresh [`MetricsRegistry`], both
     /// through a [`Tee`], or none — and returns its result with the
-    /// response's pre-encoded observability members.
+    /// response's pre-encoded observability members. A sidecar that
+    /// could not be written in full fails the job as a typed
+    /// `pipeline` row, the way one that could not be opened does.
     fn observed<T>(
         &self,
         trace: bool,
@@ -466,6 +468,15 @@ impl BatchService {
             (Some(s), false) => job(s),
             (Some(s), true) => job(&mut Tee::new(s, &mut registry)),
         };
+        if let Some(s) = &mut sink {
+            s.flush();
+            if let Some(e) = s.error() {
+                return Err(JobOutcome::Err {
+                    kind: ErrorKind::Pipeline,
+                    detail: format!("writing trace sidecar {}: {e}", s.path().display()),
+                });
+            }
+        }
         let extra = observability_extra(sink.as_ref(), metrics.then_some(&registry));
         Ok((result, extra))
     }
@@ -832,6 +843,30 @@ mod tests {
         let path = dir.join("serve-t1.trace.jsonl");
         let on_disk = JsonlSink::file_stream_checksum(&path).expect("sidecar readable");
         assert_eq!(claimed, format!("{on_disk:016x}"), "{row}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A sidecar whose writes fail (here a symlink to the full device)
+    /// is a typed `pipeline` row, not an `ok` row counting lines that
+    /// never reached the disk.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn unwritable_trace_sidecar_is_a_pipeline_row() {
+        let dir = scratch_dir("full");
+        let sidecar = dir.join("serve-t1.trace.jsonl");
+        std::os::unix::fs::symlink("/dev/full", &sidecar).expect("symlink the sidecar");
+        let s = service(ServeConfig {
+            cache_dir: Some(dir.clone()),
+            ..ServeConfig::default()
+        });
+        let out = s.handle_batch(&[r#"{"id":"t1","workload":"MAIN","policy":"cd","trace":true}"#]);
+        let want = format!(
+            "writing trace sidecar {}: {}",
+            sidecar.display(),
+            std::io::Error::from_raw_os_error(28)
+        );
+        assert_eq!(out[0], encode_err("t1", ErrorKind::Pipeline, &want));
+        assert_eq!(s.stats().failed, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -42,15 +42,6 @@ impl CancelToken {
         }
     }
 
-    /// A token expiring at an absolute instant (for sharing one batch
-    /// deadline across jobs).
-    pub fn expiring_at(at: Instant) -> Self {
-        CancelToken {
-            flag: Arc::new(AtomicBool::new(false)),
-            deadline: Some(at),
-        }
-    }
-
     /// Raises the cancellation flag on every clone of this token.
     pub fn cancel(&self) {
         self.flag.store(true, Ordering::SeqCst);
@@ -125,11 +116,5 @@ mod tests {
         let t = CancelToken::with_deadline(Duration::MAX);
         assert!(!t.should_stop());
         assert_eq!(t.remaining(), None);
-    }
-
-    #[test]
-    fn absolute_deadline_is_honored() {
-        let t = CancelToken::expiring_at(Instant::now());
-        assert!(t.should_stop());
     }
 }

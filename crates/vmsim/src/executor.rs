@@ -16,9 +16,6 @@ use std::any::Any;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
-
-use crate::observe::{Detail, SharedTracer, SimEvent};
 
 /// A job that panicked inside the executor.
 ///
@@ -56,23 +53,9 @@ pub fn panic_message(payload: &(dyn Any + Send)) -> String {
 }
 
 /// A deterministic parallel map over a flat job grid.
-///
-/// Attach a [`SharedTracer`] with [`Executor::with_observer`] to get one
-/// [`SimEvent::JobDone`] per job, carrying the job's index and wall
-/// time; observation never changes results or their order.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct Executor {
     threads: usize,
-    observer: Option<SharedTracer>,
-}
-
-impl fmt::Debug for Executor {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Executor")
-            .field("threads", &self.threads)
-            .field("observed", &self.observer.is_some())
-            .finish()
-    }
 }
 
 impl Default for Executor {
@@ -98,22 +81,7 @@ impl Executor {
     /// An executor with exactly `n` worker threads (`n` is clamped to at
     /// least 1).
     pub fn with_threads(n: usize) -> Self {
-        Executor {
-            threads: n.max(1),
-            observer: None,
-        }
-    }
-
-    /// Attaches a shared tracer; every completed job emits a
-    /// [`SimEvent::JobDone`] into it, stamped with the job index.
-    pub fn with_observer(mut self, observer: SharedTracer) -> Self {
-        self.observer = Some(observer);
-        self
-    }
-
-    /// The attached observer, if any (cloneable handle).
-    pub fn observer(&self) -> Option<&SharedTracer> {
-        self.observer.as_ref()
+        Executor { threads: n.max(1) }
     }
 
     /// An executor honoring the `CDMM_THREADS` environment variable,
@@ -161,39 +129,18 @@ impl Executor {
     /// a panicking job yields `Err(`[`JobError`]`)` in its slot while
     /// every other job still runs and returns. Results are merged by job
     /// index, so the output — errors included — is bit-identical at any
-    /// thread count; [`SimEvent::JobDone`] is emitted only for jobs that
-    /// completed.
+    /// thread count.
     pub fn try_map<J, T, F>(&self, jobs: &[J], f: F) -> Vec<Result<T, JobError>>
     where
         J: Sync,
         T: Send,
         F: Fn(usize, &J) -> T + Sync,
     {
-        let observer = self
-            .observer
-            .as_ref()
-            .filter(|o| o.lock().is_ok_and(|g| g.detail() >= Detail::Scheduler));
         let run = |i: usize, j: &J| -> Result<T, JobError> {
-            let t0 = Instant::now();
-            match catch_unwind(AssertUnwindSafe(|| f(i, j))) {
-                Ok(out) => {
-                    if let Some(obs) = observer {
-                        let wall_ns = t0.elapsed().as_nanos() as u64;
-                        obs.lock().expect("tracer lock").record(
-                            i as u64,
-                            &SimEvent::JobDone {
-                                index: i as u64,
-                                wall_ns,
-                            },
-                        );
-                    }
-                    Ok(out)
-                }
-                Err(payload) => Err(JobError {
-                    index: i,
-                    message: panic_message(payload.as_ref()),
-                }),
-            }
+            catch_unwind(AssertUnwindSafe(|| f(i, j))).map_err(|payload| JobError {
+                index: i,
+                message: panic_message(payload.as_ref()),
+            })
         };
         if self.threads == 1 || jobs.len() <= 1 {
             return jobs.iter().enumerate().map(|(i, j)| run(i, j)).collect();
@@ -285,32 +232,6 @@ mod tests {
         assert!(Executor::new().threads() >= 1);
     }
 
-    #[test]
-    fn observer_sees_one_job_done_per_job() {
-        use crate::observe::{shared, SimEvent, Tracer};
-        use std::sync::Arc;
-
-        struct Counting(Arc<AtomicU64>);
-        impl Tracer for Counting {
-            fn record(&mut self, _at: u64, event: &SimEvent) {
-                if matches!(event, SimEvent::JobDone { .. }) {
-                    self.0.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-
-        let jobs: Vec<u64> = (0..37).collect();
-        let count = Arc::new(AtomicU64::new(0));
-        for threads in [1, 4] {
-            count.store(0, Ordering::Relaxed);
-            let exec =
-                Executor::with_threads(threads).with_observer(shared(Counting(Arc::clone(&count))));
-            let got = exec.map(&jobs, |_, &j| j + 1);
-            assert_eq!(got, (1..38).collect::<Vec<u64>>(), "threads={threads}");
-            assert_eq!(count.load(Ordering::Relaxed), 37, "threads={threads}");
-        }
-    }
-
     /// Keeps injected test panics from spamming stderr through the
     /// default hook while the closure runs.
     fn quiet_panics<R>(f: impl FnOnce() -> R) -> R {
@@ -399,43 +320,5 @@ mod tests {
         assert_eq!(panic_message(&"literal"), "literal");
         assert_eq!(panic_message(&String::from("owned")), "owned");
         assert_eq!(panic_message(&42u32), "non-string panic payload");
-    }
-
-    #[test]
-    fn observer_skips_job_done_for_failed_jobs() {
-        use crate::observe::{shared, SimEvent, Tracer};
-        use std::sync::Arc;
-
-        struct Counting(Arc<AtomicU64>);
-        impl Tracer for Counting {
-            fn record(&mut self, _at: u64, event: &SimEvent) {
-                if matches!(event, SimEvent::JobDone { .. }) {
-                    self.0.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-
-        let jobs: Vec<u64> = (0..10).collect();
-        let count = Arc::new(AtomicU64::new(0));
-        let exec = Executor::with_threads(3).with_observer(shared(Counting(Arc::clone(&count))));
-        let got = quiet_panics(|| {
-            exec.try_map(&jobs, |_, &j| {
-                if j == 4 {
-                    panic!("nope");
-                }
-                j
-            })
-        });
-        assert_eq!(got.iter().filter(|r| r.is_ok()).count(), 9);
-        assert_eq!(count.load(Ordering::Relaxed), 9, "no JobDone for the panic");
-    }
-
-    #[test]
-    fn disabled_observer_is_skipped() {
-        use crate::observe::{shared, NullTracer};
-        let exec = Executor::with_threads(2).with_observer(shared(NullTracer));
-        assert!(exec.observer().is_some());
-        let got = exec.map(&[1u64, 2, 3], |_, &j| j);
-        assert_eq!(got, vec![1, 2, 3]);
     }
 }

@@ -72,8 +72,7 @@ pub use fleet::{
 };
 pub use metrics::{ExecStats, Metrics};
 pub use observe::{
-    Detail, EventLog, Histogram, JsonlSink, NullTracer, SharedSink, SharedTracer, SimEvent, Span,
-    Tee, TimedEvent, Tracer,
+    Detail, EventLog, Histogram, JsonlSink, NullTracer, SimEvent, Span, Tee, TimedEvent, Tracer,
 };
 pub use policy::Policy;
 pub use progress::{

@@ -36,7 +36,6 @@ use std::fmt;
 use std::fs;
 use std::io::{BufWriter, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
 
 use cdmm_trace::PageId;
 
@@ -125,24 +124,6 @@ pub enum SimEvent {
         /// Index of the swapped process (submission order).
         process: u32,
     },
-    /// The parallel executor finished one job.
-    JobDone {
-        /// Job index in the submitted grid.
-        index: u64,
-        /// Wall time of the job in nanoseconds.
-        wall_ns: u64,
-    },
-    /// The sweep result cache answered one lookup.
-    CacheQuery {
-        /// Whether the lookup hit.
-        hit: bool,
-    },
-    /// The result cache's startup fsck quarantined damaged persisted
-    /// lines (torn tail after a crash, bit rot, stale format).
-    CacheQuarantine {
-        /// Number of lines moved to the quarantine file.
-        lines: u64,
-    },
     /// The fleet scheduler admitted a tenant into its cell's memory
     /// pool (deterministic: cell-local, geometry-independent).
     TenantAdmitted {
@@ -194,9 +175,6 @@ impl SimEvent {
             SimEvent::Recovered { .. } => "recovered",
             SimEvent::Degraded => "degraded",
             SimEvent::SwapOut { .. } => "swap_out",
-            SimEvent::JobDone { .. } => "job_done",
-            SimEvent::CacheQuery { .. } => "cache_query",
-            SimEvent::CacheQuarantine { .. } => "cache_quarantine",
             SimEvent::TenantAdmitted { .. } => "tenant_admitted",
             SimEvent::TenantFinished { .. } => "tenant_finished",
             SimEvent::AdmissionDeferred { .. } => "admission_deferred",
@@ -217,9 +195,6 @@ impl SimEvent {
             | SimEvent::Recovered { .. }
             | SimEvent::Degraded => Detail::Decisions,
             SimEvent::SwapOut { .. }
-            | SimEvent::JobDone { .. }
-            | SimEvent::CacheQuery { .. }
-            | SimEvent::CacheQuarantine { .. }
             | SimEvent::TenantAdmitted { .. }
             | SimEvent::TenantFinished { .. }
             | SimEvent::AdmissionDeferred { .. }
@@ -245,9 +220,8 @@ pub struct TimedEvent {
 pub enum Detail {
     /// Nothing: the run-level loop runs and no event is built.
     Off,
-    /// Scheduler, executor and cache events: tenant lifecycle,
-    /// admission, queue depth, swap-outs, jobs, cache lookups. Policies
-    /// keep their batch kernels.
+    /// Fleet-scheduler events only: tenant lifecycle, admission, queue
+    /// depth, swap-outs. Policies keep their batch kernels.
     Scheduler,
     /// Also the policies' runtime decisions: faults, evictions,
     /// `ALLOCATE`/`LOCK` outcomes, recoveries, degradation. Selects the
@@ -436,11 +410,6 @@ fn event_fields(event: &SimEvent) -> String {
         SimEvent::Recovered { total } => format!("\"ev\":\"{kind}\",\"total\":{total}"),
         SimEvent::Degraded => format!("\"ev\":\"{kind}\""),
         SimEvent::SwapOut { process } => format!("\"ev\":\"{kind}\",\"process\":{process}"),
-        SimEvent::JobDone { index, wall_ns } => {
-            format!("\"ev\":\"{kind}\",\"index\":{index},\"wall_ns\":{wall_ns}")
-        }
-        SimEvent::CacheQuery { hit } => format!("\"ev\":\"{kind}\",\"hit\":{hit}"),
-        SimEvent::CacheQuarantine { lines } => format!("\"ev\":\"{kind}\",\"lines\":{lines}"),
         SimEvent::TenantAdmitted { tenant, forced } => {
             format!("\"ev\":\"{kind}\",\"tenant\":{tenant},\"forced\":{forced}")
         }
@@ -493,14 +462,18 @@ pub fn validate_event_line(line: &str) -> bool {
 /// result cache (`target/cdmm-cache/results.jsonl`), so the same
 /// tooling can audit both. Writes are buffered; the driver's end-of-run
 /// [`Tracer::flush`] (or dropping the sink) flushes them.
+///
+/// [`Tracer::record`] returns nothing, so the sink keeps the first I/O
+/// error a write or flush hit and writes nothing after it; callers read
+/// it from [`JsonlSink::error`] once the run has flushed.
 #[derive(Debug)]
 pub struct JsonlSink {
     out: BufWriter<fs::File>,
     path: PathBuf,
     written: u64,
-    limit: Option<u64>,
     detail: Detail,
     stream: u64,
+    error: Option<std::io::Error>,
 }
 
 impl JsonlSink {
@@ -515,17 +488,10 @@ impl JsonlSink {
             out: BufWriter::new(fs::File::create(path)?),
             path: path.to_path_buf(),
             written: 0,
-            limit: None,
             detail: Detail::Decisions,
             stream: 0,
+            error: None,
         })
-    }
-
-    /// Stops recording after `limit` events (the file notes the
-    /// truncation via [`JsonlSink::truncated`]); `None` is unbounded.
-    pub fn with_limit(mut self, limit: Option<u64>) -> Self {
-        self.limit = limit;
-        self
     }
 
     /// The events to record (default [`Detail::Decisions`]).
@@ -539,9 +505,16 @@ impl JsonlSink {
         &self.path
     }
 
-    /// Lines written so far.
+    /// Lines written so far (to the buffer: a line is on disk only
+    /// once a flush succeeded, see [`JsonlSink::error`]).
     pub fn written(&self) -> u64 {
         self.written
+    }
+
+    /// The first I/O error a write or flush hit, if any. A sink with an
+    /// error wrote an incomplete file and records nothing further.
+    pub fn error(&self) -> Option<&std::io::Error> {
+        self.error.as_ref()
     }
 
     /// Rolling checksum over every line written so far — a compact,
@@ -570,11 +543,6 @@ impl JsonlSink {
             stream = mix(stream ^ line_checksum(line));
         }
         Ok(stream)
-    }
-
-    /// True when the event limit cut the stream short.
-    pub fn truncated(&self) -> bool {
-        self.limit.is_some_and(|l| self.written >= l)
     }
 
     /// Validates every line of a trace file; returns the number of
@@ -636,19 +604,22 @@ impl Tracer for JsonlSink {
     }
 
     fn record(&mut self, at: u64, event: &SimEvent) {
-        if self.limit.is_some_and(|l| self.written >= l) {
+        if self.error.is_some() {
             return;
         }
-        // Buffered-writer failures surface at flush; per-event error
-        // handling would put a Result on the hot path for nothing.
         let line = encode_event_line(at, event);
-        let _ = writeln!(self.out, "{line}");
+        if let Err(e) = writeln!(self.out, "{line}") {
+            self.error = Some(e);
+            return;
+        }
         self.stream = mix(self.stream ^ line_checksum(&line));
         self.written += 1;
     }
 
     fn flush(&mut self) {
-        let _ = self.out.flush();
+        if let Err(e) = self.out.flush() {
+            self.error.get_or_insert(e);
+        }
     }
 }
 
@@ -771,63 +742,8 @@ impl Histogram {
     }
 }
 
-/// A shareable, mutex-guarded tracer handle — the form the parallel
-/// executor and the result cache accept, since their events originate
-/// on several threads.
-pub type SharedTracer = Arc<Mutex<dyn Tracer + Send>>;
-
-/// Wraps a tracer into a [`SharedTracer`] handle.
-pub fn shared<T: Tracer + Send + 'static>(tracer: T) -> SharedTracer {
-    Arc::new(Mutex::new(tracer))
-}
-
-/// A [`Tracer`] that forwards every event into a [`SharedTracer`],
-/// letting single-threaded drivers (`simulate_with`, one fleet cell)
-/// feed the same sink as the parallel plumbing.
-///
-/// The [`Detail`] level is snapshotted at construction so the hot path
-/// takes the mutex only when an event actually fires.
-#[derive(Clone)]
-pub struct SharedSink {
-    inner: SharedTracer,
-    detail: Detail,
-}
-
-impl fmt::Debug for SharedSink {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SharedSink")
-            .field("detail", &self.detail)
-            .finish_non_exhaustive()
-    }
-}
-
-impl SharedSink {
-    /// Snapshots the shared tracer's level and wraps it.
-    pub fn new(inner: &SharedTracer) -> Self {
-        let detail = inner.lock().expect("tracer lock").detail();
-        SharedSink {
-            inner: Arc::clone(inner),
-            detail,
-        }
-    }
-}
-
-impl Tracer for SharedSink {
-    fn detail(&self) -> Detail {
-        self.detail
-    }
-
-    fn record(&mut self, at: u64, event: &SimEvent) {
-        self.inner.lock().expect("tracer lock").record(at, event);
-    }
-
-    fn flush(&mut self) {
-        self.inner.lock().expect("tracer lock").flush();
-    }
-}
-
 /// A fan-out tracer forwarding every event to two underlying tracers —
-/// how the facade runs a user tracer and a
+/// how one run feeds a user tracer and a
 /// [`crate::stats::MetricsRegistry`] off one instrumented pass.
 ///
 /// The tee reports the larger of its sides' [`Detail`] levels and
@@ -946,8 +862,6 @@ mod tests {
         let mut none = EventLog::new(4).with_detail(Detail::Scheduler);
         let tee = Tee::new(&mut full, &mut none);
         assert_eq!(tee.detail(), Detail::Decisions, "tee: the larger side");
-        let handle = shared(EventLog::new(4).with_detail(Detail::Scheduler));
-        assert_eq!(SharedSink::new(&handle).detail(), Detail::Scheduler);
     }
 
     #[test]
@@ -1103,12 +1017,6 @@ mod tests {
             SimEvent::Recovered { total: 7 },
             SimEvent::Degraded,
             SimEvent::SwapOut { process: 1 },
-            SimEvent::JobDone {
-                index: 5,
-                wall_ns: 123,
-            },
-            SimEvent::CacheQuery { hit: false },
-            SimEvent::CacheQuarantine { lines: 3 },
             SimEvent::TenantAdmitted {
                 tenant: 17,
                 forced: true,
@@ -1160,52 +1068,36 @@ mod tests {
         let path = std::env::temp_dir().join(format!("cdmm-observe-{}.jsonl", std::process::id()));
         let mut sink = JsonlSink::create(&path).expect("create sink");
         sink.record(1, &SimEvent::Degraded);
-        sink.record(2, &SimEvent::CacheQuery { hit: true });
+        sink.record(2, &SimEvent::SwapOut { process: 3 });
         sink.flush();
         assert_eq!(sink.written(), 2);
+        assert!(sink.error().is_none());
         assert_eq!(JsonlSink::validate_file(&path), Ok(2));
         // Corrupt a byte: validation pinpoints the line.
         let mut text = fs::read_to_string(&path).expect("read");
-        text = text.replace("\"hit\":true", "\"hit\":false");
+        text = text.replace("\"process\":3", "\"process\":4");
         fs::write(&path, text).expect("write");
         assert!(JsonlSink::validate_file(&path).unwrap_err().contains(":2:"));
         let _ = fs::remove_file(&path);
     }
 
+    /// A sink on a full device keeps the first failed write, stops
+    /// there, and reports it after the flush instead of dropping it.
+    #[cfg(target_os = "linux")]
     #[test]
-    fn jsonl_sink_honors_event_limit() {
-        let path = std::env::temp_dir().join(format!("cdmm-limit-{}.jsonl", std::process::id()));
-        let mut sink = JsonlSink::create(&path)
-            .expect("create sink")
-            .with_limit(Some(2));
-        for i in 0..10 {
-            sink.record(i, &SimEvent::Degraded);
+    fn jsonl_sink_keeps_its_first_io_error() {
+        let mut sink = JsonlSink::create(Path::new("/dev/full")).expect("open /dev/full");
+        sink.record(0, &SimEvent::Degraded);
+        assert!(sink.error().is_none(), "one line still fits the buffer");
+        for at in 1..1000 {
+            sink.record(at, &SimEvent::Degraded);
         }
+        let spilled = sink.written();
+        assert!(spilled < 1000, "a spilled buffer failed a write");
         sink.flush();
-        assert_eq!(sink.written(), 2);
-        assert!(sink.truncated());
-        assert_eq!(JsonlSink::validate_file(&path), Ok(2));
-        let _ = fs::remove_file(&path);
-    }
-
-    #[test]
-    fn shared_sink_forwards_into_the_shared_tracer() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-
-        struct Counting(Arc<AtomicU64>);
-        impl Tracer for Counting {
-            fn record(&mut self, _at: u64, _event: &SimEvent) {
-                self.0.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-
-        let n = Arc::new(AtomicU64::new(0));
-        let handle = shared(Counting(Arc::clone(&n)));
-        let mut sink = SharedSink::new(&handle);
-        assert_eq!(sink.detail(), Detail::Decisions);
-        sink.record(3, &SimEvent::Degraded);
-        sink.record(4, &SimEvent::Degraded);
-        sink.flush();
-        assert_eq!(n.load(Ordering::SeqCst), 2);
+        sink.record(1000, &SimEvent::Degraded);
+        assert_eq!(sink.written(), spilled, "nothing is written after an error");
+        // ENOSPC, from the first failed write rather than the flush.
+        assert_eq!(sink.error().and_then(|e| e.raw_os_error()), Some(28));
     }
 }

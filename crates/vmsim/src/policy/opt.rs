@@ -126,22 +126,9 @@ impl Opt {
     ///
     /// # Panics
     ///
-    /// Panics if `frames` is zero; [`Opt::try_for_trace`] is the
-    /// non-panicking form.
+    /// Panics if `frames` is zero.
     pub fn for_trace<S: EventSource + ?Sized>(trace: &S, frames: usize) -> Self {
         Self::for_trace_while(trace, frames, || true).expect("an idle poll never stops the build")
-    }
-
-    /// Builds OPT for a specific trace and allocation, rejecting a
-    /// zero-frame configuration with a typed error.
-    pub fn try_for_trace<S: EventSource + ?Sized>(
-        trace: &S,
-        frames: usize,
-    ) -> Result<Self, SimError> {
-        if frames == 0 {
-            return Err(SimError::ZeroFrames { what: "OPT" });
-        }
-        Ok(Self::for_trace(trace, frames))
     }
 
     /// [`Opt::for_trace`] under a cooperative poll: `keep_going` is
@@ -372,15 +359,6 @@ mod tests {
         assert!(!o.reference(PageId(0)), "past-horizon re-reference hits");
         assert!(o.reference(PageId(7)), "past-horizon new page faults");
         assert_eq!(o.resident(), 2);
-    }
-
-    #[test]
-    fn zero_frames_is_a_typed_error() {
-        let t = synth::cyclic(2, 1);
-        assert_eq!(
-            Opt::try_for_trace(&t, 0).err(),
-            Some(crate::error::SimError::ZeroFrames { what: "OPT" })
-        );
     }
 
     fn trace_of(pages: &[u32]) -> Trace {

@@ -2,7 +2,7 @@
 //! log-bucketed streaming histograms fed from the simulator's existing
 //! event stream.
 //!
-//! PR 3's [`crate::observe`] layer gave the simulator typed events; this
+//! The [`crate::observe`] layer gives the simulator typed events; this
 //! module turns those events into *distributions* — the measurement the
 //! paper's own evaluation (Section 5, Tables 2–4) is built on. A
 //! [`MetricsRegistry`] is an ordinary [`Tracer`], so it attaches at the
@@ -21,13 +21,14 @@
 //! - per-priority-index `ALLOCATE` outcomes and grant-size
 //!   distributions ([`PiStats`]).
 //! - counters for faults, evictions, lock traffic, swapper
-//!   invocations, recovered directives, degradations, executor jobs,
-//!   and cache queries.
+//!   invocations, recovered directives, degradations and the fleet
+//!   scheduler's tenant lifecycle.
 //!
-//! The registry is "lock-free in spirit": a plain struct with no
-//! interior synchronization. Share one across threads the same way the
-//! tracer plumbing does — behind a [`crate::observe::SharedTracer`]
-//! handle fed through [`crate::observe::SharedSink`].
+//! The registry is a plain struct with no interior synchronization: a
+//! run borrows it as its `&mut dyn Tracer` and the caller reads
+//! [`MetricsRegistry::snapshot`] afterwards. Wall time, cache hits and
+//! quarantined cache lines are not simulation events; they live in
+//! [`crate::ExecStats`] and the result cache.
 
 use std::collections::BTreeMap;
 
@@ -57,8 +58,9 @@ pub struct PiStats {
 /// A registry of named counters, gauges, and streaming histograms.
 ///
 /// Implements [`Tracer`], so any driver that accepts a tracer
-/// ([`crate::simulate_with`], the fleet scheduler, the executor
-/// observer, the `Simulation` facade's `.tracer()`) can feed it. Counters and histograms can
+/// ([`crate::simulate_with`], the fleet scheduler, and through them
+/// `Prepared::run_policy_traced` and `PreparedFleet::run_cancellable`)
+/// can feed it. Counters and histograms can
 /// also be bumped directly by name for metrics that do not originate as
 /// simulation events.
 #[derive(Debug, Clone, Default)]
@@ -226,16 +228,6 @@ impl Tracer for MetricsRegistry {
             SimEvent::SwapOut { .. } => {
                 self.inc("swap_outs");
                 self.inc("swapper_invocations");
-            }
-            SimEvent::JobDone { wall_ns, .. } => {
-                self.inc("jobs_done");
-                self.record_sample("job_wall_ns", *wall_ns);
-            }
-            SimEvent::CacheQuery { hit } => {
-                self.inc(if *hit { "cache_hits" } else { "cache_misses" });
-            }
-            SimEvent::CacheQuarantine { lines } => {
-                self.add("cache_quarantined_lines", *lines);
             }
             SimEvent::TenantAdmitted { forced, .. } => {
                 self.inc("admissions");
@@ -451,25 +443,11 @@ mod tests {
     }
 
     #[test]
-    fn executor_and_cache_events_are_counted() {
+    fn swap_and_repair_events_are_counted() {
         let mut r = MetricsRegistry::new();
-        r.record(
-            0,
-            &SimEvent::JobDone {
-                index: 0,
-                wall_ns: 500,
-            },
-        );
-        r.record(0, &SimEvent::CacheQuery { hit: true });
-        r.record(0, &SimEvent::CacheQuery { hit: false });
-        r.record(0, &SimEvent::CacheQuarantine { lines: 4 });
         r.record(0, &SimEvent::SwapOut { process: 1 });
         r.record(0, &SimEvent::Recovered { total: 1 });
         r.record(0, &SimEvent::Degraded);
-        assert_eq!(r.counter("jobs_done"), 1);
-        assert_eq!(r.counter("cache_hits"), 1);
-        assert_eq!(r.counter("cache_misses"), 1);
-        assert_eq!(r.counter("cache_quarantined_lines"), 4);
         assert_eq!(r.counter("swap_outs"), 1);
         assert_eq!(r.counter("swapper_invocations"), 1);
         assert_eq!(r.counter("recovered_directives"), 1);

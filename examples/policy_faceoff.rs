@@ -1,34 +1,34 @@
 //! Policy face-off on a real workload: run one of the paper's traced
 //! programs under the full policy zoo — CD, LRU, WS, FIFO, OPT, PFF and
 //! the WS variants — and print the PF / MEM / ST trade-off each policy
-//! achieves. Every policy is named as a `PolicySpec` value and run
-//! through one `Simulation` handle.
+//! achieves. Every policy is named as a `PolicySpec` value and run on
+//! one `Prepared` program.
 //!
 //! Run with `cargo run --release --example policy_faceoff [PROGRAM]`
 //! (default CONDUCT; any of the nine paper programs works).
 
-use cdmm_repro::{CdSelector, PolicySpec, Report, Simulation};
+use cdmm_repro::{by_name, prepare, CdSelector, Metrics, PipelineConfig, PolicySpec, Scale};
 
 fn main() {
     let program = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "CONDUCT".to_string());
-    let mut sim = Simulation::workload(&program)
-        .policy(PolicySpec::Cd {
-            selector: CdSelector::AtLevel(2),
-        })
-        .prepare()
-        .unwrap_or_else(|e| panic!("{e}"));
+    let w = by_name(&program, Scale::Small)
+        .unwrap_or_else(|| panic!("unknown workload {program:?}; try MAIN, FDJAC, TQL, ..."));
+    let p = prepare(w.name, &w.source, PipelineConfig::default()).unwrap_or_else(|e| panic!("{e}"));
 
     println!(
         "{}: {} refs over {} pages\n",
-        sim.prepared().name(),
-        sim.prepared().plain_trace().ref_count(),
-        sim.prepared().virtual_pages()
+        p.name(),
+        p.plain_trace().ref_count(),
+        p.virtual_pages()
     );
 
-    let cd = sim.run();
-    let frames = cd.metrics.mean_mem().round().max(1.0) as usize;
+    let cd_spec = PolicySpec::Cd {
+        selector: CdSelector::AtLevel(2),
+    };
+    let cd = p.run_policy(cd_spec);
+    let frames = cd.mean_mem().round().max(1.0) as usize;
     let tau = 1_000;
 
     let specs = [
@@ -54,34 +54,32 @@ fn main() {
             fault_quota: 10,
         },
     ];
-    let mut rows: Vec<Report> = vec![cd];
-    rows.extend(specs.iter().map(|&s| sim.run_policy(s)));
+    // (label, metrics) rows, CD at level 2 first.
+    let mut rows: Vec<(String, Metrics)> = vec![(p.policy_label(cd_spec), cd)];
+    rows.extend(specs.iter().map(|&s| (p.policy_label(s), p.run_policy(s))));
 
     println!(
         "{:<18} {:>8} {:>9} {:>13} {:>9}",
         "policy", "PF", "MEM", "ST", "peak"
     );
-    for r in &rows {
+    for (label, m) in &rows {
         println!(
             "{:<18} {:>8} {:>9.2} {:>13.3e} {:>9}",
-            r.policy,
-            r.metrics.faults,
-            r.metrics.mean_mem(),
-            r.metrics.st_cost(),
-            r.metrics.peak_resident
+            label,
+            m.faults,
+            m.mean_mem(),
+            m.st_cost(),
+            m.peak_resident
         );
     }
 
-    let opt = &rows
-        .iter()
-        .find(|r| r.policy.starts_with("OPT"))
-        .expect("OPT row")
-        .metrics;
-    let lru = &rows
-        .iter()
-        .find(|r| r.policy.starts_with("LRU"))
-        .expect("LRU row")
-        .metrics;
+    let find = |prefix: &str| {
+        rows.iter()
+            .find(|(label, _)| label.starts_with(prefix))
+            .map(|(_, m)| m)
+            .unwrap_or_else(|| panic!("{prefix} row"))
+    };
+    let (opt, lru) = (find("OPT"), find("LRU"));
     assert!(opt.faults <= lru.faults, "OPT lower-bounds LRU");
     println!("\nSanity: OPT({frames}) <= LRU({frames}) in faults, as theory demands.");
 }

@@ -1,10 +1,10 @@
 //! Quickstart: compile a numerical program, let the compiler insert
 //! memory directives, and compare the CD policy against LRU and WS —
-//! all through the `Simulation` facade.
+//! one `prepare`, then one `run_policy` per policy.
 //!
 //! Run with `cargo run --example quickstart`.
 
-use cdmm_repro::{PolicySpec, Simulation};
+use cdmm_repro::{prepare, CdSelector, PipelineConfig, PolicySpec};
 
 const SOURCE: &str = "
 PROGRAM DEMO
@@ -35,40 +35,43 @@ END
 ";
 
 fn main() {
-    // Compile, analyse, insert directives, and trace — one builder.
-    // The default policy is CD honoring the mid-level requests.
-    let mut sim = Simulation::from_source("DEMO", SOURCE)
-        .prepare()
-        .expect("pipeline");
+    // Compile, analyse, insert directives, and trace — once.
+    let p = prepare("DEMO", SOURCE, PipelineConfig::default()).expect("pipeline");
 
     println!(
         "DEMO: {} array references over {} virtual pages, {} directives inserted\n",
-        sim.prepared().plain_trace().ref_count(),
-        sim.prepared().virtual_pages(),
-        sim.prepared().cd_trace().directive_count(),
+        p.plain_trace().ref_count(),
+        p.virtual_pages(),
+        p.cd_trace().directive_count(),
     );
 
-    let cd = sim.run();
+    // CD honoring the mid-level requests.
+    let cd_spec = PolicySpec::Cd {
+        selector: CdSelector::AtLevel(2),
+    };
+    let cd = p.run_policy(cd_spec);
 
     // Classic baselines at comparable operating points.
-    let frames = cd.metrics.mean_mem().round() as usize;
-    let lru = sim.run_policy(PolicySpec::Lru { frames });
-    let ws = sim.run_policy(PolicySpec::Ws { tau: 2_000 });
+    let frames = cd.mean_mem().round() as usize;
+    let lru_spec = PolicySpec::Lru { frames };
+    let lru = p.run_policy(lru_spec);
+    let ws_spec = PolicySpec::Ws { tau: 2_000 };
+    let ws = p.run_policy(ws_spec);
 
     println!("{:<18} {:>10} {:>10} {:>14}", "policy", "PF", "MEM", "ST");
-    for r in [&cd, &lru, &ws] {
+    for (spec, m) in [(cd_spec, &cd), (lru_spec, &lru), (ws_spec, &ws)] {
         println!(
             "{:<18} {:>10} {:>10.2} {:>14.3e}",
-            r.policy,
-            r.metrics.faults,
-            r.metrics.mean_mem(),
-            r.metrics.st_cost()
+            p.policy_label(spec),
+            m.faults,
+            m.mean_mem(),
+            m.st_cost()
         );
     }
     println!(
         "\nAt the same average memory, CD faults {}x less than LRU.",
-        if cd.metrics.faults > 0 {
-            lru.metrics.faults / cd.metrics.faults.max(1)
+        if cd.faults > 0 {
+            lru.faults / cd.faults.max(1)
         } else {
             0
         }

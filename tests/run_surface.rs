@@ -289,7 +289,7 @@ fn tee_delivers_each_side_only_its_level() {
             tenant: 0,
             forced: false,
         },
-        SimEvent::CacheQuery { hit: true },
+        SimEvent::SwapOut { process: 2 },
     ];
     let mut every = EventLog::new(16).with_detail(Detail::References);
     let mut sched = EventLog::new(16).with_detail(Detail::Scheduler);
@@ -301,7 +301,7 @@ fn tee_delivers_each_side_only_its_level() {
     let kinds = |log: &EventLog| log.events().map(|e| e.event.kind()).collect::<Vec<_>>();
     assert_eq!(
         kinds(&every),
-        ["ref", "fault", "tenant_admitted", "cache_query"]
+        ["ref", "fault", "tenant_admitted", "swap_out"]
     );
-    assert_eq!(kinds(&sched), ["tenant_admitted", "cache_query"]);
+    assert_eq!(kinds(&sched), ["tenant_admitted", "swap_out"]);
 }
