@@ -540,9 +540,11 @@ impl Prepared {
     }
 
     /// [`Prepared::run_policy_cancellable`] with an event tracer
-    /// attached: an enabled tracer runs the per-reference loop and sees
-    /// every policy event, a disabled one ([`NullTracer`]) the run-level
-    /// loop (see [`simulate_with`]). Metrics are identical either way.
+    /// attached: a tracer at `Detail::Decisions` or above runs the
+    /// per-reference loop and sees every policy event; below it (a
+    /// [`NullTracer`], or a `MetricsRegistry` fed reference batches and
+    /// directive outcomes) the run-level loop runs (see
+    /// [`simulate_with`]). Metrics are identical either way.
     /// The batch service runs every sim job through here, under the
     /// job's deadline token.
     ///

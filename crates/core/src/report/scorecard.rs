@@ -1,7 +1,8 @@
 //! Scorecard rendering of a [`RegistrySnapshot`].
 //!
-//! A [`cdmm_vmsim::MetricsRegistry`] attached to a run folds the event
-//! stream into counters and histogram digests; this module turns one
+//! A [`cdmm_vmsim::MetricsRegistry`] attached to a run folds its
+//! reference batches and directive outcomes into counters and histogram
+//! digests; this module turns one
 //! frozen snapshot into the markdown scorecard ([`render_markdown`])
 //! the profiling bench prints.
 //!

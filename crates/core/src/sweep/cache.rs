@@ -289,10 +289,76 @@ fn atomic_write(path: &Path, contents: &str) -> std::io::Result<()> {
     fs::rename(&tmp, path)
 }
 
+/// The bytes of the last successful flush, kept so the next flush
+/// encodes only the entries inserted since.
+struct Image {
+    /// Every line written, newline included, in key order.
+    text: String,
+    /// `(key, end of its line in text)`, key-ascending.
+    lines: Vec<(CacheKey, usize)>,
+}
+
+impl Image {
+    /// Encodes `entries` whole.
+    fn encode(mut entries: Vec<(CacheKey, Metrics)>) -> Image {
+        entries.sort_by_key(|(k, _)| *k);
+        let mut image = Image {
+            text: String::new(),
+            lines: Vec::with_capacity(entries.len()),
+        };
+        for (k, m) in &entries {
+            image.push(*k, &encode_line(*k, m));
+        }
+        image
+    }
+
+    fn push(&mut self, key: CacheKey, line: &str) {
+        self.text.push_str(line);
+        self.text.push('\n');
+        self.lines.push((key, self.text.len()));
+    }
+
+    /// This image with `fresh` lines (key-ascending, unique) merged in,
+    /// each replacing the line of an equal key.
+    fn merged(&self, fresh: &[(CacheKey, String)]) -> Image {
+        let mut out = Image {
+            text: String::with_capacity(self.text.len() + fresh.len() * 128),
+            lines: Vec::with_capacity(self.lines.len() + fresh.len()),
+        };
+        let mut i = 0;
+        for (key, line) in fresh {
+            i = self.copy_lines(&mut out, i, |k| k < *key);
+            if self.lines.get(i).is_some_and(|&(k, _)| k == *key) {
+                i += 1;
+            }
+            out.push(*key, line);
+        }
+        self.copy_lines(&mut out, i, |_| true);
+        out
+    }
+
+    /// Copies this image's lines into `out` from index `i` on, while
+    /// `keep` holds for their keys; returns the first index not copied.
+    fn copy_lines(&self, out: &mut Image, mut i: usize, keep: impl Fn(CacheKey) -> bool) -> usize {
+        while let Some(&(k, end)) = self.lines.get(i) {
+            if !keep(k) {
+                break;
+            }
+            let start = if i == 0 { 0 } else { self.lines[i - 1].1 };
+            out.text.push_str(&self.text[start..end]);
+            out.lines.push((k, out.text.len()));
+            i += 1;
+        }
+        i
+    }
+}
+
 struct Store {
     path: Option<PathBuf>,
     map: Mutex<HashMap<CacheKey, Metrics>>,
     pending: Mutex<Vec<(CacheKey, Metrics)>>,
+    /// What the last successful flush wrote (`None` before the first).
+    image: Mutex<Option<Image>>,
     /// Whole-trace sweep curves, keyed per program. Memory-only: a
     /// curve rebuilds in one trace pass, so persisting it would cost
     /// more than it saves, and the per-point entries it feeds still
@@ -341,6 +407,7 @@ impl ResultCache {
                 path: None,
                 map: Mutex::new(HashMap::new()),
                 pending: Mutex::new(Vec::new()),
+                image: Mutex::new(None),
                 lru_curves: Mutex::new(HashMap::new()),
                 ws_curves: Mutex::new(HashMap::new()),
             }),
@@ -408,6 +475,7 @@ impl ResultCache {
                 path: Some(path),
                 map: Mutex::new(map),
                 pending: Mutex::new(Vec::new()),
+                image: Mutex::new(None),
                 lru_curves: Mutex::new(HashMap::new()),
                 ws_curves: Mutex::new(HashMap::new()),
             }),
@@ -542,20 +610,36 @@ impl ResultCache {
         if drained.is_empty() {
             return Ok(0);
         }
-        let mut entries: Vec<(CacheKey, Metrics)> = {
-            let map = s.map.lock().expect("cache lock");
-            map.iter().map(|(k, m)| (*k, *m)).collect()
+        // Held across the write, so flushes take turns on the temp file.
+        let mut image = s.image.lock().expect("cache lock");
+        let next = match image.as_ref() {
+            // The first flush encodes every entry; later ones only the
+            // keys inserted since, at their current values, merged into
+            // what was written last.
+            None => {
+                let map = s.map.lock().expect("cache lock");
+                Image::encode(map.iter().map(|(k, m)| (*k, *m)).collect())
+            }
+            Some(written) => {
+                let mut keys: Vec<CacheKey> = drained.iter().map(|(k, _)| *k).collect();
+                keys.sort_unstable();
+                keys.dedup();
+                let fresh: Vec<(CacheKey, Metrics)> = {
+                    let map = s.map.lock().expect("cache lock");
+                    keys.iter().map(|k| (*k, map[k])).collect()
+                };
+                let fresh: Vec<(CacheKey, String)> = fresh
+                    .iter()
+                    .map(|(k, m)| (*k, encode_line(*k, m)))
+                    .collect();
+                written.merged(&fresh)
+            }
         };
-        entries.sort_by_key(|(k, _)| *k);
-        let mut out = String::new();
-        for (k, m) in &entries {
-            out.push_str(&encode_line(*k, m));
-            out.push('\n');
-        }
-        if let Err(e) = atomic_write(path, &out) {
+        if let Err(e) = atomic_write(path, &next.text) {
             s.pending.lock().expect("cache lock").extend(drained);
             return Err(e);
         }
+        *image = Some(next);
         Ok(drained.len())
     }
 
@@ -702,6 +786,56 @@ mod tests {
         let c2 = ResultCache::at_dir(&dir).expect("reopen");
         assert_eq!(c2.len(), 20);
         assert_eq!(c2.discarded_entries(), 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Later flushes encode only what changed since the last one; the
+    /// file they leave must be exactly the full re-encode of every
+    /// entry, through re-inserted keys, a failed flush and a reopen.
+    #[test]
+    fn incremental_flushes_write_the_full_re_encode() {
+        let dir = temp_dir("incremental");
+        let path = dir.join(CACHE_FILE);
+        let key = |n: u64| CacheKey { hi: mix(n), lo: n };
+        let mut want: std::collections::BTreeMap<CacheKey, Metrics> = Default::default();
+        let full = |want: &std::collections::BTreeMap<CacheKey, Metrics>| -> String {
+            want.iter()
+                .map(|(k, m)| encode_line(*k, m) + "\n")
+                .collect()
+        };
+        let c = ResultCache::at_dir(&dir).expect("open");
+        let mut n = 0u64;
+        for round in 0..12u64 {
+            for _ in 0..1 + mix(round) % 9 {
+                n += 1;
+                // Now and then an earlier key comes back with a new value.
+                let k = if n.is_multiple_of(4) {
+                    key(mix(n) % n)
+                } else {
+                    key(n)
+                };
+                let m = sample_metrics(mix(n ^ round) % 1000);
+                c.insert(k, m);
+                want.insert(k, m);
+            }
+            if round == 5 {
+                fs::create_dir(tmp_path(&path)).expect("squat on the temp path");
+                assert!(c.flush().is_err());
+                fs::remove_dir(tmp_path(&path)).expect("unsquat");
+                continue;
+            }
+            c.flush().expect("flush");
+            let text = fs::read_to_string(&path).expect("read");
+            assert_eq!(text, full(&want), "round {round}");
+        }
+        drop(c);
+        let c = ResultCache::at_dir(&dir).expect("reopen");
+        let m = sample_metrics(3);
+        c.insert(key(1), m);
+        want.insert(key(1), m);
+        c.flush().expect("flush");
+        assert_eq!(fs::read_to_string(&path).expect("read"), full(&want));
+        drop(c);
         let _ = fs::remove_dir_all(&dir);
     }
 

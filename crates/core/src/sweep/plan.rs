@@ -150,14 +150,19 @@ impl<'a> SweepPlan<'a> {
         exec.map(params, |_, &m| self.lru_point(&curve, m as usize))
     }
 
-    /// The full WS sweep over `params`, sharded across the executor.
-    ///
-    /// The whole grid is batch-evaluated through
-    /// [`WsCurve::metrics_for`] — one event expansion and sort answers
-    /// every window — but only lazily, on the first cache miss: a fully
-    /// warm point cache never touches the curve.
+    /// The full WS sweep over `params`, sharded across the executor:
+    /// [`SweepPlan::ws_grid`] over the program's curve.
     pub fn ws_points(&self, exec: &Executor, params: &[u64]) -> Vec<Point> {
-        let curve = self.ws_curve();
+        self.ws_grid(exec, &self.ws_curve(), params)
+    }
+
+    /// WS at every window of `params`, answered from `curve` and sharded
+    /// across the executor. Each point goes through the per-point cache
+    /// like [`SweepPlan::ws_point`], but the first miss evaluates the
+    /// whole grid through [`WsCurve::metrics_for`] — one
+    /// largest-window-first event expansion and sort instead of one per
+    /// window. A fully warm point cache never touches the curve.
+    pub fn ws_grid(&self, exec: &Executor, curve: &WsCurve, params: &[u64]) -> Vec<Point> {
         let fs = self.p.config().fault_service;
         let batch: std::sync::OnceLock<std::collections::HashMap<u64, Metrics>> =
             std::sync::OnceLock::new();
@@ -290,6 +295,36 @@ mod tests {
                 "WS tau={tau}"
             );
         }
+    }
+
+    #[test]
+    fn a_ws_grid_matches_its_points_and_fills_the_point_cache() {
+        let p = prepared("FIELD");
+        let taus = crate::sweep::ws_tau_grid(&p, 6);
+        let cache = ResultCache::in_memory();
+        let plan = SweepPlan::new(&cache, &p);
+        let curve = plan.ws_curve();
+        let serial = Executor::serial();
+        let grid = plan.ws_grid(&serial, &curve, &taus);
+        let misses = cache.stats().cache_misses;
+        assert_eq!(
+            misses,
+            taus.len() as u64,
+            "a cold grid misses once per point"
+        );
+        let single = ResultCache::disabled();
+        let per_point = SweepPlan::new(&single, &p);
+        for (pt, &tau) in grid.iter().zip(&taus) {
+            assert_eq!(pt.param, tau);
+            assert_eq!(
+                pt.metrics,
+                per_point.ws_point(&curve, tau).metrics,
+                "tau={tau}"
+            );
+        }
+        let again = plan.ws_grid(&serial, &curve, &taus);
+        assert_eq!(again, grid);
+        assert_eq!(cache.stats().cache_misses, misses, "a warm grid only hits");
     }
 
     #[test]

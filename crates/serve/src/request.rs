@@ -200,6 +200,15 @@ impl Request {
         }
     }
 
+    /// Whether the job streams a trace sidecar (sweeps never do).
+    pub fn traced(&self) -> bool {
+        match self {
+            Request::Sim(r) => r.trace,
+            Request::Fleet(r) => r.trace,
+            Request::Sweep(_) => false,
+        }
+    }
+
     /// The caller identity, whatever the job kind.
     pub fn client(&self) -> Option<&str> {
         match self {

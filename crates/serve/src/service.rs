@@ -24,7 +24,7 @@
 //! faulty run's surviving responses are byte-identical to a fault-free
 //! run's — the chaos suite's central assertion.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io::{self, BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -276,6 +276,9 @@ impl BatchService {
         // actually run.
         let mut admitted: Vec<(usize, Request)> = Vec::new();
         let mut responses: Vec<Option<String>> = vec![None; lines.len()];
+        // Ids of this batch's traced requests: the id names the trace
+        // sidecar, so two traced jobs with one id would share a file.
+        let mut sidecars: HashSet<String> = HashSet::new();
         for (i, line) in lines.iter().enumerate() {
             match parse_request(line) {
                 Err(detail) => {
@@ -283,6 +286,18 @@ impl BatchService {
                         &request_id_hint(lines[i]),
                         ErrorKind::BadRequest,
                         &detail,
+                    ));
+                }
+                Ok(req) if req.traced() && !sidecars.insert(req.id().to_string()) => {
+                    self.tally_client(req.client(), false);
+                    responses[i] = Some(encode_err(
+                        req.id(),
+                        ErrorKind::BadRequest,
+                        &format!(
+                            "traced request id \"{}\" repeats an earlier traced request of \
+                             this batch; the id names its trace sidecar",
+                            req.id()
+                        ),
                     ));
                 }
                 Ok(req) => {
@@ -557,9 +572,10 @@ impl BatchService {
     /// operating curve through the [`SweepPlan`] — one cancellable
     /// trace pass builds the family's curve (memoized per program in
     /// the [`ResultCache`], each materialized point warming the
-    /// per-point cache that sim jobs read), and every parameter is an
-    /// O(log) evaluation, byte-identical to per-point simulation by the
-    /// curve-equivalence gate.
+    /// per-point cache that sim jobs read). Every LRU allocation is an
+    /// O(log) evaluation and the WS grid one evaluation pass
+    /// ([`SweepPlan::ws_grid`]), byte-identical to per-point simulation
+    /// by the curve-equivalence gate.
     fn execute_sweep(&self, req: &SweepRequest, token: &CancelToken) -> JobOutcome {
         let prepared =
             match self.resolve_program(&req.work, req.scale, req.pipeline_config(), token) {
@@ -590,10 +606,7 @@ impl BatchService {
                 let Some(curve) = sweep_plan.ws_curve_cancellable(keep_going) else {
                     return expired();
                 };
-                params
-                    .iter()
-                    .map(|&tau| sweep_plan.ws_point(&curve, tau))
-                    .collect()
+                sweep_plan.ws_grid(&Executor::serial(), &curve, &params)
             }
         };
         JobOutcome::Ok {
@@ -843,6 +856,51 @@ mod tests {
         let path = dir.join("serve-t1.trace.jsonl");
         let on_disk = JsonlSink::file_stream_checksum(&path).expect("sidecar readable");
         assert_eq!(claimed, format!("{on_disk:016x}"), "{row}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Two traced requests with one id would write one sidecar, the
+    /// survivor decided by thread timing: the later one is a typed
+    /// `bad_request`, and the first one's sidecar holds its own stream.
+    #[test]
+    fn a_repeated_traced_id_in_one_batch_is_a_bad_request() {
+        let dir = scratch_dir("dup");
+        let s = service(ServeConfig {
+            threads: 2,
+            cache_dir: Some(dir.clone()),
+            ..ServeConfig::default()
+        });
+        let out = s.handle_batch(&[
+            r#"{"id":"dup","workload":"MAIN","policy":"cd","trace":true}"#,
+            r#"{"id":"dup","workload":"FDJAC","policy":"cd","trace":true,"client":"bob"}"#,
+            r#"{"id":"dup","workload":"FDJAC","policy":"lru","frames":8}"#,
+        ]);
+        assert!(out[0].contains("\"ok\":true"), "{}", out[0]);
+        assert!(out[1].contains("\"error\":\"bad_request\""), "{}", out[1]);
+        assert!(out[1].contains("trace sidecar"), "{}", out[1]);
+        assert!(
+            out[2].contains("\"ok\":true"),
+            "untraced repeats run: {}",
+            out[2]
+        );
+        let lines_at = out[0].find("\"trace_lines\":").expect("trace_lines") + 14;
+        let claimed: u64 = out[0][lines_at..]
+            .split(|c: char| !c.is_ascii_digit())
+            .next()
+            .and_then(|n| n.parse().ok())
+            .expect("a line count");
+        let on_disk = JsonlSink::validate_file(&dir.join("serve-dup.trace.jsonl"));
+        assert_eq!(on_disk, Ok(claimed), "the sidecar is the first request's");
+        let bob = ClientStats {
+            requests: 1,
+            ok: 0,
+            failed: 1,
+        };
+        assert_eq!(s.client_stats(), [("bob".to_string(), bob)]);
+        // A later batch may reuse the id: its sidecar replaces the file.
+        let again =
+            s.handle_batch(&[r#"{"id":"dup","workload":"FDJAC","policy":"cd","trace":true}"#]);
+        assert!(again[0].contains("\"ok\":true"), "{}", again[0]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

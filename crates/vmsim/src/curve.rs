@@ -303,32 +303,43 @@ impl WsCurve {
     }
 }
 
-/// Merges `add` (unsorted) into the ascending tick list `dst`.
-fn merge_ticks(dst: &mut Vec<u64>, add: &mut Vec<u64>) {
+/// Merges `add` (unsorted) into the ascending tick list `dst`, in
+/// place: `dst` grows by `add.len()` and fills from the back, so no
+/// second buffer of the merged size is ever live.
+fn merge_ticks(dst: &mut Vec<u64>, add: &mut [u64]) {
     add.sort_unstable();
-    if dst.is_empty() {
-        std::mem::swap(dst, add);
-        return;
-    }
-    let mut merged = Vec::with_capacity(dst.len() + add.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < dst.len() && j < add.len() {
-        if dst[i] <= add[j] {
-            merged.push(dst[i]);
-            i += 1;
+    let (mut i, mut j) = (dst.len(), add.len());
+    // Exact growth: the lists reach the smallest window's event count,
+    // and doubling would hold up to twice that.
+    dst.reserve_exact(j);
+    dst.resize(i + j, 0);
+    while j > 0 {
+        let k = i + j - 1;
+        if i > 0 && dst[i - 1] > add[j - 1] {
+            dst[k] = dst[i - 1];
+            i -= 1;
         } else {
-            merged.push(add[j]);
-            j += 1;
+            dst[k] = add[j - 1];
+            j -= 1;
         }
     }
-    merged.extend_from_slice(&dst[i..]);
-    merged.extend_from_slice(&add[j..]);
-    *dst = merged;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn merge_ticks_merges_in_place() {
+        let mut dst = vec![2, 5, 5, 9];
+        merge_ticks(&mut dst, &mut [7, 1, 5, 10]);
+        assert_eq!(dst, [1, 2, 5, 5, 5, 7, 9, 10]);
+        let mut empty = Vec::new();
+        merge_ticks(&mut empty, &mut [3, 1]);
+        assert_eq!(empty, [1, 3]);
+        merge_ticks(&mut empty, &mut []);
+        assert_eq!(empty, [1, 3]);
+    }
     use crate::observe::NullTracer;
     use crate::policy::lru::Lru;
     use crate::policy::ws::WorkingSet;

@@ -35,8 +35,8 @@ use cdmm_trace::{COp, CancelToken, CompressedTrace, Event, PageId, Run};
 
 use crate::error::SimError;
 use crate::executor::Executor;
-use crate::metrics::Metrics;
-use crate::observe::{Detail, Histogram, SimEvent, Tracer};
+use crate::metrics::{Metrics, Tally};
+use crate::observe::{Detail, Histogram, RefBatch, SimEvent, Tracer};
 use crate::policy::Policy;
 use crate::progress::ProgressCounters;
 use crate::stats::HistogramSummary;
@@ -338,8 +338,8 @@ struct Obs {
     /// Scheduler events (tenant lifecycle, admission gate, queue depth,
     /// swap-outs) enter the deterministic merged stream.
     sched: bool,
-    /// Policies are instrumented and their decision events enter the
-    /// deterministic merged stream.
+    /// Policies are instrumented at [`Detail::Decisions`] and their
+    /// events enter the deterministic merged stream.
     policy: bool,
 }
 
@@ -351,10 +351,13 @@ struct Obs {
 /// [`Detail::Scheduler`] they buffer scheduler events (tenant
 /// lifecycle, admission decisions, queue depth, swap-outs) and the
 /// policies keep their untraced batch kernels; at
-/// [`Detail::Decisions`] or above the policies are instrumented too
-/// and their decision events join the stream. Cell buffers are
-/// replayed into the tracer in cell order after the merge, so it sees
-/// the same deterministic stream at any thread count.
+/// [`Detail::Aggregates`] or above the policies are instrumented at
+/// [`Detail::Decisions`] too and their events join the stream. Cell
+/// buffers are replayed into the tracer in cell order after the merge,
+/// so it sees the same deterministic stream at any thread count: each
+/// event the tracer's level covers, and each [`SimEvent::Evict`] as a
+/// one-page [`RefBatch::Evictions`] count. A fleet hands over no
+/// reference batches.
 ///
 /// The optional shared [`ProgressCounters`] are bumped as cells finish
 /// so a [`crate::progress::ProgressExporter`] can stream live frames;
@@ -397,7 +400,7 @@ pub fn run_fleet(
     let detail = tracer.detail();
     let obs = Obs {
         sched: detail >= Detail::Scheduler,
-        policy: detail >= Detail::Decisions,
+        policy: detail >= Detail::Aggregates,
     };
 
     // Build cells: contiguous groups in submission order. Membership
@@ -416,7 +419,9 @@ pub fn run_fleet(
         };
         let mut engine = spec.engine;
         if obs.policy {
-            engine.set_tracing(true);
+            // Evictions reach the tracer as counts of the tenants'
+            // `Evict` events, which only a decision-level policy emits.
+            engine.set_detail(Detail::Decisions);
         }
         let cell = cells
             .last_mut()
@@ -528,7 +533,12 @@ pub fn run_fleet(
     if obs.sched {
         for events in replay {
             for (at, e) in events {
-                tracer.record(at, &e);
+                if let SimEvent::Evict { .. } = e {
+                    tracer.aggregate(at, &RefBatch::Evictions(1));
+                }
+                if e.detail() <= detail {
+                    tracer.record(at, &e);
+                }
             }
         }
         tracer.flush();
@@ -658,11 +668,13 @@ fn run_cell(
                 match next_chunk(t.trace.ops(), &mut t.cursor, config.quantum - executed) {
                     Chunk::Done => Step::Done,
                     Chunk::Run { start, stride, len } => {
-                        t.engine.reference_run(start, stride, len, &mut t.metrics);
+                        let tally = &mut Tally::new(&mut t.metrics);
+                        t.engine.reference_run(start, stride, len, tally);
                         Step::Ran { len: len as u64 }
                     }
                     Chunk::Cycle { body, reps, refs } => {
-                        t.engine.reference_cycle(body, reps, &mut t.metrics);
+                        let tally = &mut Tally::new(&mut t.metrics);
+                        t.engine.reference_cycle(body, reps, tally);
                         Step::Ran { len: refs }
                     }
                     Chunk::Dir(e) => Step::Dir(e),

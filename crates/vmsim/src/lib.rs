@@ -18,7 +18,8 @@
 //!   2000-reference fault service, as in the paper). It is the reference
 //!   implementation.
 //! - [`simulate_with`] — the production driver: run-level below
-//!   [`Detail::Decisions`], per-reference with events at or above it,
+//!   [`Detail::Decisions`] (handing batches to a tracer at
+//!   [`Detail::Aggregates`]), per-reference with events at or above it,
 //!   and stoppable by a [`CancelToken`]; its metrics equal
 //!   [`simulate`]'s.
 //! - [`policy::cd::CdPolicy`] — the Compiler-Directed policy (Section 4).
@@ -29,9 +30,10 @@
 //! - [`observe`] — event tracing: policies emit typed [`SimEvent`]s
 //!   (grants, hold-overs, evictions, lock breaks, degradations) that
 //!   [`simulate_with`] forwards to a [`Tracer`].
-//! - [`stats`] — a [`MetricsRegistry`] tracer that folds the event
-//!   stream into counters and streaming histograms (fault
-//!   inter-arrival, per-PI grant levels, lock dwell, occupancy).
+//! - [`stats`] — a [`MetricsRegistry`] tracer that folds reference
+//!   batches and directive outcomes into counters and streaming
+//!   histograms (fault inter-arrival, per-PI grant levels, lock dwell,
+//!   occupancy).
 //!
 //! # Examples
 //!
@@ -70,9 +72,10 @@ pub use executor::{panic_message, Executor, JobError};
 pub use fleet::{
     run_fleet, Admission, CellReport, FleetConfig, FleetReport, TenantReport, TenantSpec,
 };
-pub use metrics::{ExecStats, Metrics};
+pub use metrics::{ExecStats, Metrics, Tally};
 pub use observe::{
-    Detail, EventLog, Histogram, JsonlSink, NullTracer, SimEvent, Span, Tee, TimedEvent, Tracer,
+    Detail, EventLog, Histogram, JsonlSink, NullTracer, RefBatch, SimEvent, Span, Tee, TimedEvent,
+    Tracer,
 };
 pub use policy::Policy;
 pub use progress::{

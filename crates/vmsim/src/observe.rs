@@ -11,14 +11,19 @@
 //!
 //! A tracer has one setting, its [`Detail`] level, and every event has
 //! a level too ([`SimEvent::detail`]). One rule ties the level to the
-//! driver: below [`Detail::Decisions`] (the default [`NullTracer`]
-//! reports [`Detail::Off`]) the run-level loop runs, which carries no
-//! tracing code and hands whole compressed runs to the policy's batch
-//! kernels; at [`Detail::Decisions`] or above the per-reference loop
-//! runs and drains policy events after every trace event. Policies
-//! guard their emission sites on a plain `bool` the driver turns on
-//! only for the traced loop, so the untraced path does no buffering
-//! and no allocation.
+//! driver: below [`Detail::Decisions`] the run-level loop runs, handing
+//! whole compressed runs to the policy's batch kernels; at
+//! [`Detail::Decisions`] or above the per-reference loop runs and
+//! drains policy events after every trace event. Below
+//! [`Detail::Aggregates`] (the default [`NullTracer`] reports
+//! [`Detail::Off`]) the run-level loop carries no tracing code at all.
+//! At [`Detail::Aggregates`] it also hands the tracer each batch of
+//! references its kernels account for in closed form
+//! ([`Tracer::aggregate`] with a [`RefBatch`]), the policies' directive
+//! outcomes, and eviction counts — what a
+//! [`crate::MetricsRegistry`] needs, at simulation speed. Policies
+//! guard their emission sites on the level the driver sets, so the
+//! untraced path does no buffering and no allocation.
 //!
 //! Provided sinks:
 //!
@@ -103,7 +108,8 @@ pub enum SimEvent {
         released: u32,
     },
     /// Memory pressure broke a lock ("the operating system is entitled
-    /// to release the locked pages").
+    /// to release the locked pages"). Only a hard frame limit
+    /// ([`crate::policy::cd::CdPolicy::with_hard_limit`]) can force one.
     LockBroken {
         /// The sacrificed page.
         page: PageId,
@@ -186,14 +192,13 @@ impl SimEvent {
     pub fn detail(&self) -> Detail {
         match self {
             SimEvent::Ref { .. } => Detail::References,
-            SimEvent::Fault { .. }
-            | SimEvent::Evict { .. }
-            | SimEvent::Alloc { .. }
+            SimEvent::Fault { .. } | SimEvent::Evict { .. } => Detail::Decisions,
+            SimEvent::Alloc { .. }
             | SimEvent::Lock { .. }
             | SimEvent::Unlock { .. }
             | SimEvent::LockBroken { .. }
             | SimEvent::Recovered { .. }
-            | SimEvent::Degraded => Detail::Decisions,
+            | SimEvent::Degraded => Detail::Aggregates,
             SimEvent::SwapOut { .. }
             | SimEvent::TenantAdmitted { .. }
             | SimEvent::TenantFinished { .. }
@@ -223,19 +228,58 @@ pub enum Detail {
     /// Fleet-scheduler events only: tenant lifecycle, admission, queue
     /// depth, swap-outs. Policies keep their batch kernels.
     Scheduler,
-    /// Also the policies' runtime decisions: faults, evictions,
-    /// `ALLOCATE`/`LOCK` outcomes, recoveries, degradation. Selects the
-    /// per-reference loop.
+    /// Also the directive outcomes (`ALLOCATE`/`LOCK`/`UNLOCK`,
+    /// recoveries, degradation, broken locks) and the references as
+    /// [`RefBatch`]es through [`Tracer::aggregate`]. The run-level loop
+    /// and the policies' batch kernels keep running.
+    Aggregates,
+    /// Also every runtime decision: faults and evictions one by one.
+    /// Selects the per-reference loop.
     Decisions,
     /// Also one [`SimEvent::Ref`] per reference.
     References,
 }
 
+/// A batch of references, or of evictions, that a run accounted for at
+/// once — what [`Tracer::aggregate`] receives at [`Detail::Aggregates`]
+/// and above.
+///
+/// A batch handed over at clock `at` ends there: its `n` references
+/// are the ones at clocks `at − n + 1 ..= at`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RefBatch {
+    /// `n` references that all left `resident` pages resident, and
+    /// either all faulted or all hit.
+    Flat {
+        /// References in the batch.
+        n: u64,
+        /// Resident-set size after each of them.
+        resident: u64,
+        /// Whether every one faulted (otherwise every one hit).
+        fault: bool,
+    },
+    /// `n` faulting references growing the resident set from `from`
+    /// pages under a cap: the `k`-th leaves `min(from + k, cap)` pages
+    /// resident (all of them `cap` when `from ≥ cap`).
+    Ramp {
+        /// References in the batch.
+        n: u64,
+        /// Resident-set size before the first of them.
+        from: u64,
+        /// The frame cap (`u64::MAX` when uncapped).
+        cap: u64,
+    },
+    /// This many pages left the resident set by normal replacement (the
+    /// count of [`SimEvent::Evict`]s a decision-level run emits).
+    Evictions(u64),
+}
+
 /// A sink for simulation events.
 ///
 /// Drivers read [`Tracer::detail`] once per run: they build no event
-/// the tracer's level excludes, and below [`Detail::Decisions`] a
-/// uniprogram run keeps the untraced run-level loop.
+/// the tracer's level excludes, below [`Detail::Decisions`] a
+/// uniprogram run keeps the run-level loop, and below
+/// [`Detail::Aggregates`] that loop carries no tracing code.
 pub trait Tracer {
     /// The events this tracer wants. Defaults to
     /// [`Detail::Decisions`]; [`NullTracer`] reports [`Detail::Off`].
@@ -245,6 +289,16 @@ pub trait Tracer {
 
     /// Receives one event at reference clock `at`.
     fn record(&mut self, at: u64, event: &SimEvent);
+
+    /// Receives one batch ending at reference clock `at` (only at
+    /// [`Detail::Aggregates`] or above). Uniprogram runs hand over every
+    /// reference in some batch — the run-level loop as its kernels
+    /// account for them, the per-reference loop one reference at a
+    /// time — and every eviction as a count; fleets hand over only
+    /// eviction counts. The default ignores batches.
+    fn aggregate(&mut self, at: u64, batch: &RefBatch) {
+        let _ = (at, batch);
+    }
 
     /// Flushes any buffered output (called once at the end of a run).
     fn flush(&mut self) {}
@@ -685,6 +739,18 @@ impl Histogram {
         self.max = self.max.max(v);
     }
 
+    /// Records `n` samples of the value `v` — the same state as `n`
+    /// calls of [`Histogram::record`] (none when `n` is 0).
+    pub fn record_n(&mut self, v: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.buckets[Self::bucket_index(v)] += n;
+        self.count += n;
+        self.sum += u128::from(v) * u128::from(n);
+        self.max = self.max.max(v);
+    }
+
     /// Samples recorded.
     pub fn count(&self) -> u64 {
         self.count
@@ -749,7 +815,8 @@ impl Histogram {
 /// The tee reports the larger of its sides' [`Detail`] levels and
 /// forwards each event only to a side whose level covers
 /// [`SimEvent::detail`], so an attached decision-level tracer never
-/// sees reference noise it did not ask for.
+/// sees reference noise it did not ask for. Batches go to each side at
+/// [`Detail::Aggregates`] or above.
 pub struct Tee<'a, 'b> {
     a: &'a mut dyn Tracer,
     b: &'b mut dyn Tracer,
@@ -783,6 +850,15 @@ impl Tracer for Tee<'_, '_> {
         }
         if self.b.detail() >= need {
             self.b.record(at, event);
+        }
+    }
+
+    fn aggregate(&mut self, at: u64, batch: &RefBatch) {
+        if self.a.detail() >= Detail::Aggregates {
+            self.a.aggregate(at, batch);
+        }
+        if self.b.detail() >= Detail::Aggregates {
+            self.b.aggregate(at, batch);
         }
     }
 
@@ -839,7 +915,8 @@ mod tests {
     fn null_tracer_is_off_and_levels_are_ordered() {
         assert_eq!(NullTracer.detail(), Detail::Off);
         assert!(Detail::Off < Detail::Scheduler);
-        assert!(Detail::Scheduler < Detail::Decisions);
+        assert!(Detail::Scheduler < Detail::Aggregates);
+        assert!(Detail::Aggregates < Detail::Decisions);
         assert!(Detail::Decisions < Detail::References);
     }
 
@@ -969,6 +1046,63 @@ mod tests {
             decisions_log.events().next().map(|e| e.event.kind()),
             Some("degraded")
         );
+    }
+
+    #[test]
+    fn record_n_equals_n_single_records() {
+        let cases = [
+            (0u64, 3u64),
+            (1, 1),
+            (7, 5),
+            (1024, 2),
+            (u64::MAX, 4),
+            (9, 0),
+        ];
+        let mut batched = Histogram::new();
+        let mut single = Histogram::new();
+        for (v, n) in cases {
+            batched.record_n(v, n);
+            for _ in 0..n {
+                single.record(v);
+            }
+        }
+        assert_eq!(batched.count(), single.count());
+        assert_eq!(
+            batched.max(),
+            single.max(),
+            "a zero-count batch sets no max"
+        );
+        assert_eq!(batched.mean(), single.mean());
+        assert!((0..65).all(|i| batched.bucket_count(i) == single.bucket_count(i)));
+        for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
+            assert_eq!(batched.percentile(q), single.percentile(q), "q={q}");
+        }
+    }
+
+    /// Counts the batches a tracer receives.
+    struct Batches(Detail, Vec<RefBatch>);
+
+    impl Tracer for Batches {
+        fn detail(&self) -> Detail {
+            self.0
+        }
+
+        fn record(&mut self, _at: u64, _event: &SimEvent) {}
+
+        fn aggregate(&mut self, _at: u64, batch: &RefBatch) {
+            self.1.push(*batch);
+        }
+    }
+
+    #[test]
+    fn tee_forwards_batches_to_sides_at_aggregates_or_above() {
+        let mut agg = Batches(Detail::Aggregates, Vec::new());
+        let mut sched = Batches(Detail::Scheduler, Vec::new());
+        let mut tee = Tee::new(&mut agg, &mut sched);
+        assert_eq!(tee.detail(), Detail::Aggregates);
+        tee.aggregate(3, &RefBatch::Evictions(2));
+        assert_eq!(agg.1, [RefBatch::Evictions(2)]);
+        assert!(sched.1.is_empty(), "a scheduler-level side gets no batch");
     }
 
     #[test]

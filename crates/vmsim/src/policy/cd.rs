@@ -31,8 +31,8 @@ use cdmm_lang::ast::AllocArg;
 use cdmm_trace::validate::{ranges_cover, ranges_overlap};
 use cdmm_trace::{Event, PageId, PageRange, Run};
 
-use crate::metrics::Metrics;
-use crate::observe::{AllocDecision, SimEvent};
+use crate::metrics::Tally;
+use crate::observe::{AllocDecision, Detail, SimEvent};
 use crate::policy::{
     batch_all_hit, batch_all_miss, classify_run, cycle_period, warm_up_cycle, Policy, RunClass,
 };
@@ -117,6 +117,7 @@ pub struct CdPolicy {
     locked: HashMap<PageId, u32>,
     last_outcome: Option<AllocOutcome>,
     broken_locks: u64,
+    evictions: u64,
     swap_requests: u64,
     /// Virtual-space bound for validating directive page ranges
     /// (`None`: bounds unknown, ranges are not clamped).
@@ -129,9 +130,9 @@ pub struct CdPolicy {
     lock_ledger: Vec<Vec<PageRange>>,
     recovered: u64,
     degraded: bool,
-    /// Event collection switch; when off (the default) the emission
-    /// sites cost one untaken branch each.
-    tracing: bool,
+    /// The events to buffer ([`Policy::set_detail`]); at the default
+    /// [`Detail::Off`] the emission sites cost one untaken branch each.
+    detail: Detail,
     /// Events buffered since the driver's last drain.
     events: Vec<SimEvent>,
 }
@@ -150,21 +151,22 @@ impl CdPolicy {
             locked: HashMap::new(),
             last_outcome: None,
             broken_locks: 0,
+            evictions: 0,
             swap_requests: 0,
             virtual_pages: None,
             degrade_after: None,
             lock_ledger: Vec::new(),
             recovered: 0,
             degraded: false,
-            tracing: false,
+            detail: Detail::Off,
             events: Vec::new(),
         }
     }
 
-    /// Buffers one event when tracing is on.
+    /// Buffers one event when the policy's level covers it.
     #[inline]
     fn emit(&mut self, event: SimEvent) {
-        if self.tracing {
+        if event.detail() <= self.detail {
             self.events.push(event);
         }
     }
@@ -351,6 +353,7 @@ impl CdPolicy {
             .pop_lru_where(|p| !locked.contains_key(&p) && Some(p) != protect)
         {
             self.locked.remove(&page);
+            self.evictions += 1;
             self.emit(SimEvent::Evict { page });
             return;
         }
@@ -582,57 +585,68 @@ impl Policy for CdPolicy {
         self.degraded
     }
 
-    fn set_tracing(&mut self, on: bool) {
-        self.tracing = on;
-        if !on {
+    fn set_detail(&mut self, detail: Detail) {
+        self.detail = detail;
+        if detail < Detail::Aggregates {
             self.events.clear();
         }
+    }
+
+    fn evictions(&self) -> u64 {
+        self.evictions
     }
 
     fn drain_events(&mut self, out: &mut Vec<SimEvent>) {
         out.append(&mut self.events);
     }
 
-    fn reference_run(&mut self, start: PageId, stride: i32, len: u32, metrics: &mut Metrics) {
-        if self.tracing || len <= 1 {
-            return crate::policy::reference_run_per_ref(self, start, stride, len, metrics);
+    fn reference_run(&mut self, start: PageId, stride: i32, len: u32, tally: &mut Tally<'_>) {
+        if self.detail >= Detail::Decisions || len <= 1 {
+            return crate::policy::reference_run_per_ref(self, start, stride, len, tally);
         }
         if stride == 0 {
             // One page touched `len` times: the first reference settles
-            // residency (including any trim), the rest are hits — and
-            // hits never trim, whatever locks or limits are active.
-            let fault = self.reference(start);
-            metrics.record(self.resident.len(), fault);
-            metrics.record_hits(self.resident.len(), (len - 1) as u64);
-        } else if self.locked.is_empty() && self.hard_limit.is_none() {
-            // With nothing pinned and no hard frame limit, `trim` is
-            // exactly capped LRU eviction: the protected (just-faulted)
-            // page sits at the MRU end and is never the LRU victim, and
-            // a degraded policy has `target == u64::MAX` (plain demand
-            // paging, no evictions). Locks or a hard limit put lock
-            // breaking and pin-skipping in play — per-ref handles those.
-            match classify_run(start, stride, len, |p| self.resident.contains(p)) {
-                RunClass::AllHit => batch_all_hit(&mut self.resident, start, stride, len, metrics),
-                RunClass::AllMiss => {
-                    batch_all_miss(&mut self.resident, start, stride, len, self.target, metrics)
-                }
-                RunClass::Mixed => {
-                    return crate::policy::reference_run_per_ref(self, start, stride, len, metrics)
-                }
+            // residency (including any trim, whose lock breaks carry its
+            // clock), the rest are hits — and hits never trim, whatever
+            // locks or limits are active.
+            crate::policy::reference_run_per_ref(self, start, 0, 1, tally);
+            let rest = (len - 1) as u64;
+            tally.record_hits(self.resident.len(), rest);
+            if self.degraded {
+                tally.record_degraded(rest);
             }
-        } else {
-            return crate::policy::reference_run_per_ref(self, start, stride, len, metrics);
+            return;
+        }
+        if !self.locked.is_empty() || self.hard_limit.is_some() {
+            // Locks or a hard limit put lock breaking and pin-skipping
+            // in play — per-ref handles those.
+            return crate::policy::reference_run_per_ref(self, start, stride, len, tally);
+        }
+        // With nothing pinned and no hard frame limit, `trim` is exactly
+        // capped LRU eviction: the protected (just-faulted) page sits at
+        // the MRU end and is never the LRU victim, and a degraded policy
+        // has `target == u64::MAX` (plain demand paging, no evictions).
+        match classify_run(start, stride, len, |p| self.resident.contains(p)) {
+            RunClass::AllHit => batch_all_hit(&mut self.resident, start, stride, len, tally),
+            RunClass::AllMiss => {
+                let cap = self.target;
+                self.evictions +=
+                    batch_all_miss(&mut self.resident, start, stride, len, cap, tally);
+            }
+            RunClass::Mixed => {
+                return crate::policy::reference_run_per_ref(self, start, stride, len, tally)
+            }
         }
         if self.degraded {
             // Directive-driven state only changes at directives, so the
             // flag is constant across the whole run.
-            metrics.degraded_refs += len as u64;
+            tally.record_degraded(len as u64);
         }
     }
 
-    fn reference_cycle(&mut self, body: &[Run], reps: u32, metrics: &mut Metrics) {
-        if self.tracing {
-            return crate::policy::reference_cycle_per_run(self, body, reps, metrics);
+    fn reference_cycle(&mut self, body: &[Run], reps: u32, tally: &mut Tally<'_>) {
+        if self.detail >= Detail::Decisions {
+            return crate::policy::reference_cycle_per_run(self, body, reps, tally);
         }
         // Steady state. CD hits only touch recency order — no trims, no
         // lock or target changes (those move at directives, and cycle
@@ -640,10 +654,10 @@ impl Policy for CdPolicy {
         // is idempotent and every remaining iteration hits everywhere at
         // this resident size. Degradation is directive-driven too, hence
         // constant across the skipped references.
-        let skipped = warm_up_cycle(self, body, reps, metrics) as u64 * cycle_period(body);
-        metrics.record_hits(self.resident.len(), skipped);
+        let skipped = warm_up_cycle(self, body, reps, tally) as u64 * cycle_period(body);
+        tally.record_hits(self.resident.len(), skipped);
         if self.degraded {
-            metrics.degraded_refs += skipped;
+            tally.record_degraded(skipped);
         }
     }
 

@@ -3,7 +3,7 @@
 
 use cdmm_trace::{PageId, Run};
 
-use crate::metrics::Metrics;
+use crate::metrics::Tally;
 use crate::policy::{classify_run, cycle_period, warm_up_cycle, Policy, RunClass, SlotTable};
 
 /// Fixed-allocation Clock with one use bit per frame.
@@ -76,16 +76,16 @@ impl Policy for Clock {
         self.frames.len()
     }
 
-    fn reference_run(&mut self, start: PageId, stride: i32, len: u32, metrics: &mut Metrics) {
+    fn reference_run(&mut self, start: PageId, stride: i32, len: u32, tally: &mut Tally<'_>) {
         if len <= 1 {
-            return crate::policy::reference_run_per_ref(self, start, stride, len, metrics);
+            return crate::policy::reference_run_per_ref(self, start, stride, len, tally);
         }
         if stride == 0 {
             // The first reference settles residency and sets the use
             // bit; the rest are hits that set it again.
             let fault = self.reference(start);
-            metrics.record(self.frames.len(), fault);
-            metrics.record_hits(self.frames.len(), (len - 1) as u64);
+            tally.record(self.frames.len(), fault);
+            tally.record_hits(self.frames.len(), (len - 1) as u64);
             return;
         }
         match classify_run(start, stride, len, |p| self.slot.contains(p)) {
@@ -96,19 +96,19 @@ impl Policy for Clock {
                         self.frames[slot].1 = true;
                     }
                 });
-                metrics.record_hits(self.frames.len(), len as u64);
+                tally.record_hits(self.frames.len(), len as u64);
             }
             RunClass::AllMiss | RunClass::Mixed => {
-                crate::policy::reference_run_per_ref(self, start, stride, len, metrics)
+                crate::policy::reference_run_per_ref(self, start, stride, len, tally)
             }
         }
     }
 
-    fn reference_cycle(&mut self, body: &[Run], reps: u32, metrics: &mut Metrics) {
+    fn reference_cycle(&mut self, body: &[Run], reps: u32, tally: &mut Tally<'_>) {
         // A fault-free iteration left every body page's use bit set, so
         // each remaining iteration sets bits that are already set.
-        let rest = warm_up_cycle(self, body, reps, metrics);
-        metrics.record_hits(self.frames.len(), rest as u64 * cycle_period(body));
+        let rest = warm_up_cycle(self, body, reps, tally);
+        tally.record_hits(self.frames.len(), rest as u64 * cycle_period(body));
     }
 }
 

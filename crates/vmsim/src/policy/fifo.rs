@@ -4,7 +4,7 @@ use std::collections::VecDeque;
 
 use cdmm_trace::{PageId, Run};
 
-use crate::metrics::Metrics;
+use crate::metrics::Tally;
 use crate::policy::{classify_run, cycle_period, warm_up_cycle, PageSet, Policy, RunClass};
 
 /// FIFO with a fixed frame allocation.
@@ -59,31 +59,31 @@ impl Policy for Fifo {
         self.queue.len()
     }
 
-    fn reference_run(&mut self, start: PageId, stride: i32, len: u32, metrics: &mut Metrics) {
+    fn reference_run(&mut self, start: PageId, stride: i32, len: u32, tally: &mut Tally<'_>) {
         if len <= 1 {
-            return crate::policy::reference_run_per_ref(self, start, stride, len, metrics);
+            return crate::policy::reference_run_per_ref(self, start, stride, len, tally);
         }
         if stride == 0 {
             // The first reference settles residency; a FIFO hit changes
             // nothing, so the rest are hits at constant size.
             let fault = self.reference(start);
-            metrics.record(self.queue.len(), fault);
-            metrics.record_hits(self.queue.len(), (len - 1) as u64);
+            tally.record(self.queue.len(), fault);
+            tally.record_hits(self.queue.len(), (len - 1) as u64);
             return;
         }
         match classify_run(start, stride, len, |p| self.resident.contains(p)) {
-            RunClass::AllHit => metrics.record_hits(self.queue.len(), len as u64),
+            RunClass::AllHit => tally.record_hits(self.queue.len(), len as u64),
             RunClass::AllMiss | RunClass::Mixed => {
-                crate::policy::reference_run_per_ref(self, start, stride, len, metrics)
+                crate::policy::reference_run_per_ref(self, start, stride, len, tally)
             }
         }
     }
 
-    fn reference_cycle(&mut self, body: &[Run], reps: u32, metrics: &mut Metrics) {
+    fn reference_cycle(&mut self, body: &[Run], reps: u32, tally: &mut Tally<'_>) {
         // Steady state leaves the queue untouched: every remaining
         // iteration hits everywhere.
-        let rest = warm_up_cycle(self, body, reps, metrics);
-        metrics.record_hits(self.queue.len(), rest as u64 * cycle_period(body));
+        let rest = warm_up_cycle(self, body, reps, tally);
+        tally.record_hits(self.queue.len(), rest as u64 * cycle_period(body));
     }
 }
 

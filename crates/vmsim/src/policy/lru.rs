@@ -2,8 +2,8 @@
 
 use cdmm_trace::{PageId, Run};
 
-use crate::metrics::Metrics;
-use crate::observe::SimEvent;
+use crate::metrics::Tally;
+use crate::observe::{Detail, SimEvent};
 use crate::policy::{
     batch_all_hit, batch_all_miss, classify_run, cycle_period, warm_up_cycle, Policy, RunClass,
 };
@@ -17,6 +17,8 @@ use crate::recency::RecencySet;
 pub struct Lru {
     frames: usize,
     set: RecencySet,
+    evictions: u64,
+    /// Decision-level tracing: `Evict` events, per-reference kernels.
     tracing: bool,
     events: Vec<SimEvent>,
 }
@@ -32,6 +34,7 @@ impl Lru {
         Lru {
             frames,
             set: RecencySet::new(),
+            evictions: 0,
             tracing: false,
             events: Vec::new(),
         }
@@ -63,9 +66,9 @@ impl Policy for Lru {
         if self.set.len() > self.frames {
             // The just-touched page is the most recent; pop_lru removes a
             // different (older) page.
-            let victim = self.set.pop_lru();
-            if self.tracing {
-                if let Some(page) = victim {
+            if let Some(page) = self.set.pop_lru() {
+                self.evictions += 1;
+                if self.tracing {
                     self.events.push(SimEvent::Evict { page });
                 }
             }
@@ -81,58 +84,58 @@ impl Policy for Lru {
         Lru::swap_out(self);
     }
 
-    fn set_tracing(&mut self, on: bool) {
-        self.tracing = on;
-        if !on {
+    fn set_detail(&mut self, detail: Detail) {
+        self.tracing = detail >= Detail::Decisions;
+        if !self.tracing {
             self.events.clear();
         }
+    }
+
+    fn evictions(&self) -> u64 {
+        self.evictions
     }
 
     fn drain_events(&mut self, out: &mut Vec<SimEvent>) {
         out.append(&mut self.events);
     }
 
-    fn reference_run(&mut self, start: PageId, stride: i32, len: u32, metrics: &mut Metrics) {
+    fn reference_run(&mut self, start: PageId, stride: i32, len: u32, tally: &mut Tally<'_>) {
         // Tracing needs per-eviction events with per-ref interleaving;
         // short runs are not worth classifying.
         if self.tracing || len <= 1 {
-            return crate::policy::reference_run_per_ref(self, start, stride, len, metrics);
+            return crate::policy::reference_run_per_ref(self, start, stride, len, tally);
         }
         if stride == 0 {
             // One page touched `len` times: after the first reference
             // settles residency, the rest are hits at constant size.
             let fault = self.reference(start);
-            metrics.record(self.set.len(), fault);
-            metrics.record_hits(self.set.len(), (len - 1) as u64);
+            tally.record(self.set.len(), fault);
+            tally.record_hits(self.set.len(), (len - 1) as u64);
             return;
         }
         match classify_run(start, stride, len, |p| self.set.contains(p)) {
-            RunClass::AllHit => batch_all_hit(&mut self.set, start, stride, len, metrics),
-            RunClass::AllMiss => batch_all_miss(
-                &mut self.set,
-                start,
-                stride,
-                len,
-                self.frames as u64,
-                metrics,
-            ),
+            RunClass::AllHit => batch_all_hit(&mut self.set, start, stride, len, tally),
+            RunClass::AllMiss => {
+                let cap = self.frames as u64;
+                self.evictions += batch_all_miss(&mut self.set, start, stride, len, cap, tally);
+            }
             RunClass::Mixed => {
-                crate::policy::reference_run_per_ref(self, start, stride, len, metrics)
+                crate::policy::reference_run_per_ref(self, start, stride, len, tally)
             }
         }
     }
 
-    fn reference_cycle(&mut self, body: &[Run], reps: u32, metrics: &mut Metrics) {
+    fn reference_cycle(&mut self, body: &[Run], reps: u32, tally: &mut Tally<'_>) {
         if self.tracing {
-            return crate::policy::reference_cycle_per_run(self, body, reps, metrics);
+            return crate::policy::reference_cycle_per_run(self, body, reps, tally);
         }
         // Steady state: a fault-free iteration leaves the body's pages
         // resident, and LRU hits never evict, so replaying the same
         // touch sequence is idempotent — every further iteration hits
         // everywhere at a constant resident size and reproduces exactly
         // this recency order.
-        let rest = warm_up_cycle(self, body, reps, metrics);
-        metrics.record_hits(self.set.len(), rest as u64 * cycle_period(body));
+        let rest = warm_up_cycle(self, body, reps, tally);
+        tally.record_hits(self.set.len(), rest as u64 * cycle_period(body));
     }
 }
 

@@ -22,9 +22,11 @@ pub mod ws_variants;
 use cdmm_trace::Event;
 use cdmm_trace::{PageId, Run};
 
-use crate::metrics::Metrics;
-use crate::observe::SimEvent;
+use crate::metrics::Tally;
+use crate::observe::{Detail, SimEvent};
 use crate::recency::RecencySet;
+#[cfg(test)]
+use crate::{metrics::Metrics, stats::MetricsRegistry};
 
 /// A demand-paging memory-management policy.
 ///
@@ -58,11 +60,23 @@ pub trait Policy {
         false
     }
 
-    /// Turns in-policy event collection on or off. Instrumented
-    /// policies start buffering [`SimEvent`]s when enabled; policies
+    /// Sets which [`SimEvent`]s the policy buffers: none below
+    /// [`Detail::Aggregates`] (the starting state, which costs nothing),
+    /// the directive outcomes at [`Detail::Aggregates`], and every
+    /// decision, evictions included, at [`Detail::Decisions`] or above —
+    /// where the run kernels also fall back to per-reference decoding,
+    /// since those events interleave with single references. Policies
     /// without emission sites ignore the call (the default).
-    fn set_tracing(&mut self, on: bool) {
-        let _ = on;
+    fn set_detail(&mut self, detail: Detail) {
+        let _ = detail;
+    }
+
+    /// Pages evicted by normal replacement so far — one per
+    /// [`SimEvent::Evict`] the policy emits at [`Detail::Decisions`],
+    /// counted at every level and on the batch paths too. Policies that
+    /// emit no `Evict` report 0 (the default).
+    fn evictions(&self) -> u64 {
+        0
     }
 
     /// Moves the events buffered since the last drain into `out`
@@ -72,9 +86,9 @@ pub trait Policy {
     }
 
     /// Processes one constant-stride run of `len` references — `start,
-    /// start+stride, …` — accumulating into `metrics` exactly what the
-    /// per-reference driver loop would: one [`Metrics::record`] after
-    /// each reference, plus the degraded-reference count.
+    /// start+stride, …` — accounting into `tally` exactly what the
+    /// per-reference driver loop would: one [`crate::Metrics::record`]
+    /// after each reference, plus the degraded-reference count.
     ///
     /// The default decodes the run reference by reference; the paper
     /// policies (CD, LRU, WS) and the served baselines (FIFO, Clock,
@@ -83,8 +97,8 @@ pub trait Policy {
     /// path is taken, the resulting policy state and metrics must be
     /// byte-identical to the per-ref loop — the contract the
     /// `run_level_equivalence` differential harness pins.
-    fn reference_run(&mut self, start: PageId, stride: i32, len: u32, metrics: &mut Metrics) {
-        reference_run_per_ref(self, start, stride, len, metrics);
+    fn reference_run(&mut self, start: PageId, stride: i32, len: u32, tally: &mut Tally<'_>) {
+        reference_run_per_ref(self, start, stride, len, tally);
     }
 
     /// Processes a cycle — the run sequence `body` repeated `reps`
@@ -98,8 +112,8 @@ pub trait Policy {
     /// remaining iteration is identical, and account for all of them at
     /// once — the run-level counterpart of a loop reaching its resident
     /// working set.
-    fn reference_cycle(&mut self, body: &[Run], reps: u32, metrics: &mut Metrics) {
-        reference_cycle_per_run(self, body, reps, metrics);
+    fn reference_cycle(&mut self, body: &[Run], reps: u32, tally: &mut Tally<'_>) {
+        reference_cycle_per_run(self, body, reps, tally);
     }
 
     /// Releases the policy's entire resident set — the multiprogrammed
@@ -136,34 +150,47 @@ pub fn reference_cycle_per_run<P: Policy + ?Sized>(
     policy: &mut P,
     body: &[Run],
     reps: u32,
-    metrics: &mut Metrics,
+    tally: &mut Tally<'_>,
 ) {
     for _ in 0..reps {
         for r in body {
-            policy.reference_run(r.start, r.stride, r.len, metrics);
+            policy.reference_run(r.start, r.stride, r.len, tally);
         }
     }
 }
 
 /// The per-reference fallback every run kernel shares: decodes the run
 /// and replicates the driver loop exactly (reference → record →
-/// degraded accounting). Public so differential tests can drive it as
+/// degraded accounting), forwarding any event the reference raised
+/// with its own clock. Public so differential tests can drive it as
 /// the oracle against an overridden [`Policy::reference_run`].
 pub fn reference_run_per_ref<P: Policy + ?Sized>(
     policy: &mut P,
     start: PageId,
     stride: i32,
     len: u32,
-    metrics: &mut Metrics,
+    tally: &mut Tally<'_>,
 ) {
     let mut p = start.0 as i64;
     let stride = stride as i64;
+    if let Some(metrics) = tally.untraced() {
+        for _ in 0..len {
+            let fault = policy.reference(PageId(p as u32));
+            metrics.record(policy.resident(), fault);
+            if policy.is_degraded() {
+                metrics.degraded_refs += 1;
+            }
+            p += stride;
+        }
+        return;
+    }
     for _ in 0..len {
         let fault = policy.reference(PageId(p as u32));
-        metrics.record(policy.resident(), fault);
+        tally.record(policy.resident(), fault);
         if policy.is_degraded() {
-            metrics.degraded_refs += 1;
+            tally.record_degraded(1);
         }
+        tally.forward_events(policy);
         p += stride;
     }
 }
@@ -180,14 +207,14 @@ pub(crate) fn warm_up_cycle<P: Policy + ?Sized>(
     policy: &mut P,
     body: &[Run],
     reps: u32,
-    metrics: &mut Metrics,
+    tally: &mut Tally<'_>,
 ) -> u32 {
     for it in 0..reps {
-        let faults_before = metrics.faults;
+        let faults_before = tally.faults();
         for r in body {
-            policy.reference_run(r.start, r.stride, r.len, metrics);
+            policy.reference_run(r.start, r.stride, r.len, tally);
         }
-        if metrics.faults == faults_before {
+        if tally.faults() == faults_before {
             return reps - 1 - it;
         }
     }
@@ -318,7 +345,7 @@ pub(crate) fn batch_all_hit(
     start: PageId,
     stride: i32,
     len: u32,
-    metrics: &mut Metrics,
+    tally: &mut Tally<'_>,
 ) {
     let mut p = start.0 as i64;
     let stride = stride as i64;
@@ -327,11 +354,12 @@ pub(crate) fn batch_all_hit(
         debug_assert!(hit, "classified AllHit");
         p += stride;
     }
-    metrics.record_hits(set.len(), len as u64);
+    tally.record_hits(set.len(), len as u64);
 }
 
 /// Applies an all-miss stride ≠ 0 run against an LRU set capped at
-/// `cap` frames (`u64::MAX` = uncapped), with metrics in closed form.
+/// `cap` frames (`u64::MAX` = uncapped), with metrics in closed form,
+/// and returns how many pages it evicted.
 ///
 /// Per-ref, reference `i` leaves `min(r0 + i, cap)` pages resident
 /// (the cap evicts from the LRU end; for CD with `r0 > cap` — possible
@@ -347,14 +375,11 @@ pub(crate) fn batch_all_miss(
     stride: i32,
     len: u32,
     cap: u64,
-    metrics: &mut Metrics,
-) {
+    tally: &mut Tally<'_>,
+) -> u64 {
     let r0 = set.len() as u64;
     let k = len as u64;
-    let g = cap.saturating_sub(r0); // headroom before the cap bites
-    let ramp = k.min(g) as u128; // references that grow the set
-    let mem = ramp * r0 as u128 + ramp * (ramp + 1) / 2 + (k - k.min(g)) as u128 * cap as u128;
-    metrics.record_fault_span(k, mem, (r0 + k).min(cap) as usize);
+    tally.record_ramp(k, r0, cap);
 
     let evict = (r0 + k).saturating_sub(cap);
     let stride64 = stride as i64;
@@ -378,6 +403,7 @@ pub(crate) fn batch_all_miss(
             p += stride64;
         }
     }
+    evict
 }
 
 /// Drives a script of runs and cycles — `(body, reps)`, with `reps == 1`
@@ -394,23 +420,33 @@ pub(crate) fn check_kernels<P: Policy + Clone>(
 ) -> (P, Metrics, Vec<bool>) {
     let mut oracle = policy.clone();
     let (mut fast, mut slow) = (Metrics::new(2000), Metrics::new(2000));
+    let (mut fast_reg, mut slow_reg) = (MetricsRegistry::new(), MetricsRegistry::new());
     for &(body, reps) in script {
+        let mut tally = Tally::traced(&mut fast, &mut fast_reg);
         if reps == 1 {
             for r in body {
-                policy.reference_run(r.start, r.stride, r.len, &mut fast);
+                policy.reference_run(r.start, r.stride, r.len, &mut tally);
             }
         } else {
-            policy.reference_cycle(body, reps, &mut fast);
+            policy.reference_cycle(body, reps, &mut tally);
         }
+        let mut tally = Tally::traced(&mut slow, &mut slow_reg);
         for _ in 0..reps {
             for r in body {
-                reference_run_per_ref(&mut oracle, r.start, r.stride, r.len, &mut slow);
+                reference_run_per_ref(&mut oracle, r.start, r.stride, r.len, &mut tally);
             }
         }
         assert_eq!(
             fast,
             slow,
             "{}: kernel drifted from per-ref",
+            policy.label()
+        );
+        assert_eq!(policy.evictions(), oracle.evictions(), "eviction count");
+        assert_eq!(
+            fast_reg.snapshot(),
+            slow_reg.snapshot(),
+            "{}: batches drifted from per-ref references",
             policy.label()
         );
     }

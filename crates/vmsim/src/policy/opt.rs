@@ -12,7 +12,7 @@ use cdmm_trace::interp::POLL_INTERVAL;
 use cdmm_trace::{EventSource, PageId, Run, RunRef};
 
 use crate::error::SimError;
-use crate::metrics::Metrics;
+use crate::metrics::Tally;
 use crate::policy::{classify_run, cycle_period, warm_up_cycle, Policy, RunClass, SlotTable};
 
 const NEVER: u64 = u64::MAX;
@@ -245,20 +245,20 @@ impl Policy for Opt {
         self.resident.len()
     }
 
-    fn reference_run(&mut self, start: PageId, stride: i32, len: u32, metrics: &mut Metrics) {
+    fn reference_run(&mut self, start: PageId, stride: i32, len: u32, tally: &mut Tally<'_>) {
         if len <= 1 {
-            return crate::policy::reference_run_per_ref(self, start, stride, len, metrics);
+            return crate::policy::reference_run_per_ref(self, start, stride, len, tally);
         }
         if stride == 0 {
             // The first reference settles residency; the rest are hits,
             // and the page's key ends at the next use of the last one.
             let fault = self.reference(start);
-            metrics.record(self.resident.len(), fault);
+            tally.record(self.resident.len(), fault);
             self.pos += (len - 1) as usize;
             let key = self.next_use_at(self.pos - 1);
             let slot = self.slot.get(start).expect("just referenced");
             self.rekey(slot, key);
-            metrics.record_hits(self.resident.len(), (len - 1) as u64);
+            tally.record_hits(self.resident.len(), (len - 1) as u64);
             return;
         }
         match classify_run(start, stride, len, |p| self.slot.contains(p)) {
@@ -271,16 +271,16 @@ impl Policy for Opt {
                     let slot = self.slot.get(p).expect("classified AllHit");
                     self.rekey(slot, key);
                 });
-                metrics.record_hits(self.resident.len(), len as u64);
+                tally.record_hits(self.resident.len(), len as u64);
             }
             RunClass::AllMiss | RunClass::Mixed => {
-                crate::policy::reference_run_per_ref(self, start, stride, len, metrics)
+                crate::policy::reference_run_per_ref(self, start, stride, len, tally)
             }
         }
     }
 
-    fn reference_cycle(&mut self, body: &[Run], reps: u32, metrics: &mut Metrics) {
-        let rest = warm_up_cycle(self, body, reps, metrics);
+    fn reference_cycle(&mut self, body: &[Run], reps: u32, tally: &mut Tally<'_>) {
+        let rest = warm_up_cycle(self, body, reps, tally);
         if rest == 0 {
             return;
         }
@@ -290,9 +290,9 @@ impl Policy for Opt {
         // next use of its final reference, as the per-ref loop does.
         let skipped = (rest - 1) as u64 * cycle_period(body);
         self.pos += skipped as usize;
-        metrics.record_hits(self.resident.len(), skipped);
+        tally.record_hits(self.resident.len(), skipped);
         for r in body {
-            self.reference_run(r.start, r.stride, r.len, metrics);
+            self.reference_run(r.start, r.stride, r.len, tally);
         }
     }
 }

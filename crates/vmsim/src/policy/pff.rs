@@ -8,7 +8,7 @@
 
 use cdmm_trace::{PageId, Run};
 
-use crate::metrics::Metrics;
+use crate::metrics::Tally;
 use crate::policy::{classify_run, cycle_period, warm_up_cycle, PageSet, Policy, RunClass};
 
 /// PFF with interfault threshold `T` (in references).
@@ -94,17 +94,17 @@ impl Policy for Pff {
         self.resident.len()
     }
 
-    fn reference_run(&mut self, start: PageId, stride: i32, len: u32, metrics: &mut Metrics) {
+    fn reference_run(&mut self, start: PageId, stride: i32, len: u32, tally: &mut Tally<'_>) {
         if len <= 1 {
-            return crate::policy::reference_run_per_ref(self, start, stride, len, metrics);
+            return crate::policy::reference_run_per_ref(self, start, stride, len, tally);
         }
         if stride == 0 {
             // The first reference settles residency and marks the page
             // used; the rest are hits that only advance the clock.
             let fault = self.reference(start);
-            metrics.record(self.resident.len(), fault);
+            tally.record(self.resident.len(), fault);
             self.clock += (len - 1) as u64;
-            metrics.record_hits(self.resident.len(), (len - 1) as u64);
+            tally.record_hits(self.resident.len(), (len - 1) as u64);
             return;
         }
         match classify_run(start, stride, len, |p| self.members.contains(p)) {
@@ -112,21 +112,21 @@ impl Policy for Pff {
                 Run { start, stride, len }
                     .for_each_page(|p| self.used[p.0 as usize] = self.last_fault);
                 self.clock += len as u64;
-                metrics.record_hits(self.resident.len(), len as u64);
+                tally.record_hits(self.resident.len(), len as u64);
             }
             RunClass::AllMiss | RunClass::Mixed => {
-                crate::policy::reference_run_per_ref(self, start, stride, len, metrics)
+                crate::policy::reference_run_per_ref(self, start, stride, len, tally)
             }
         }
     }
 
-    fn reference_cycle(&mut self, body: &[Run], reps: u32, metrics: &mut Metrics) {
+    fn reference_cycle(&mut self, body: &[Run], reps: u32, tally: &mut Tally<'_>) {
         // A fault-free iteration already marked every body page used in
         // the current epoch; the remaining iterations only advance the
         // clock, which decides the shrink at the next fault.
-        let rest = warm_up_cycle(self, body, reps, metrics) as u64 * cycle_period(body);
+        let rest = warm_up_cycle(self, body, reps, tally) as u64 * cycle_period(body);
         self.clock += rest;
-        metrics.record_hits(self.resident.len(), rest);
+        tally.record_hits(self.resident.len(), rest);
     }
 }
 

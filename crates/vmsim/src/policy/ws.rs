@@ -8,8 +8,8 @@ use std::collections::{HashMap, VecDeque};
 
 use cdmm_trace::{PageId, Run};
 
-use crate::metrics::Metrics;
-use crate::observe::SimEvent;
+use crate::metrics::Tally;
+use crate::observe::{Detail, SimEvent};
 use crate::policy::Policy;
 
 /// The Working Set policy with window `τ` (in references).
@@ -27,6 +27,9 @@ pub struct WorkingSet {
     resident: usize,
     /// Reference history `(time, page)` pending expiry.
     expiry: VecDeque<(u64, PageId)>,
+    /// Pages aged out of the window so far.
+    evictions: u64,
+    /// Decision-level tracing: `Evict` events, per-reference kernels.
     tracing: bool,
     events: Vec<SimEvent>,
 }
@@ -45,6 +48,7 @@ impl WorkingSet {
             last_ref: Vec::new(),
             resident: 0,
             expiry: VecDeque::new(),
+            evictions: 0,
             tracing: false,
             events: Vec::new(),
         }
@@ -77,7 +81,7 @@ impl WorkingSet {
         body: &[Run],
         rem: u64,
         period: u64,
-        metrics: &mut Metrics,
+        tally: &mut Tally<'_>,
     ) {
         let c0 = self.clock;
         let end_clock = c0 + rem * period;
@@ -103,9 +107,24 @@ impl WorkingSet {
             self.last_ref[page.0 as usize] = t;
         }
         // Everything else expires at its per-ref pop tick `t + τ + 1`.
-        let mut resident = self.resident as u64;
-        let mut mem: u128 = 0;
-        let mut last_tick = c0;
+        self.expire_through(end_clock, tally);
+        // One history entry per body page — every earlier touch is
+        // superseded by the final one, so only it ever matters.
+        for &(t, page) in &final_touch {
+            self.expiry.push_back((t, page));
+        }
+    }
+
+    /// Accounts for the hits at clocks `self.clock + 1 ..= end_clock`,
+    /// during which every page expiring on the way does so at its
+    /// per-ref pop tick `t + τ + 1` (the callers have pinned the pages
+    /// being hit, so none of them expires). The resident set only
+    /// shrinks, so each span between two expiries is one batch below
+    /// the peak — O(expiries), not O(references).
+    fn expire_through(&mut self, end_clock: u64, tally: &mut Tally<'_>) {
+        // Ticks are unique, so pops arrive in strictly increasing t and
+        // the spans never overlap.
+        let mut last_tick = self.clock;
         while let Some(&(t, page)) = self.expiry.front() {
             if t + self.tau >= end_clock {
                 break;
@@ -113,22 +132,17 @@ impl WorkingSet {
             self.expiry.pop_front();
             if self.last_ref[page.0 as usize] == t {
                 self.last_ref[page.0 as usize] = 0;
+                // The reference at the pop tick already sees the page
+                // gone.
                 let t_pop = t + self.tau + 1;
-                mem += resident as u128 * (t_pop - 1 - last_tick) as u128;
-                resident -= 1;
-                mem += resident as u128;
-                last_tick = t_pop;
+                tally.record_below_peak(self.resident, t_pop - 1 - last_tick);
+                self.resident -= 1;
+                self.evictions += 1;
+                last_tick = t_pop - 1;
             }
         }
-        mem += resident as u128 * (end_clock - last_tick) as u128;
-        self.resident = resident as usize;
+        tally.record_below_peak(self.resident, end_clock - last_tick);
         self.clock = end_clock;
-        // One history entry per body page — every earlier touch is
-        // superseded by the final one, so only it ever matters.
-        for &(t, page) in &final_touch {
-            self.expiry.push_back((t, page));
-        }
-        metrics.record_shrinking_span(rem * period, mem);
     }
 
     /// Drops pages whose last reference fell before the window
@@ -142,6 +156,7 @@ impl WorkingSet {
                 if self.last_ref[page.0 as usize] == t {
                     self.last_ref[page.0 as usize] = 0;
                     self.resident -= 1;
+                    self.evictions += 1;
                     if self.tracing {
                         self.events.push(SimEvent::Evict { page });
                     }
@@ -182,82 +197,62 @@ impl Policy for WorkingSet {
         WorkingSet::swap_out(self);
     }
 
-    fn set_tracing(&mut self, on: bool) {
-        self.tracing = on;
-        if !on {
+    fn set_detail(&mut self, detail: Detail) {
+        self.tracing = detail >= Detail::Decisions;
+        if !self.tracing {
             self.events.clear();
         }
+    }
+
+    fn evictions(&self) -> u64 {
+        self.evictions
     }
 
     fn drain_events(&mut self, out: &mut Vec<SimEvent>) {
         out.append(&mut self.events);
     }
 
-    fn reference_run(&mut self, start: PageId, stride: i32, len: u32, metrics: &mut Metrics) {
+    fn reference_run(&mut self, start: PageId, stride: i32, len: u32, tally: &mut Tally<'_>) {
         // Stride ≠ 0 runs touch distinct pages, each needing its own
         // last-use write and history entry — nothing to batch. Tracing
         // needs per-eviction events in per-ref order.
         if self.tracing || len <= 1 || stride != 0 {
-            return crate::policy::reference_run_per_ref(self, start, stride, len, metrics);
+            return crate::policy::reference_run_per_ref(self, start, stride, len, tally);
         }
         // First reference per-ref: it runs the expiry scan, grows the
         // table, and settles the fault.
         let fault = self.reference(start);
-        metrics.record(self.resident, fault);
-        let idx = start.0 as usize;
+        tally.record(self.resident, fault);
         let end_clock = self.clock + (len as u64 - 1);
         // Pin the run page at its *final* reference time up front: its
         // older history entries become superseded no-ops, which is
         // exactly what the per-ref loop's every-tick refresh achieves
         // (τ ≥ 1 means a page referenced every tick can never age out).
-        self.last_ref[idx] = end_clock;
-        // Other pages still expire mid-run at their per-ref pop ticks
-        // `t + τ + 1`; integrate the shrinking resident size piecewise
-        // between those ticks. Ticks are unique, so pops arrive in
-        // strictly increasing t and the segments never overlap.
-        let mut resident = self.resident as u64;
-        let mut mem: u128 = 0;
-        let mut last_tick = self.clock;
-        while let Some(&(t, page)) = self.expiry.front() {
-            if t + self.tau >= end_clock {
-                break;
-            }
-            self.expiry.pop_front();
-            if self.last_ref[page.0 as usize] == t {
-                self.last_ref[page.0 as usize] = 0;
-                let t_pop = t + self.tau + 1;
-                mem += resident as u128 * (t_pop - 1 - last_tick) as u128;
-                resident -= 1;
-                mem += resident as u128;
-                last_tick = t_pop;
-            }
-        }
-        mem += resident as u128 * (end_clock - last_tick) as u128;
-        self.resident = resident as usize;
-        self.clock = end_clock;
+        self.last_ref[start.0 as usize] = end_clock;
+        // Other pages still expire mid-run.
+        self.expire_through(end_clock, tally);
         // One history entry for the whole run: per-ref, every mid-run
         // entry is superseded by the next tick's refresh, so only the
         // final one ever matters.
         self.expiry.push_back((end_clock, start));
-        metrics.record_shrinking_span(len as u64 - 1, mem);
     }
 
-    fn reference_cycle(&mut self, body: &[Run], reps: u32, metrics: &mut Metrics) {
+    fn reference_cycle(&mut self, body: &[Run], reps: u32, tally: &mut Tally<'_>) {
         if self.tracing {
-            return crate::policy::reference_cycle_per_run(self, body, reps, metrics);
+            return crate::policy::reference_cycle_per_run(self, body, reps, tally);
         }
         let period: u64 = body.iter().map(|r| r.len as u64).sum();
         for it in 0..reps {
-            let faults_before = metrics.faults;
+            let faults_before = tally.faults();
             for r in body {
-                self.reference_run(r.start, r.stride, r.len, metrics);
+                self.reference_run(r.start, r.stride, r.len, tally);
             }
             // WS steadiness needs a full in-cycle predecessor iteration
             // (`it ≥ 1`): hits are decided by inter-touch gaps, and the
             // gaps only become periodic once the previous touch also lay
             // inside the cycle.
-            if it >= 1 && metrics.faults == faults_before && it + 1 < reps {
-                self.batch_steady_iterations(body, (reps - 1 - it) as u64, period, metrics);
+            if it >= 1 && tally.faults() == faults_before && it + 1 < reps {
+                self.batch_steady_iterations(body, (reps - 1 - it) as u64, period, tally);
                 return;
             }
         }

@@ -5,8 +5,8 @@
 use cdmm_trace::{CancelToken, EventRef, EventSource, RunRef};
 
 use crate::error::SimError;
-use crate::metrics::Metrics;
-use crate::observe::{Detail, SimEvent, Tracer};
+use crate::metrics::{Metrics, Tally};
+use crate::observe::{Detail, RefBatch, SimEvent, Tracer};
 use crate::policy::Policy;
 
 /// Simulation parameters.
@@ -75,19 +75,27 @@ pub fn simulate<S: EventSource + ?Sized, P: Policy + ?Sized>(
 /// attached, under a cooperative [`CancelToken`].
 ///
 /// One rule picks the loop: the tracer's [`Tracer::detail`]. Below
-/// [`Detail::Decisions`] (a [`crate::observe::NullTracer`], or a
+/// [`Detail::Decisions`] the run-level loop runs: each constant-stride
+/// run of a [`cdmm_trace::CompressedTrace`] goes to
+/// [`Policy::reference_run`] whole (folded cycles to
+/// [`Policy::reference_cycle`]), so the policies batch it in closed
+/// form; any other [`EventSource`] degenerates to length-1 runs. Below
+/// [`Detail::Aggregates`] (a [`crate::observe::NullTracer`], or a
 /// scheduler-level tracer, which a uniprogram run has nothing to tell)
-/// the run-level loop runs: each constant-stride run of a
-/// [`cdmm_trace::CompressedTrace`] goes to [`Policy::reference_run`]
-/// whole (folded cycles to [`Policy::reference_cycle`]), so the paper
-/// policies batch it in closed form; any other [`EventSource`]
-/// degenerates to length-1 runs. At [`Detail::Decisions`] or above the
-/// per-reference loop runs: the policy buffers [`SimEvent`]s at its
-/// decision points and the driver forwards them after each trace
-/// event, stamped with the reference clock (references processed so
-/// far) — the policy's own events first (evictions, grants, lock
-/// breaks …), then the driver's [`SimEvent::Fault`], then, only at
-/// [`Detail::References`], one [`SimEvent::Ref`].
+/// that loop carries no tracing at all. At [`Detail::Aggregates`] it
+/// also hands the tracer every batch its kernels account for
+/// ([`Tracer::aggregate`]), forwards each directive's outcome events
+/// stamped with the reference clock (references processed so far), and
+/// reports the policy's evictions as counts after each run and
+/// directive. At [`Detail::Decisions`] or above the per-reference loop
+/// runs: the policy buffers [`SimEvent`]s at its decision points and
+/// the driver forwards them after each trace event, stamped with the
+/// reference clock — the policy's own events first (evictions, grants,
+/// lock breaks …), then the driver's [`SimEvent::Fault`], then, only at
+/// [`Detail::References`], one [`SimEvent::Ref`]. That loop also hands
+/// over each reference as a one-reference [`RefBatch`] and each
+/// [`SimEvent::Evict`] as a count, so a batch consumer behind a
+/// [`crate::Tee`] reads the same numbers from either loop.
 ///
 /// The token is polled once per compressed run (per event on a flat
 /// trace), never inside a run. Either loop returns exactly the
@@ -128,18 +136,40 @@ pub fn simulate_with<S: EventSource + ?Sized, P: Policy + ?Sized>(
     let keep_going = || !token.should_stop();
     let detail = tracer.detail();
     let completed = if detail < Detail::Decisions {
-        trace.for_each_run_while(keep_going, |run| match run {
-            RunRef::Run { start, stride, len } => {
-                policy.reference_run(start, stride, len, &mut metrics);
+        let traced = detail >= Detail::Aggregates;
+        let mut tally = if traced {
+            policy.set_detail(Detail::Aggregates);
+            Tally::traced(&mut metrics, tracer)
+        } else {
+            Tally::new(&mut metrics)
+        };
+        let mut evicted = policy.evictions();
+        let completed = trace.for_each_run_while(keep_going, |run| {
+            match run {
+                RunRef::Run { start, stride, len } => {
+                    policy.reference_run(start, stride, len, &mut tally);
+                }
+                RunRef::Cycle { body, reps } => {
+                    policy.reference_cycle(body, reps, &mut tally);
+                }
+                RunRef::Directive(other) => {
+                    policy.directive(other);
+                    tally.forward_events(policy);
+                }
             }
-            RunRef::Cycle { body, reps } => {
-                policy.reference_cycle(body, reps, &mut metrics);
+            if traced {
+                let now = policy.evictions();
+                tally.record_evictions(now - evicted);
+                evicted = now;
             }
-            RunRef::Directive(other) => policy.directive(other),
-        })
+        });
+        if traced {
+            policy.set_detail(Detail::Off);
+        }
+        completed
     } else {
         let want_refs = detail >= Detail::References;
-        policy.set_tracing(true);
+        policy.set_detail(detail);
         let mut pending: Vec<SimEvent> = Vec::new();
         let completed = trace.for_each_event_while(keep_going, |event| match event {
             EventRef::Ref(page) => {
@@ -150,13 +180,17 @@ pub fn simulate_with<S: EventSource + ?Sized, P: Policy + ?Sized>(
                 }
                 let at = metrics.refs;
                 policy.drain_events(&mut pending);
-                for e in pending.drain(..) {
-                    tracer.record(at, &e);
-                }
+                forward_decisions(tracer, at, &mut pending);
                 let resident = policy.resident() as u32;
                 if fault {
                     tracer.record(at, &SimEvent::Fault { page, resident });
                 }
+                let batch = RefBatch::Flat {
+                    n: 1,
+                    resident: u64::from(resident),
+                    fault,
+                };
+                tracer.aggregate(at, &batch);
                 if want_refs {
                     tracer.record(
                         at,
@@ -170,17 +204,16 @@ pub fn simulate_with<S: EventSource + ?Sized, P: Policy + ?Sized>(
             }
             EventRef::Directive(other) => {
                 policy.directive(other);
-                let at = metrics.refs;
                 policy.drain_events(&mut pending);
-                for e in pending.drain(..) {
-                    tracer.record(at, &e);
-                }
+                forward_decisions(tracer, metrics.refs, &mut pending);
             }
         });
-        policy.set_tracing(false);
-        tracer.flush();
+        policy.set_detail(Detail::Off);
         completed
     };
+    if detail >= Detail::Aggregates {
+        tracer.flush();
+    }
     if !completed {
         return Err(SimError::DeadlineExceeded {
             refs_done: metrics.refs,
@@ -188,6 +221,17 @@ pub fn simulate_with<S: EventSource + ?Sized, P: Policy + ?Sized>(
     }
     metrics.recovered_directives = policy.recovered_directives();
     Ok(metrics)
+}
+
+/// Forwards a decision-level run's buffered policy events at clock
+/// `at`, each [`SimEvent::Evict`] also as a one-page eviction count.
+fn forward_decisions(tracer: &mut dyn Tracer, at: u64, pending: &mut Vec<SimEvent>) {
+    for e in pending.drain(..) {
+        if let SimEvent::Evict { .. } = e {
+            tracer.aggregate(at, &RefBatch::Evictions(1));
+        }
+        tracer.record(at, &e);
+    }
 }
 
 #[cfg(test)]

@@ -5,9 +5,11 @@
 //! The [`crate::observe`] layer gives the simulator typed events; this
 //! module turns those events into *distributions* — the measurement the
 //! paper's own evaluation (Section 5, Tables 2–4) is built on. A
-//! [`MetricsRegistry`] is an ordinary [`Tracer`], so it attaches at the
-//! same decision points the event sinks already use and shares the
-//! zero-cost-when-disabled untraced hot loop: a run without a registry
+//! [`MetricsRegistry`] is an ordinary [`Tracer`] at
+//! [`Detail::Aggregates`]: its reference statistics come from the
+//! [`RefBatch`]es the run-level kernels account for in closed form, so
+//! a run with a registry keeps those kernels, and its directive
+//! statistics from the outcome events. A run without a registry
 //! executes no stats code at all.
 //!
 //! Tracked out of the box (names are stable, they appear in snapshots,
@@ -15,7 +17,8 @@
 //!
 //! - `fault_interarrival` — references between consecutive faults.
 //! - `resident_occupancy` — resident-set size sampled at every
-//!   reference (the registry reports [`Detail::References`]).
+//!   reference (one weighted sample per batch of references at one
+//!   size).
 //! - `lock_dwell` — references between a `LOCK` and the `UNLOCK`
 //!   releasing it.
 //! - per-priority-index `ALLOCATE` outcomes and grant-size
@@ -32,7 +35,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::observe::{AllocDecision, Detail, Histogram, SimEvent, Tracer};
+use crate::observe::{AllocDecision, Detail, Histogram, RefBatch, SimEvent, Tracer};
 
 /// Histogram name: references between consecutive faults.
 pub const FAULT_INTERARRIVAL: &str = "fault_interarrival";
@@ -40,6 +43,14 @@ pub const FAULT_INTERARRIVAL: &str = "fault_interarrival";
 pub const RESIDENT_OCCUPANCY: &str = "resident_occupancy";
 /// Histogram name: references a lock stayed held before its unlock.
 pub const LOCK_DWELL: &str = "lock_dwell";
+/// Counter name: references processed.
+pub const REFS: &str = "refs";
+/// Counter name: page faults.
+pub const FAULTS: &str = "faults";
+/// Counter name: pages evicted by normal replacement.
+pub const EVICTIONS: &str = "evictions";
+/// Gauge name: resident-set size after the latest reference.
+pub const RESIDENT_PAGES: &str = "resident_pages";
 
 /// Per-priority-index `ALLOCATE` statistics: Figure 6 outcome counts
 /// plus the distribution of granted request sizes.
@@ -63,12 +74,26 @@ pub struct PiStats {
 /// can feed it. Counters and histograms can
 /// also be bumped directly by name for metrics that do not originate as
 /// simulation events.
+///
+/// The statistics every batch updates — [`REFS`], [`FAULTS`],
+/// [`EVICTIONS`], [`RESIDENT_PAGES`], [`RESIDENT_OCCUPANCY`] and
+/// [`FAULT_INTERARRIVAL`] — live in typed fields, so a batch does no
+/// name lookup; the by-name methods and the snapshot reach them under
+/// those names. Like every named metric, a counter shows up only once
+/// it is non-zero, a histogram once it has a sample, and the resident
+/// gauge once a reference was recorded.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     counters: BTreeMap<&'static str, u64>,
     gauges: BTreeMap<&'static str, u64>,
     hists: BTreeMap<&'static str, Histogram>,
     pi: BTreeMap<u32, PiStats>,
+    refs: u64,
+    faults: u64,
+    evictions: u64,
+    resident: Option<u64>,
+    occupancy: Histogram,
+    interarrival: Histogram,
     last_fault_at: Option<u64>,
     /// Open locks, oldest first: clock at `LOCK` time. `UNLOCK` closes
     /// newest-first (locks nest), recording one dwell sample per lock.
@@ -81,9 +106,31 @@ impl MetricsRegistry {
         Self::default()
     }
 
+    /// The typed counter behind `name`, if it has one.
+    fn typed_counter(&mut self, name: &str) -> Option<&mut u64> {
+        match name {
+            REFS => Some(&mut self.refs),
+            FAULTS => Some(&mut self.faults),
+            EVICTIONS => Some(&mut self.evictions),
+            _ => None,
+        }
+    }
+
+    /// The typed histogram behind `name`, if it has one.
+    fn typed_histogram(&self, name: &str) -> Option<&Histogram> {
+        match name {
+            RESIDENT_OCCUPANCY => Some(&self.occupancy),
+            FAULT_INTERARRIVAL => Some(&self.interarrival),
+            _ => None,
+        }
+    }
+
     /// Adds `n` to a named counter.
     pub fn add(&mut self, name: &'static str, n: u64) {
-        *self.counters.entry(name).or_insert(0) += n;
+        match self.typed_counter(name) {
+            Some(c) => *c += n,
+            None => *self.counters.entry(name).or_insert(0) += n,
+        }
     }
 
     /// Increments a named counter by one.
@@ -93,27 +140,47 @@ impl MetricsRegistry {
 
     /// Sets a named gauge to its current value.
     pub fn set_gauge(&mut self, name: &'static str, value: u64) {
-        self.gauges.insert(name, value);
+        if name == RESIDENT_PAGES {
+            self.resident = Some(value);
+        } else {
+            self.gauges.insert(name, value);
+        }
     }
 
     /// Records one sample into a named histogram.
     pub fn record_sample(&mut self, name: &'static str, value: u64) {
-        self.hists.entry(name).or_default().record(value);
+        match name {
+            RESIDENT_OCCUPANCY => self.occupancy.record(value),
+            FAULT_INTERARRIVAL => self.interarrival.record(value),
+            _ => self.hists.entry(name).or_default().record(value),
+        }
     }
 
     /// A counter's current value (0 when never bumped).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+        match name {
+            REFS => self.refs,
+            FAULTS => self.faults,
+            EVICTIONS => self.evictions,
+            _ => self.counters.get(name).copied().unwrap_or(0),
+        }
     }
 
     /// A gauge's current value, when it was ever set.
     pub fn gauge(&self, name: &str) -> Option<u64> {
-        self.gauges.get(name).copied()
+        if name == RESIDENT_PAGES {
+            self.resident
+        } else {
+            self.gauges.get(name).copied()
+        }
     }
 
     /// A named histogram, when any sample was recorded.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.hists.get(name)
+        match self.typed_histogram(name) {
+            Some(h) => (h.count() > 0).then_some(h),
+            None => self.hists.get(name),
+        }
     }
 
     /// Per-priority-index `ALLOCATE` statistics.
@@ -123,31 +190,47 @@ impl MetricsRegistry {
 
     /// True when nothing was ever recorded.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-            && self.gauges.is_empty()
-            && self.hists.is_empty()
-            && self.pi.is_empty()
+        self.snapshot().is_empty()
     }
 
     /// Freezes the current state into an ordered, render-ready
-    /// [`RegistrySnapshot`].
+    /// [`RegistrySnapshot`]. The typed statistics merge in under their
+    /// names.
     pub fn snapshot(&self) -> RegistrySnapshot {
+        let mut counters = self.counters.clone();
+        for (name, v) in [
+            (REFS, self.refs),
+            (FAULTS, self.faults),
+            (EVICTIONS, self.evictions),
+        ] {
+            if v > 0 {
+                counters.insert(name, v);
+            }
+        }
+        let mut gauges = self.gauges.clone();
+        if let Some(r) = self.resident {
+            gauges.insert(RESIDENT_PAGES, r);
+        }
+        let mut hists: BTreeMap<&str, HistogramSummary> = self
+            .hists
+            .iter()
+            .map(|(&k, h)| (k, HistogramSummary::of(h)))
+            .collect();
+        for name in [RESIDENT_OCCUPANCY, FAULT_INTERARRIVAL] {
+            if let Some(h) = self.histogram(name) {
+                hists.insert(name, HistogramSummary::of(h));
+            }
+        }
         RegistrySnapshot {
-            counters: self
-                .counters
-                .iter()
-                .map(|(&k, &v)| (k.to_string(), v))
+            counters: counters
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
                 .collect(),
-            gauges: self
-                .gauges
-                .iter()
-                .map(|(&k, &v)| (k.to_string(), v))
+            gauges: gauges
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
                 .collect(),
-            hists: self
-                .hists
-                .iter()
-                .map(|(&k, h)| (k.to_string(), HistogramSummary::of(h)))
-                .collect(),
+            hists: hists.into_iter().map(|(k, h)| (k.to_string(), h)).collect(),
             pi: self
                 .pi
                 .iter()
@@ -165,29 +248,61 @@ impl MetricsRegistry {
                 .collect(),
         }
     }
+
+    /// Counts `n` faults at clocks `at − n + 1 ..= at`: one gap from
+    /// the previous fault, then `n − 1` gaps of one reference.
+    fn faults_ending_at(&mut self, at: u64, n: u64) {
+        self.faults += n;
+        if let Some(prev) = self.last_fault_at {
+            self.interarrival.record((at + 1 - n).saturating_sub(prev));
+        }
+        self.interarrival.record_n(1, n - 1);
+        self.last_fault_at = Some(at);
+    }
 }
 
 impl Tracer for MetricsRegistry {
     fn detail(&self) -> Detail {
-        // Resident-set occupancy is a per-reference distribution.
-        Detail::References
+        // Reference statistics arrive as batches, directive outcomes as
+        // events: the run-level kernels keep running.
+        Detail::Aggregates
+    }
+
+    fn aggregate(&mut self, at: u64, batch: &RefBatch) {
+        match *batch {
+            RefBatch::Flat { n, resident, fault } => {
+                if n == 0 {
+                    return;
+                }
+                self.refs += n;
+                self.occupancy.record_n(resident, n);
+                self.resident = Some(resident);
+                if fault {
+                    self.faults_ending_at(at, n);
+                }
+            }
+            RefBatch::Ramp { n, from, cap } => {
+                if n == 0 {
+                    return;
+                }
+                self.refs += n;
+                // The k-th reference leaves min(from + k, cap) resident.
+                let climb = n.min(cap.saturating_sub(from));
+                for size in from + 1..=from + climb {
+                    self.occupancy.record(size);
+                }
+                self.occupancy.record_n(cap, n - climb);
+                self.resident = Some((from + n).min(cap));
+                self.faults_ending_at(at, n);
+            }
+            RefBatch::Evictions(n) => self.evictions += n,
+        }
     }
 
     fn record(&mut self, at: u64, event: &SimEvent) {
         match event {
-            SimEvent::Ref { resident, .. } => {
-                self.inc("refs");
-                self.record_sample(RESIDENT_OCCUPANCY, u64::from(*resident));
-                self.set_gauge("resident_pages", u64::from(*resident));
-            }
-            SimEvent::Fault { .. } => {
-                self.inc("faults");
-                if let Some(prev) = self.last_fault_at {
-                    self.record_sample(FAULT_INTERARRIVAL, at.saturating_sub(prev));
-                }
-                self.last_fault_at = Some(at);
-            }
-            SimEvent::Evict { .. } => self.inc("evictions"),
+            // Per-reference events: the batches already carry them.
+            SimEvent::Ref { .. } | SimEvent::Fault { .. } | SimEvent::Evict { .. } => {}
             SimEvent::Alloc {
                 pi,
                 pages,
@@ -330,14 +445,14 @@ mod tests {
     use super::*;
     use cdmm_trace::PageId;
 
+    /// One faulting reference at clock `at`.
     fn fault(at: u64, r: &mut MetricsRegistry) {
-        r.record(
-            at,
-            &SimEvent::Fault {
-                page: PageId(0),
-                resident: 1,
-            },
-        );
+        let batch = RefBatch::Flat {
+            n: 1,
+            resident: 1,
+            fault: true,
+        };
+        r.aggregate(at, &batch);
     }
 
     #[test]
@@ -360,6 +475,104 @@ mod tests {
         let h = r.histogram(FAULT_INTERARRIVAL).expect("gaps recorded");
         assert_eq!(h.count(), 2, "first fault opens no gap");
         assert_eq!(h.max(), 8);
+    }
+
+    #[test]
+    fn an_all_fault_batch_ends_at_its_clock() {
+        // Faults at 10, then a batch of three ending at 20: they fault at
+        // 18, 19 and 20 — one gap of 8, then two gaps of 1.
+        let mut r = MetricsRegistry::new();
+        fault(10, &mut r);
+        let batch = RefBatch::Flat {
+            n: 3,
+            resident: 4,
+            fault: true,
+        };
+        r.aggregate(20, &batch);
+        let h = r.histogram(FAULT_INTERARRIVAL).expect("gaps recorded");
+        assert_eq!((h.count(), h.max(), h.bucket_count(1)), (3, 8, 2));
+        assert_eq!(r.counter("faults"), 4);
+        assert_eq!(r.counter("refs"), 4);
+        assert_eq!(r.gauge("resident_pages"), Some(4));
+    }
+
+    #[test]
+    fn a_ramp_climbs_to_its_cap() {
+        // From 2 under a cap of 4, five faults leave 3, 4, 4, 4, 4.
+        let mut r = MetricsRegistry::new();
+        r.aggregate(
+            5,
+            &RefBatch::Ramp {
+                n: 5,
+                from: 2,
+                cap: 4,
+            },
+        );
+        let occ = r.histogram(RESIDENT_OCCUPANCY).expect("occupancy");
+        assert_eq!((occ.count(), occ.max()), (5, 4));
+        assert_eq!(occ.bucket_count(2), 1, "one reference at 3");
+        assert_eq!(occ.bucket_count(3), 4, "four at the cap");
+        assert!((occ.mean() - 19.0 / 5.0).abs() < 1e-12);
+        assert_eq!(r.gauge("resident_pages"), Some(4));
+        let gaps = r.histogram(FAULT_INTERARRIVAL).expect("gaps");
+        assert_eq!((gaps.count(), gaps.max()), (4, 1), "back-to-back faults");
+        assert_eq!((r.counter("faults"), r.counter("refs")), (5, 5));
+    }
+
+    #[test]
+    fn a_ramp_entered_above_its_cap_sits_at_the_cap() {
+        // After an UNLOCK the resident set can exceed the target: the
+        // first miss trims straight down to the cap.
+        let mut r = MetricsRegistry::new();
+        r.aggregate(
+            3,
+            &RefBatch::Ramp {
+                n: 3,
+                from: 7,
+                cap: 2,
+            },
+        );
+        let occ = r.histogram(RESIDENT_OCCUPANCY).expect("occupancy");
+        assert_eq!((occ.count(), occ.max(), occ.mean()), (3, 2, 2.0));
+        assert_eq!(r.gauge("resident_pages"), Some(2));
+    }
+
+    #[test]
+    fn statistics_appear_only_once_recorded() {
+        let mut r = MetricsRegistry::new();
+        r.aggregate(0, &RefBatch::Evictions(0));
+        r.aggregate(
+            0,
+            &RefBatch::Ramp {
+                n: 0,
+                from: 1,
+                cap: 4,
+            },
+        );
+        assert!(r.snapshot().is_empty(), "zero batches record nothing");
+        fault(1, &mut r);
+        let s = r.snapshot();
+        assert_eq!(s.counter("faults"), 1);
+        assert!(s.counters.iter().all(|(n, _)| n != "evictions"));
+        assert_eq!(s.histogram(FAULT_INTERARRIVAL), None, "one fault, no gap");
+        assert!(s.histogram(RESIDENT_OCCUPANCY).is_some());
+        assert_eq!(s.gauges, [("resident_pages".to_string(), 1)]);
+    }
+
+    #[test]
+    fn by_name_updates_reach_the_typed_statistics() {
+        let mut r = MetricsRegistry::new();
+        r.inc("refs");
+        r.add("evictions", 2);
+        r.record_sample(RESIDENT_OCCUPANCY, 9);
+        r.set_gauge("resident_pages", 9);
+        r.aggregate(2, &RefBatch::Evictions(1));
+        let s = r.snapshot();
+        assert_eq!((s.counter("refs"), s.counter("evictions")), (1, 3));
+        assert_eq!(s.histogram(RESIDENT_OCCUPANCY).map(|h| h.max), Some(9));
+        assert_eq!(r.gauge("resident_pages"), Some(9));
+        let names: Vec<&str> = s.counters.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["evictions", "refs"], "merged in name order");
     }
 
     #[test]
@@ -424,22 +637,25 @@ mod tests {
     #[test]
     fn refs_feed_occupancy_and_the_resident_gauge() {
         let mut r = MetricsRegistry::new();
-        assert_eq!(r.detail(), Detail::References);
-        for (at, resident) in [(1, 1), (2, 2), (3, 2)] {
-            r.record(
-                at,
-                &SimEvent::Ref {
-                    page: PageId(0),
-                    resident,
-                    fault: false,
-                },
-            );
+        assert_eq!(r.detail(), Detail::Aggregates);
+        for (at, n, resident) in [(1, 1, 1), (3, 2, 2)] {
+            let batch = RefBatch::Flat {
+                n,
+                resident,
+                fault: false,
+            };
+            r.aggregate(at, &batch);
         }
         assert_eq!(r.counter("refs"), 3);
         assert_eq!(r.gauge("resident_pages"), Some(2));
         let h = r.histogram(RESIDENT_OCCUPANCY).expect("occupancy");
         assert_eq!(h.count(), 3);
         assert_eq!(h.max(), 2);
+        // Per-reference events add nothing: the batches carry them.
+        let page = PageId(0);
+        r.record(4, &SimEvent::Fault { page, resident: 2 });
+        r.record(4, &SimEvent::Evict { page });
+        assert_eq!((r.counter("faults"), r.counter("evictions")), (0, 0));
     }
 
     #[test]

@@ -9,6 +9,13 @@
 //! against the hash-based implementations their dense kernels replaced,
 //! kept here verbatim as independent oracles (`models`).
 //!
+//! A `MetricsRegistry` reads its reference statistics from the batches
+//! the run-level kernels hand over. Its snapshot must equal the one the
+//! registry's former per-reference event logic builds (kept here as
+//! `PerRefRegistry`), and the one a per-reference run feeds it through
+//! a `Tee` — on every policy family, workload and scale, and on the
+//! seeded campaigns.
+//!
 //! The generator (SplitMix64, seed from `CDMM_EQUIV_SEED`, default 42)
 //! aims at the fast paths' fallback seams: runs straddling directive
 //! boundaries, strides larger than the page count, negative strides,
@@ -28,9 +35,10 @@ use cdmm_vmsim::policy::lru::Lru;
 use cdmm_vmsim::policy::opt::Opt;
 use cdmm_vmsim::policy::pff::Pff;
 use cdmm_vmsim::policy::ws::WorkingSet;
+use cdmm_vmsim::stats::{FAULT_INTERARRIVAL, RESIDENT_OCCUPANCY};
 use cdmm_vmsim::{
-    simulate, simulate_with, CancelToken, Detail, EventLog, Metrics, NullTracer, Policy, SimConfig,
-    TimedEvent, Tracer,
+    simulate, simulate_with, CancelToken, Detail, EventLog, Metrics, MetricsRegistry, NullTracer,
+    Policy, RegistrySnapshot, SimConfig, SimEvent, Tee, TimedEvent, Tracer,
 };
 use cdmm_workloads::{all, Scale};
 
@@ -262,6 +270,74 @@ mod models {
     }
 }
 
+/// The registry's per-reference logic from before it consumed batches,
+/// kept as the oracle: a reference-level tracer that counts `Ref`,
+/// `Fault` and `Evict` events by name and hands every other event to a
+/// registry.
+struct PerRefRegistry {
+    inner: MetricsRegistry,
+    last_fault_at: Option<u64>,
+}
+
+impl PerRefRegistry {
+    fn new() -> Self {
+        PerRefRegistry {
+            inner: MetricsRegistry::new(),
+            last_fault_at: None,
+        }
+    }
+}
+
+impl Tracer for PerRefRegistry {
+    fn detail(&self) -> Detail {
+        Detail::References
+    }
+
+    fn record(&mut self, at: u64, event: &SimEvent) {
+        let r = &mut self.inner;
+        match event {
+            SimEvent::Ref { resident, .. } => {
+                r.inc("refs");
+                r.record_sample(RESIDENT_OCCUPANCY, u64::from(*resident));
+                r.set_gauge("resident_pages", u64::from(*resident));
+            }
+            SimEvent::Fault { .. } => {
+                r.inc("faults");
+                if let Some(prev) = self.last_fault_at {
+                    r.record_sample(FAULT_INTERARRIVAL, at.saturating_sub(prev));
+                }
+                self.last_fault_at = Some(at);
+            }
+            SimEvent::Evict { .. } => r.inc("evictions"),
+            other => r.record(at, other),
+        }
+    }
+}
+
+/// Drives `policy` three ways — under the per-reference model, with a
+/// lone registry (the run-level loop), and with a registry behind a
+/// tee with a decision-level log (the per-reference loop) — and
+/// asserts one metrics value and one registry snapshot.
+fn assert_same_registry<S, F>(make: F, trace: &S, what: &str) -> RegistrySnapshot
+where
+    S: cdmm_trace::EventSource + ?Sized,
+    F: Fn() -> Box<dyn Policy>,
+{
+    let mut model = PerRefRegistry::new();
+    let want = drive(trace, &mut *make(), &mut model);
+    let mut alone = MetricsRegistry::new();
+    let run_level = drive(trace, &mut *make(), &mut alone);
+    let mut teed = MetricsRegistry::new();
+    let mut log = EventLog::new(16);
+    let per_ref = drive(trace, &mut *make(), &mut Tee::new(&mut log, &mut teed));
+    assert_eq!(want, run_level, "{what}: run-level metrics");
+    assert_eq!(want, per_ref, "{what}: teed metrics");
+    let snapshot = model.inner.snapshot();
+    assert_eq!(snapshot, alone.snapshot(), "{what}: run-level registry");
+    assert_eq!(snapshot, teed.snapshot(), "{what}: teed registry");
+    snapshot
+}
+
 fn equiv_seed() -> u64 {
     std::env::var("CDMM_EQUIV_SEED")
         .ok()
@@ -287,7 +363,7 @@ impl SplitMix64 {
 }
 
 /// The production driver under an idle token.
-fn drive<S: cdmm_trace::EventSource + ?Sized, P: Policy>(
+fn drive<S: cdmm_trace::EventSource + ?Sized, P: Policy + ?Sized>(
     trace: &S,
     policy: &mut P,
     tracer: &mut dyn Tracer,
@@ -420,6 +496,107 @@ fn traced_event_streams_match_on_every_workload() {
             &format!("{} WS(2000)", p.name()),
         );
     }
+}
+
+/// One point of every policy family the pipeline builds.
+fn every_family(p: &Prepared) -> Vec<PolicySpec> {
+    let frames = (p.virtual_pages() as usize / 3).max(2);
+    vec![
+        PolicySpec::Cd {
+            selector: CdSelector::Outermost,
+        },
+        PolicySpec::Cd {
+            selector: CdSelector::AtLevel(2),
+        },
+        PolicySpec::CdNoLocks {
+            selector: CdSelector::Innermost,
+        },
+        PolicySpec::Lru { frames },
+        PolicySpec::Ws { tau: 500 },
+        PolicySpec::Fifo { frames },
+        PolicySpec::Clock { frames },
+        PolicySpec::Opt { frames },
+        PolicySpec::Pff { threshold: 100 },
+        PolicySpec::DampedWs {
+            tau: 500,
+            reserve_cap: 4,
+        },
+        PolicySpec::SampledWs {
+            tau: 500,
+            sigma: 50,
+        },
+        PolicySpec::VariableSampledWs {
+            min_interval: 20,
+            max_interval: 200,
+            fault_quota: 4,
+        },
+    ]
+}
+
+#[test]
+fn registry_snapshots_match_on_every_family_workload_and_scale() {
+    for scale in [Scale::Small, Scale::Paper] {
+        for w in all(scale) {
+            let p = prepare(w.name, &w.source, PipelineConfig::default())
+                .unwrap_or_else(|e| panic!("{}: {e}", w.name));
+            for spec in every_family(&p) {
+                let what = format!("{} {scale:?} {spec:?}", p.name());
+                let trace = if spec.uses_directives() {
+                    p.cd_trace()
+                } else {
+                    p.plain_trace()
+                };
+                let make = || p.build_policy(spec) as Box<dyn Policy>;
+                let snap = assert_same_registry(make, trace, &what);
+                assert_eq!(snap.counter("refs"), trace.ref_count(), "{what}");
+            }
+        }
+    }
+}
+
+/// A hard frame limit over locked pages: faults past the limit break
+/// the lowest-priority lock, inside stride-0 runs, strided runs and a
+/// folded cycle alike.
+#[test]
+fn registry_snapshots_match_when_locks_break() {
+    let mut events = vec![Event::Alloc(vec![AllocArg { pi: 2, pages: 4 }])];
+    let refs = |events: &mut Vec<Event>, pages: &[u32]| {
+        events.extend(pages.iter().map(|&p| Event::Ref(PageId(p))));
+    };
+    refs(&mut events, &[0, 1, 2, 3]);
+    events.push(Event::Lock {
+        pj: 3,
+        ranges: vec![PageRange { start: 0, end: 2 }],
+    });
+    events.push(Event::Lock {
+        pj: 2,
+        ranges: vec![PageRange { start: 2, end: 4 }],
+    });
+    refs(&mut events, &[9, 9, 9, 9, 10, 11, 12, 13]);
+    events.push(Event::Lock {
+        pj: 4,
+        ranges: vec![PageRange { start: 13, end: 14 }],
+    });
+    for _ in 0..6 {
+        refs(&mut events, &[20, 21, 22]);
+    }
+    events.push(Event::Unlock {
+        ranges: vec![PageRange { start: 0, end: 4 }],
+    });
+    refs(&mut events, &[5, 6, 7, 5, 6, 7, 0, 1]);
+    let flat = Trace::from_events(events);
+    let compressed = CompressedTrace::from_trace(&flat);
+    let make = || {
+        let cd = CdPolicy::new(CdSelector::Outermost)
+            .with_min_alloc(1)
+            .with_hard_limit(Some(4));
+        Box::new(cd) as Box<dyn Policy>
+    };
+    let snap = assert_same_registry(make, &flat, "hard-limit CD, flat");
+    assert!(snap.counter("lock_breaks") >= 2, "{snap:?}");
+    assert!(snap.histogram("lock_dwell").is_some());
+    let compressed_snap = assert_same_registry(make, &compressed, "hard-limit CD, compressed");
+    assert_eq!(snap, compressed_snap);
 }
 
 /// Builds one adversarial directive-bearing trace from the campaign's
@@ -605,6 +782,14 @@ fn seeded_adversarial_campaigns_are_byte_identical() {
             &compressed,
             &format!("seed={seed} campaign={campaign} {}", cd.label()),
         );
+
+        let c = format!("seed={seed} campaign={campaign}");
+        let lru = || Box::new(Lru::new(frames)) as Box<dyn Policy>;
+        assert_same_registry(lru, &compressed, &format!("{c} LRU({frames})"));
+        let ws = || Box::new(WorkingSet::new(tau)) as Box<dyn Policy>;
+        assert_same_registry(ws, &compressed, &format!("{c} WS({tau})"));
+        let cd_box = || Box::new(cd.clone()) as Box<dyn Policy>;
+        assert_same_registry(cd_box, &compressed, &format!("{c} {}", cd.label()));
 
         // Every 25th campaign also pins the traced SimEvent stream.
         if campaign % 25 == 0 {

@@ -13,7 +13,9 @@
 //!   OPT's lookahead pass stops under the same token;
 //! - `policy_label` names exactly the policy `build_policy` builds;
 //! - the tracer's `Detail` level decides what a run delivers and which
-//!   loop it takes: below `Decisions` the policy is never instrumented.
+//!   loop it takes: below `Decisions` the policy is never instrumented
+//!   for references, and at `Aggregates` it reports only its directive
+//!   outcomes.
 
 use cdmm_core::sweep::spec_key;
 use cdmm_core::{prepare, CancelToken, PipelineConfig, PolicySpec, Prepared};
@@ -22,7 +24,8 @@ use cdmm_trace::{synth, CompressedTrace, Event, PageId};
 use cdmm_vmsim::policy::cd::{CdPolicy, CdSelector};
 use cdmm_vmsim::policy::lru::Lru;
 use cdmm_vmsim::{
-    simulate_with, Detail, EventLog, NullTracer, Policy, SimConfig, SimError, SimEvent, Tee, Tracer,
+    simulate_with, Detail, EventLog, MetricsRegistry, NullTracer, Policy, SimConfig, SimError,
+    SimEvent, Tee, Tracer,
 };
 use cdmm_workloads::{by_name, Scale};
 
@@ -117,7 +120,7 @@ fn cancelled_traced_run_stops_flushes_and_leaves_tracing_off() {
     assert_eq!(tracer.events, 0, "no event before the first poll");
     assert_eq!(tracer.flushes, 1, "a stopped run still flushes its tracer");
     assert!(!buffers_events(&mut cd), "tracing left on after the stop");
-    cd.set_tracing(true);
+    cd.set_detail(Detail::Decisions);
     assert!(buffers_events(&mut cd), "the probe sees a traced policy");
 
     let p = main_small();
@@ -222,10 +225,49 @@ fn detail_level_decides_what_a_uniprogram_run_delivers() {
     assert_eq!(references.len() - refs, decisions.len());
 }
 
-/// Wraps `Lru` and records whether the driver ever turned tracing on.
+/// The event kinds a policy raises once per directive outcome.
+const OUTCOMES: [&str; 6] = [
+    "alloc",
+    "lock",
+    "unlock",
+    "lock_broken",
+    "recovered",
+    "degraded",
+];
+
+#[test]
+fn an_aggregates_log_receives_exactly_the_directive_outcomes() {
+    let p = main_small();
+    let plain = p.run_policy(CD2);
+    let run = |detail: Detail| {
+        let mut log = EventLog::new(2 * plain.refs as usize + 4096).with_detail(detail);
+        let traced = p.run_policy_traced(CD2, &mut log, &CancelToken::new());
+        assert_eq!(traced, Ok(plain), "{detail:?} changed the metrics");
+        log.to_vec()
+    };
+    let aggregates = run(Detail::Aggregates);
+    let decisions = run(Detail::Decisions);
+    // The run-level loop stamps each outcome with the clock the
+    // per-reference loop gives it.
+    let outcomes: Vec<_> = decisions
+        .iter()
+        .filter(|e| e.event.detail() <= Detail::Aggregates)
+        .copied()
+        .collect();
+    assert_eq!(aggregates, outcomes);
+    let kinds: Vec<&str> = aggregates.iter().map(|e| e.event.kind()).collect();
+    assert!(kinds.contains(&"alloc") && kinds.contains(&"lock"));
+    assert!(kinds.iter().all(|k| OUTCOMES.contains(k)), "{kinds:?}");
+    assert!(
+        decisions.len() > aggregates.len(),
+        "faults and evictions stay out"
+    );
+}
+
+/// Wraps `Lru` and records the highest level the driver ever set.
 struct Probe {
     lru: Lru,
-    traced: bool,
+    highest: Detail,
 }
 
 impl Policy for Probe {
@@ -241,19 +283,19 @@ impl Policy for Probe {
         self.lru.resident()
     }
 
-    fn set_tracing(&mut self, on: bool) {
-        self.traced |= on;
-        self.lru.set_tracing(on);
+    fn set_detail(&mut self, detail: Detail) {
+        self.highest = self.highest.max(detail);
+        self.lru.set_detail(detail);
     }
 }
 
 #[test]
-fn policies_are_instrumented_only_at_decisions_or_above() {
+fn policies_are_instrumented_for_references_only_at_decisions_or_above() {
     let p = main_small();
-    let traced_under = |tracer: &mut dyn Tracer| {
+    let highest_under = |tracer: &mut dyn Tracer| {
         let mut probe = Probe {
             lru: Lru::new(8),
-            traced: false,
+            highest: Detail::Off,
         };
         let cfg = SimConfig::default();
         simulate_with(
@@ -264,13 +306,41 @@ fn policies_are_instrumented_only_at_decisions_or_above() {
             &CancelToken::new(),
         )
         .expect("idle token");
-        probe.traced
+        probe.highest
     };
-    assert!(!traced_under(&mut NullTracer));
-    assert!(!traced_under(
-        &mut EventLog::new(16).with_detail(Detail::Scheduler)
-    ));
-    assert!(traced_under(&mut EventLog::new(16)));
+    assert_eq!(highest_under(&mut NullTracer), Detail::Off);
+    let mut sched = EventLog::new(16).with_detail(Detail::Scheduler);
+    assert_eq!(highest_under(&mut sched), Detail::Off);
+    let mut registry = MetricsRegistry::new();
+    assert_eq!(
+        highest_under(&mut registry),
+        Detail::Aggregates,
+        "a registry-only run keeps the run-level kernels"
+    );
+    assert_eq!(highest_under(&mut EventLog::new(16)), Detail::Decisions);
+}
+
+#[test]
+fn a_registry_reads_the_same_from_both_loops() {
+    // Alone, the registry rides the run-level loop; behind a tee with a
+    // decision-level log the per-reference loop feeds it one reference
+    // at a time. Both must leave the same snapshot.
+    let p = main_small();
+    for spec in [
+        CD2,
+        PolicySpec::Lru { frames: 8 },
+        PolicySpec::Ws { tau: 400 },
+    ] {
+        let token = CancelToken::new();
+        let mut alone = MetricsRegistry::new();
+        let m = p.run_policy_traced(spec, &mut alone, &token);
+        let mut teed = MetricsRegistry::new();
+        let mut log = EventLog::new(16);
+        let n = p.run_policy_traced(spec, &mut Tee::new(&mut log, &mut teed), &token);
+        assert_eq!(m, n, "{spec:?}");
+        assert_eq!(alone.snapshot(), teed.snapshot(), "{spec:?}");
+        assert_eq!(alone.counter("refs"), m.expect("idle token").refs);
+    }
 }
 
 #[test]
