@@ -20,7 +20,7 @@ use cdmm_core::{prepare, sweep, PipelineConfig, PolicySpec};
 use cdmm_locality::{analyze_program, instrument, InsertOptions, PageGeometry};
 use cdmm_trace::TraceStats;
 use cdmm_vmsim::policy::cd::CdSelector;
-use cdmm_vmsim::Metrics;
+use cdmm_vmsim::{Metrics, WsCurve};
 use cdmm_workloads::Scale;
 
 fn main() -> ExitCode {
@@ -108,15 +108,16 @@ fn instrument_cmd(path: &str) -> Result<(), String> {
 fn trace_cmd(path: &str) -> Result<(), String> {
     let src = read_source(path)?;
     let trace = cdmm_trace::trace_program(&src, PageGeometry::PAPER).map_err(|e| e.to_string())?;
-    let stats = TraceStats::of(&trace, Some(1_000));
+    let stats = TraceStats::of(&trace);
     println!("references:      {}", stats.refs);
     println!("distinct pages:  {}", stats.distinct_pages);
     println!("virtual pages:   {}", trace.virtual_pages);
     println!("directives:      {}", stats.directives);
     println!("hottest page:    {} references", stats.hottest_page_refs);
-    if let Some(ws) = stats.mean_ws {
-        println!("mean WS(1000):   {ws:.2} pages");
-    }
+    // A window of 1000 references that counts the current one: the
+    // policy's WS(999).
+    let ws = WsCurve::compute(&trace).mean_mem_at(999);
+    println!("mean WS(1000):   {ws:.2} pages");
     Ok(())
 }
 

@@ -526,7 +526,7 @@ impl Prepared {
     /// [`Prepared::run_policy`] under a cooperative [`CancelToken`].
     ///
     /// The token is polled once per compressed trace run — never inside
-    /// the per-reference loop — so an uncancelled run computes exactly
+    /// a run — so an uncancelled run computes exactly
     /// the [`Metrics`] of [`Prepared::run_policy`]. A stop (deadline
     /// expiry or explicit cancel) surfaces as
     /// [`SimError::DeadlineExceeded`] with the number of references
@@ -540,10 +540,10 @@ impl Prepared {
     }
 
     /// [`Prepared::run_policy_cancellable`] with an event tracer
-    /// attached: a tracer at `Detail::Decisions` or above runs the
-    /// per-reference loop and sees every policy event; below it (a
-    /// [`NullTracer`], or a `MetricsRegistry` fed reference batches and
-    /// directive outcomes) the run-level loop runs (see
+    /// attached: at `Detail::Decisions` or above the policy's kernels
+    /// decode reference by reference and the tracer sees every policy
+    /// event; below it (a [`NullTracer`], or a `MetricsRegistry` fed
+    /// reference batches and directive outcomes) they keep batching (see
     /// [`simulate_with`]). Metrics are identical either way.
     /// The batch service runs every sim job through here, under the
     /// job's deadline token.

@@ -21,18 +21,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use cdmm_trace::synth::{mix, GAMMA};
 use cdmm_trace::{COp, CompressedTrace, Event};
 use cdmm_vmsim::{ExecStats, LruCurve, Metrics, WsCurve};
-
-/// SplitMix64 increment (golden-ratio constant).
-const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// The SplitMix64 output mixer.
-fn mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// A 128-bit content hash identifying one simulation input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]

@@ -14,15 +14,7 @@ use std::io;
 use std::path::Path;
 use std::sync::Mutex;
 
-/// SplitMix64 increment (golden-ratio constant).
-const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// The SplitMix64 output mixer.
-fn mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use cdmm_trace::synth::{mix, GAMMA};
 
 /// Where a fault can be injected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -38,6 +38,7 @@ use cdmm_core::{
     panic_message, prepare_cancellable, Executor, InterpError, PipelineConfig, PipelineError,
     Prepared, ResultCache,
 };
+use cdmm_trace::synth::{mix, GAMMA};
 use cdmm_vmsim::{
     CancelToken, Histogram, JsonlSink, Metrics, MetricsRegistry, NullTracer, ProgressCounters,
     SimError, Tee, Tracer,
@@ -104,13 +105,6 @@ pub struct ServeStats {
     pub flush_failures: u64,
 }
 
-/// SplitMix64 mixer for backoff jitter.
-fn mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// The deterministic, jittered backoff before attempt `attempt` (≥ 1)
 /// of job `job`: `base · 2^(attempt-1)` plus a jitter in `[0, base)`,
 /// both scaled from the seed so replays sleep identically.
@@ -119,8 +113,8 @@ pub fn backoff_delay(seed: u64, job: u64, attempt: u32, base: Duration) -> Durat
         return Duration::ZERO;
     }
     let exp = base.saturating_mul(1u32 << (attempt - 1).min(16));
-    let jitter_ns = mix(seed ^ job.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ attempt as u64)
-        % base.as_nanos().max(1) as u64;
+    let jitter_ns =
+        mix(seed ^ job.wrapping_mul(GAMMA) ^ attempt as u64) % base.as_nanos().max(1) as u64;
     exp.saturating_add(Duration::from_nanos(jitter_ns))
 }
 

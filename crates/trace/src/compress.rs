@@ -156,29 +156,6 @@ impl CompressedTrace {
 }
 
 impl EventSource for CompressedTrace {
-    fn for_each_event<F: FnMut(EventRef<'_>)>(&self, mut f: F) {
-        for op in &self.ops {
-            match op {
-                COp::Run { start, stride, len } => {
-                    let mut p = *start as i64;
-                    let stride = *stride as i64;
-                    for _ in 0..*len {
-                        f(EventRef::Ref(PageId(p as u32)));
-                        p += stride;
-                    }
-                }
-                COp::Cycle { body, reps } => {
-                    for _ in 0..*reps {
-                        for r in body.iter() {
-                            r.for_each_page(|p| f(EventRef::Ref(p)));
-                        }
-                    }
-                }
-                COp::Dir(d) => f(EventRef::Directive(d)),
-            }
-        }
-    }
-
     fn for_each_event_while<K, F>(&self, mut keep_going: K, mut f: F) -> bool
     where
         K: FnMut() -> bool,
@@ -186,22 +163,19 @@ impl EventSource for CompressedTrace {
     {
         // One poll per op — or per cycle iteration, so a folded loop
         // with a huge repetition count cannot starve the poll — while
-        // runs decode with the same tight counted loop as
-        // `for_each_event`. Cancellation costs O(ops + iterations), not
-        // O(references).
+        // runs decode as a tight counted loop. Cancellation costs
+        // O(ops + iterations), not O(references).
         for op in &self.ops {
             if !keep_going() {
                 return false;
             }
             match op {
-                COp::Run { start, stride, len } => {
-                    let mut p = *start as i64;
-                    let stride = *stride as i64;
-                    for _ in 0..*len {
-                        f(EventRef::Ref(PageId(p as u32)));
-                        p += stride;
-                    }
+                COp::Run { start, stride, len } => Run {
+                    start: PageId(*start),
+                    stride: *stride,
+                    len: *len,
                 }
+                .for_each_page(|p| f(EventRef::Ref(p))),
                 COp::Cycle { body, reps } => {
                     for i in 0..*reps {
                         if i > 0 && !keep_going() {
@@ -218,33 +192,17 @@ impl EventSource for CompressedTrace {
         true
     }
 
-    fn for_each_run<F: FnMut(RunRef<'_>)>(&self, mut f: F) {
-        // Whole `COp::Run`s and `COp::Cycle`s, no decode loop at all:
-        // this is the payoff of storing the trace compressed.
-        // Directives were flushed into their own ops by `TraceBuilder`,
-        // so runs never straddle them and cycle bodies never contain
-        // them.
-        for op in &self.ops {
-            match op {
-                COp::Run { start, stride, len } => f(RunRef::Run {
-                    start: PageId(*start),
-                    stride: *stride,
-                    len: *len,
-                }),
-                COp::Cycle { body, reps } => f(RunRef::Cycle { body, reps: *reps }),
-                COp::Dir(d) => f(RunRef::Directive(d)),
-            }
-        }
-    }
-
     fn for_each_run_while<K, F>(&self, mut keep_going: K, mut f: F) -> bool
     where
         K: FnMut() -> bool,
         F: FnMut(RunRef<'_>),
     {
-        // Same poll cadence as `for_each_run`: once per op. A cycle is
-        // one op — its kernel-side cost is O(body) once steady, so the
-        // poll interval stays bounded.
+        // Whole `COp::Run`s and `COp::Cycle`s, no decode loop at all:
+        // this is the payoff of storing the trace compressed. Directives
+        // were flushed into their own ops by `TraceBuilder`, so runs
+        // never straddle them and cycle bodies never contain them. One
+        // poll per op: a cycle's kernel-side cost is O(body) once
+        // steady, so the poll interval stays bounded.
         for op in &self.ops {
             if !keep_going() {
                 return false;
@@ -260,29 +218,6 @@ impl EventSource for CompressedTrace {
             }
         }
         true
-    }
-
-    fn for_each_ref<F: FnMut(PageId)>(&self, mut f: F) {
-        for op in &self.ops {
-            match op {
-                COp::Run { start, stride, len } => {
-                    let mut p = *start as i64;
-                    let stride = *stride as i64;
-                    for _ in 0..*len {
-                        f(PageId(p as u32));
-                        p += stride;
-                    }
-                }
-                COp::Cycle { body, reps } => {
-                    for _ in 0..*reps {
-                        for r in body.iter() {
-                            r.for_each_page(&mut f);
-                        }
-                    }
-                }
-                COp::Dir(_) => {}
-            }
-        }
     }
 
     fn ref_count(&self) -> u64 {

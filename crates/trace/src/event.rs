@@ -208,43 +208,30 @@ pub enum RunRef<'a> {
 /// Internal iteration (`for_each_*` taking a closure) rather than an
 /// `Iterator` lets each source keep its decode state in registers: a
 /// compressed run decodes as a tight counted loop, which is the point
-/// of compressing in the first place.
+/// of compressing in the first place. A source writes its decode loops
+/// once, in the polled forms [`Self::for_each_event_while`] and
+/// [`Self::for_each_run_while`]; the unpolled forms pass a poll that
+/// never stops, which compiles away.
 pub trait EventSource {
-    /// Streams every event in execution order.
-    fn for_each_event<F: FnMut(EventRef<'_>)>(&self, f: F);
-
     /// Streams events while `keep_going()` returns `true`, polling it at
-    /// coarse decode boundaries — once per compressed *run* for
-    /// [`crate::CompressedTrace`], once per event for a flat [`Trace`] —
-    /// so cancellation never puts a check inside the per-reference hot
-    /// loop. Returns `true` when the whole source was consumed, `false`
-    /// when the poll stopped the stream early.
+    /// coarse decode boundaries — once per compressed *run* and once per
+    /// cycle iteration for [`crate::CompressedTrace`], once per event for
+    /// a flat [`Trace`] — so cancellation never puts a check inside the
+    /// per-reference hot loop. Returns `true` when the whole source was
+    /// consumed, `false` when the poll stopped the stream early.
     fn for_each_event_while<K, F>(&self, keep_going: K, f: F) -> bool
     where
         K: FnMut() -> bool,
         F: FnMut(EventRef<'_>);
 
     /// Streams the trace as constant-stride [`RunRef`]s plus verbatim
-    /// directives. Runs never contain directives — a directive always
-    /// splits the surrounding reference burst (the compressed builder
-    /// flushes its pending run before every directive). The default
-    /// degrades each reference to a length-1 run; sources that know
-    /// their run structure override this to deliver whole runs.
-    fn for_each_run<F: FnMut(RunRef<'_>)>(&self, mut f: F) {
-        self.for_each_event(|e| match e {
-            EventRef::Ref(p) => f(RunRef::Run {
-                start: p,
-                stride: 0,
-                len: 1,
-            }),
-            EventRef::Directive(d) => f(RunRef::Directive(d)),
-        });
-    }
-
-    /// [`Self::for_each_run`] with the same cancellation contract as
-    /// [`Self::for_each_event_while`]: `keep_going()` is polled at run
-    /// boundaries (once per compressed op), never inside a run. Returns
-    /// `true` when the whole source was consumed.
+    /// directives, polling `keep_going()` at run boundaries (once per
+    /// compressed op), never inside a run. Returns `true` when the whole
+    /// source was consumed. Runs never contain directives — a directive
+    /// always splits the surrounding reference burst (the compressed
+    /// builder flushes its pending run before every directive). The
+    /// default degrades each reference to a length-1 run; sources that
+    /// know their run structure override this to deliver whole runs.
     fn for_each_run_while<K, F>(&self, keep_going: K, mut f: F) -> bool
     where
         K: FnMut() -> bool,
@@ -258,6 +245,16 @@ pub trait EventSource {
             }),
             EventRef::Directive(d) => f(RunRef::Directive(d)),
         })
+    }
+
+    /// Streams every event in execution order.
+    fn for_each_event<F: FnMut(EventRef<'_>)>(&self, f: F) {
+        self.for_each_event_while(|| true, f);
+    }
+
+    /// [`Self::for_each_run_while`] without a poll.
+    fn for_each_run<F: FnMut(RunRef<'_>)>(&self, f: F) {
+        self.for_each_run_while(|| true, f);
     }
 
     /// Streams only the page references, in order.
@@ -278,15 +275,6 @@ pub trait EventSource {
 }
 
 impl EventSource for Trace {
-    fn for_each_event<F: FnMut(EventRef<'_>)>(&self, mut f: F) {
-        for e in &self.events {
-            match e {
-                Event::Ref(p) => f(EventRef::Ref(*p)),
-                other => f(EventRef::Directive(other)),
-            }
-        }
-    }
-
     fn for_each_event_while<K, F>(&self, mut keep_going: K, mut f: F) -> bool
     where
         K: FnMut() -> bool,
@@ -302,14 +290,6 @@ impl EventSource for Trace {
             }
         }
         true
-    }
-
-    fn for_each_ref<F: FnMut(PageId)>(&self, mut f: F) {
-        for e in &self.events {
-            if let Event::Ref(p) = e {
-                f(*p)
-            }
-        }
     }
 
     fn ref_count(&self) -> u64 {

@@ -15,15 +15,11 @@ pub struct TraceStats {
     pub directives: u64,
     /// Reference count of the most-touched page.
     pub hottest_page_refs: u64,
-    /// Mean working-set size at the given window, if one was requested.
-    pub mean_ws: Option<f64>,
 }
 
 impl TraceStats {
-    /// Computes statistics; `ws_window` optionally also computes the mean
-    /// working-set size for that window (Denning's `W(t, τ)` averaged over
-    /// reference time), which is handy for choosing τ ranges in sweeps.
-    pub fn of(trace: &Trace, ws_window: Option<u64>) -> TraceStats {
+    /// Computes the statistics in one pass.
+    pub fn of(trace: &Trace) -> TraceStats {
         let mut counts: HashMap<PageId, u64> = HashMap::new();
         let mut refs = 0u64;
         let mut directives = 0u64;
@@ -36,60 +32,18 @@ impl TraceStats {
                 _ => directives += 1,
             }
         }
-        let mean_ws = ws_window.map(|tau| mean_working_set(trace, tau));
         TraceStats {
             refs,
             distinct_pages: counts.len() as u32,
             directives,
             hottest_page_refs: counts.values().copied().max().unwrap_or(0),
-            mean_ws,
         }
-    }
-}
-
-/// Mean working-set size for window `tau` (in references), averaged over
-/// reference time. `tau = 0` gives 0.
-pub fn mean_working_set(trace: &Trace, tau: u64) -> f64 {
-    if tau == 0 {
-        return 0.0;
-    }
-    let mut last_ref: HashMap<PageId, u64> = HashMap::new();
-    let mut expiry: std::collections::VecDeque<(u64, PageId)> = Default::default();
-    let mut size = 0u64;
-    let mut acc = 0u64;
-    let mut t = 0u64;
-    for e in &trace.events {
-        let Event::Ref(p) = e else { continue };
-        t += 1;
-        // Expire pages whose last reference fell out of the window.
-        while let Some(&(texp, page)) = expiry.front() {
-            if texp + tau <= t {
-                expiry.pop_front();
-                if last_ref.get(&page) == Some(&texp) {
-                    last_ref.remove(&page);
-                    size -= 1;
-                }
-            } else {
-                break;
-            }
-        }
-        if last_ref.insert(*p, t).is_none() {
-            size += 1;
-        }
-        expiry.push_back((t, *p));
-        acc += size;
-    }
-    if t == 0 {
-        0.0
-    } else {
-        acc as f64 / t as f64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::synth;
 
     #[test]
     fn stats_count_refs_and_directives() {
@@ -99,43 +53,18 @@ mod tests {
             Event::Ref(PageId(1)),
             Event::Alloc(vec![]),
         ]);
-        let s = TraceStats::of(&t, None);
+        let s = TraceStats::of(&t);
         assert_eq!(s.refs, 3);
         assert_eq!(s.distinct_pages, 2);
         assert_eq!(s.directives, 1);
         assert_eq!(s.hottest_page_refs, 2);
-        assert!(s.mean_ws.is_none());
-    }
-
-    #[test]
-    fn mean_ws_of_single_page_is_one() {
-        let t = Trace::from_events(vec![Event::Ref(PageId(7)); 100]);
-        let ws = mean_working_set(&t, 10);
-        assert!((ws - 1.0).abs() < 1e-9, "{ws}");
-    }
-
-    #[test]
-    fn mean_ws_grows_with_window_on_cyclic_trace() {
-        let t = synth::cyclic(10, 20);
-        let small = mean_working_set(&t, 2);
-        let large = mean_working_set(&t, 10);
-        assert!(small < large, "{small} vs {large}");
-        // With window >= cycle length, the whole cycle is in the set.
-        let full = mean_working_set(&t, 10);
-        assert!(full > 8.0, "{full}");
-    }
-
-    #[test]
-    fn zero_window_is_zero() {
-        let t = synth::cyclic(4, 2);
-        assert_eq!(mean_working_set(&t, 0), 0.0);
     }
 
     #[test]
     fn empty_trace() {
         let t = Trace::default();
-        let s = TraceStats::of(&t, Some(8));
+        let s = TraceStats::of(&t);
         assert_eq!(s.refs, 0);
-        assert_eq!(s.mean_ws, Some(0.0));
+        assert_eq!(s.hottest_page_refs, 0);
     }
 }

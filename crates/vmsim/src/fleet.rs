@@ -332,15 +332,19 @@ fn entry_demand(trace: &CompressedTrace, level: u32) -> u64 {
 
 /// Which event streams a cell run feeds. Derived once per fleet run
 /// from the tracer's [`Detail`], then hoisted out of every hot loop —
-/// the all-false case does no event work at all.
+/// the all-off case does no event work at all.
 #[derive(Debug, Clone, Copy)]
 struct Obs {
     /// Scheduler events (tenant lifecycle, admission gate, queue depth,
     /// swap-outs) enter the deterministic merged stream.
     sched: bool,
-    /// Policies are instrumented at [`Detail::Decisions`] and their
-    /// events enter the deterministic merged stream.
+    /// Policy events enter the deterministic merged stream, and the
+    /// tenants' evictions reach the tracer as counts.
     policy: bool,
+    /// The level tenants run at: the fleet's, capped at
+    /// [`Detail::Decisions`] (a fleet emits no `Ref`). It sets what their
+    /// policies buffer and whether their kernels batch.
+    tenants: Detail,
 }
 
 /// Runs a fleet of tenants: the one fleet driver. See the module docs
@@ -349,15 +353,18 @@ struct Obs {
 /// Cells are the jobs of an [`Executor`] with `config.threads`
 /// workers. The tracer's [`Detail`] picks what the cells record. At
 /// [`Detail::Scheduler`] they buffer scheduler events (tenant
-/// lifecycle, admission decisions, queue depth, swap-outs) and the
-/// policies keep their untraced batch kernels; at
-/// [`Detail::Aggregates`] or above the policies are instrumented at
-/// [`Detail::Decisions`] too and their events join the stream. Cell
-/// buffers are replayed into the tracer in cell order after the merge,
-/// so it sees the same deterministic stream at any thread count: each
-/// event the tracer's level covers, and each [`SimEvent::Evict`] as a
-/// one-page [`RefBatch::Evictions`] count. A fleet hands over no
-/// reference batches.
+/// lifecycle, admission decisions, queue depth, swap-outs). At
+/// [`Detail::Aggregates`] or above the tenants' policies buffer their
+/// events at the fleet's level, capped at [`Detail::Decisions`], and
+/// those join the stream. Each tenant's [`Tally`] carries that level
+/// and no tracer: below [`Detail::Decisions`] its kernels keep
+/// batching, and at it they decode reference by reference so each
+/// [`SimEvent::Evict`] is raised. Cell buffers are replayed into the
+/// tracer in cell order after the merge, so it sees the same
+/// deterministic stream at any thread count: each event the tracer's
+/// level covers, then, from [`Detail::Aggregates`] up, the cell's
+/// [`Policy::evictions`] delta as one [`RefBatch::Evictions`] count at
+/// its makespan. A fleet hands over no reference batches.
 ///
 /// The optional shared [`ProgressCounters`] are bumped as cells finish
 /// so a [`crate::progress::ProgressExporter`] can stream live frames;
@@ -401,6 +408,7 @@ pub fn run_fleet(
     let obs = Obs {
         sched: detail >= Detail::Scheduler,
         policy: detail >= Detail::Aggregates,
+        tenants: detail.min(Detail::Decisions),
     };
 
     // Build cells: contiguous groups in submission order. Membership
@@ -419,9 +427,7 @@ pub fn run_fleet(
         };
         let mut engine = spec.engine;
         if obs.policy {
-            // Evictions reach the tracer as counts of the tenants'
-            // `Evict` events, which only a decision-level policy emits.
-            engine.set_detail(Detail::Decisions);
+            engine.set_detail(obs.tenants);
         }
         let cell = cells
             .last_mut()
@@ -498,6 +504,8 @@ pub fn run_fleet(
     let mut makespan_sum: u64 = 0;
     let mut busy_sum: u64 = 0;
     let mut replay: Vec<Vec<(u64, SimEvent)>> = Vec::new();
+    // Each cell's eviction count, with the clock it ends at.
+    let mut evicted: Vec<(u64, u64)> = Vec::new();
     for output in outputs {
         // A skipped cell only happens after some cell errored; surface
         // cancellation for it too.
@@ -518,10 +526,11 @@ pub fn run_fleet(
         } else {
             done.cell.busy as f64 / done.cell.makespan as f64
         });
-        report.cells.push(done.cell);
         if obs.sched {
             replay.push(done.events);
+            evicted.push((done.cell.makespan, done.evictions));
         }
+        report.cells.push(done.cell);
     }
     report.cpu_utilization = if makespan_sum == 0 {
         0.0
@@ -531,14 +540,14 @@ pub fn run_fleet(
     report.st_cost = HistogramSummary::of(&st_hist);
     report.swap_pressure = HistogramSummary::of(&swap_hist);
     if obs.sched {
-        for events in replay {
+        for (events, (makespan, evictions)) in replay.into_iter().zip(evicted) {
             for (at, e) in events {
-                if let SimEvent::Evict { .. } = e {
-                    tracer.aggregate(at, &RefBatch::Evictions(1));
-                }
                 if e.detail() <= detail {
                     tracer.record(at, &e);
                 }
+            }
+            if obs.policy && evictions > 0 {
+                tracer.aggregate(makespan, &RefBatch::Evictions(evictions));
             }
         }
         tracer.flush();
@@ -550,6 +559,8 @@ struct CellDone {
     reports: Vec<TenantReport>,
     cell: CellReport,
     events: Vec<(u64, SimEvent)>,
+    /// Pages the cell's policies evicted ([`Policy::evictions`] deltas).
+    evictions: u64,
 }
 
 /// What one scheduling chunk did, with every trace borrow dropped so
@@ -574,6 +585,7 @@ fn run_cell(
     let mut next = 0usize;
     let mut pending: Vec<SimEvent> = Vec::new();
     let mut events: Vec<(u64, SimEvent)> = Vec::new();
+    let evicted_before: u64 = cell.iter().map(|t| t.engine.evictions()).sum();
 
     loop {
         if token.should_stop() {
@@ -668,12 +680,12 @@ fn run_cell(
                 match next_chunk(t.trace.ops(), &mut t.cursor, config.quantum - executed) {
                     Chunk::Done => Step::Done,
                     Chunk::Run { start, stride, len } => {
-                        let tally = &mut Tally::new(&mut t.metrics);
+                        let tally = &mut Tally::at(&mut t.metrics, obs.tenants);
                         t.engine.reference_run(start, stride, len, tally);
                         Step::Ran { len: len as u64 }
                     }
                     Chunk::Cycle { body, reps, refs } => {
-                        let tally = &mut Tally::new(&mut t.metrics);
+                        let tally = &mut Tally::at(&mut t.metrics, obs.tenants);
                         t.engine.reference_cycle(body, reps, tally);
                         Step::Ran { len: refs }
                     }
@@ -752,6 +764,7 @@ fn run_cell(
         }
     }
 
+    let evictions = cell.iter().map(|t| t.engine.evictions()).sum::<u64>() - evicted_before;
     let reports = cell
         .into_iter()
         .map(|mut t| {
@@ -777,6 +790,7 @@ fn run_cell(
             forced_admissions,
         },
         events,
+        evictions,
     })
 }
 

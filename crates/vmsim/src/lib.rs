@@ -17,11 +17,12 @@
 //!   mean resident memory `MEM`, and space-time cost `ST` with a
 //!   2000-reference fault service, as in the paper). It is the reference
 //!   implementation.
-//! - [`simulate_with`] — the production driver: run-level below
-//!   [`Detail::Decisions`] (handing batches to a tracer at
-//!   [`Detail::Aggregates`]), per-reference with events at or above it,
-//!   and stoppable by a [`CancelToken`]; its metrics equal
-//!   [`simulate`]'s.
+//! - [`simulate_with`] — the production driver: one run-level loop that
+//!   hands whole compressed runs to the policies' batch kernels, which
+//!   hand a tracer their batches at [`Detail::Aggregates`] and decode
+//!   reference by reference, with each reference's events, at
+//!   [`Detail::Decisions`] or above; stoppable by a [`CancelToken`],
+//!   and its metrics equal [`simulate`]'s.
 //! - [`policy::cd::CdPolicy`] — the Compiler-Directed policy (Section 4).
 //! - [`fleet`] — multiprogrammed memory cells with CD's PI-driven
 //!   allocation and swapper, one [`Executor`] job per cell.

@@ -16,10 +16,12 @@
 //!
 //! A run accumulates through a [`Tally`]: the run-level kernels account
 //! for whole batches of references in closed form, and at
-//! [`crate::Detail::Aggregates`] the tally hands each batch to the
+//! [`Detail::Aggregates`] or above the tally hands each batch to the
 //! run's tracer too.
 
-use crate::observe::{RefBatch, SimEvent, Tracer};
+use cdmm_trace::PageId;
+
+use crate::observe::{Detail, RefBatch, SimEvent, Tracer};
 use crate::policy::Policy;
 
 /// Accumulated simulation results for one program under one policy.
@@ -132,14 +134,20 @@ impl Metrics {
 
 /// The accumulator a run's policy kernels account through.
 ///
-/// It borrows the run's [`Metrics`] and, when the run's tracer is at
-/// [`crate::Detail::Aggregates`] or above, the tracer — which then receives
-/// each recorded batch as a [`RefBatch`] ending at the run's clock.
-/// Every recorder leaves the metrics exactly as the equivalent
-/// sequence of [`Metrics::record`] calls would; an untraced tally adds
-/// one untaken branch per batch.
+/// It borrows the run's [`Metrics`], carries the run's [`Detail`] and,
+/// when a tracer listens (at [`Detail::Aggregates`] or above), borrows
+/// it too — which then receives each recorded batch as a [`RefBatch`]
+/// ending at the run's clock. The level is the one thing a kernel asks
+/// before it batches ([`Tally::batches`]): at [`Detail::Decisions`] or
+/// above every kernel decodes reference by reference, and each
+/// reference hands the tracer its policy events, then its
+/// [`SimEvent::Fault`], then (at [`Detail::References`]) its
+/// [`SimEvent::Ref`] ([`Tally::record_ref`]). Every recorder leaves the
+/// metrics exactly as the equivalent sequence of [`Metrics::record`]
+/// calls would; an untraced tally adds one untaken branch per batch.
 pub struct Tally<'a> {
     metrics: &'a mut Metrics,
+    detail: Detail,
     tracer: Option<&'a mut dyn Tracer>,
     /// Policy events on their way to the tracer (reused between drains).
     pending: Vec<SimEvent>,
@@ -149,28 +157,45 @@ impl std::fmt::Debug for Tally<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Tally")
             .field("metrics", &self.metrics)
+            .field("detail", &self.detail)
             .field("traced", &self.tracer.is_some())
             .finish()
     }
 }
 
 impl<'a> Tally<'a> {
-    /// An untraced tally over `metrics`.
+    /// An untraced tally over `metrics`, at [`Detail::Off`].
     pub fn new(metrics: &'a mut Metrics) -> Self {
+        Self::at(metrics, Detail::Off)
+    }
+
+    /// A tally at `detail` with no tracer: a fleet tenant's, whose
+    /// policy events stay buffered for its cell to drain.
+    pub(crate) fn at(metrics: &'a mut Metrics, detail: Detail) -> Self {
         Tally {
             metrics,
+            detail,
             tracer: None,
             pending: Vec::new(),
         }
     }
 
-    /// A tally that also hands every batch to `tracer`.
+    /// A tally at `tracer`'s level that hands it every batch and event.
     pub fn traced(metrics: &'a mut Metrics, tracer: &'a mut dyn Tracer) -> Self {
         Tally {
             metrics,
+            detail: tracer.detail(),
             tracer: Some(tracer),
             pending: Vec::new(),
         }
+    }
+
+    /// May the kernels account for references in batches? Not at
+    /// [`Detail::Decisions`] or above, where each reference's events
+    /// interleave with the references themselves.
+    #[inline]
+    pub fn batches(&self) -> bool {
+        self.detail < Detail::Decisions
     }
 
     /// Faults recorded so far.
@@ -206,6 +231,60 @@ impl<'a> Tally<'a> {
             resident: resident as u64,
             fault,
         });
+    }
+
+    /// Records the reference to `page` that `policy` just processed,
+    /// with its degraded count, and forwards what it raised at its
+    /// clock: the policy's buffered events, then, at
+    /// [`Detail::Decisions`] or above, a [`SimEvent::Fault`] when it
+    /// faulted and, at [`Detail::References`], a [`SimEvent::Ref`] — the
+    /// per-reference step of a traced run.
+    pub fn record_ref<P: Policy + ?Sized>(&mut self, policy: &mut P, page: PageId, fault: bool) {
+        let resident = policy.resident();
+        self.record(resident, fault);
+        if policy.is_degraded() {
+            self.metrics.degraded_refs += 1;
+        }
+        self.forward_events(policy);
+        if self.detail < Detail::Decisions {
+            return;
+        }
+        let Some(tracer) = self.tracer.as_deref_mut() else {
+            return;
+        };
+        let (at, resident) = (self.metrics.refs, resident as u32);
+        if fault {
+            tracer.record(at, &SimEvent::Fault { page, resident });
+        }
+        if self.detail >= Detail::References {
+            let event = SimEvent::Ref {
+                page,
+                resident,
+                fault,
+            };
+            tracer.record(at, &event);
+        }
+    }
+
+    /// Records a stride-0 run of `1 + hits` references at one resident
+    /// size: the first, which `policy` just processed and which settled
+    /// residency (`fault`), then `hits` hits on the same page — one call,
+    /// which tests for a tracer once. A tracer receives the first
+    /// reference's batch and events at its own clock, then the hits'
+    /// batch.
+    #[inline]
+    pub fn record_settle<P: Policy + ?Sized>(&mut self, policy: &mut P, fault: bool, hits: u64) {
+        let resident = policy.resident();
+        if policy.is_degraded() {
+            self.metrics.degraded_refs += 1 + hits;
+        }
+        if self.tracer.is_some() {
+            self.record(resident, fault);
+            self.forward_events(policy);
+            return self.record_hits(resident, hits);
+        }
+        self.metrics.record(resident, fault);
+        self.metrics.record_hits(resident, hits);
     }
 
     /// Records `n` hits at a constant resident size
@@ -280,7 +359,8 @@ impl<'a> Tally<'a> {
     /// called after each directive, and after each reference a kernel
     /// processes one at a time, so an event raised by a reference
     /// carries that reference's clock. Events above the tracer's level
-    /// are dropped; an untraced tally forwards nothing.
+    /// are dropped; a tally without a tracer leaves them buffered in
+    /// the policy.
     #[inline]
     pub fn forward_events<P: Policy + ?Sized>(&mut self, policy: &mut P) {
         let Some(tracer) = self.tracer.as_deref_mut() else {
@@ -360,7 +440,6 @@ impl ExecStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observe::Detail;
 
     #[test]
     fn accumulates_mem_and_faults() {
@@ -420,6 +499,36 @@ mod tests {
             one.record(r, false);
         }
         assert_eq!(batch, one);
+    }
+
+    #[test]
+    fn a_settle_records_its_reference_and_hits_in_one_call() {
+        use crate::policy::lru::Lru;
+        let mut lru = Lru::new(2);
+        lru.reference(PageId(1));
+        let fault = lru.reference(PageId(3));
+        let mut batch = Metrics::new(2000);
+        let mut tally = Tally::new(&mut batch);
+        tally.record(1, true);
+        tally.record_settle(&mut lru, fault, 4);
+        let mut one = Metrics::new(2000);
+        one.record(1, true);
+        one.record(2, true);
+        for _ in 0..4 {
+            one.record(2, false);
+        }
+        assert_eq!(batch, one);
+
+        // Traced: the settling reference at its own clock, then the hits.
+        let mut m = Metrics::new(2000);
+        let mut seen = Batches(Vec::new());
+        Tally::traced(&mut m, &mut seen).record_settle(&mut lru, false, 2);
+        let flat = |n, fault| RefBatch::Flat {
+            n,
+            resident: 2,
+            fault,
+        };
+        assert_eq!(seen.0, [(1, flat(1, false)), (3, flat(2, false))]);
     }
 
     #[test]

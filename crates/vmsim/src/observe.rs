@@ -10,20 +10,20 @@
 //! with the reference clock, to a [`Tracer`].
 //!
 //! A tracer has one setting, its [`Detail`] level, and every event has
-//! a level too ([`SimEvent::detail`]). One rule ties the level to the
-//! driver: below [`Detail::Decisions`] the run-level loop runs, handing
-//! whole compressed runs to the policy's batch kernels; at
-//! [`Detail::Decisions`] or above the per-reference loop runs and
-//! drains policy events after every trace event. Below
+//! a level too ([`SimEvent::detail`]). The driver runs one loop at
+//! every level, handing whole compressed runs to the policy's batch
+//! kernels through a [`crate::Tally`] that carries the level. Below
 //! [`Detail::Aggregates`] (the default [`NullTracer`] reports
-//! [`Detail::Off`]) the run-level loop carries no tracing code at all.
-//! At [`Detail::Aggregates`] it also hands the tracer each batch of
-//! references its kernels account for in closed form
+//! [`Detail::Off`]) the loop carries no tracing code at all. At
+//! [`Detail::Aggregates`] the kernels keep batching and the tally hands
+//! the tracer each batch of references they account for in closed form
 //! ([`Tracer::aggregate`] with a [`RefBatch`]), the policies' directive
-//! outcomes, and eviction counts — what a
-//! [`crate::MetricsRegistry`] needs, at simulation speed. Policies
-//! guard their emission sites on the level the driver sets, so the
-//! untraced path does no buffering and no allocation.
+//! outcomes, and eviction counts — what a [`crate::MetricsRegistry`]
+//! needs, at simulation speed. At [`Detail::Decisions`] or above the
+//! kernels decode reference by reference and each reference hands over
+//! its own events. Policies guard their emission sites on the level the
+//! driver sets, so the untraced path does no buffering and no
+//! allocation.
 //!
 //! Provided sinks:
 //!
@@ -42,6 +42,7 @@ use std::fs;
 use std::io::{BufWriter, Write as _};
 use std::path::{Path, PathBuf};
 
+use cdmm_trace::synth::{mix, GAMMA};
 use cdmm_trace::PageId;
 
 /// What happened to an `ALLOCATE` directive (Figure 6's three exits).
@@ -223,18 +224,18 @@ pub struct TimedEvent {
 /// ordered, and each includes the ones below it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Detail {
-    /// Nothing: the run-level loop runs and no event is built.
+    /// Nothing: no event is built.
     Off,
     /// Fleet-scheduler events only: tenant lifecycle, admission, queue
     /// depth, swap-outs. Policies keep their batch kernels.
     Scheduler,
     /// Also the directive outcomes (`ALLOCATE`/`LOCK`/`UNLOCK`,
     /// recoveries, degradation, broken locks) and the references as
-    /// [`RefBatch`]es through [`Tracer::aggregate`]. The run-level loop
-    /// and the policies' batch kernels keep running.
+    /// [`RefBatch`]es through [`Tracer::aggregate`]. The policies'
+    /// batch kernels keep running.
     Aggregates,
     /// Also every runtime decision: faults and evictions one by one.
-    /// Selects the per-reference loop.
+    /// The kernels decode reference by reference.
     Decisions,
     /// Also one [`SimEvent::Ref`] per reference.
     References,
@@ -270,7 +271,8 @@ pub enum RefBatch {
         cap: u64,
     },
     /// This many pages left the resident set by normal replacement (the
-    /// count of [`SimEvent::Evict`]s a decision-level run emits).
+    /// count of [`SimEvent::Evict`]s a decision-level run emits, read
+    /// from the policy's eviction counter at every level).
     Evictions(u64),
 }
 
@@ -278,8 +280,8 @@ pub enum RefBatch {
 ///
 /// Drivers read [`Tracer::detail`] once per run: they build no event
 /// the tracer's level excludes, below [`Detail::Decisions`] a
-/// uniprogram run keeps the run-level loop, and below
-/// [`Detail::Aggregates`] that loop carries no tracing code.
+/// uniprogram run's kernels keep batching, and below
+/// [`Detail::Aggregates`] its loop carries no tracing code.
 pub trait Tracer {
     /// The events this tracer wants. Defaults to
     /// [`Detail::Decisions`]; [`NullTracer`] reports [`Detail::Off`].
@@ -292,10 +294,10 @@ pub trait Tracer {
 
     /// Receives one batch ending at reference clock `at` (only at
     /// [`Detail::Aggregates`] or above). Uniprogram runs hand over every
-    /// reference in some batch — the run-level loop as its kernels
-    /// account for them, the per-reference loop one reference at a
-    /// time — and every eviction as a count; fleets hand over only
-    /// eviction counts. The default ignores batches.
+    /// reference in some batch — as the kernels account for them, one
+    /// reference at a time at [`Detail::Decisions`] or above — and the
+    /// policy's evictions as counts; fleets hand over only eviction
+    /// counts. The default ignores batches.
     fn aggregate(&mut self, at: u64, batch: &RefBatch) {
         let _ = (at, batch);
     }
@@ -400,19 +402,7 @@ impl Tracer for EventLog {
 //
 // Same line discipline as the sweep result cache: every line carries a
 // SplitMix64-folded checksum over its own payload, so a damaged file is
-// detected line by line. (The mixer is duplicated here rather than
-// imported because the cache lives in cdmm-core, which depends on this
-// crate.)
-
-/// SplitMix64 increment (golden-ratio constant).
-const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// The SplitMix64 output mixer.
-fn mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+// detected line by line.
 
 /// Checksum over a serialized line's payload prefix.
 pub(crate) fn line_checksum(payload: &str) -> u64 {

@@ -34,7 +34,7 @@ use cdmm_trace::{Event, PageId, PageRange, Run};
 use crate::metrics::Tally;
 use crate::observe::{AllocDecision, Detail, SimEvent};
 use crate::policy::{
-    batch_all_hit, batch_all_miss, classify_run, cycle_period, warm_up_cycle, Policy, RunClass,
+    batch_all_miss, kernel_cycle, kernel_run, EventBuffer, HitsNeverEvict, Policy,
 };
 use crate::recency::RecencySet;
 
@@ -130,11 +130,9 @@ pub struct CdPolicy {
     lock_ledger: Vec<Vec<PageRange>>,
     recovered: u64,
     degraded: bool,
-    /// The events to buffer ([`Policy::set_detail`]); at the default
+    /// Events buffered since the driver's last drain; at the default
     /// [`Detail::Off`] the emission sites cost one untaken branch each.
-    detail: Detail,
-    /// Events buffered since the driver's last drain.
-    events: Vec<SimEvent>,
+    events: EventBuffer,
 }
 
 impl CdPolicy {
@@ -158,16 +156,7 @@ impl CdPolicy {
             lock_ledger: Vec::new(),
             recovered: 0,
             degraded: false,
-            detail: Detail::Off,
-            events: Vec::new(),
-        }
-    }
-
-    /// Buffers one event when the policy's level covers it.
-    #[inline]
-    fn emit(&mut self, event: SimEvent) {
-        if event.detail() <= self.detail {
-            self.events.push(event);
+            events: EventBuffer::default(),
         }
     }
 
@@ -253,7 +242,7 @@ impl CdPolicy {
     /// plain LRU once the configured threshold is reached.
     fn recover(&mut self) {
         self.recovered += 1;
-        self.emit(SimEvent::Recovered {
+        self.events.emit(SimEvent::Recovered {
             total: self.recovered,
         });
         if self.degrade_after.is_some_and(|t| self.recovered >= t) {
@@ -269,7 +258,7 @@ impl CdPolicy {
         self.locked.clear();
         self.lock_ledger.clear();
         self.target = u64::MAX;
-        self.emit(SimEvent::Degraded);
+        self.events.emit(SimEvent::Degraded);
     }
 
     /// Clamps one directive page range into `[0, virtual_pages)`.
@@ -354,7 +343,7 @@ impl CdPolicy {
         {
             self.locked.remove(&page);
             self.evictions += 1;
-            self.emit(SimEvent::Evict { page });
+            self.events.emit(SimEvent::Evict { page });
             return;
         }
         // Everything evictable is locked: the OS "is entitled to release
@@ -368,7 +357,7 @@ impl CdPolicy {
             let pj = self.locked.remove(&victim).unwrap_or(0);
             self.resident.remove(victim);
             self.broken_locks += 1;
-            self.emit(SimEvent::LockBroken { page: victim, pj });
+            self.events.emit(SimEvent::LockBroken { page: victim, pj });
         } else {
             // Nothing evictable at all; allocation stays oversubscribed.
         }
@@ -406,7 +395,7 @@ impl CdPolicy {
         let outcome = match self.selector.choose(args, self.available) {
             Some(arg) => {
                 self.target = arg.pages.max(self.min_alloc);
-                self.emit(SimEvent::Alloc {
+                self.events.emit(SimEvent::Alloc {
                     pi: arg.pi,
                     pages: arg.pages,
                     decision: AllocDecision::Granted,
@@ -417,14 +406,14 @@ impl CdPolicy {
                 let min_pi = args.last().map(|a| a.pi).unwrap_or(u32::MAX);
                 if min_pi <= 1 {
                     self.swap_requests += 1;
-                    self.emit(SimEvent::Alloc {
+                    self.events.emit(SimEvent::Alloc {
                         pi: min_pi,
                         pages: 0,
                         decision: AllocDecision::SwapNeeded,
                     });
                     AllocOutcome::SwapNeeded
                 } else {
-                    self.emit(SimEvent::Alloc {
+                    self.events.emit(SimEvent::Alloc {
                         pi: min_pi,
                         pages: 0,
                         decision: AllocDecision::HeldOver,
@@ -503,7 +492,7 @@ impl CdPolicy {
             self.locked.insert(p, pj);
         }
         self.lock_ledger.push(clean);
-        self.emit(SimEvent::Lock { pj, pinned });
+        self.events.emit(SimEvent::Lock { pj, pinned });
     }
 
     fn handle_unlock(&mut self, ranges: &[PageRange]) {
@@ -524,7 +513,7 @@ impl CdPolicy {
         let pinned_before = self.locked.len();
         self.locked
             .retain(|p, _| !clean.iter().any(|r| r.contains(*p)));
-        self.emit(SimEvent::Unlock {
+        self.events.emit(SimEvent::Unlock {
             released: (pinned_before - self.locked.len()) as u32,
         });
         if self.lock_ledger.len() == held_before && self.locked.len() == pinned_before {
@@ -586,10 +575,7 @@ impl Policy for CdPolicy {
     }
 
     fn set_detail(&mut self, detail: Detail) {
-        self.detail = detail;
-        if detail < Detail::Aggregates {
-            self.events.clear();
-        }
+        self.events.set_detail(detail);
     }
 
     fn evictions(&self) -> u64 {
@@ -597,68 +583,15 @@ impl Policy for CdPolicy {
     }
 
     fn drain_events(&mut self, out: &mut Vec<SimEvent>) {
-        out.append(&mut self.events);
+        self.events.drain(out);
     }
 
     fn reference_run(&mut self, start: PageId, stride: i32, len: u32, tally: &mut Tally<'_>) {
-        if self.detail >= Detail::Decisions || len <= 1 {
-            return crate::policy::reference_run_per_ref(self, start, stride, len, tally);
-        }
-        if stride == 0 {
-            // One page touched `len` times: the first reference settles
-            // residency (including any trim, whose lock breaks carry its
-            // clock), the rest are hits — and hits never trim, whatever
-            // locks or limits are active.
-            crate::policy::reference_run_per_ref(self, start, 0, 1, tally);
-            let rest = (len - 1) as u64;
-            tally.record_hits(self.resident.len(), rest);
-            if self.degraded {
-                tally.record_degraded(rest);
-            }
-            return;
-        }
-        if !self.locked.is_empty() || self.hard_limit.is_some() {
-            // Locks or a hard limit put lock breaking and pin-skipping
-            // in play — per-ref handles those.
-            return crate::policy::reference_run_per_ref(self, start, stride, len, tally);
-        }
-        // With nothing pinned and no hard frame limit, `trim` is exactly
-        // capped LRU eviction: the protected (just-faulted) page sits at
-        // the MRU end and is never the LRU victim, and a degraded policy
-        // has `target == u64::MAX` (plain demand paging, no evictions).
-        match classify_run(start, stride, len, |p| self.resident.contains(p)) {
-            RunClass::AllHit => batch_all_hit(&mut self.resident, start, stride, len, tally),
-            RunClass::AllMiss => {
-                let cap = self.target;
-                self.evictions +=
-                    batch_all_miss(&mut self.resident, start, stride, len, cap, tally);
-            }
-            RunClass::Mixed => {
-                return crate::policy::reference_run_per_ref(self, start, stride, len, tally)
-            }
-        }
-        if self.degraded {
-            // Directive-driven state only changes at directives, so the
-            // flag is constant across the whole run.
-            tally.record_degraded(len as u64);
-        }
+        kernel_run(self, start, stride, len, tally);
     }
 
     fn reference_cycle(&mut self, body: &[Run], reps: u32, tally: &mut Tally<'_>) {
-        if self.detail >= Detail::Decisions {
-            return crate::policy::reference_cycle_per_run(self, body, reps, tally);
-        }
-        // Steady state. CD hits only touch recency order — no trims, no
-        // lock or target changes (those move at directives, and cycle
-        // bodies contain none) — so replaying the same touch sequence
-        // is idempotent and every remaining iteration hits everywhere at
-        // this resident size. Degradation is directive-driven too, hence
-        // constant across the skipped references.
-        let skipped = warm_up_cycle(self, body, reps, tally) as u64 * cycle_period(body);
-        tally.record_hits(self.resident.len(), skipped);
-        if self.degraded {
-            tally.record_degraded(skipped);
-        }
+        kernel_cycle(self, body, reps, tally);
     }
 
     fn swap_out(&mut self) {
@@ -671,6 +604,34 @@ impl Policy for CdPolicy {
 
     fn swap_requested(&self) -> bool {
         self.last_outcome() == Some(AllocOutcome::SwapNeeded)
+    }
+}
+
+/// A CD hit only touches recency order: trims, lock changes and target
+/// changes happen at faults and directives (cycle bodies contain none),
+/// and so does degradation.
+impl HitsNeverEvict for CdPolicy {
+    fn holds(&self, page: PageId) -> bool {
+        self.resident.contains(page)
+    }
+
+    fn hit(&mut self, page: PageId) {
+        let hit = self.resident.touch(page);
+        debug_assert!(hit, "a hit on a resident page");
+    }
+
+    /// With nothing pinned and no hard frame limit, `trim` is exactly
+    /// capped LRU eviction: the protected (just-faulted) page sits at
+    /// the MRU end and is never the LRU victim, and a degraded policy
+    /// has `target == u64::MAX` (plain demand paging, no evictions).
+    /// Locks or a hard limit put lock breaking and pin skipping in play,
+    /// which only the per-reference decode gets right.
+    fn all_miss(&mut self, run: Run, tally: &mut Tally<'_>) -> bool {
+        if !self.locked.is_empty() || self.hard_limit.is_some() {
+            return false;
+        }
+        self.evictions += batch_all_miss(&mut self.resident, run, self.target, tally);
+        true
     }
 }
 

@@ -4,7 +4,7 @@
 use cdmm_trace::{PageId, Run};
 
 use crate::metrics::Tally;
-use crate::policy::{classify_run, cycle_period, warm_up_cycle, Policy, RunClass, SlotTable};
+use crate::policy::{kernel_cycle, kernel_run, HitsNeverEvict, Policy, SlotTable};
 
 /// Fixed-allocation Clock with one use bit per frame.
 ///
@@ -77,38 +77,24 @@ impl Policy for Clock {
     }
 
     fn reference_run(&mut self, start: PageId, stride: i32, len: u32, tally: &mut Tally<'_>) {
-        if len <= 1 {
-            return crate::policy::reference_run_per_ref(self, start, stride, len, tally);
-        }
-        if stride == 0 {
-            // The first reference settles residency and sets the use
-            // bit; the rest are hits that set it again.
-            let fault = self.reference(start);
-            tally.record(self.frames.len(), fault);
-            tally.record_hits(self.frames.len(), (len - 1) as u64);
-            return;
-        }
-        match classify_run(start, stride, len, |p| self.slot.contains(p)) {
-            RunClass::AllHit => {
-                // Hits only set use bits; the hand stays put.
-                Run { start, stride, len }.for_each_page(|p| {
-                    if let Some(slot) = self.slot.get(p) {
-                        self.frames[slot].1 = true;
-                    }
-                });
-                tally.record_hits(self.frames.len(), len as u64);
-            }
-            RunClass::AllMiss | RunClass::Mixed => {
-                crate::policy::reference_run_per_ref(self, start, stride, len, tally)
-            }
-        }
+        kernel_run(self, start, stride, len, tally);
     }
 
     fn reference_cycle(&mut self, body: &[Run], reps: u32, tally: &mut Tally<'_>) {
-        // A fault-free iteration left every body page's use bit set, so
-        // each remaining iteration sets bits that are already set.
-        let rest = warm_up_cycle(self, body, reps, tally);
-        tally.record_hits(self.frames.len(), rest as u64 * cycle_period(body));
+        kernel_cycle(self, body, reps, tally);
+    }
+}
+
+/// A Clock hit only sets its frame's use bit; the hand stays put.
+impl HitsNeverEvict for Clock {
+    fn holds(&self, page: PageId) -> bool {
+        self.slot.contains(page)
+    }
+
+    fn hit(&mut self, page: PageId) {
+        if let Some(slot) = self.slot.get(page) {
+            self.frames[slot].1 = true;
+        }
     }
 }
 

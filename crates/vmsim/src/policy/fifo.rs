@@ -5,7 +5,7 @@ use std::collections::VecDeque;
 use cdmm_trace::{PageId, Run};
 
 use crate::metrics::Tally;
-use crate::policy::{classify_run, cycle_period, warm_up_cycle, PageSet, Policy, RunClass};
+use crate::policy::{kernel_cycle, kernel_run, HitsNeverEvict, PageSet, Policy};
 
 /// FIFO with a fixed frame allocation.
 ///
@@ -60,30 +60,18 @@ impl Policy for Fifo {
     }
 
     fn reference_run(&mut self, start: PageId, stride: i32, len: u32, tally: &mut Tally<'_>) {
-        if len <= 1 {
-            return crate::policy::reference_run_per_ref(self, start, stride, len, tally);
-        }
-        if stride == 0 {
-            // The first reference settles residency; a FIFO hit changes
-            // nothing, so the rest are hits at constant size.
-            let fault = self.reference(start);
-            tally.record(self.queue.len(), fault);
-            tally.record_hits(self.queue.len(), (len - 1) as u64);
-            return;
-        }
-        match classify_run(start, stride, len, |p| self.resident.contains(p)) {
-            RunClass::AllHit => tally.record_hits(self.queue.len(), len as u64),
-            RunClass::AllMiss | RunClass::Mixed => {
-                crate::policy::reference_run_per_ref(self, start, stride, len, tally)
-            }
-        }
+        kernel_run(self, start, stride, len, tally);
     }
 
     fn reference_cycle(&mut self, body: &[Run], reps: u32, tally: &mut Tally<'_>) {
-        // Steady state leaves the queue untouched: every remaining
-        // iteration hits everywhere.
-        let rest = warm_up_cycle(self, body, reps, tally);
-        tally.record_hits(self.queue.len(), rest as u64 * cycle_period(body));
+        kernel_cycle(self, body, reps, tally);
+    }
+}
+
+/// A FIFO hit changes nothing at all.
+impl HitsNeverEvict for Fifo {
+    fn holds(&self, page: PageId) -> bool {
+        self.resident.contains(page)
     }
 }
 

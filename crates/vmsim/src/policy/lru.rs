@@ -5,7 +5,7 @@ use cdmm_trace::{PageId, Run};
 use crate::metrics::Tally;
 use crate::observe::{Detail, SimEvent};
 use crate::policy::{
-    batch_all_hit, batch_all_miss, classify_run, cycle_period, warm_up_cycle, Policy, RunClass,
+    batch_all_miss, kernel_cycle, kernel_run, EventBuffer, HitsNeverEvict, Policy,
 };
 use crate::recency::RecencySet;
 
@@ -18,9 +18,7 @@ pub struct Lru {
     frames: usize,
     set: RecencySet,
     evictions: u64,
-    /// Decision-level tracing: `Evict` events, per-reference kernels.
-    tracing: bool,
-    events: Vec<SimEvent>,
+    events: EventBuffer,
 }
 
 impl Lru {
@@ -35,8 +33,7 @@ impl Lru {
             frames,
             set: RecencySet::new(),
             evictions: 0,
-            tracing: false,
-            events: Vec::new(),
+            events: EventBuffer::default(),
         }
     }
 
@@ -68,9 +65,7 @@ impl Policy for Lru {
             // different (older) page.
             if let Some(page) = self.set.pop_lru() {
                 self.evictions += 1;
-                if self.tracing {
-                    self.events.push(SimEvent::Evict { page });
-                }
+                self.events.emit(SimEvent::Evict { page });
             }
         }
         true
@@ -85,10 +80,7 @@ impl Policy for Lru {
     }
 
     fn set_detail(&mut self, detail: Detail) {
-        self.tracing = detail >= Detail::Decisions;
-        if !self.tracing {
-            self.events.clear();
-        }
+        self.events.set_detail(detail);
     }
 
     fn evictions(&self) -> u64 {
@@ -96,46 +88,31 @@ impl Policy for Lru {
     }
 
     fn drain_events(&mut self, out: &mut Vec<SimEvent>) {
-        out.append(&mut self.events);
+        self.events.drain(out);
     }
 
     fn reference_run(&mut self, start: PageId, stride: i32, len: u32, tally: &mut Tally<'_>) {
-        // Tracing needs per-eviction events with per-ref interleaving;
-        // short runs are not worth classifying.
-        if self.tracing || len <= 1 {
-            return crate::policy::reference_run_per_ref(self, start, stride, len, tally);
-        }
-        if stride == 0 {
-            // One page touched `len` times: after the first reference
-            // settles residency, the rest are hits at constant size.
-            let fault = self.reference(start);
-            tally.record(self.set.len(), fault);
-            tally.record_hits(self.set.len(), (len - 1) as u64);
-            return;
-        }
-        match classify_run(start, stride, len, |p| self.set.contains(p)) {
-            RunClass::AllHit => batch_all_hit(&mut self.set, start, stride, len, tally),
-            RunClass::AllMiss => {
-                let cap = self.frames as u64;
-                self.evictions += batch_all_miss(&mut self.set, start, stride, len, cap, tally);
-            }
-            RunClass::Mixed => {
-                crate::policy::reference_run_per_ref(self, start, stride, len, tally)
-            }
-        }
+        kernel_run(self, start, stride, len, tally);
     }
 
     fn reference_cycle(&mut self, body: &[Run], reps: u32, tally: &mut Tally<'_>) {
-        if self.tracing {
-            return crate::policy::reference_cycle_per_run(self, body, reps, tally);
-        }
-        // Steady state: a fault-free iteration leaves the body's pages
-        // resident, and LRU hits never evict, so replaying the same
-        // touch sequence is idempotent — every further iteration hits
-        // everywhere at a constant resident size and reproduces exactly
-        // this recency order.
-        let rest = warm_up_cycle(self, body, reps, tally);
-        tally.record_hits(self.set.len(), rest as u64 * cycle_period(body));
+        kernel_cycle(self, body, reps, tally);
+    }
+}
+
+impl HitsNeverEvict for Lru {
+    fn holds(&self, page: PageId) -> bool {
+        self.set.contains(page)
+    }
+
+    fn hit(&mut self, page: PageId) {
+        let hit = self.set.touch(page);
+        debug_assert!(hit, "a hit on a resident page");
+    }
+
+    fn all_miss(&mut self, run: Run, tally: &mut Tally<'_>) -> bool {
+        self.evictions += batch_all_miss(&mut self.set, run, self.frames as u64, tally);
+        true
     }
 }
 

@@ -19,8 +19,7 @@ pub mod vmin;
 pub mod ws;
 pub mod ws_variants;
 
-use cdmm_trace::Event;
-use cdmm_trace::{PageId, Run};
+use cdmm_trace::{Event, PageId, Run};
 
 use crate::metrics::Tally;
 use crate::observe::{Detail, SimEvent};
@@ -63,18 +62,19 @@ pub trait Policy {
     /// Sets which [`SimEvent`]s the policy buffers: none below
     /// [`Detail::Aggregates`] (the starting state, which costs nothing),
     /// the directive outcomes at [`Detail::Aggregates`], and every
-    /// decision, evictions included, at [`Detail::Decisions`] or above —
-    /// where the run kernels also fall back to per-reference decoding,
-    /// since those events interleave with single references. Policies
-    /// without emission sites ignore the call (the default).
+    /// decision, evictions included, at [`Detail::Decisions`] or above.
+    /// It decides nothing else: whether a kernel batches is the run's
+    /// [`Tally::batches`]. Policies without emission sites ignore the
+    /// call (the default).
     fn set_detail(&mut self, detail: Detail) {
         let _ = detail;
     }
 
     /// Pages evicted by normal replacement so far — one per
     /// [`SimEvent::Evict`] the policy emits at [`Detail::Decisions`],
-    /// counted at every level and on the batch paths too. Policies that
-    /// emit no `Evict` report 0 (the default).
+    /// counted at every level and on the batch paths too, and the only
+    /// way evictions reach a batch consumer. Policies that emit no
+    /// `Evict` report 0 (the default).
     fn evictions(&self) -> u64 {
         0
     }
@@ -87,16 +87,19 @@ pub trait Policy {
 
     /// Processes one constant-stride run of `len` references — `start,
     /// start+stride, …` — accounting into `tally` exactly what the
-    /// per-reference driver loop would: one [`crate::Metrics::record`]
-    /// after each reference, plus the degraded-reference count.
+    /// per-reference [`crate::simulate`] would: one
+    /// [`crate::Metrics::record`] after each reference, plus the
+    /// degraded-reference count.
     ///
-    /// The default decodes the run reference by reference; the paper
-    /// policies (CD, LRU, WS) and the served baselines (FIFO, Clock,
-    /// OPT, PFF) override it with closed-form batch kernels and fall
-    /// back to this decode in the hard cases. Whatever
-    /// path is taken, the resulting policy state and metrics must be
-    /// byte-identical to the per-ref loop — the contract the
-    /// `run_level_equivalence` differential harness pins.
+    /// The default decodes the run reference by reference
+    /// ([`reference_run_per_ref`]). The paper policies (CD, LRU, WS) and
+    /// the served baselines (FIFO, Clock, OPT, PFF) override it with
+    /// closed-form batch kernels — all but WS through the shared
+    /// `kernel_run` — which decode too when the tally does not batch
+    /// and in the hard cases. Whatever path is taken, the resulting
+    /// policy state and metrics must be byte-identical to the per-ref
+    /// loop — the contract the `run_level_equivalence` differential
+    /// harness pins.
     fn reference_run(&mut self, start: PageId, stride: i32, len: u32, tally: &mut Tally<'_>) {
         reference_run_per_ref(self, start, stride, len, tally);
     }
@@ -107,11 +110,11 @@ pub trait Policy {
     ///
     /// The default replays the body run by run every iteration. The
     /// policies with run kernels override it with a *steady-state*
-    /// kernel: they execute iterations through [`Policy::reference_run`]
-    /// until one completes without a fault, prove from that that every
-    /// remaining iteration is identical, and account for all of them at
-    /// once — the run-level counterpart of a loop reaching its resident
-    /// working set.
+    /// kernel (`kernel_cycle`, and WS's own): they execute iterations
+    /// through [`Policy::reference_run`] until one completes without a
+    /// fault, prove from that that every remaining iteration is
+    /// identical, and account for all of them at once — the run-level
+    /// counterpart of a loop reaching its resident working set.
     fn reference_cycle(&mut self, body: &[Run], reps: u32, tally: &mut Tally<'_>) {
         reference_cycle_per_run(self, body, reps, tally);
     }
@@ -160,10 +163,12 @@ pub fn reference_cycle_per_run<P: Policy + ?Sized>(
 }
 
 /// The per-reference fallback every run kernel shares: decodes the run
-/// and replicates the driver loop exactly (reference → record →
-/// degraded accounting), forwarding any event the reference raised
-/// with its own clock. Public so differential tests can drive it as
-/// the oracle against an overridden [`Policy::reference_run`].
+/// and replicates [`crate::simulate`]'s loop exactly (reference →
+/// record → degraded accounting). A traced tally also hands the tracer what each
+/// reference raised, at that reference's clock ([`Tally::record_ref`]);
+/// without a tracer the events stay buffered in the policy. Public so
+/// differential tests can drive it as the oracle against an overridden
+/// [`Policy::reference_run`].
 pub fn reference_run_per_ref<P: Policy + ?Sized>(
     policy: &mut P,
     start: PageId,
@@ -171,54 +176,156 @@ pub fn reference_run_per_ref<P: Policy + ?Sized>(
     len: u32,
     tally: &mut Tally<'_>,
 ) {
-    let mut p = start.0 as i64;
-    let stride = stride as i64;
+    let run = Run { start, stride, len };
     if let Some(metrics) = tally.untraced() {
-        for _ in 0..len {
-            let fault = policy.reference(PageId(p as u32));
+        run.for_each_page(|page| {
+            let fault = policy.reference(page);
             metrics.record(policy.resident(), fault);
             if policy.is_degraded() {
                 metrics.degraded_refs += 1;
             }
-            p += stride;
-        }
+        });
         return;
     }
-    for _ in 0..len {
-        let fault = policy.reference(PageId(p as u32));
-        tally.record(policy.resident(), fault);
-        if policy.is_degraded() {
-            tally.record_degraded(1);
-        }
-        tally.forward_events(policy);
-        p += stride;
+    run.for_each_page(|page| {
+        let fault = policy.reference(page);
+        tally.record_ref(policy, page, fault);
+    });
+}
+
+/// The per-policy half of the shared batch kernel ([`kernel_run`],
+/// [`kernel_cycle`]) of FIFO, Clock, PFF, OPT, LRU and CD: the policies
+/// whose hits never evict.
+///
+/// That one property carries the kernel. Runs with nonzero stride visit
+/// distinct pages, so a run whose pages are all resident cannot change
+/// residency mid-run, and a run whose pages are all absent never
+/// revisits what it evicts. A stride-0 run settles residency with its
+/// first reference and hits after that. And a fault-free cycle
+/// iteration leaves every body page resident, so each later iteration
+/// hits everywhere at the same resident size.
+pub(crate) trait HitsNeverEvict: Policy {
+    /// Whether the skipped iterations of a steady cycle must end with
+    /// the last one replayed (OPT: its keys are next-use positions, so
+    /// each body page must be keyed by its final reference).
+    const REPLAY_LAST_ITERATION: bool = false;
+
+    /// Is `page` resident?
+    fn holds(&self, page: PageId) -> bool;
+
+    /// What a hit on the resident `page` does. The default: nothing.
+    fn hit(&mut self, page: PageId) {
+        let _ = page;
+    }
+
+    /// What `n` hits do beyond [`HitsNeverEvict::hit`]'s effect on their
+    /// pages — hits that only advance the policy's own clock, such as
+    /// skipped cycle iterations. The default: nothing.
+    fn pass(&mut self, n: u64) {
+        let _ = n;
+    }
+
+    /// What `n` more hits on `page`, which the previous reference left
+    /// resident, do — a stride-0 run's tail. The default passes over
+    /// them: re-touching the page just touched changes nothing else.
+    fn repeat(&mut self, page: PageId, n: u64) {
+        let _ = page;
+        self.pass(n);
+    }
+
+    /// Applies an all-miss stride ≠ 0 run in closed form, or returns
+    /// `false` to have it decoded reference by reference (the default).
+    fn all_miss(&mut self, run: Run, tally: &mut Tally<'_>) -> bool {
+        let _ = (run, tally);
+        false
     }
 }
 
-/// Runs a cycle's iterations through [`Policy::reference_run`] until
-/// one completes without a fault, and returns how many iterations are
-/// left after it (0 when none was fault-free, or the last one was).
-///
-/// Every policy that calls this shares one property: a hit never
-/// evicts. A fault-free iteration therefore leaves every body page
-/// resident, so each remaining iteration hits everywhere at the same
-/// resident size — the caller accounts for them in closed form.
-pub(crate) fn warm_up_cycle<P: Policy + ?Sized>(
+/// The shared run kernel: a stride-0 run settles residency with one
+/// reference and records the rest as hits; a stride ≠ 0 run is batched
+/// when it is all hits, or all misses and the policy has their closed
+/// form; everything else — short runs, mixed runs, and every run of a
+/// tally that does not batch — is decoded reference by reference.
+#[inline]
+pub(crate) fn kernel_run<P: HitsNeverEvict>(
+    policy: &mut P,
+    start: PageId,
+    stride: i32,
+    len: u32,
+    tally: &mut Tally<'_>,
+) {
+    if !tally.batches() || len <= 1 {
+        return reference_run_per_ref(policy, start, stride, len, tally);
+    }
+    let n = len as u64;
+    if stride == 0 {
+        let fault = policy.reference(start);
+        policy.repeat(start, n - 1);
+        return tally.record_settle(policy, fault, n - 1);
+    }
+    let run = Run { start, stride, len };
+    match classify_run(run, |p| policy.holds(p)) {
+        RunClass::AllHit => {
+            run.for_each_page(|p| policy.hit(p));
+            record_hits(policy, n, tally);
+        }
+        RunClass::AllMiss if policy.all_miss(run, tally) => {
+            // Degradation changes only at directives.
+            if policy.is_degraded() {
+                tally.record_degraded(n);
+            }
+        }
+        _ => reference_run_per_ref(policy, start, stride, len, tally),
+    }
+}
+
+/// The shared cycle kernel: iterations run through
+/// [`Policy::reference_run`] until one completes without a fault; every
+/// iteration after it hits everywhere at the same resident size and is
+/// accounted for at once. A tally that does not batch replays every
+/// iteration instead.
+#[inline]
+pub(crate) fn kernel_cycle<P: HitsNeverEvict>(
     policy: &mut P,
     body: &[Run],
     reps: u32,
     tally: &mut Tally<'_>,
-) -> u32 {
+) {
+    if !tally.batches() {
+        return reference_cycle_per_run(policy, body, reps, tally);
+    }
+    let mut rest = 0;
     for it in 0..reps {
         let faults_before = tally.faults();
         for r in body {
             policy.reference_run(r.start, r.stride, r.len, tally);
         }
         if tally.faults() == faults_before {
-            return reps - 1 - it;
+            rest = reps - 1 - it;
+            break;
         }
     }
-    0
+    let replay = P::REPLAY_LAST_ITERATION && rest > 0;
+    if replay {
+        rest -= 1;
+    }
+    let skipped = rest as u64 * cycle_period(body);
+    policy.pass(skipped);
+    record_hits(policy, skipped, tally);
+    if replay {
+        for r in body {
+            policy.reference_run(r.start, r.stride, r.len, tally);
+        }
+    }
+}
+
+/// Records `n` hits at the policy's resident size, degraded or not.
+#[inline]
+fn record_hits<P: Policy + ?Sized>(policy: &P, n: u64, tally: &mut Tally<'_>) {
+    tally.record_hits(policy.resident(), n);
+    if policy.is_degraded() {
+        tally.record_degraded(n);
+    }
 }
 
 /// References in one iteration of a cycle body.
@@ -228,7 +335,7 @@ pub(crate) fn cycle_period(body: &[Run]) -> u64 {
 
 /// How a stride ≠ 0 run (all pages distinct) relates to a resident set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RunClass {
+enum RunClass {
     /// Every run page is resident: touches only, no faults possible.
     AllHit,
     /// No run page is resident: every reference faults, and since the
@@ -239,20 +346,12 @@ pub(crate) enum RunClass {
 }
 
 /// Classifies a stride ≠ 0 run against the current resident set, given
-/// as a membership test. Sound for every policy whose hits never evict:
-/// runs with nonzero stride visit distinct pages, so an `AllHit` run
-/// cannot change residency mid-run, and an `AllMiss` run never revisits
-/// what it evicts.
-pub(crate) fn classify_run(
-    start: PageId,
-    stride: i32,
-    len: u32,
-    resident: impl Fn(PageId) -> bool,
-) -> RunClass {
-    let mut p = start.0 as i64;
-    let stride = stride as i64;
-    let first = resident(PageId(p as u32));
-    for _ in 1..len {
+/// as a membership test.
+fn classify_run(run: Run, resident: impl Fn(PageId) -> bool) -> RunClass {
+    let mut p = run.start.0 as i64;
+    let stride = run.stride as i64;
+    let first = resident(run.start);
+    for _ in 1..run.len {
         p += stride;
         if resident(PageId(p as u32)) != first {
             return RunClass::Mixed;
@@ -262,6 +361,45 @@ pub(crate) fn classify_run(
         RunClass::AllHit
     } else {
         RunClass::AllMiss
+    }
+}
+
+/// The events a policy buffers between two drains, filtered by the
+/// level [`Policy::set_detail`] gave it — [`Detail::Off`] to start,
+/// which buffers nothing.
+#[derive(Debug, Clone)]
+pub(crate) struct EventBuffer {
+    detail: Detail,
+    events: Vec<SimEvent>,
+}
+
+impl Default for EventBuffer {
+    fn default() -> Self {
+        EventBuffer {
+            detail: Detail::Off,
+            events: Vec::new(),
+        }
+    }
+}
+
+impl EventBuffer {
+    /// Buffers `event` when the level covers it.
+    #[inline]
+    pub(crate) fn emit(&mut self, event: SimEvent) {
+        if event.detail() <= self.detail {
+            self.events.push(event);
+        }
+    }
+
+    /// Sets the level, dropping buffered events the new one excludes.
+    pub(crate) fn set_detail(&mut self, detail: Detail) {
+        self.detail = detail;
+        self.events.retain(|e| e.detail() <= detail);
+    }
+
+    /// Moves the buffered events into `out`, in emission order.
+    pub(crate) fn drain(&mut self, out: &mut Vec<SimEvent>) {
+        out.append(&mut self.events);
     }
 }
 
@@ -337,26 +475,6 @@ impl SlotTable {
     }
 }
 
-/// Applies an all-hit stride ≠ 0 run: touch each page in order (the
-/// final LRU order must match the per-ref loop) and record the hits at
-/// the unchanged resident size.
-pub(crate) fn batch_all_hit(
-    set: &mut RecencySet,
-    start: PageId,
-    stride: i32,
-    len: u32,
-    tally: &mut Tally<'_>,
-) {
-    let mut p = start.0 as i64;
-    let stride = stride as i64;
-    for _ in 0..len {
-        let hit = set.touch(PageId(p as u32));
-        debug_assert!(hit, "classified AllHit");
-        p += stride;
-    }
-    tally.record_hits(set.len(), len as u64);
-}
-
 /// Applies an all-miss stride ≠ 0 run against an LRU set capped at
 /// `cap` frames (`u64::MAX` = uncapped), with metrics in closed form,
 /// and returns how many pages it evicted.
@@ -371,37 +489,35 @@ pub(crate) fn batch_all_hit(
 /// when `len > cap`) is never revisited because the pages are distinct.
 pub(crate) fn batch_all_miss(
     set: &mut RecencySet,
-    start: PageId,
-    stride: i32,
-    len: u32,
+    run: Run,
     cap: u64,
     tally: &mut Tally<'_>,
 ) -> u64 {
     let r0 = set.len() as u64;
-    let k = len as u64;
+    let k = run.len as u64;
     tally.record_ramp(k, r0, cap);
 
     let evict = (r0 + k).saturating_sub(cap);
-    let stride64 = stride as i64;
     if evict > r0 {
         // The whole old set goes, and so do the first `k - cap` run
         // pages; only the newest `cap` run pages survive.
         set.clear();
-        let keep = cap; // evict > r0 ⟺ k > cap
-        let mut p = start.0 as i64 + stride64 * (k - keep) as i64;
-        for _ in 0..keep {
-            set.touch(PageId(p as u32));
-            p += stride64;
-        }
+        let skip = (k - cap) as i64; // evict > r0 ⟺ k > cap
+        let survivors = Run {
+            start: PageId((run.start.0 as i64 + run.stride as i64 * skip) as u32),
+            stride: run.stride,
+            len: cap as u32,
+        };
+        survivors.for_each_page(|p| {
+            set.touch(p);
+        });
     } else {
         for _ in 0..evict {
             set.pop_lru();
         }
-        let mut p = start.0 as i64;
-        for _ in 0..len {
-            set.touch(PageId(p as u32));
-            p += stride64;
-        }
+        run.for_each_page(|p| {
+            set.touch(p);
+        });
     }
     evict
 }

@@ -13,7 +13,7 @@ use cdmm_trace::{EventSource, PageId, Run, RunRef};
 
 use crate::error::SimError;
 use crate::metrics::Tally;
-use crate::policy::{classify_run, cycle_period, warm_up_cycle, Policy, RunClass, SlotTable};
+use crate::policy::{kernel_cycle, kernel_run, HitsNeverEvict, Policy, SlotTable};
 
 const NEVER: u64 = u64::MAX;
 
@@ -246,54 +246,40 @@ impl Policy for Opt {
     }
 
     fn reference_run(&mut self, start: PageId, stride: i32, len: u32, tally: &mut Tally<'_>) {
-        if len <= 1 {
-            return crate::policy::reference_run_per_ref(self, start, stride, len, tally);
-        }
-        if stride == 0 {
-            // The first reference settles residency; the rest are hits,
-            // and the page's key ends at the next use of the last one.
-            let fault = self.reference(start);
-            tally.record(self.resident.len(), fault);
-            self.pos += (len - 1) as usize;
-            let key = self.next_use_at(self.pos - 1);
-            let slot = self.slot.get(start).expect("just referenced");
-            self.rekey(slot, key);
-            tally.record_hits(self.resident.len(), (len - 1) as u64);
-            return;
-        }
-        match classify_run(start, stride, len, |p| self.slot.contains(p)) {
-            RunClass::AllHit => {
-                // Distinct pages, all hits: each key comes straight from
-                // the chain.
-                Run { start, stride, len }.for_each_page(|p| {
-                    let key = self.next_use_at(self.pos);
-                    self.pos += 1;
-                    let slot = self.slot.get(p).expect("classified AllHit");
-                    self.rekey(slot, key);
-                });
-                tally.record_hits(self.resident.len(), len as u64);
-            }
-            RunClass::AllMiss | RunClass::Mixed => {
-                crate::policy::reference_run_per_ref(self, start, stride, len, tally)
-            }
-        }
+        kernel_run(self, start, stride, len, tally);
     }
 
     fn reference_cycle(&mut self, body: &[Run], reps: u32, tally: &mut Tally<'_>) {
-        let rest = warm_up_cycle(self, body, reps, tally);
-        if rest == 0 {
-            return;
-        }
-        // Every remaining iteration hits everywhere, so no eviction
-        // reads a key until the cycle ends. Skip to the last iteration
-        // and replay only it: that leaves each body page's key at the
-        // next use of its final reference, as the per-ref loop does.
-        let skipped = (rest - 1) as u64 * cycle_period(body);
-        self.pos += skipped as usize;
-        tally.record_hits(self.resident.len(), skipped);
-        for r in body {
-            self.reference_run(r.start, r.stride, r.len, tally);
-        }
+        kernel_cycle(self, body, reps, tally);
+    }
+}
+
+/// An OPT hit re-keys its page by the next use of that reference,
+/// straight from the chain. No eviction reads a key before a steady
+/// cycle ends, so the kernel skips all but the last iteration and
+/// replays that one, which leaves each body page keyed by its final
+/// reference, as the per-reference loop does.
+impl HitsNeverEvict for Opt {
+    const REPLAY_LAST_ITERATION: bool = true;
+
+    fn holds(&self, page: PageId) -> bool {
+        self.slot.contains(page)
+    }
+
+    fn hit(&mut self, page: PageId) {
+        let key = self.next_use_at(self.pos);
+        self.pos += 1;
+        let slot = self.slot.get(page).expect("a hit on a resident page");
+        self.rekey(slot, key);
+    }
+
+    fn pass(&mut self, n: u64) {
+        self.pos += n as usize;
+    }
+
+    fn repeat(&mut self, page: PageId, n: u64) {
+        self.pass(n - 1);
+        self.hit(page);
     }
 }
 

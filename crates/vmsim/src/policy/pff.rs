@@ -9,7 +9,7 @@
 use cdmm_trace::{PageId, Run};
 
 use crate::metrics::Tally;
-use crate::policy::{classify_run, cycle_period, warm_up_cycle, PageSet, Policy, RunClass};
+use crate::policy::{kernel_cycle, kernel_run, HitsNeverEvict, PageSet, Policy};
 
 /// PFF with interfault threshold `T` (in references).
 ///
@@ -95,38 +95,29 @@ impl Policy for Pff {
     }
 
     fn reference_run(&mut self, start: PageId, stride: i32, len: u32, tally: &mut Tally<'_>) {
-        if len <= 1 {
-            return crate::policy::reference_run_per_ref(self, start, stride, len, tally);
-        }
-        if stride == 0 {
-            // The first reference settles residency and marks the page
-            // used; the rest are hits that only advance the clock.
-            let fault = self.reference(start);
-            tally.record(self.resident.len(), fault);
-            self.clock += (len - 1) as u64;
-            tally.record_hits(self.resident.len(), (len - 1) as u64);
-            return;
-        }
-        match classify_run(start, stride, len, |p| self.members.contains(p)) {
-            RunClass::AllHit => {
-                Run { start, stride, len }
-                    .for_each_page(|p| self.used[p.0 as usize] = self.last_fault);
-                self.clock += len as u64;
-                tally.record_hits(self.resident.len(), len as u64);
-            }
-            RunClass::AllMiss | RunClass::Mixed => {
-                crate::policy::reference_run_per_ref(self, start, stride, len, tally)
-            }
-        }
+        kernel_run(self, start, stride, len, tally);
     }
 
     fn reference_cycle(&mut self, body: &[Run], reps: u32, tally: &mut Tally<'_>) {
-        // A fault-free iteration already marked every body page used in
-        // the current epoch; the remaining iterations only advance the
-        // clock, which decides the shrink at the next fault.
-        let rest = warm_up_cycle(self, body, reps, tally) as u64 * cycle_period(body);
-        self.clock += rest;
-        tally.record_hits(self.resident.len(), rest);
+        kernel_cycle(self, body, reps, tally);
+    }
+}
+
+/// A PFF hit marks its page used in the current fault epoch and
+/// advances the reference clock, which decides whether the next fault
+/// shrinks the resident set — so skipped hits must advance it too.
+impl HitsNeverEvict for Pff {
+    fn holds(&self, page: PageId) -> bool {
+        self.members.contains(page)
+    }
+
+    fn hit(&mut self, page: PageId) {
+        self.used[page.0 as usize] = self.last_fault;
+        self.clock += 1;
+    }
+
+    fn pass(&mut self, n: u64) {
+        self.clock += n;
     }
 }
 

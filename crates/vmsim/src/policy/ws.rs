@@ -10,7 +10,9 @@ use cdmm_trace::{PageId, Run};
 
 use crate::metrics::Tally;
 use crate::observe::{Detail, SimEvent};
-use crate::policy::Policy;
+use crate::policy::{
+    cycle_period, reference_cycle_per_run, reference_run_per_ref, EventBuffer, Policy,
+};
 
 /// The Working Set policy with window `τ` (in references).
 ///
@@ -29,9 +31,7 @@ pub struct WorkingSet {
     expiry: VecDeque<(u64, PageId)>,
     /// Pages aged out of the window so far.
     evictions: u64,
-    /// Decision-level tracing: `Evict` events, per-reference kernels.
-    tracing: bool,
-    events: Vec<SimEvent>,
+    events: EventBuffer,
 }
 
 impl WorkingSet {
@@ -49,8 +49,7 @@ impl WorkingSet {
             resident: 0,
             expiry: VecDeque::new(),
             evictions: 0,
-            tracing: false,
-            events: Vec::new(),
+            events: EventBuffer::default(),
         }
     }
 
@@ -157,9 +156,7 @@ impl WorkingSet {
                     self.last_ref[page.0 as usize] = 0;
                     self.resident -= 1;
                     self.evictions += 1;
-                    if self.tracing {
-                        self.events.push(SimEvent::Evict { page });
-                    }
+                    self.events.emit(SimEvent::Evict { page });
                 }
             } else {
                 break;
@@ -198,10 +195,7 @@ impl Policy for WorkingSet {
     }
 
     fn set_detail(&mut self, detail: Detail) {
-        self.tracing = detail >= Detail::Decisions;
-        if !self.tracing {
-            self.events.clear();
-        }
+        self.events.set_detail(detail);
     }
 
     fn evictions(&self) -> u64 {
@@ -209,15 +203,14 @@ impl Policy for WorkingSet {
     }
 
     fn drain_events(&mut self, out: &mut Vec<SimEvent>) {
-        out.append(&mut self.events);
+        self.events.drain(out);
     }
 
     fn reference_run(&mut self, start: PageId, stride: i32, len: u32, tally: &mut Tally<'_>) {
         // Stride ≠ 0 runs touch distinct pages, each needing its own
-        // last-use write and history entry — nothing to batch. Tracing
-        // needs per-eviction events in per-ref order.
-        if self.tracing || len <= 1 || stride != 0 {
-            return crate::policy::reference_run_per_ref(self, start, stride, len, tally);
+        // last-use write and history entry — nothing to batch.
+        if !tally.batches() || len <= 1 || stride != 0 {
+            return reference_run_per_ref(self, start, stride, len, tally);
         }
         // First reference per-ref: it runs the expiry scan, grows the
         // table, and settles the fault.
@@ -238,10 +231,10 @@ impl Policy for WorkingSet {
     }
 
     fn reference_cycle(&mut self, body: &[Run], reps: u32, tally: &mut Tally<'_>) {
-        if self.tracing {
-            return crate::policy::reference_cycle_per_run(self, body, reps, tally);
+        if !tally.batches() {
+            return reference_cycle_per_run(self, body, reps, tally);
         }
-        let period: u64 = body.iter().map(|r| r.len as u64).sum();
+        let period = cycle_period(body);
         for it in 0..reps {
             let faults_before = tally.faults();
             for r in body {

@@ -16,9 +16,9 @@
 //! The run-level kernels (DESIGN.md §7.1) lean on one structural fact:
 //! touching a *resident* page only splices it to the tail — membership
 //! and size are untouched — so re-playing any all-hit touch sequence
-//! is idempotent on everything but list order, and the batch helpers
-//! (`classify_run` / `batch_all_hit` / `batch_all_miss`, and the cycle
-//! kernels' steady state) can update metrics for whole runs while
+//! is idempotent on everything but list order, and the shared batch
+//! kernel (`kernel_run` / `kernel_cycle` with LRU's and CD's hooks and
+//! `batch_all_miss`) can update metrics for whole runs while
 //! performing only the splices that decide future evictions.
 
 use cdmm_trace::PageId;
@@ -316,16 +316,8 @@ mod tests {
 
     #[test]
     fn matches_naive_model_on_random_ops() {
-        // SplitMix64 stream, inlined to keep vmsim dependency-light.
-        let mut x = 0x9e3779b97f4a7c15u64;
-        let mut next = move || {
-            x = x.wrapping_add(0x9e3779b97f4a7c15);
-            let mut z = x;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-            z ^ (z >> 31)
-        };
-        let ops: Vec<u32> = (0..10_000).map(|_| (next() % 64) as u32).collect();
+        let mut rng = cdmm_trace::synth::SplitMix64::new(cdmm_trace::synth::GAMMA);
+        let ops: Vec<u32> = (0..10_000).map(|_| (rng.next_u64() % 64) as u32).collect();
         let mut s = RecencySet::new();
         for &n in &ops {
             s.touch(PageId(n));

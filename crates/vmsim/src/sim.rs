@@ -1,12 +1,16 @@
 //! The uniprogramming simulation drivers: [`simulate`], the
 //! per-reference reference implementation, and [`simulate_with`], the
-//! one driver every production path runs.
+//! one driver every production path runs — one run-level loop, whose
+//! kernels decode reference by reference only when the tracer's level
+//! asks for each reference's events.
+
+use std::cell::Cell;
 
 use cdmm_trace::{CancelToken, EventRef, EventSource, RunRef};
 
 use crate::error::SimError;
 use crate::metrics::{Metrics, Tally};
-use crate::observe::{Detail, RefBatch, SimEvent, Tracer};
+use crate::observe::{Detail, Tracer};
 use crate::policy::Policy;
 
 /// Simulation parameters.
@@ -74,36 +78,39 @@ pub fn simulate<S: EventSource + ?Sized, P: Policy + ?Sized>(
 /// The production driver: [`simulate`] with an event [`Tracer`]
 /// attached, under a cooperative [`CancelToken`].
 ///
-/// One rule picks the loop: the tracer's [`Tracer::detail`]. Below
-/// [`Detail::Decisions`] the run-level loop runs: each constant-stride
-/// run of a [`cdmm_trace::CompressedTrace`] goes to
-/// [`Policy::reference_run`] whole (folded cycles to
-/// [`Policy::reference_cycle`]), so the policies batch it in closed
-/// form; any other [`EventSource`] degenerates to length-1 runs. Below
-/// [`Detail::Aggregates`] (a [`crate::observe::NullTracer`], or a
-/// scheduler-level tracer, which a uniprogram run has nothing to tell)
-/// that loop carries no tracing at all. At [`Detail::Aggregates`] it
-/// also hands the tracer every batch its kernels account for
-/// ([`Tracer::aggregate`]), forwards each directive's outcome events
-/// stamped with the reference clock (references processed so far), and
-/// reports the policy's evictions as counts after each run and
-/// directive. At [`Detail::Decisions`] or above the per-reference loop
-/// runs: the policy buffers [`SimEvent`]s at its decision points and
-/// the driver forwards them after each trace event, stamped with the
-/// reference clock — the policy's own events first (evictions, grants,
-/// lock breaks …), then the driver's [`SimEvent::Fault`], then, only at
-/// [`Detail::References`], one [`SimEvent::Ref`]. That loop also hands
-/// over each reference as a one-reference [`RefBatch`] and each
-/// [`SimEvent::Evict`] as a count, so a batch consumer behind a
-/// [`crate::Tee`] reads the same numbers from either loop.
+/// One loop runs at every level: each constant-stride run of a
+/// [`cdmm_trace::CompressedTrace`] goes to [`Policy::reference_run`]
+/// whole (folded cycles to [`Policy::reference_cycle`]); any other
+/// [`EventSource`] degenerates to length-1 runs. The run's [`Tally`]
+/// carries the tracer's [`Detail`], and the kernels ask it whether they
+/// may batch:
+///
+/// - Below [`Detail::Aggregates`] (a [`crate::observe::NullTracer`], or
+///   a scheduler-level tracer, which a uniprogram run has nothing to
+///   tell) the loop carries no tracing at all.
+/// - At [`Detail::Aggregates`] the kernels keep batching and the tally
+///   hands the tracer every batch they account for
+///   ([`Tracer::aggregate`]) and each directive's outcome events,
+///   stamped with the reference clock (references processed so far).
+/// - At [`Detail::Decisions`] or above every kernel decodes reference by
+///   reference, and each reference hands the tracer its own events —
+///   the policy's (evictions, lock breaks …), then the driver's
+///   [`crate::SimEvent::Fault`], then, only at [`Detail::References`],
+///   one [`crate::SimEvent::Ref`] — plus a one-reference batch.
+///
+/// From [`Detail::Aggregates`] up, the policy's evictions reach the
+/// tracer as counts ([`Policy::evictions`] deltas) after each run and
+/// directive, so a batch consumer behind a [`crate::Tee`] reads the same
+/// numbers at every level.
 ///
 /// The token is polled once per compressed run (per event on a flat
-/// trace), never inside a run. Either loop returns exactly the
-/// [`Metrics`] of [`simulate`] — tracing observes the run, it never
-/// alters it; the `run_level_equivalence` harness pins both. A stop
-/// (deadline expiry or [`CancelToken::cancel`]) discards the partial
-/// metrics, flushes the tracer, leaves the policy's tracing off and
-/// returns [`SimError::DeadlineExceeded`] with the references
+/// trace), never inside a run — and, when the kernels decode reference
+/// by reference, between the iterations of a cycle too. The run returns
+/// exactly the [`Metrics`] of [`simulate`] — tracing observes the run,
+/// it never alters it; the `run_level_equivalence` harness pins both. A
+/// stop (deadline expiry or [`CancelToken::cancel`]) discards the
+/// partial metrics, flushes the tracer, leaves the policy's tracing off
+/// and returns [`SimError::DeadlineExceeded`] with the references
 /// completed.
 ///
 /// # Examples
@@ -133,85 +140,58 @@ pub fn simulate_with<S: EventSource + ?Sized, P: Policy + ?Sized>(
     token: &CancelToken,
 ) -> Result<Metrics, SimError> {
     let mut metrics = Metrics::new(config.fault_service);
+    let traced = tracer.detail() >= Detail::Aggregates;
+    if traced {
+        policy.set_detail(tracer.detail());
+    }
     let keep_going = || !token.should_stop();
-    let detail = tracer.detail();
-    let completed = if detail < Detail::Decisions {
-        let traced = detail >= Detail::Aggregates;
+    // Set when a cycle decoded reference by reference stops between two
+    // of its iterations.
+    let cut = Cell::new(false);
+    let completed = {
         let mut tally = if traced {
-            policy.set_detail(Detail::Aggregates);
             Tally::traced(&mut metrics, tracer)
         } else {
             Tally::new(&mut metrics)
         };
         let mut evicted = policy.evictions();
-        let completed = trace.for_each_run_while(keep_going, |run| {
-            match run {
-                RunRef::Run { start, stride, len } => {
-                    policy.reference_run(start, stride, len, &mut tally);
+        let consumed = trace.for_each_run_while(
+            || !cut.get() && keep_going(),
+            |run| {
+                match run {
+                    RunRef::Run { start, stride, len } => {
+                        policy.reference_run(start, stride, len, &mut tally);
+                    }
+                    RunRef::Cycle { body, reps } if tally.batches() => {
+                        policy.reference_cycle(body, reps, &mut tally);
+                    }
+                    RunRef::Cycle { body, reps } => {
+                        for i in 0..reps {
+                            if i > 0 && !keep_going() {
+                                cut.set(true);
+                                break;
+                            }
+                            for r in body {
+                                policy.reference_run(r.start, r.stride, r.len, &mut tally);
+                            }
+                        }
+                    }
+                    RunRef::Directive(other) => {
+                        policy.directive(other);
+                        tally.forward_events(policy);
+                    }
                 }
-                RunRef::Cycle { body, reps } => {
-                    policy.reference_cycle(body, reps, &mut tally);
+                if traced {
+                    let now = policy.evictions();
+                    tally.record_evictions(now - evicted);
+                    evicted = now;
                 }
-                RunRef::Directive(other) => {
-                    policy.directive(other);
-                    tally.forward_events(policy);
-                }
-            }
-            if traced {
-                let now = policy.evictions();
-                tally.record_evictions(now - evicted);
-                evicted = now;
-            }
-        });
-        if traced {
-            policy.set_detail(Detail::Off);
-        }
-        completed
-    } else {
-        let want_refs = detail >= Detail::References;
-        policy.set_detail(detail);
-        let mut pending: Vec<SimEvent> = Vec::new();
-        let completed = trace.for_each_event_while(keep_going, |event| match event {
-            EventRef::Ref(page) => {
-                let fault = policy.reference(page);
-                metrics.record(policy.resident(), fault);
-                if policy.is_degraded() {
-                    metrics.degraded_refs += 1;
-                }
-                let at = metrics.refs;
-                policy.drain_events(&mut pending);
-                forward_decisions(tracer, at, &mut pending);
-                let resident = policy.resident() as u32;
-                if fault {
-                    tracer.record(at, &SimEvent::Fault { page, resident });
-                }
-                let batch = RefBatch::Flat {
-                    n: 1,
-                    resident: u64::from(resident),
-                    fault,
-                };
-                tracer.aggregate(at, &batch);
-                if want_refs {
-                    tracer.record(
-                        at,
-                        &SimEvent::Ref {
-                            page,
-                            resident,
-                            fault,
-                        },
-                    );
-                }
-            }
-            EventRef::Directive(other) => {
-                policy.directive(other);
-                policy.drain_events(&mut pending);
-                forward_decisions(tracer, metrics.refs, &mut pending);
-            }
-        });
-        policy.set_detail(Detail::Off);
-        completed
+            },
+        );
+        consumed && !cut.get()
     };
-    if detail >= Detail::Aggregates {
+    if traced {
+        policy.set_detail(Detail::Off);
         tracer.flush();
     }
     if !completed {
@@ -221,17 +201,6 @@ pub fn simulate_with<S: EventSource + ?Sized, P: Policy + ?Sized>(
     }
     metrics.recovered_directives = policy.recovered_directives();
     Ok(metrics)
-}
-
-/// Forwards a decision-level run's buffered policy events at clock
-/// `at`, each [`SimEvent::Evict`] also as a one-page eviction count.
-fn forward_decisions(tracer: &mut dyn Tracer, at: u64, pending: &mut Vec<SimEvent>) {
-    for e in pending.drain(..) {
-        if let SimEvent::Evict { .. } = e {
-            tracer.aggregate(at, &RefBatch::Evictions(1));
-        }
-        tracer.record(at, &e);
-    }
 }
 
 #[cfg(test)]
@@ -377,7 +346,7 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_token_stops_both_loops_before_the_first_reference() {
+    fn a_cancelled_token_stops_the_run_before_the_first_reference() {
         let t = synth::cyclic(4, 100);
         let c = CompressedTrace::from_trace(&t);
         let token = CancelToken::new();

@@ -457,14 +457,8 @@ mod tests {
         // through slot compaction many times, interleaved with stride-0
         // spans that exercise the batched histogram path.
         for seed in 0..12u64 {
-            let mut state = 0x9e3779b97f4a7c15u64.wrapping_mul(seed + 1);
-            let mut next = move || {
-                state = state.wrapping_add(0x9e3779b97f4a7c15);
-                let mut z = state;
-                z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-                z ^ (z >> 31)
-            };
+            let mut rng = synth::SplitMix64::new(synth::GAMMA.wrapping_mul(seed + 1));
+            let mut next = move || rng.next_u64();
             let pages = 4 + (next() % 28) as u32;
             let mut events = Vec::new();
             for _ in 0..200 {

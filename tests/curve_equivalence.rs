@@ -316,3 +316,68 @@ fn seeded_adversarial_curves_are_byte_identical() {
         }
     }
 }
+
+/// The window average `cdmm trace` printed before it read `WsCurve`,
+/// kept verbatim as a model: the mean working-set size for a window of
+/// `tau` references that counts the current one, averaged over
+/// reference time.
+fn retired_mean_working_set(trace: &Trace, tau: u64) -> f64 {
+    use std::collections::{HashMap, VecDeque};
+    if tau == 0 {
+        return 0.0;
+    }
+    let mut last_ref: HashMap<PageId, u64> = HashMap::new();
+    let mut expiry: VecDeque<(u64, PageId)> = VecDeque::new();
+    let mut size = 0u64;
+    let mut acc = 0u64;
+    let mut t = 0u64;
+    for e in &trace.events {
+        let Event::Ref(p) = e else { continue };
+        t += 1;
+        // Expire pages whose last reference fell out of the window.
+        while let Some(&(texp, page)) = expiry.front() {
+            if texp + tau <= t {
+                expiry.pop_front();
+                if last_ref.get(&page) == Some(&texp) {
+                    last_ref.remove(&page);
+                    size -= 1;
+                }
+            } else {
+                break;
+            }
+        }
+        if last_ref.insert(*p, t).is_none() {
+            size += 1;
+        }
+        expiry.push_back((t, *p));
+        acc += size;
+    }
+    if t == 0 {
+        0.0
+    } else {
+        acc as f64 / t as f64
+    }
+}
+
+/// `cdmm trace`'s mean working set is `WsCurve`'s mean memory one window
+/// below the requested one: the retired estimator counted the current
+/// reference inside its window, so its `tau` is the policy's `WS(tau - 1)`.
+#[test]
+fn ws_curve_reproduces_the_retired_mean_working_set() {
+    for scale in [Scale::Small, Scale::Paper] {
+        for w in all(scale) {
+            let trace = cdmm_trace::trace_program(&w.source, cdmm_locality::PageGeometry::PAPER)
+                .unwrap_or_else(|e| panic!("{}: {e}", w.name));
+            let curve = WsCurve::compute(&trace);
+            for tau in [2u64, 10, 100, 1000, 5000] {
+                let want = retired_mean_working_set(&trace, tau);
+                assert_eq!(
+                    curve.mean_mem_at(tau - 1).to_bits(),
+                    want.to_bits(),
+                    "{} {scale:?} tau={tau}",
+                    w.name
+                );
+            }
+        }
+    }
+}

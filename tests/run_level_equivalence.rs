@@ -9,12 +9,19 @@
 //! against the hash-based implementations their dense kernels replaced,
 //! kept here verbatim as independent oracles (`models`).
 //!
+//! `simulate_with` runs one loop at every tracer level; at `Decisions`
+//! and above its kernels decode reference by reference. The
+//! per-reference loop it ran there before is kept here as a model
+//! (`per_ref_loop`): at `Decisions` and at `References` the production
+//! driver must hand a tracer exactly the model's event stream, clock
+//! for clock.
+//!
 //! A `MetricsRegistry` reads its reference statistics from the batches
 //! the run-level kernels hand over. Its snapshot must equal the one the
 //! registry's former per-reference event logic builds (kept here as
-//! `PerRefRegistry`), and the one a per-reference run feeds it through
-//! a `Tee` — on every policy family, workload and scale, and on the
-//! seeded campaigns.
+//! `PerRefRegistry`), the one the model loop feeds it, and the one a
+//! decision- or reference-level run feeds it — on every policy family,
+//! workload and scale, and on the seeded campaigns.
 //!
 //! The generator (SplitMix64, seed from `CDMM_EQUIV_SEED`, default 42)
 //! aims at the fast paths' fallback seams: runs straddling directive
@@ -27,7 +34,7 @@
 
 use cdmm_core::{prepare, PipelineConfig, PolicySpec, Prepared};
 use cdmm_lang::ast::AllocArg;
-use cdmm_trace::{CompressedTrace, Event, PageId, PageRange, Trace};
+use cdmm_trace::{CompressedTrace, Event, EventRef, EventSource, PageId, PageRange, Trace};
 use cdmm_vmsim::policy::cd::{CdPolicy, CdSelector};
 use cdmm_vmsim::policy::clock::Clock;
 use cdmm_vmsim::policy::fifo::Fifo;
@@ -37,8 +44,8 @@ use cdmm_vmsim::policy::pff::Pff;
 use cdmm_vmsim::policy::ws::WorkingSet;
 use cdmm_vmsim::stats::{FAULT_INTERARRIVAL, RESIDENT_OCCUPANCY};
 use cdmm_vmsim::{
-    simulate, simulate_with, CancelToken, Detail, EventLog, Metrics, MetricsRegistry, NullTracer,
-    Policy, RegistrySnapshot, SimConfig, SimEvent, Tee, TimedEvent, Tracer,
+    simulate, simulate_with, CancelToken, Detail, Metrics, MetricsRegistry, NullTracer, Policy,
+    RefBatch, RegistrySnapshot, SimConfig, SimEvent, Tee, TimedEvent, Tracer,
 };
 use cdmm_workloads::{all, Scale};
 
@@ -314,27 +321,166 @@ impl Tracer for PerRefRegistry {
     }
 }
 
-/// Drives `policy` three ways — under the per-reference model, with a
-/// lone registry (the run-level loop), and with a registry behind a
-/// tee with a decision-level log (the per-reference loop) — and
-/// asserts one metrics value and one registry snapshot.
-fn assert_same_registry<S, F>(make: F, trace: &S, what: &str) -> RegistrySnapshot
+/// The per-reference traced loop `simulate_with` ran at `Decisions` and
+/// above before it kept one loop for every level, kept as the model of
+/// what a traced run hands its tracer. After each
+/// reference: the policy's buffered events (each `Evict` also as a
+/// one-page eviction count), the driver's `Fault`, a one-reference
+/// batch, and — at `References` — a `Ref`; after each directive, the
+/// policy's events. Every event carries the clock of the references
+/// processed so far.
+fn per_ref_loop<S: EventSource + ?Sized, P: Policy + ?Sized>(
+    trace: &S,
+    policy: &mut P,
+    tracer: &mut dyn Tracer,
+) -> Metrics {
+    fn forward(tracer: &mut dyn Tracer, at: u64, pending: &mut Vec<SimEvent>) {
+        for e in pending.drain(..) {
+            if let SimEvent::Evict { .. } = e {
+                tracer.aggregate(at, &RefBatch::Evictions(1));
+            }
+            tracer.record(at, &e);
+        }
+    }
+    let mut metrics = Metrics::new(SimConfig::default().fault_service);
+    let detail = tracer.detail();
+    assert!(
+        detail >= Detail::Decisions,
+        "the model loop is the traced one"
+    );
+    policy.set_detail(detail);
+    let mut pending = Vec::new();
+    trace.for_each_event(|event| match event {
+        EventRef::Ref(page) => {
+            let fault = policy.reference(page);
+            metrics.record(policy.resident(), fault);
+            if policy.is_degraded() {
+                metrics.degraded_refs += 1;
+            }
+            let at = metrics.refs;
+            policy.drain_events(&mut pending);
+            forward(tracer, at, &mut pending);
+            let resident = policy.resident() as u32;
+            if fault {
+                tracer.record(at, &SimEvent::Fault { page, resident });
+            }
+            let batch = RefBatch::Flat {
+                n: 1,
+                resident: u64::from(resident),
+                fault,
+            };
+            tracer.aggregate(at, &batch);
+            if detail >= Detail::References {
+                let event = SimEvent::Ref {
+                    page,
+                    resident,
+                    fault,
+                };
+                tracer.record(at, &event);
+            }
+        }
+        EventRef::Directive(other) => {
+            policy.directive(other);
+            policy.drain_events(&mut pending);
+            forward(tracer, metrics.refs, &mut pending);
+        }
+    });
+    policy.set_detail(Detail::Off);
+    tracer.flush();
+    metrics.recovered_directives = policy.recovered_directives();
+    metrics
+}
+
+/// What a run hands a tracer at one level: every event, in order, and
+/// the registry those events and the batches build.
+struct Witness {
+    detail: Detail,
+    events: Vec<TimedEvent>,
+    registry: MetricsRegistry,
+}
+
+impl Witness {
+    fn new(detail: Detail) -> Self {
+        Witness {
+            detail,
+            events: Vec::new(),
+            registry: MetricsRegistry::new(),
+        }
+    }
+}
+
+impl Tracer for Witness {
+    fn detail(&self) -> Detail {
+        self.detail
+    }
+
+    fn record(&mut self, at: u64, event: &SimEvent) {
+        self.events.push(TimedEvent { at, event: *event });
+        self.registry.record(at, event);
+    }
+
+    fn aggregate(&mut self, at: u64, batch: &RefBatch) {
+        self.registry.aggregate(at, batch);
+    }
+}
+
+/// Asserts two event streams equal, naming the first difference.
+fn assert_same_stream(want: &[TimedEvent], got: &[TimedEvent], what: &str) {
+    if let Some(i) = (0..want.len().min(got.len())).find(|&i| want[i] != got[i]) {
+        panic!("{what}: event {i} is {:?}, want {:?}", got[i], want[i]);
+    }
+    assert_eq!(got.len(), want.len(), "{what}: stream length");
+}
+
+/// Drives `policy` five ways — the model loop at `References` (teed
+/// into the registry's former per-reference logic), and `simulate_with`
+/// at `References`, at `Decisions`, at `Aggregates` with a lone registry
+/// and untraced — and asserts one metrics value, one event stream at
+/// each traced level (the model's, less its `Ref`s, at `Decisions`), and
+/// one registry snapshot.
+fn assert_same_observations<S, F>(make: F, trace: &S, what: &str) -> RegistrySnapshot
 where
-    S: cdmm_trace::EventSource + ?Sized,
+    S: EventSource + ?Sized,
     F: Fn() -> Box<dyn Policy>,
 {
-    let mut model = PerRefRegistry::new();
-    let want = drive(trace, &mut *make(), &mut model);
+    let mut model = Witness::new(Detail::References);
+    let mut per_ref = PerRefRegistry::new();
+    let want = per_ref_loop(trace, &mut *make(), &mut Tee::new(&mut model, &mut per_ref));
+    let mut refs = Witness::new(Detail::References);
+    let mut decisions = Witness::new(Detail::Decisions);
     let mut alone = MetricsRegistry::new();
-    let run_level = drive(trace, &mut *make(), &mut alone);
-    let mut teed = MetricsRegistry::new();
-    let mut log = EventLog::new(16);
-    let per_ref = drive(trace, &mut *make(), &mut Tee::new(&mut log, &mut teed));
-    assert_eq!(want, run_level, "{what}: run-level metrics");
-    assert_eq!(want, per_ref, "{what}: teed metrics");
-    let snapshot = model.inner.snapshot();
-    assert_eq!(snapshot, alone.snapshot(), "{what}: run-level registry");
-    assert_eq!(snapshot, teed.snapshot(), "{what}: teed registry");
+    let runs = [
+        ("References", drive(trace, &mut *make(), &mut refs)),
+        ("Decisions", drive(trace, &mut *make(), &mut decisions)),
+        ("Aggregates", drive(trace, &mut *make(), &mut alone)),
+        ("untraced", drive(trace, &mut *make(), &mut NullTracer)),
+    ];
+    for (level, got) in runs {
+        assert_eq!(got, want, "{what}: {level} metrics");
+    }
+    assert_same_stream(&model.events, &refs.events, &format!("{what}: References"));
+    let model_decisions: Vec<TimedEvent> = model
+        .events
+        .iter()
+        .filter(|e| e.event.detail() <= Detail::Decisions)
+        .copied()
+        .collect();
+    let what_decisions = format!("{what}: Decisions");
+    assert_same_stream(&model_decisions, &decisions.events, &what_decisions);
+    let snapshot = per_ref.inner.snapshot();
+    assert_eq!(
+        snapshot,
+        model.registry.snapshot(),
+        "{what}: model registry"
+    );
+    assert_eq!(
+        snapshot,
+        refs.registry.snapshot(),
+        "{what}: References registry"
+    );
+    let got = decisions.registry.snapshot();
+    assert_eq!(snapshot, got, "{what}: Decisions registry");
+    assert_eq!(snapshot, alone.snapshot(), "{what}: Aggregates registry");
     snapshot
 }
 
@@ -402,24 +548,28 @@ fn assert_equivalent<P: Policy, F: Fn() -> P>(
     run_level
 }
 
-/// Asserts the traced event streams (and metrics) agree between the
-/// flat and compressed forms of the same trace. Run-level execution is
-/// untraced by design — kernels fall back per-ref under tracing — so
-/// this pins the stream the fallback must reproduce.
+/// Asserts the reference-level event streams (and metrics) of the flat
+/// and compressed forms of the same trace agree with the model loop's.
+/// At that level every kernel decodes reference by reference, so this
+/// pins the stream the per-reference fallback must reproduce on either
+/// form.
 fn assert_same_events<P: Policy, F: Fn() -> P>(
     make: F,
     flat: &Trace,
     compressed: &CompressedTrace,
     what: &str,
 ) {
-    let mut log_flat = EventLog::new(1 << 15).with_detail(Detail::References);
-    let m_flat = drive(flat, &mut make(), &mut log_flat);
-    let mut log_comp = EventLog::new(1 << 15).with_detail(Detail::References);
-    let m_comp = drive(compressed, &mut make(), &mut log_comp);
-    assert_eq!(m_flat, m_comp, "{what}: traced metrics drifted");
-    let a: Vec<TimedEvent> = log_flat.events().copied().collect();
-    let b: Vec<TimedEvent> = log_comp.events().copied().collect();
-    assert_eq!(a, b, "{what}: SimEvent streams drifted");
+    let mut model = Witness::new(Detail::References);
+    let want = per_ref_loop(flat, &mut make(), &mut model);
+    let mut on_flat = Witness::new(Detail::References);
+    let got = drive(flat, &mut make(), &mut on_flat);
+    assert_eq!(got, want, "{what}: flat traced metrics drifted");
+    let mut on_compressed = Witness::new(Detail::References);
+    let got = drive(compressed, &mut make(), &mut on_compressed);
+    assert_eq!(got, want, "{what}: compressed traced metrics drifted");
+    assert_same_stream(&model.events, &on_flat.events, &format!("{what}: flat"));
+    let what = format!("{what}: compressed");
+    assert_same_stream(&model.events, &on_compressed.events, &what);
 }
 
 fn prepared_workloads() -> Vec<Prepared> {
@@ -547,7 +697,7 @@ fn registry_snapshots_match_on_every_family_workload_and_scale() {
                     p.plain_trace()
                 };
                 let make = || p.build_policy(spec) as Box<dyn Policy>;
-                let snap = assert_same_registry(make, trace, &what);
+                let snap = assert_same_observations(make, trace, &what);
                 assert_eq!(snap.counter("refs"), trace.ref_count(), "{what}");
             }
         }
@@ -592,10 +742,10 @@ fn registry_snapshots_match_when_locks_break() {
             .with_hard_limit(Some(4));
         Box::new(cd) as Box<dyn Policy>
     };
-    let snap = assert_same_registry(make, &flat, "hard-limit CD, flat");
+    let snap = assert_same_observations(make, &flat, "hard-limit CD, flat");
     assert!(snap.counter("lock_breaks") >= 2, "{snap:?}");
     assert!(snap.histogram("lock_dwell").is_some());
-    let compressed_snap = assert_same_registry(make, &compressed, "hard-limit CD, compressed");
+    let compressed_snap = assert_same_observations(make, &compressed, "hard-limit CD, compressed");
     assert_eq!(snap, compressed_snap);
 }
 
@@ -785,11 +935,11 @@ fn seeded_adversarial_campaigns_are_byte_identical() {
 
         let c = format!("seed={seed} campaign={campaign}");
         let lru = || Box::new(Lru::new(frames)) as Box<dyn Policy>;
-        assert_same_registry(lru, &compressed, &format!("{c} LRU({frames})"));
+        assert_same_observations(lru, &compressed, &format!("{c} LRU({frames})"));
         let ws = || Box::new(WorkingSet::new(tau)) as Box<dyn Policy>;
-        assert_same_registry(ws, &compressed, &format!("{c} WS({tau})"));
+        assert_same_observations(ws, &compressed, &format!("{c} WS({tau})"));
         let cd_box = || Box::new(cd.clone()) as Box<dyn Policy>;
-        assert_same_registry(cd_box, &compressed, &format!("{c} {}", cd.label()));
+        assert_same_observations(cd_box, &compressed, &format!("{c} {}", cd.label()));
 
         // Every 25th campaign also pins the traced SimEvent stream.
         if campaign % 25 == 0 {
@@ -873,8 +1023,9 @@ fn served_baselines_match_their_hash_based_models_on_every_workload() {
 const BASELINE_SALT: u64 = 0x5eed_ba5e_11e5_0001;
 
 /// One served-baseline case of a seeded campaign: the model and the
-/// equivalence drives, plus the traced event streams when `traced`.
-fn check_campaign<M: Policy, P: Policy, F: Fn() -> P>(
+/// equivalence drives, the traced observations against the model loop,
+/// plus the flat trace's event streams when `traced`.
+fn check_campaign<M: Policy, P: Policy + 'static, F: Fn() -> P>(
     model: M,
     make: F,
     flat: &Trace,
@@ -884,6 +1035,8 @@ fn check_campaign<M: Policy, P: Policy, F: Fn() -> P>(
 ) {
     let what = format!("{campaign} {}", make().label());
     assert_matches_model(model, &make, flat, compressed, &what);
+    let boxed = || Box::new(make()) as Box<dyn Policy>;
+    assert_same_observations(boxed, compressed, &what);
     if traced {
         assert_same_events(&make, flat, compressed, &what);
     }

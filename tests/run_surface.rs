@@ -9,18 +9,19 @@
 //!   of the on-disk cache format, so its values for one program must
 //!   never move;
 //! - a traced run under a stopped token fails typed before the first
-//!   reference, flushes its tracer and leaves the policy untraced, and
-//!   OPT's lookahead pass stops under the same token;
+//!   reference, flushes its tracer and leaves the policy untraced, a
+//!   traced cycle polls the token once per iteration, and OPT's
+//!   lookahead pass stops under the same token;
 //! - `policy_label` names exactly the policy `build_policy` builds;
-//! - the tracer's `Detail` level decides what a run delivers and which
-//!   loop it takes: below `Decisions` the policy is never instrumented
-//!   for references, and at `Aggregates` it reports only its directive
-//!   outcomes.
+//! - the tracer's `Detail` level decides what a run delivers and
+//!   whether its kernels batch: below `Decisions` the policy is never
+//!   instrumented for references, and at `Aggregates` it reports only
+//!   its directive outcomes.
 
 use cdmm_core::sweep::spec_key;
 use cdmm_core::{prepare, CancelToken, PipelineConfig, PolicySpec, Prepared};
 use cdmm_lang::ast::AllocArg;
-use cdmm_trace::{synth, CompressedTrace, Event, PageId};
+use cdmm_trace::{synth, COp, CompressedTrace, Event, PageId};
 use cdmm_vmsim::policy::cd::{CdPolicy, CdSelector};
 use cdmm_vmsim::policy::lru::Lru;
 use cdmm_vmsim::{
@@ -131,6 +132,41 @@ fn cancelled_traced_run_stops_flushes_and_leaves_tracing_off() {
     assert_eq!(p.run_policy_traced(spec, &mut log, &token), stopped);
     assert!(log.is_empty());
     assert_eq!(p.run_policy_cancellable(spec, &token), stopped);
+}
+
+/// A decision-level tracer that cancels `token` at the first fault.
+struct CancelOnFault<'a> {
+    token: &'a CancelToken,
+}
+
+impl Tracer for CancelOnFault<'_> {
+    fn record(&mut self, _at: u64, event: &SimEvent) {
+        if let SimEvent::Fault { .. } = event {
+            self.token.cancel();
+        }
+    }
+}
+
+#[test]
+fn a_traced_cycle_polls_its_token_once_per_iteration() {
+    // One op: four pages swept a hundred times, folded into a cycle.
+    let trace = CompressedTrace::from_trace(&synth::cyclic(4, 100));
+    assert_eq!(trace.op_count(), 1);
+    assert!(matches!(trace.ops()[0], COp::Cycle { reps: 100, .. }));
+    let token = CancelToken::new();
+    let mut tracer = CancelOnFault { token: &token };
+    let run = simulate_with(
+        &trace,
+        &mut Lru::new(8),
+        SimConfig::default(),
+        &mut tracer,
+        &token,
+    );
+    assert_eq!(
+        run,
+        Err(SimError::DeadlineExceeded { refs_done: 4 }),
+        "the first fault's iteration completes, the next poll stops the run"
+    );
 }
 
 #[test]
@@ -247,8 +283,8 @@ fn an_aggregates_log_receives_exactly_the_directive_outcomes() {
     };
     let aggregates = run(Detail::Aggregates);
     let decisions = run(Detail::Decisions);
-    // The run-level loop stamps each outcome with the clock the
-    // per-reference loop gives it.
+    // Batching kernels stamp each outcome with the clock a
+    // reference-by-reference run gives it.
     let outcomes: Vec<_> = decisions
         .iter()
         .filter(|e| e.event.detail() <= Detail::Aggregates)
@@ -321,9 +357,9 @@ fn policies_are_instrumented_for_references_only_at_decisions_or_above() {
 }
 
 #[test]
-fn a_registry_reads_the_same_from_both_loops() {
-    // Alone, the registry rides the run-level loop; behind a tee with a
-    // decision-level log the per-reference loop feeds it one reference
+fn a_registry_reads_the_same_batched_or_one_reference_at_a_time() {
+    // Alone, the registry reads the kernels' batches; behind a tee with
+    // a decision-level log the kernels decode and feed it one reference
     // at a time. Both must leave the same snapshot.
     let p = main_small();
     for spec in [
