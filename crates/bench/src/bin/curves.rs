@@ -4,6 +4,7 @@
 
 use cdmm_core::curves;
 use cdmm_core::experiments::Harness;
+use cdmm_core::sweep::{self, SweepPlan};
 
 fn main() {
     let env = cdmm_bench::BenchEnv::from_env();
@@ -12,23 +13,35 @@ fn main() {
         let (w, _) = h.resolve(row);
         let variants = w.variants.clone();
         let name = w.name;
-        let p = h.prepared(row);
+        h.prepare_rows(&[row]);
+        let p = h.prepared_ref(row);
         println!(
             "=== {name} (R = {}, V = {}) ===",
             p.plain_trace().ref_count(),
             p.virtual_pages()
         );
 
+        let plan = SweepPlan::new(h.result_cache(), p);
+        let frames: Vec<u64> = sweep::full_lru_range(p).map(|m| m as u64).collect();
+        let taus = sweep::ws_tau_grid(p, 4);
         let frontier = curves::vmin_curve(p, 4);
         for (label, curve) in [
-            ("LRU", curves::lru_curve(p)),
-            ("WS", curves::ws_curve(p, 4)),
+            (
+                "LRU",
+                plan.lru_grid(h.executor(), &plan.lru_curve(), &frames),
+            ),
+            ("WS", plan.ws_grid(h.executor(), &plan.ws_curve(), &taus)),
             ("VMIN", frontier.clone()),
         ] {
             println!("  {label} curve (param, MEM, PF):");
             let step = (curve.len() / 8).max(1);
             for pt in curve.iter().step_by(step) {
-                println!("    {:>8} {:>9.2} {:>8}", pt.param, pt.mem, pt.pf);
+                println!(
+                    "    {:>8} {:>9.2} {:>8}",
+                    pt.param,
+                    pt.metrics.mean_mem(),
+                    pt.metrics.faults
+                );
             }
         }
         println!("  CD points (variant, MEM, PF, frontier gap):");
@@ -36,8 +49,8 @@ fn main() {
             println!(
                 "    {:<10} {:>9.2} {:>8}   {:>6.2}x",
                 vname,
-                pt.mem,
-                pt.pf,
+                pt.metrics.mean_mem(),
+                pt.metrics.faults,
                 curves::frontier_gap(&pt, &frontier)
             );
         }

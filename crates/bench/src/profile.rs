@@ -24,7 +24,7 @@
 use std::time::Instant;
 
 use cdmm_core::report::scorecard;
-use cdmm_core::sweep::{self, Executor, ResultCache};
+use cdmm_core::sweep::{self, Executor, ResultCache, SweepPlan};
 use cdmm_core::{prepare, CancelToken, PipelineConfig, PolicySpec, Prepared};
 use cdmm_vmsim::policy::cd::CdSelector;
 use cdmm_vmsim::MetricsRegistry;
@@ -137,8 +137,8 @@ fn profile_cell(prepared: &Prepared, policy: PolicySpec, samples: u32) -> (Entry
 }
 
 /// Profiles one whole-family sweep (the paper's per-table workhorse)
-/// through the sweep entry points, which answer it from the one-pass
-/// curve kernels. Each sample runs against its own fresh in-memory
+/// through a [`SweepPlan`], which answers it from the one-pass curve
+/// kernels. Each sample runs against its own fresh in-memory
 /// cache — the cost of one *cold* sweep, exactly what a table pays for
 /// a program it has not seen.
 ///
@@ -187,21 +187,21 @@ pub fn profile(opts: &ProfileOptions) -> (Artifact, String) {
             last_scorecard = scorecard;
         }
         let exec = Executor::serial();
+        let frames: Vec<u64> = sweep::full_lru_range(&prepared).map(|m| m as u64).collect();
         artifact
             .entries
             .push(profile_sweep_cell(&prepared, "lru", opts.samples, || {
-                sweep::lru_sweep_with(
-                    &exec,
-                    &ResultCache::in_memory(),
-                    &prepared,
-                    sweep::full_lru_range(&prepared),
-                )
+                let cache = ResultCache::in_memory();
+                let plan = SweepPlan::new(&cache, &prepared);
+                plan.lru_grid(&exec, &plan.lru_curve(), &frames)
             }));
         let taus = sweep::ws_tau_grid(&prepared, 8);
         artifact
             .entries
             .push(profile_sweep_cell(&prepared, "ws", opts.samples, || {
-                sweep::ws_sweep_with(&exec, &ResultCache::in_memory(), &prepared, taus.clone())
+                let cache = ResultCache::in_memory();
+                let plan = SweepPlan::new(&cache, &prepared);
+                plan.ws_grid(&exec, &plan.ws_curve(), &taus)
             }));
     }
     (artifact, last_scorecard)

@@ -16,7 +16,7 @@ use cdmm_vmsim::policy::fifo::Fifo;
 use cdmm_vmsim::policy::Policy;
 
 use crate::pipeline::Prepared;
-use crate::sweep;
+use crate::sweep::{self, Executor, ResultCache, SweepPlan};
 
 /// A window pair exhibiting a WS dead-memory anomaly.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -36,7 +36,13 @@ pub struct WsAnomaly {
 /// memory at `τ'`. Reports maximal such stretches (consecutive grid
 /// points merged).
 pub fn ws_memory_anomalies(p: &Prepared, min_extra_mem: f64) -> Vec<WsAnomaly> {
-    let points = sweep::ws_sweep(p, sweep::ws_tau_grid(p, 6));
+    let cache = ResultCache::disabled();
+    let plan = SweepPlan::new(&cache, p);
+    let points = plan.ws_grid(
+        &Executor::serial(),
+        &plan.ws_curve(),
+        &sweep::ws_tau_grid(p, 6),
+    );
     let mut out = Vec::new();
     let mut i = 0;
     while i < points.len() {

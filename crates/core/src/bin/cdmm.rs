@@ -16,7 +16,8 @@
 
 use std::process::ExitCode;
 
-use cdmm_core::{prepare, sweep, PipelineConfig, PolicySpec};
+use cdmm_core::sweep::{self, SweepPlan};
+use cdmm_core::{prepare, Executor, PipelineConfig, PolicySpec, ResultCache};
 use cdmm_locality::{analyze_program, instrument, InsertOptions, PageGeometry};
 use cdmm_trace::TraceStats;
 use cdmm_vmsim::policy::cd::CdSelector;
@@ -179,9 +180,15 @@ fn sweep_cmd(path: &str, rest: &[String]) -> Result<(), String> {
     let src = read_source(path)?;
     let p = prepare("CLI", &src, PipelineConfig::default()).map_err(|e| e.to_string())?;
     let policy = flag_value(rest, "--policy").unwrap_or("lru");
+    let cache = ResultCache::disabled();
+    let plan = SweepPlan::new(&cache, &p);
+    let serial = Executor::serial();
     let points = match policy {
-        "lru" => sweep::lru_sweep(&p, sweep::full_lru_range(&p)),
-        "ws" => sweep::ws_sweep(&p, sweep::ws_tau_grid(&p, 6)),
+        "lru" => {
+            let frames: Vec<u64> = sweep::full_lru_range(&p).map(|m| m as u64).collect();
+            plan.lru_grid(&serial, &plan.lru_curve(), &frames)
+        }
+        "ws" => plan.ws_grid(&serial, &plan.ws_curve(), &sweep::ws_tau_grid(&p, 6)),
         other => return Err(format!("sweep supports lru|ws, not `{other}`")),
     };
     println!("{:>10} {:>10} {:>10} {:>14}", "param", "PF", "MEM", "ST");

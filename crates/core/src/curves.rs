@@ -4,98 +4,65 @@
 //! The paper's tables compare single operating points; the natural
 //! graphical companion (a "lifetime curve" in the era's terminology)
 //! plots `PF` against `MEM` for every achievable point of each family.
+//! The LRU and WS curves are [`crate::sweep::SweepPlan`] grids;
 //! [`vmin_curve`] adds the offline-optimal variable-space frontier, so a
-//! CD point's quality is visible as its distance from the frontier.
+//! CD point's quality is visible as its distance from the frontier. Every
+//! curve is a list of sweep [`Point`]s.
 
 use cdmm_vmsim::policy::vmin::Vmin;
 use cdmm_vmsim::{simulate, SimConfig};
 use cdmm_workloads::Variant;
 
 use crate::pipeline::{selector_for, PolicySpec, Prepared};
-use crate::sweep;
-
-/// One point of an operating curve.
-#[derive(Debug, Clone, Copy)]
-pub struct CurvePoint {
-    /// Family parameter (allocation, window, …) that produced the point.
-    pub param: u64,
-    /// Mean resident memory.
-    pub mem: f64,
-    /// Page faults.
-    pub pf: u64,
-    /// Space-time cost.
-    pub st: f64,
-}
-
-fn point(param: u64, m: &cdmm_vmsim::Metrics) -> CurvePoint {
-    CurvePoint {
-        param,
-        mem: m.mean_mem(),
-        pf: m.faults,
-        st: m.st_cost(),
-    }
-}
-
-/// The LRU curve over every allocation `1..=V`.
-pub fn lru_curve(p: &Prepared) -> Vec<CurvePoint> {
-    sweep::lru_sweep(p, sweep::full_lru_range(p))
-        .iter()
-        .map(|pt| point(pt.param, &pt.metrics))
-        .collect()
-}
-
-/// The WS curve over a geometric window grid.
-pub fn ws_curve(p: &Prepared, points_per_decade: u32) -> Vec<CurvePoint> {
-    sweep::ws_sweep(p, sweep::ws_tau_grid(p, points_per_decade))
-        .iter()
-        .map(|pt| point(pt.param, &pt.metrics))
-        .collect()
-}
+use crate::sweep::{self, Point};
 
 /// The VMIN frontier over a geometric window grid — no on-line policy
 /// can sit left of and below this curve.
-pub fn vmin_curve(p: &Prepared, points_per_decade: u32) -> Vec<CurvePoint> {
+pub fn vmin_curve(p: &Prepared, points_per_decade: u32) -> Vec<Point> {
     sweep::ws_tau_grid(p, points_per_decade)
         .into_iter()
         .map(|tau| {
             let mut vm = Vmin::for_trace(p.plain_trace(), tau);
-            let m = simulate(
+            let metrics = simulate(
                 p.plain_trace(),
                 &mut vm,
                 SimConfig {
                     fault_service: p.config().fault_service,
                 },
             );
-            point(tau, &m)
+            Point {
+                param: tau,
+                metrics,
+            }
         })
         .collect()
 }
 
-/// CD's operating points, one per directive-set variant.
-pub fn cd_points(p: &Prepared, variants: &[Variant]) -> Vec<(String, CurvePoint)> {
+/// CD's operating points, one per directive-set variant (`param` 0).
+pub fn cd_points(p: &Prepared, variants: &[Variant]) -> Vec<(String, Point)> {
     variants
         .iter()
         .map(|v| {
-            let m = p.run_policy(PolicySpec::Cd {
+            let metrics = p.run_policy(PolicySpec::Cd {
                 selector: selector_for(v.level),
             });
-            (v.name.to_string(), point(0, &m))
+            (v.name.to_string(), Point { param: 0, metrics })
         })
         .collect()
 }
 
 /// How far (in fault-count ratio) a point sits above the VMIN frontier
 /// at equal-or-smaller memory. 1.0 = on the frontier.
-pub fn frontier_gap(cd: &CurvePoint, frontier: &[CurvePoint]) -> f64 {
+pub fn frontier_gap(cd: &Point, frontier: &[Point]) -> f64 {
     // The frontier is monotone: more memory, fewer faults. Find the best
     // (lowest-PF) frontier point that uses no more memory than `cd`.
     let best = frontier
         .iter()
-        .filter(|f| f.mem <= cd.mem + 1e-9)
-        .map(|f| f.pf)
+        .filter(|f| f.metrics.mean_mem() <= cd.metrics.mean_mem() + 1e-9)
+        .map(|f| f.metrics.faults)
         .min();
     match best {
-        Some(pf) if pf > 0 => cd.pf as f64 / pf as f64,
+        Some(pf) if pf > 0 => cd.metrics.faults as f64 / pf as f64,
         Some(_) => f64::INFINITY,
         None => 1.0, // CD uses less memory than any frontier point.
     }
@@ -105,6 +72,7 @@ pub fn frontier_gap(cd: &CurvePoint, frontier: &[CurvePoint]) -> f64 {
 mod tests {
     use super::*;
     use crate::pipeline::{prepare, PipelineConfig};
+    use crate::sweep::{Executor, ResultCache, SweepPlan};
     use cdmm_workloads::{by_name, Scale};
 
     fn prepared(name: &str) -> (Prepared, Vec<Variant>) {
@@ -116,26 +84,41 @@ mod tests {
     #[test]
     fn curves_are_monotone_where_theory_says() {
         let (p, _) = prepared("FIELD");
-        let lru = lru_curve(&p);
+        let cache = ResultCache::disabled();
+        let plan = SweepPlan::new(&cache, &p);
+        let frames: Vec<u64> = sweep::full_lru_range(&p).map(|m| m as u64).collect();
+        let lru = plan.lru_grid(&Executor::serial(), &plan.lru_curve(), &frames);
         for w in lru.windows(2) {
-            assert!(w[0].pf >= w[1].pf, "LRU inclusion property");
+            assert!(
+                w[0].metrics.faults >= w[1].metrics.faults,
+                "LRU inclusion property"
+            );
         }
         let vmin = vmin_curve(&p, 4);
         for w in vmin.windows(2) {
-            assert!(w[0].pf >= w[1].pf, "VMIN faults monotone in window");
+            assert!(
+                w[0].metrics.faults >= w[1].metrics.faults,
+                "VMIN faults monotone in window"
+            );
         }
     }
 
     #[test]
     fn vmin_is_a_frontier_for_ws() {
         let (p, _) = prepared("MAIN");
-        let ws = ws_curve(&p, 4);
+        let cache = ResultCache::disabled();
+        let plan = SweepPlan::new(&cache, &p);
+        let ws = plan.ws_grid(
+            &Executor::serial(),
+            &plan.ws_curve(),
+            &sweep::ws_tau_grid(&p, 4),
+        );
         let vmin = vmin_curve(&p, 4);
         // Pointwise by parameter: same tau => VMIN no worse on both axes.
         for (w, v) in ws.iter().zip(vmin.iter()) {
             assert_eq!(w.param, v.param);
-            assert!(v.pf <= w.pf);
-            assert!(v.mem <= w.mem + 1e-9);
+            assert!(v.metrics.faults <= w.metrics.faults);
+            assert!(v.metrics.mean_mem() <= w.metrics.mean_mem() + 1e-9);
         }
     }
 

@@ -12,8 +12,7 @@ use cdmm_vmsim::{ExecStats, Metrics};
 use cdmm_workloads::{all, Scale, Variant, Workload};
 
 use crate::pipeline::{prepare, selector_for, PipelineConfig, PolicySpec, Prepared};
-use crate::sweep;
-use crate::sweep::{Executor, Point, ResultCache};
+use crate::sweep::{self, Executor, Point, ResultCache, SweepPlan};
 
 /// Row names of Table 2, in paper order.
 pub const TABLE2_ROWS: [&str; 8] = [
@@ -124,14 +123,8 @@ impl Harness {
     /// Returns (preparing on first use) the pipeline output for the
     /// program behind a row name.
     pub fn prepared(&mut self, row: &str) -> &Prepared {
-        let (w, _) = self.resolve(row);
-        let name = w.name.to_string();
-        let source = w.source.clone();
-        let config = self.config;
-        self.cache.entry(name.clone()).or_insert_with(|| {
-            prepare(&name, &source, config)
-                .unwrap_or_else(|e| panic!("pipeline failed for {name}: {e}"))
-        })
+        self.prepare_rows(&[row]);
+        self.prepared_ref(row)
     }
 
     /// Compiles and traces every program behind `rows` that is not yet
@@ -173,6 +166,12 @@ impl Harness {
             .unwrap_or_else(|| panic!("row {row} not prepared"))
     }
 
+    /// The sweep plan over an already-prepared row's program, memoizing
+    /// through the harness result cache.
+    fn plan(&self, row: &str) -> SweepPlan<'_> {
+        SweepPlan::new(&self.results, self.prepared_ref(row))
+    }
+
     /// CD metrics for a row (its program run under its directive set).
     pub fn cd(&mut self, row: &str) -> Metrics {
         self.prepare_rows(&[row]);
@@ -184,11 +183,7 @@ impl Harness {
     pub fn cd_at(&self, row: &str) -> Metrics {
         let (_, variant) = self.resolve(row);
         let selector = selector_for(variant.level);
-        sweep::cached(
-            &self.results,
-            self.prepared_ref(row),
-            PolicySpec::Cd { selector },
-        )
+        self.plan(row).point(PolicySpec::Cd { selector })
     }
 
     /// CD metrics of an already-prepared row's program under its *best*
@@ -197,12 +192,12 @@ impl Harness {
     /// are the variants that achieved each program's ST minimum.
     pub fn cd_best_at(&self, row: &str) -> Metrics {
         let (w, _) = self.resolve(row);
-        let p = self.prepared_ref(row);
+        let plan = self.plan(row);
         w.variants
             .iter()
             .map(|v| {
                 let selector = selector_for(v.level);
-                sweep::cached(&self.results, p, PolicySpec::Cd { selector })
+                plan.point(PolicySpec::Cd { selector })
             })
             .min_by(|a, b| a.st_cost().partial_cmp(&b.st_cost()).expect("finite ST"))
             .expect("workloads always have at least one variant")
@@ -285,9 +280,13 @@ pub fn table2(harness: &mut Harness) -> Vec<Table2Row> {
     let cache = h.result_cache();
     let inner = Executor::serial();
     let bests: Vec<Point> = h.executor().map(&jobs, |_, (p, family)| {
+        let plan = SweepPlan::new(cache, p);
         let points = match family {
-            Family::Lru => sweep::lru_sweep_with(&inner, cache, p, sweep::full_lru_range(p)),
-            Family::Ws => sweep::ws_sweep_with(&inner, cache, p, sweep::ws_tau_grid(p, 8)),
+            Family::Lru => {
+                let frames: Vec<u64> = sweep::full_lru_range(p).map(|m| m as u64).collect();
+                plan.lru_grid(&inner, &plan.lru_curve(), &frames)
+            }
+            Family::Ws => plan.ws_grid(&inner, &plan.ws_curve(), &sweep::ws_tau_grid(p, 8)),
         };
         sweep::min_st(&points)
     });
@@ -334,12 +333,11 @@ pub struct Table3Row {
 pub fn table3(harness: &mut Harness) -> Vec<Table3Row> {
     harness.prepare_rows(&TABLE34_ROWS);
     let h = &*harness;
-    let cache = h.result_cache();
     h.executor().map(&TABLE34_ROWS, |_, &row| {
         let cd = h.cd_at(row);
-        let p = h.prepared_ref(row);
-        let lru = sweep::lru_match_mem_with(cache, p, cd.mean_mem());
-        let ws = sweep::ws_match_mem_with(cache, p, cd.mean_mem());
+        let plan = h.plan(row);
+        let lru = plan.lru_match_mem(cd.mean_mem());
+        let ws = plan.ws_match_mem(cd.mean_mem());
         Table3Row {
             program: row.to_string(),
             cd_mem: cd.mean_mem(),
@@ -375,12 +373,11 @@ pub struct Table4Row {
 pub fn table4(harness: &mut Harness) -> Vec<Table4Row> {
     harness.prepare_rows(&TABLE34_ROWS);
     let h = &*harness;
-    let cache = h.result_cache();
     h.executor().map(&TABLE34_ROWS, |_, &row| {
         let cd = h.cd_at(row);
-        let p = h.prepared_ref(row);
-        let lru = sweep::lru_match_pf_with(cache, p, cd.faults);
-        let ws = sweep::ws_match_pf_with(cache, p, cd.faults);
+        let plan = h.plan(row);
+        let lru = plan.lru_match_pf(cd.faults);
+        let ws = plan.ws_match_pf(cd.faults);
         Table4Row {
             program: row.to_string(),
             cd_pf: cd.faults,
@@ -474,6 +471,27 @@ mod tests {
     }
 
     #[test]
+    fn harness_cache_traffic_is_pinned_table_by_table() {
+        // A fresh serial harness running Tables 1–4 in order: every CD
+        // point, curve pass, grid point and match search goes through
+        // the one sweep memo, so (hits, misses, simulated points) after
+        // each table pin what is recalled, evaluated and simulated.
+        let mut h = Harness::new(Scale::Small).with_executor(Executor::serial());
+        let traffic = |h: &Harness| {
+            let s = h.exec_stats();
+            (s.cache_hits, s.cache_misses, s.sim_points)
+        };
+        table1(&mut h);
+        assert_eq!(traffic(&h), (0, 8, 8), "after Table 1");
+        table2(&mut h);
+        assert_eq!(traffic(&h), (8, 280, 40), "after Table 2");
+        table3(&mut h);
+        assert_eq!(traffic(&h), (36, 294, 43), "after Table 3");
+        table4(&mut h);
+        assert_eq!(traffic(&h), (67, 305, 43), "after Table 4");
+    }
+
+    #[test]
     fn table3_rows_share_memory_with_cd() {
         let mut h = Harness::new(Scale::Small);
         let rows = table3(&mut h);
@@ -492,8 +510,7 @@ mod tests {
             // must be >= 0 relative... (LRU needs at least CD's memory in
             // practice; we only assert the search respected the budget.)
             let cd = h.cd(&r.program);
-            let p = h.prepared(&r.program);
-            let lru = sweep::lru_match_pf(p, cd.faults);
+            let lru = h.plan(&r.program).lru_match_pf(cd.faults);
             assert!(lru.metrics.faults <= cd.faults, "{}", r.program);
         }
     }

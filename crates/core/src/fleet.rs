@@ -455,7 +455,11 @@ pub fn fleet_frames_sweep(
             let p = prepare(w.name, &w.source, spec.config)?;
             let plan = crate::sweep::SweepPlan::new(cache, &p);
             let params: Vec<u64> = crate::sweep::full_lru_range(&p).map(|m| m as u64).collect();
-            let points = plan.lru_points(&crate::sweep::Executor::serial(), &params);
+            let points = plan.lru_grid(
+                &crate::sweep::Executor::serial(),
+                &plan.lru_curve(),
+                &params,
+            );
             let best = crate::sweep::min_st(&points);
             best_st.insert(name.clone(), best.metrics.st_cost());
         }

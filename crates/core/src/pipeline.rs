@@ -107,8 +107,6 @@ impl std::error::Error for PipelineError {}
 pub struct Prepared {
     name: String,
     analysis: Analysis,
-    /// Source text after directive insertion (what produced `cd_trace`).
-    instrumented_source: String,
     /// Trace of the uninstrumented program (what LRU/WS/OPT see),
     /// stored run-length-compressed; the simulator streams it directly.
     /// Derived from `cd_trace` by dropping its directives.
@@ -158,7 +156,6 @@ pub fn prepare_cancellable(
     let fingerprint = content_fingerprint(source, &plain_trace, &cd_trace, &config);
     Ok(Prepared {
         name: name.to_string(),
-        instrumented_source: cdmm_lang::to_source(&instrumented),
         analysis,
         plain_trace,
         cd_trace,
@@ -436,12 +433,6 @@ impl Prepared {
         SimConfig {
             fault_service: self.config.fault_service,
         }
-    }
-
-    /// The instrumented source text (original program plus inserted
-    /// ALLOCATE/LOCK/UNLOCK directives).
-    pub fn instrumented_source(&self) -> &str {
-        &self.instrumented_source
     }
 
     /// Builds the policy a [`PolicySpec`] describes, parameterized by
@@ -809,12 +800,6 @@ mod tests {
             }
             other => panic!("expected cancellation, got {other}"),
         }
-    }
-
-    #[test]
-    fn instrumented_source_embeds_directives() {
-        let p = prepared("MAIN");
-        assert!(p.instrumented_source().contains("ALLOCATE"));
     }
 
     #[test]

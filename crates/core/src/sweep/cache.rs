@@ -532,48 +532,26 @@ impl ResultCache {
     /// Curves are held in memory only and shared by `Arc` — one entry
     /// answers every allocation of the program's sweep. A disabled
     /// cache just builds (mirroring how point lookups always miss).
-    /// The builder runs outside the map lock; two racing builders may
-    /// both compute, and the first insert wins — both results are
-    /// identical by construction.
-    pub fn lru_curve(&self, key: CacheKey, build: impl FnOnce() -> LruCurve) -> Arc<LruCurve> {
-        let Some(s) = &self.store else {
-            return Arc::new(build());
-        };
-        if let Some(c) = s.lru_curves.lock().expect("cache lock").get(&key) {
-            return Arc::clone(c);
-        }
-        let built = Arc::new(build());
-        let mut map = s.lru_curves.lock().expect("cache lock");
-        Arc::clone(map.entry(key).or_insert(built))
+    /// `build` returns `None` when a cancellation poll stopped it, and
+    /// a stopped build is not memoized. The builder runs outside the
+    /// map lock; two racing builders may both compute, and the first
+    /// insert wins — both results are identical by construction.
+    pub(crate) fn lru_curve(
+        &self,
+        key: CacheKey,
+        build: impl FnOnce() -> Option<LruCurve>,
+    ) -> Option<Arc<LruCurve>> {
+        memo_curve(self.store.as_ref().map(|s| &s.lru_curves), key, build)
     }
 
     /// Recalls or builds the whole WS sweep curve for one program; see
     /// [`ResultCache::lru_curve`] for the sharing semantics.
-    pub fn ws_curve(&self, key: CacheKey, build: impl FnOnce() -> WsCurve) -> Arc<WsCurve> {
-        let Some(s) = &self.store else {
-            return Arc::new(build());
-        };
-        if let Some(c) = s.ws_curves.lock().expect("cache lock").get(&key) {
-            return Arc::clone(c);
-        }
-        let built = Arc::new(build());
-        let mut map = s.ws_curves.lock().expect("cache lock");
-        Arc::clone(map.entry(key).or_insert(built))
-    }
-
-    /// A memoized LRU curve, if one is already built. Builders that may
-    /// abandon a build midway (cancellable callers) probe first, then
-    /// insert through [`ResultCache::lru_curve`] on success.
-    pub fn lru_curve_cached(&self, key: CacheKey) -> Option<Arc<LruCurve>> {
-        let s = self.store.as_ref()?;
-        s.lru_curves.lock().expect("cache lock").get(&key).cloned()
-    }
-
-    /// A memoized WS curve, if one is already built; see
-    /// [`ResultCache::lru_curve_cached`].
-    pub fn ws_curve_cached(&self, key: CacheKey) -> Option<Arc<WsCurve>> {
-        let s = self.store.as_ref()?;
-        s.ws_curves.lock().expect("cache lock").get(&key).cloned()
+    pub(crate) fn ws_curve(
+        &self,
+        key: CacheKey,
+        build: impl FnOnce() -> Option<WsCurve>,
+    ) -> Option<Arc<WsCurve>> {
+        memo_curve(self.store.as_ref().map(|s| &s.ws_curves), key, build)
     }
 
     /// Records the wall time of one simulated (non-cached) point.
@@ -649,6 +627,26 @@ impl Drop for ResultCache {
     fn drop(&mut self) {
         let _ = self.flush();
     }
+}
+
+/// The curve memo of [`ResultCache::lru_curve`] and
+/// [`ResultCache::ws_curve`] over one family's map (`None`: a disabled
+/// cache, which only builds).
+fn memo_curve<C>(
+    map: Option<&Mutex<HashMap<CacheKey, Arc<C>>>>,
+    key: CacheKey,
+    build: impl FnOnce() -> Option<C>,
+) -> Option<Arc<C>> {
+    let Some(map) = map else {
+        return build().map(Arc::new);
+    };
+    if let Some(c) = map.lock().expect("cache lock").get(&key) {
+        return Some(Arc::clone(c));
+    }
+    let built = Arc::new(build()?);
+    Some(Arc::clone(
+        map.lock().expect("cache lock").entry(key).or_insert(built),
+    ))
 }
 
 #[cfg(test)]

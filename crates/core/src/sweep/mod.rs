@@ -20,20 +20,17 @@
 //!   under a content-addressed key, optionally persisted under
 //!   `target/cdmm-cache/`.
 //!
-//! The plain [`lru_sweep`]/[`ws_sweep`] entry points are serial and
-//! uncached; the `_with` variants take the engine explicitly.
-//!
-//! Every LRU/WS sweep and matching search is answered by the one-pass
-//! curve kernels behind [`SweepPlan`] — one trace pass per program per
-//! family instead of one simulation per point, with byte-identical
-//! results (see the [`plan`] module docs). Per-point
+//! [`SweepPlan`] is the one entry point: every LRU/WS sweep, matching
+//! search and memoized point goes through a plan over one program and
+//! one cache, and callers pass the executor to its grid methods. Sweeps
+//! and searches are answered by the one-pass curve kernels — one trace
+//! pass per program per family instead of one simulation per point,
+//! with byte-identical results (see the [`plan`] module docs). Per-point
 //! [`Prepared::run_policy`] is the reference the curve-equivalence
 //! suite holds them to.
 
 pub mod cache;
 pub mod plan;
-
-use std::time::Instant;
 
 use cdmm_vmsim::policy::cd::CdSelector;
 use cdmm_vmsim::Metrics;
@@ -129,61 +126,6 @@ pub fn spec_key(p: &Prepared, spec: PolicySpec) -> CacheKey {
     h.finish()
 }
 
-/// One operating point through the cache: a hit is recalled as-is, a
-/// miss runs [`Prepared::run_policy`] (timed as one simulated point) and
-/// is stored under [`spec_key`].
-pub fn cached(cache: &ResultCache, p: &Prepared, spec: PolicySpec) -> Metrics {
-    let key = spec_key(p, spec);
-    if let Some(m) = cache.lookup(key) {
-        return m;
-    }
-    let t0 = Instant::now();
-    let m = p.run_policy(spec);
-    cache.record_sim(t0.elapsed());
-    cache.insert(key, m);
-    m
-}
-
-/// LRU at every allocation in `frames`, one point each.
-pub fn lru_sweep(p: &Prepared, frames: impl IntoIterator<Item = usize>) -> Vec<Point> {
-    lru_sweep_with(&Executor::serial(), &ResultCache::disabled(), p, frames)
-}
-
-/// [`lru_sweep`] sharded across an executor's workers, each point routed
-/// through the result cache. Point order is deterministic (ascending
-/// over the input order) for every thread count. The whole sweep is
-/// answered from one stack-distance pass.
-pub fn lru_sweep_with(
-    exec: &Executor,
-    cache: &ResultCache,
-    p: &Prepared,
-    frames: impl IntoIterator<Item = usize>,
-) -> Vec<Point> {
-    let params: Vec<u64> = frames
-        .into_iter()
-        .filter(|&m| m >= 1)
-        .map(|m| m as u64)
-        .collect();
-    SweepPlan::new(cache, p).lru_points(exec, &params)
-}
-
-/// WS at every window in `taus`, one point each.
-pub fn ws_sweep(p: &Prepared, taus: impl IntoIterator<Item = u64>) -> Vec<Point> {
-    ws_sweep_with(&Executor::serial(), &ResultCache::disabled(), p, taus)
-}
-
-/// [`ws_sweep`] sharded across an executor's workers, cached per point.
-/// The whole grid is answered from one gap-histogram pass.
-pub fn ws_sweep_with(
-    exec: &Executor,
-    cache: &ResultCache,
-    p: &Prepared,
-    taus: impl IntoIterator<Item = u64>,
-) -> Vec<Point> {
-    let params: Vec<u64> = taus.into_iter().filter(|&t| t >= 1).collect();
-    SweepPlan::new(cache, p).ws_points(exec, &params)
-}
-
 /// The paper's LRU sweep range: every allocation from 1 to the program's
 /// virtual size `V`.
 pub fn full_lru_range(p: &Prepared) -> std::ops::RangeInclusive<usize> {
@@ -239,38 +181,15 @@ pub fn min_st(points: &[Point]) -> Point {
         .expect("minimal ST over an empty sweep")
 }
 
-/// LRU at the allocation closest to a target mean memory (the paper's
-/// Table 3: "similar values were obtained by direct assignment").
-pub fn lru_match_mem(p: &Prepared, target_mem: f64) -> Point {
-    lru_match_mem_with(&ResultCache::disabled(), p, target_mem)
-}
-
-/// [`lru_match_mem`] through the result cache.
-pub fn lru_match_mem_with(cache: &ResultCache, p: &Prepared, target_mem: f64) -> Point {
-    SweepPlan::new(cache, p).lru_match_mem(target_mem)
-}
-
-/// WS at the window whose mean memory best matches the target (binary
-/// search over `τ`, using the monotonicity of mean WS size in `τ`).
-pub fn ws_match_mem(p: &Prepared, target_mem: f64) -> Point {
-    ws_match_mem_with(&ResultCache::disabled(), p, target_mem)
-}
-
-/// [`ws_match_mem`] through the result cache: the binary search probes
-/// the gap curve (no simulations at all).
-pub fn ws_match_mem_with(cache: &ResultCache, p: &Prepared, target_mem: f64) -> Point {
-    SweepPlan::new(cache, p).ws_match_mem(target_mem)
-}
-
-/// The per-point-simulation oracle of [`ws_match_mem_with`]: the kernel
-/// path replays this probe sequence exactly, so the differential tests
-/// hold the two to identical results.
+/// The per-point-simulation oracle of [`SweepPlan::ws_match_mem`]: the
+/// kernel path replays this probe sequence exactly, so the differential
+/// tests hold the two to identical results.
 #[cfg(test)]
 fn ws_match_mem_sim(cache: &ResultCache, p: &Prepared, target_mem: f64) -> Point {
     let r = p.plain_trace().ref_count().max(2);
     let mut lo = 1u64;
     let mut hi = r;
-    let ws = |tau| cached(cache, p, PolicySpec::Ws { tau });
+    let ws = |tau| SweepPlan::new(cache, p).point(PolicySpec::Ws { tau });
     let mut best = Point {
         param: 1,
         metrics: ws(1),
@@ -302,20 +221,7 @@ fn ws_match_mem_sim(cache: &ResultCache, p: &Prepared, target_mem: f64) -> Point
     best
 }
 
-/// The cheapest LRU allocation producing at most `pf_budget` faults
-/// (Table 4's "at most as many faults as CD"). Uses one stack-distance
-/// pass to find the allocation, then simulates it for MEM and ST.
-pub fn lru_match_pf(p: &Prepared, pf_budget: u64) -> Point {
-    lru_match_pf_with(&ResultCache::disabled(), p, pf_budget)
-}
-
-/// [`lru_match_pf`] through the result cache: the curve that answers
-/// the allocation search also answers the point's metrics.
-pub fn lru_match_pf_with(cache: &ResultCache, p: &Prepared, pf_budget: u64) -> Point {
-    SweepPlan::new(cache, p).lru_match_pf(pf_budget)
-}
-
-/// The per-point-simulation oracle of [`lru_match_pf_with`].
+/// The per-point-simulation oracle of [`SweepPlan::lru_match_pf`].
 #[cfg(test)]
 fn lru_match_pf_sim(cache: &ResultCache, p: &Prepared, pf_budget: u64) -> Point {
     let profile = cdmm_vmsim::stack::StackProfile::compute(p.plain_trace());
@@ -324,27 +230,14 @@ fn lru_match_pf_sim(cache: &ResultCache, p: &Prepared, pf_budget: u64) -> Point 
         .unwrap_or(profile.distinct().max(1));
     Point {
         param: m as u64,
-        metrics: cached(cache, p, PolicySpec::Lru { frames: m }),
+        metrics: SweepPlan::new(cache, p).point(PolicySpec::Lru { frames: m }),
     }
 }
 
-/// The smallest WS window producing at most `pf_budget` faults — and
-/// therefore (by monotonicity of memory in `τ`) the WS point of minimal
-/// memory meeting the budget.
-pub fn ws_match_pf(p: &Prepared, pf_budget: u64) -> Point {
-    ws_match_pf_with(&ResultCache::disabled(), p, pf_budget)
-}
-
-/// [`ws_match_pf`] through the result cache: the fault-count probes
-/// read the gap curve and only the minimal window is materialized.
-pub fn ws_match_pf_with(cache: &ResultCache, p: &Prepared, pf_budget: u64) -> Point {
-    SweepPlan::new(cache, p).ws_match_pf(pf_budget)
-}
-
-/// The per-point-simulation oracle of [`ws_match_pf_with`].
+/// The per-point-simulation oracle of [`SweepPlan::ws_match_pf`].
 #[cfg(test)]
 fn ws_match_pf_sim(cache: &ResultCache, p: &Prepared, pf_budget: u64) -> Point {
-    let ws = |tau| cached(cache, p, PolicySpec::Ws { tau });
+    let ws = |tau| SweepPlan::new(cache, p).point(PolicySpec::Ws { tau });
     let r = p.plain_trace().ref_count().max(2);
     let mut lo = 1u64;
     let mut hi = r;
@@ -385,10 +278,21 @@ mod tests {
         prepare(w.name, &w.source, PipelineConfig::default()).unwrap()
     }
 
+    /// LRU at every allocation of `frames`, serial and uncached.
+    fn lru_sweep(p: &Prepared, frames: &[u64]) -> Vec<Point> {
+        let cache = ResultCache::disabled();
+        let plan = SweepPlan::new(&cache, p);
+        plan.lru_grid(&Executor::serial(), &plan.lru_curve(), frames)
+    }
+
+    fn full_range(p: &Prepared) -> Vec<u64> {
+        full_lru_range(p).map(|m| m as u64).collect()
+    }
+
     #[test]
     fn lru_sweep_is_monotone_in_faults() {
         let p = prepared("FIELD");
-        let points = lru_sweep(&p, full_lru_range(&p));
+        let points = lru_sweep(&p, &full_range(&p));
         for w in points.windows(2) {
             assert!(w[0].metrics.faults >= w[1].metrics.faults);
         }
@@ -397,7 +301,7 @@ mod tests {
     #[test]
     fn min_st_picks_the_smallest() {
         let p = prepared("MAIN");
-        let points = lru_sweep(&p, [1usize, 4, 16, 64]);
+        let points = lru_sweep(&p, &[1, 4, 16, 64]);
         let best = min_st(&points);
         for pt in &points {
             assert!(best.metrics.st_cost() <= pt.metrics.st_cost());
@@ -408,7 +312,8 @@ mod tests {
     fn ws_match_mem_converges() {
         let p = prepared("FIELD");
         let target = 4.0;
-        let point = ws_match_mem(&p, target);
+        let cache = ResultCache::disabled();
+        let point = SweepPlan::new(&cache, &p).ws_match_mem(target);
         assert!(
             (point.metrics.mean_mem() - target).abs() < 2.0,
             "matched {} against target {target}",
@@ -421,7 +326,8 @@ mod tests {
         let p = prepared("INIT");
         let lru = |frames| p.run_policy(PolicySpec::Lru { frames });
         let budget = lru(4).faults; // a feasible budget
-        let point = lru_match_pf(&p, budget);
+        let cache = ResultCache::disabled();
+        let point = SweepPlan::new(&cache, &p).lru_match_pf(budget);
         assert!(point.metrics.faults <= budget);
         // And one frame fewer would miss it.
         if point.param > 1 {
@@ -434,7 +340,8 @@ mod tests {
     fn ws_match_pf_meets_budget_minimally() {
         let p = prepared("FIELD");
         let budget = p.plain_trace().distinct_pages() as u64 + 50;
-        let point = ws_match_pf(&p, budget);
+        let cache = ResultCache::disabled();
+        let point = SweepPlan::new(&cache, &p).ws_match_pf(budget);
         assert!(point.metrics.faults <= budget);
         if point.param > 1 {
             let tighter = p.run_policy(PolicySpec::Ws {
@@ -487,21 +394,20 @@ mod tests {
     #[test]
     fn parallel_sweep_is_bit_identical_to_serial() {
         let p = prepared("FIELD");
-        let frames: Vec<usize> = full_lru_range(&p).collect();
-        let serial = lru_sweep(&p, frames.iter().copied());
+        let frames = full_range(&p);
+        let serial = lru_sweep(&p, &frames);
+        let disabled = ResultCache::disabled();
+        let plan = SweepPlan::new(&disabled, &p);
+        let curve = plan.lru_curve();
         for threads in [2, 4, 8] {
-            let exec = Executor::with_threads(threads);
-            let par = lru_sweep_with(&exec, &ResultCache::disabled(), &p, frames.iter().copied());
+            let par = plan.lru_grid(&Executor::with_threads(threads), &curve, &frames);
             assert_eq!(serial, par, "threads={threads}");
         }
         let taus = ws_tau_grid(&p, 6);
-        let serial_ws = ws_sweep(&p, taus.iter().copied());
-        let par_ws = ws_sweep_with(
-            &Executor::with_threads(4),
-            &ResultCache::in_memory(),
-            &p,
-            taus.iter().copied(),
-        );
+        let serial_ws = plan.ws_grid(&Executor::serial(), &plan.ws_curve(), &taus);
+        let cache = ResultCache::in_memory();
+        let cached = SweepPlan::new(&cache, &p);
+        let par_ws = cached.ws_grid(&Executor::with_threads(4), &cached.ws_curve(), &taus);
         assert_eq!(serial_ws, par_ws);
     }
 
@@ -509,9 +415,10 @@ mod tests {
     fn cache_hit_equals_recompute() {
         let p = prepared("INIT");
         let cache = ResultCache::in_memory();
+        let plan = SweepPlan::new(&cache, &p);
         let spec = PolicySpec::Lru { frames: 6 };
-        let first = cached(&cache, &p, spec);
-        let second = cached(&cache, &p, spec);
+        let first = plan.point(spec);
+        let second = plan.point(spec);
         assert_eq!(first, second);
         assert_eq!(
             first,

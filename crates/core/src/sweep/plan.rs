@@ -19,12 +19,14 @@
 //! values are byte-identical to per-point simulation (the differential
 //! suite in `tests/curve_equivalence.rs` holds them to that).
 //!
-//! A [`SweepPlan`] wires the kernels into the sweep engine: curves are
-//! memoized whole in the [`ResultCache`] (one entry answers the entire
-//! sweep), each materialized point also lands in the per-point cache
-//! under its usual [`spec_key`] so the batch service and table harness
-//! stay warm for each other, and the Table 3/4 binary searches become
-//! probes against the curve instead of fresh simulations.
+//! A [`SweepPlan`] is the one way into a sweep. It wires the kernels
+//! into the sweep engine: curves are memoized whole in the
+//! [`ResultCache`] (one entry answers the entire sweep), each grid point
+//! also lands in the per-point cache under its usual [`spec_key`] so the
+//! batch service and table harness stay warm for each other, and the
+//! Table 3/4 binary searches become probes against the curve instead of
+//! fresh simulations. [`SweepPlan::point`] memoizes a single simulated
+//! point of any policy (CD included) through the same per-point cache.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -48,9 +50,10 @@ fn curve_key(p: &Prepared, tag: u64) -> CacheKey {
     h.finish()
 }
 
-/// A sweep routed through the one-pass curve kernels.
+/// Sweeps, match searches and memoized points of one program, routed
+/// through the one-pass curve kernels and the result cache.
 ///
-/// Borrow-only and cheap to construct: the curves themselves live in
+/// Borrow-only and cheap to construct: the curves and points live in
 /// the [`ResultCache`], so building a plan per call site is free.
 pub struct SweepPlan<'a> {
     cache: &'a ResultCache,
@@ -63,59 +66,22 @@ impl<'a> SweepPlan<'a> {
         SweepPlan { cache, p }
     }
 
-    /// The program's LRU curve, built once per cache lifetime. The
-    /// build is counted as one simulated point (it is one trace pass).
-    pub fn lru_curve(&self) -> Arc<LruCurve> {
-        self.cache.lru_curve(curve_key(self.p, 30), || {
+    /// One operating point of any policy through the cache: a hit is
+    /// recalled as-is, a miss runs [`Prepared::run_policy`] (timed as
+    /// one simulated point) and is stored under [`spec_key`].
+    pub fn point(&self, spec: PolicySpec) -> Metrics {
+        self.memo(spec, || {
             let t0 = Instant::now();
-            let curve = LruCurve::compute(self.p.plain_trace());
+            let m = self.p.run_policy(spec);
             self.cache.record_sim(t0.elapsed());
-            curve
+            m
         })
     }
 
-    /// [`SweepPlan::lru_curve`] under a cooperative cancellation poll:
-    /// the stack pass checks `keep_going` once per compressed op, so a
-    /// deadline'd caller (the batch service's sweep jobs) stops within
-    /// one op. A cancelled build is never memoized; `None` means the
-    /// poll stopped the pass.
-    pub fn lru_curve_cancellable(&self, keep_going: impl FnMut() -> bool) -> Option<Arc<LruCurve>> {
-        if let Some(c) = self.cache.lru_curve_cached(curve_key(self.p, 30)) {
-            return Some(c);
-        }
-        let t0 = Instant::now();
-        let curve = LruCurve::compute_cancellable(self.p.plain_trace(), keep_going)?;
-        self.cache.record_sim(t0.elapsed());
-        Some(self.cache.lru_curve(curve_key(self.p, 30), || curve))
-    }
-
-    /// The program's WS curve, built once per cache lifetime.
-    pub fn ws_curve(&self) -> Arc<WsCurve> {
-        self.cache.ws_curve(curve_key(self.p, 31), || {
-            let t0 = Instant::now();
-            let curve = WsCurve::compute(self.p.plain_trace());
-            self.cache.record_sim(t0.elapsed());
-            curve
-        })
-    }
-
-    /// [`SweepPlan::ws_curve`] under a cooperative cancellation poll;
-    /// see [`SweepPlan::lru_curve_cancellable`].
-    pub fn ws_curve_cancellable(&self, keep_going: impl FnMut() -> bool) -> Option<Arc<WsCurve>> {
-        if let Some(c) = self.cache.ws_curve_cached(curve_key(self.p, 31)) {
-            return Some(c);
-        }
-        let t0 = Instant::now();
-        let curve = WsCurve::compute_cancellable(self.p.plain_trace(), keep_going)?;
-        self.cache.record_sim(t0.elapsed());
-        Some(self.cache.ws_curve(curve_key(self.p, 31), || curve))
-    }
-
-    /// Materializes one point through the per-point cache: a hit is
-    /// returned as-is, a miss is answered by the kernel (an O(log)
-    /// evaluation, not a simulation — so it does not count as a
-    /// simulated point) and inserted under the point's usual key.
-    fn memo_point(&self, spec: PolicySpec, eval: impl FnOnce() -> Metrics) -> Metrics {
+    /// The per-point memo behind every point a plan returns: a hit is
+    /// returned as-is, a miss is computed by `eval` and inserted under
+    /// the point's usual key.
+    fn memo(&self, spec: PolicySpec, eval: impl FnOnce() -> Metrics) -> Metrics {
         let key = spec_key(self.p, spec);
         if let Some(m) = self.cache.lookup(key) {
             return m;
@@ -125,40 +91,63 @@ impl<'a> SweepPlan<'a> {
         m
     }
 
-    /// LRU at one allocation, answered from the curve.
-    pub fn lru_point(&self, curve: &LruCurve, m: usize) -> Point {
+    /// The program's LRU curve, built once per cache lifetime.
+    pub fn lru_curve(&self) -> Arc<LruCurve> {
+        self.lru_curve_cancellable(|| true)
+            .expect("an idle poll never stops the pass")
+    }
+
+    /// [`SweepPlan::lru_curve`] under a cooperative cancellation poll:
+    /// the stack pass checks `keep_going` once per compressed op, so a
+    /// deadline'd caller (the batch service's sweep jobs) stops within
+    /// one op. A completed build counts as one simulated point (it is
+    /// one trace pass); a stopped build is never memoized, and `None`
+    /// means the poll stopped the pass.
+    pub fn lru_curve_cancellable(&self, keep_going: impl FnMut() -> bool) -> Option<Arc<LruCurve>> {
+        self.cache.lru_curve(curve_key(self.p, 30), || {
+            let t0 = Instant::now();
+            let curve = LruCurve::compute_cancellable(self.p.plain_trace(), keep_going)?;
+            self.cache.record_sim(t0.elapsed());
+            Some(curve)
+        })
+    }
+
+    /// The program's WS curve, built once per cache lifetime.
+    pub fn ws_curve(&self) -> Arc<WsCurve> {
+        self.ws_curve_cancellable(|| true)
+            .expect("an idle poll never stops the pass")
+    }
+
+    /// [`SweepPlan::ws_curve`] under a cooperative cancellation poll;
+    /// see [`SweepPlan::lru_curve_cancellable`].
+    pub fn ws_curve_cancellable(&self, keep_going: impl FnMut() -> bool) -> Option<Arc<WsCurve>> {
+        self.cache.ws_curve(curve_key(self.p, 31), || {
+            let t0 = Instant::now();
+            let curve = WsCurve::compute_cancellable(self.p.plain_trace(), keep_going)?;
+            self.cache.record_sim(t0.elapsed());
+            Some(curve)
+        })
+    }
+
+    /// LRU at every allocation in `params`, answered from `curve` and
+    /// sharded across the executor; points come back in `params` order
+    /// at every thread count. Each point goes through the per-point
+    /// cache: a miss is an O(log) curve evaluation (not a simulation,
+    /// so it does not count as a simulated point).
+    pub fn lru_grid(&self, exec: &Executor, curve: &LruCurve, params: &[u64]) -> Vec<Point> {
         let fs = self.p.config().fault_service;
-        Point {
-            param: m as u64,
-            metrics: self.memo_point(PolicySpec::Lru { frames: m }, || curve.metrics_at(m, fs)),
-        }
+        exec.map(params, |_, &m| {
+            let frames = m as usize;
+            Point {
+                param: m,
+                metrics: self.memo(PolicySpec::Lru { frames }, || curve.metrics_at(frames, fs)),
+            }
+        })
     }
 
-    /// WS at one window, answered from the curve.
-    pub fn ws_point(&self, curve: &WsCurve, tau: u64) -> Point {
-        let fs = self.p.config().fault_service;
-        Point {
-            param: tau,
-            metrics: self.memo_point(PolicySpec::Ws { tau }, || curve.metrics_at(tau, fs)),
-        }
-    }
-
-    /// The full LRU sweep over `params`, sharded across the executor.
-    /// One curve build answers every allocation.
-    pub fn lru_points(&self, exec: &Executor, params: &[u64]) -> Vec<Point> {
-        let curve = self.lru_curve();
-        exec.map(params, |_, &m| self.lru_point(&curve, m as usize))
-    }
-
-    /// The full WS sweep over `params`, sharded across the executor:
-    /// [`SweepPlan::ws_grid`] over the program's curve.
-    pub fn ws_points(&self, exec: &Executor, params: &[u64]) -> Vec<Point> {
-        self.ws_grid(exec, &self.ws_curve(), params)
-    }
-
-    /// WS at every window of `params`, answered from `curve` and sharded
+    /// WS at every window in `params`, answered from `curve` and sharded
     /// across the executor. Each point goes through the per-point cache
-    /// like [`SweepPlan::ws_point`], but the first miss evaluates the
+    /// like [`SweepPlan::lru_grid`], but the first miss evaluates the
     /// whole grid through [`WsCurve::metrics_for`] — one
     /// largest-window-first event expansion and sort instead of one per
     /// window. A fully warm point cache never touches the curve.
@@ -168,7 +157,7 @@ impl<'a> SweepPlan<'a> {
             std::sync::OnceLock::new();
         exec.map(params, |_, &tau| Point {
             param: tau,
-            metrics: self.memo_point(PolicySpec::Ws { tau }, || {
+            metrics: self.memo(PolicySpec::Ws { tau }, || {
                 batch.get_or_init(|| {
                     params
                         .iter()
@@ -180,11 +169,11 @@ impl<'a> SweepPlan<'a> {
         })
     }
 
-    /// LRU at the allocation closest to a target mean memory (Table 3).
+    /// LRU at the allocation closest to a target mean memory (Table 3:
+    /// "similar values were obtained by direct assignment").
     pub fn lru_match_mem(&self, target_mem: f64) -> Point {
-        let m = target_mem.round().max(1.0) as usize;
-        let curve = self.lru_curve();
-        self.lru_point(&curve, m)
+        let m = target_mem.round().max(1.0) as u64;
+        self.lru_grid(&Executor::serial(), &self.lru_curve(), &[m])[0]
     }
 
     /// WS at the window whose mean memory best matches the target
@@ -218,25 +207,26 @@ impl<'a> SweepPlan<'a> {
                 break;
             }
         }
-        self.ws_point(&curve, best_param)
+        self.ws_grid(&Executor::serial(), &curve, &[best_param])[0]
     }
 
-    /// The cheapest LRU allocation meeting a fault budget (Table 4):
-    /// the curve already orders allocations by fault count, so the
-    /// search is a monotone lookup instead of a stack pass plus a
-    /// simulation.
+    /// The cheapest LRU allocation producing at most `pf_budget` faults
+    /// (Table 4's "at most as many faults as CD"): the curve already
+    /// orders allocations by fault count, so the search is a monotone
+    /// lookup instead of a stack pass plus a simulation.
     pub fn lru_match_pf(&self, pf_budget: u64) -> Point {
         let curve = self.lru_curve();
         let m = curve
             .min_alloc_for(pf_budget)
             .unwrap_or(curve.distinct().max(1));
-        self.lru_point(&curve, m)
+        self.lru_grid(&Executor::serial(), &curve, &[m as u64])[0]
     }
 
-    /// The smallest WS window meeting a fault budget (Table 4):
-    /// fault count is monotone nonincreasing in `τ`, so the binary
-    /// search probes the curve's fault counts and materializes only
-    /// the minimal window.
+    /// The smallest WS window producing at most `pf_budget` faults — and
+    /// therefore (by monotonicity of memory in `τ`) the WS point of
+    /// minimal memory meeting the budget (Table 4). Fault count is
+    /// monotone nonincreasing in `τ`, so the binary search probes the
+    /// curve's fault counts and materializes only the minimal window.
     pub fn ws_match_pf(&self, pf_budget: u64) -> Point {
         let curve = self.ws_curve();
         let r = self.p.plain_trace().ref_count().max(2);
@@ -258,8 +248,7 @@ impl<'a> SweepPlan<'a> {
                 break;
             }
         }
-        let tau = best.unwrap_or(r);
-        self.ws_point(&curve, tau)
+        self.ws_grid(&Executor::serial(), &curve, &[best.unwrap_or(r)])[0]
     }
 }
 
@@ -279,20 +268,24 @@ mod tests {
         let p = prepared("FIELD");
         let cache = ResultCache::disabled();
         let plan = SweepPlan::new(&cache, &p);
-        let lru_curve = plan.lru_curve();
-        for m in [1usize, 2, 5, 16, p.virtual_pages() as usize] {
+        let serial = Executor::serial();
+        let frames = [1u64, 2, 5, 16, p.virtual_pages() as u64];
+        for pt in plan.lru_grid(&serial, &plan.lru_curve(), &frames) {
             assert_eq!(
-                plan.lru_point(&lru_curve, m).metrics,
-                p.run_policy(PolicySpec::Lru { frames: m }),
-                "LRU m={m}"
+                pt.metrics,
+                p.run_policy(PolicySpec::Lru {
+                    frames: pt.param as usize
+                }),
+                "LRU m={}",
+                pt.param
             );
         }
-        let ws_curve = plan.ws_curve();
-        for tau in [1u64, 7, 100, 5000] {
+        for pt in plan.ws_grid(&serial, &plan.ws_curve(), &[1, 7, 100, 5000]) {
             assert_eq!(
-                plan.ws_point(&ws_curve, tau).metrics,
-                p.run_policy(PolicySpec::Ws { tau }),
-                "WS tau={tau}"
+                pt.metrics,
+                p.run_policy(PolicySpec::Ws { tau: pt.param }),
+                "WS tau={}",
+                pt.param
             );
         }
     }
@@ -312,15 +305,10 @@ mod tests {
             taus.len() as u64,
             "a cold grid misses once per point"
         );
-        let single = ResultCache::disabled();
-        let per_point = SweepPlan::new(&single, &p);
+        let fs = p.config().fault_service;
         for (pt, &tau) in grid.iter().zip(&taus) {
             assert_eq!(pt.param, tau);
-            assert_eq!(
-                pt.metrics,
-                per_point.ws_point(&curve, tau).metrics,
-                "tau={tau}"
-            );
+            assert_eq!(pt.metrics, curve.metrics_at(tau, fs), "tau={tau}");
         }
         let again = plan.ws_grid(&serial, &curve, &taus);
         assert_eq!(again, grid);

@@ -566,42 +566,50 @@ impl BatchService {
     /// operating curve through the [`SweepPlan`] — one cancellable
     /// trace pass builds the family's curve (memoized per program in
     /// the [`ResultCache`], each materialized point warming the
-    /// per-point cache that sim jobs read). Every LRU allocation is an
-    /// O(log) evaluation and the WS grid one evaluation pass
-    /// ([`SweepPlan::ws_grid`]), byte-identical to per-point simulation
-    /// by the curve-equivalence gate.
+    /// per-point cache that sim jobs read), and the family's grid
+    /// method, the one Table 2 runs, answers the points in blocks of
+    /// [`SWEEP_BLOCK`] with a token poll before each. Byte-identical to
+    /// per-point simulation by the curve-equivalence gate.
     fn execute_sweep(&self, req: &SweepRequest, token: &CancelToken) -> JobOutcome {
         let prepared =
             match self.resolve_program(&req.work, req.scale, req.pipeline_config(), token) {
                 Ok(p) => p,
                 Err(outcome) => return outcome,
             };
-        let params: Vec<u64> = match req.family {
-            SweepFamily::Lru => sweep::full_lru_range(&prepared).map(|m| m as u64).collect(),
-            SweepFamily::Ws => sweep::ws_tau_grid(&prepared, req.points.unwrap_or(6)),
-        };
-        let sweep_plan = SweepPlan::new(&self.cache, &prepared);
+        let plan = SweepPlan::new(&self.cache, &prepared);
         let keep_going = || !token.should_stop();
         let expired = || JobOutcome::Err {
             kind: ErrorKind::DeadlineExceeded,
             detail: "deadline expired during the sweep curve pass".to_string(),
         };
-        let points: Vec<Point> = match req.family {
+        let serial = Executor::serial();
+        let points = match req.family {
             SweepFamily::Lru => {
-                let Some(curve) = sweep_plan.lru_curve_cancellable(keep_going) else {
+                let Some(curve) = plan.lru_curve_cancellable(keep_going) else {
                     return expired();
                 };
-                params
-                    .iter()
-                    .map(|&m| sweep_plan.lru_point(&curve, m as usize))
-                    .collect()
+                // Allocations `1..=V`, listed one block at a time: the
+                // grid at index `i` is allocation `i + 1`.
+                let frames = sweep::full_lru_range(&prepared);
+                in_blocks(*frames.end(), token, |block| {
+                    let params: Vec<u64> =
+                        (block.start + 1..=block.end).map(|m| m as u64).collect();
+                    plan.lru_grid(&serial, &curve, &params)
+                })
             }
             SweepFamily::Ws => {
-                let Some(curve) = sweep_plan.ws_curve_cancellable(keep_going) else {
+                let taus = sweep::ws_tau_grid(&prepared, req.points.unwrap_or(6));
+                let Some(curve) = plan.ws_curve_cancellable(keep_going) else {
                     return expired();
                 };
-                sweep_plan.ws_grid(&Executor::serial(), &curve, &params)
+                in_blocks(taus.len(), token, |block| {
+                    plan.ws_grid(&serial, &curve, &taus[block])
+                })
             }
+        };
+        let points = match points {
+            Ok(points) => points,
+            Err(outcome) => return outcome,
         };
         JobOutcome::Ok {
             row: encode_sweep_ok(&req.id, req.family, &points),
@@ -701,6 +709,36 @@ impl BatchService {
     }
 }
 
+/// Points a sweep job materializes between two polls of its token. A
+/// declared array can span 2^24 pages, so the grid, not only the curve
+/// pass, must answer to the deadline; paper-scale grids (under 300 LRU
+/// allocations, about 500 WS windows) fit in one block.
+const SWEEP_BLOCK: usize = 4096;
+
+/// Answers a sweep grid of `len` points block by block: `grid` answers
+/// the points at one range of grid indices, at most [`SWEEP_BLOCK`] of
+/// them, and `token` is polled before each block.
+fn in_blocks(
+    len: usize,
+    token: &CancelToken,
+    mut grid: impl FnMut(std::ops::Range<usize>) -> Vec<Point>,
+) -> Result<Vec<Point>, JobOutcome> {
+    let mut points = Vec::new();
+    for start in (0..len).step_by(SWEEP_BLOCK) {
+        if token.should_stop() {
+            return Err(JobOutcome::Err {
+                kind: ErrorKind::DeadlineExceeded,
+                detail: format!(
+                    "deadline expired after {} of {len} sweep points",
+                    points.len()
+                ),
+            });
+        }
+        points.extend(grid(start..len.min(start + SWEEP_BLOCK)));
+    }
+    Ok(points)
+}
+
 /// The typed failure of a job its deadline stopped after `refs_done`
 /// references.
 fn deadline_exceeded(refs_done: u64) -> JobOutcome {
@@ -746,6 +784,7 @@ fn request_id_hint(line: &str) -> String {
 mod tests {
     use super::*;
     use crate::faults::FaultSite;
+    use cdmm_core::PolicySpec;
 
     fn quiet_panics<R>(f: impl FnOnce() -> R) -> R {
         let hook = std::panic::take_hook();
@@ -1222,13 +1261,23 @@ mod tests {
         assert!(out[0].contains("\"family\":\"lru\""), "{}", out[0]);
         assert!(out[1].contains("\"family\":\"ws\""), "{}", out[1]);
 
-        // The digest rows must match the same sweeps run through the
-        // library entry points directly (whatever engine is in force).
+        // The digest rows must match the same curves simulated point by
+        // point, an engine the curve kernels do not share.
         let w = by_name("MAIN", Scale::Small).unwrap();
         let p = cdmm_core::prepare(w.name, &w.source, PipelineConfig::default()).unwrap();
-        let lru = sweep::lru_sweep(&p, sweep::full_lru_range(&p));
+        let per_point = |params: Vec<u64>, spec: fn(u64) -> PolicySpec| -> Vec<Point> {
+            params
+                .into_iter()
+                .map(|param| Point {
+                    param,
+                    metrics: p.run_policy(spec(param)),
+                })
+                .collect()
+        };
+        let frames = sweep::full_lru_range(&p).map(|m| m as u64).collect();
+        let lru = per_point(frames, |m| PolicySpec::Lru { frames: m as usize });
         assert_eq!(out[0], encode_sweep_ok("sw1", SweepFamily::Lru, &lru));
-        let ws = sweep::ws_sweep(&p, sweep::ws_tau_grid(&p, 4));
+        let ws = per_point(sweep::ws_tau_grid(&p, 4), |tau| PolicySpec::Ws { tau });
         assert_eq!(out[1], encode_sweep_ok("sw2", SweepFamily::Ws, &ws));
 
         // Replay: the curve memo answers without a second trace pass,
@@ -1262,6 +1311,25 @@ mod tests {
             out[1]
         );
         assert!(out[2].contains("\"error\":\"bad_request\""), "{}", out[2]);
+    }
+
+    #[test]
+    fn a_sweep_grid_answers_its_deadline_between_blocks() {
+        // One element per page: a million-page LRU grid over a trace of
+        // one reference. The curve pass is instant and the grid is the
+        // work, so only a poll between grid blocks can stop the job.
+        let s = service(ServeConfig {
+            threads: 1,
+            ..ServeConfig::default()
+        });
+        let line = r#"{"id":"big","job":"sweep","family":"lru","source":"PROGRAM BIG\nDIMENSION A(1000000)\nA(1) = 1.0\nEND\n","page_bytes":4,"deadline_ms":20}"#;
+        let out = s.handle_batch(&[line]);
+        assert!(
+            out[0].contains("\"error\":\"deadline_exceeded\""),
+            "{}",
+            out[0]
+        );
+        assert!(out[0].contains("sweep points"), "{}", out[0]);
     }
 
     #[test]

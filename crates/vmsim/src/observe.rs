@@ -415,6 +415,58 @@ pub(crate) fn line_checksum(payload: &str) -> u64 {
     mix(h ^ payload.len() as u64)
 }
 
+/// Verifies one self-checksummed JSON line: its payload starts with
+/// `prefix` (the format's version and schema tag) and its trailing `"c"`
+/// member matches the payload's checksum.
+pub(crate) fn validate_line(line: &str, prefix: &str) -> bool {
+    let Some(cut) = line.rfind(",\"c\":\"") else {
+        return false;
+    };
+    let payload = &line[..cut];
+    if !payload.starts_with(prefix) {
+        return false;
+    }
+    let tail = &line[cut + 6..];
+    let Some(hex) = tail.strip_suffix("\"}") else {
+        return false;
+    };
+    match u64::from_str_radix(hex, 16) {
+        Ok(stored) => stored == line_checksum(payload),
+        Err(_) => false,
+    }
+}
+
+/// Walks the non-blank lines of a checksummed JSON-lines file, handing
+/// `visit` each line's 1-based number, its text, and whether it passes
+/// [`validate_line`] under `prefix`. The first error `visit` returns
+/// ends the walk; otherwise the walk returns the number of valid lines.
+pub(crate) fn walk_lines(
+    path: &Path,
+    prefix: &str,
+    mut visit: impl FnMut(usize, &str, bool) -> Result<(), String>,
+) -> Result<u64, String> {
+    let text = fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
+    let mut valid = 0;
+    for (i, line) in text.lines().enumerate() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        let ok = validate_line(line, prefix);
+        visit(i + 1, line, ok)?;
+        valid += u64::from(ok);
+    }
+    Ok(valid)
+}
+
+/// The error a strict [`walk_lines`] visitor reports for the damaged
+/// line `no`, which it names as a damaged `what`.
+pub(crate) fn damaged(path: &Path, no: usize, what: &str, line: &str) -> String {
+    format!("{}:{no}: damaged {what}: {line}", path.display())
+}
+
+/// The payload prefix of every event line.
+const EVENT_PREFIX: &str = "{\"v\":1,\"at\":";
+
 /// Renders the event-specific JSON fields (no surrounding braces).
 fn event_fields(event: &SimEvent) -> String {
     let kind = event.kind();
@@ -483,21 +535,7 @@ pub fn encode_event_line(at: u64, event: &SimEvent) -> String {
 /// Verifies one line produced by [`encode_event_line`]: version tag
 /// present and checksum matching the payload prefix.
 pub fn validate_event_line(line: &str) -> bool {
-    let Some(cut) = line.rfind(",\"c\":\"") else {
-        return false;
-    };
-    let payload = &line[..cut];
-    if !payload.starts_with("{\"v\":1,\"at\":") {
-        return false;
-    }
-    let tail = &line[cut + 6..];
-    let Some(hex) = tail.strip_suffix("\"}") else {
-        return false;
-    };
-    match u64::from_str_radix(hex, 16) {
-        Ok(stored) => stored == line_checksum(payload),
-        Err(_) => false,
-    }
+    validate_line(line, EVENT_PREFIX)
 }
 
 /// A tracer appending checksummed JSON lines to a file.
@@ -571,43 +609,27 @@ impl JsonlSink {
     /// Recomputes the [`JsonlSink::stream_checksum`] of a trace file on
     /// disk, validating every line on the way.
     pub fn file_stream_checksum(path: &Path) -> Result<u64, String> {
-        let text = fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
         let mut stream = 0u64;
-        for (i, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            if !validate_event_line(line) {
-                return Err(format!(
-                    "{}:{}: damaged trace line: {line}",
-                    path.display(),
-                    i + 1
-                ));
+        walk_lines(path, EVENT_PREFIX, |no, line, valid| {
+            if !valid {
+                return Err(damaged(path, no, "trace line", line));
             }
             stream = mix(stream ^ line_checksum(line));
-        }
+            Ok(())
+        })?;
         Ok(stream)
     }
 
     /// Validates every line of a trace file; returns the number of
     /// valid lines or a description of the first damaged one.
     pub fn validate_file(path: &Path) -> Result<u64, String> {
-        let text = fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        let mut n = 0;
-        for (i, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
+        walk_lines(path, EVENT_PREFIX, |no, line, valid| {
+            if valid {
+                Ok(())
+            } else {
+                Err(damaged(path, no, "trace line", line))
             }
-            if !validate_event_line(line) {
-                return Err(format!(
-                    "{}:{}: damaged trace line: {line}",
-                    path.display(),
-                    i + 1
-                ));
-            }
-            n += 1;
-        }
-        Ok(n)
+        })
     }
 
     /// Reads a trace file back, tolerating damage only as a *torn tail*
@@ -618,26 +640,18 @@ impl JsonlSink {
     /// error: the checksummed reader must never silently resurrect a
     /// file whose interior rotted.
     pub fn recover_file(path: &Path) -> Result<(u64, u64), String> {
-        let text = fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        let mut valid = 0u64;
         let mut torn = 0u64;
-        for (i, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            if validate_event_line(line) {
-                if torn > 0 {
-                    return Err(format!(
-                        "{}:{}: valid line after {torn} damaged line(s): mid-file corruption",
-                        path.display(),
-                        i + 1
-                    ));
-                }
-                valid += 1;
-            } else {
+        let valid = walk_lines(path, EVENT_PREFIX, |no, _, valid| {
+            if !valid {
                 torn += 1;
+            } else if torn > 0 {
+                return Err(format!(
+                    "{}:{no}: valid line after {torn} damaged line(s): mid-file corruption",
+                    path.display()
+                ));
             }
-        }
+            Ok(())
+        })?;
         Ok((valid, torn))
     }
 }

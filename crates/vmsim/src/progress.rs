@@ -23,7 +23,7 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use crate::observe::{line_checksum, Histogram};
+use crate::observe::{damaged, line_checksum, validate_line, walk_lines, Histogram};
 
 /// Schema tag carried by every progress frame.
 pub const PROGRESS_SCHEMA: &str = "cdmm-progress/1";
@@ -193,42 +193,24 @@ pub fn encode_progress_line(f: &ProgressFrame) -> String {
 /// Verifies one line produced by [`encode_progress_line`]: schema tag
 /// present and checksum matching the payload prefix.
 pub fn validate_progress_line(line: &str) -> bool {
-    let Some(cut) = line.rfind(",\"c\":\"") else {
-        return false;
-    };
-    let payload = &line[..cut];
-    if !payload.starts_with(&format!("{{\"v\":1,\"schema\":\"{PROGRESS_SCHEMA}\"")) {
-        return false;
-    }
-    let tail = &line[cut + 6..];
-    let Some(hex) = tail.strip_suffix("\"}") else {
-        return false;
-    };
-    match u64::from_str_radix(hex, 16) {
-        Ok(stored) => stored == line_checksum(payload),
-        Err(_) => false,
-    }
+    validate_line(line, &progress_prefix())
+}
+
+/// The payload prefix of every progress frame.
+fn progress_prefix() -> String {
+    format!("{{\"v\":1,\"schema\":\"{PROGRESS_SCHEMA}\"")
 }
 
 /// Validates every frame of a progress file; returns the number of
 /// valid frames or a description of the first damaged one.
 pub fn validate_progress_file(path: &Path) -> Result<u64, String> {
-    let text = fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-    let mut n = 0;
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
+    walk_lines(path, &progress_prefix(), |no, line, valid| {
+        if valid {
+            Ok(())
+        } else {
+            Err(damaged(path, no, "progress frame", line))
         }
-        if !validate_progress_line(line) {
-            return Err(format!(
-                "{}:{}: damaged progress frame: {line}",
-                path.display(),
-                i + 1
-            ));
-        }
-        n += 1;
-    }
-    Ok(n)
+    })
 }
 
 /// A periodic progress exporter: samples shared [`ProgressCounters`] on

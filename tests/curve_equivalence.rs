@@ -132,7 +132,7 @@ fn sweep_plan_matches_per_point_sweeps_on_every_workload() {
         let cache = ResultCache::disabled();
         let plan = SweepPlan::new(&cache, &p);
         let lru_params: Vec<u64> = sweep::full_lru_range(&p).map(|m| m as u64).collect();
-        let kernel = plan.lru_points(&exec, &lru_params);
+        let kernel = plan.lru_grid(&exec, &plan.lru_curve(), &lru_params);
         for pt in &kernel {
             assert_eq!(
                 pt.metrics,
@@ -144,7 +144,7 @@ fn sweep_plan_matches_per_point_sweeps_on_every_workload() {
             );
         }
         let taus = sweep::ws_tau_grid(&p, 8);
-        let kernel = plan.ws_points(&exec, &taus);
+        let kernel = plan.ws_grid(&exec, &plan.ws_curve(), &taus);
         for pt in &kernel {
             assert_eq!(
                 pt.metrics,

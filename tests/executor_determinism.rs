@@ -12,7 +12,7 @@
 use std::path::PathBuf;
 
 use cdmm_core::sweep::cache::{decode_line, encode_line};
-use cdmm_core::sweep::{cached, spec_key};
+use cdmm_core::sweep::{spec_key, SweepPlan};
 use cdmm_core::{prepare, CacheKey, Executor, PipelineConfig, PolicySpec, Prepared, ResultCache};
 use cdmm_trace::synth::SplitMix64;
 use cdmm_vmsim::Metrics;
@@ -88,7 +88,8 @@ fn cache_round_trip_equals_recompute() {
 
     let cold = ResultCache::at_dir(&dir).unwrap();
     let lru = |frames| PolicySpec::Lru { frames };
-    let fresh: Vec<Metrics> = frames.iter().map(|&f| cached(&cold, &p, lru(f))).collect();
+    let plan = SweepPlan::new(&cold, &p);
+    let fresh: Vec<Metrics> = frames.iter().map(|&f| plan.point(lru(f))).collect();
     assert_eq!(cold.stats().cache_misses, frames.len() as u64);
     cold.flush().unwrap();
     drop(cold);
@@ -183,7 +184,7 @@ fn poisoned_cache_file_is_discarded_and_recomputed() {
     assert!(reopened.lookup(key).is_none(), "tampered entry was trusted");
 
     // The memoized path recomputes and the result matches ground truth.
-    assert_eq!(cached(&reopened, &p, spec), truth);
+    assert_eq!(SweepPlan::new(&reopened, &p).point(spec), truth);
     assert_eq!(reopened.stats().cache_misses, 2); // explicit lookup + memoized miss
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -48,7 +48,6 @@ fn both_traces_match_the_two_interpretation_path_on_every_workload() {
             let printed = cdmm_lang::to_source(&instrument(&analysis, cfg.insert));
             let cd = trace_program_compressed(&printed, cfg.geometry).unwrap();
             assert_eq!(p.cd_trace(), &cd, "{} {scale:?}: CD trace", w.name);
-            assert_eq!(p.instrumented_source(), printed, "{} {scale:?}", w.name);
         }
     }
 }
