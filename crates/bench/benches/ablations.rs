@@ -4,13 +4,14 @@
 use cdmm_bench::timing::run;
 use cdmm_core::experiments::Harness;
 use cdmm_core::{selector_for, PolicySpec};
+use cdmm_oracle::simulate;
 use cdmm_trace::{synth, CompressedTrace};
 use cdmm_vmsim::policy::cd::{CdPolicy, CdSelector};
 use cdmm_vmsim::policy::pff::Pff;
 use cdmm_vmsim::policy::ws::WorkingSet;
 use cdmm_vmsim::policy::ws_variants::{DampedWs, SampledWs, VariableSampledWs};
+use cdmm_vmsim::SimConfig;
 use cdmm_vmsim::{run_fleet, Admission, CancelToken, FleetConfig, NullTracer, TenantSpec};
-use cdmm_vmsim::{simulate, SimConfig};
 use cdmm_workloads::Scale;
 
 const SAMPLES: u32 = 10;

@@ -1,10 +1,11 @@
 //! Raw policy throughput on synthetic reference strings (references per
 //! second through each policy implementation): the per-reference
-//! `simulate` first, then the run-level `simulate_with` that production
-//! runs take, over a compressed loop-nest trace and a fault-heavy
-//! double sweep under a large OPT allocation.
+//! `cdmm_oracle::simulate` first, then the run-level `simulate_with`
+//! that production runs take, over a compressed loop-nest trace and a
+//! fault-heavy double sweep under a large OPT allocation.
 
 use cdmm_bench::timing::run;
+use cdmm_oracle::simulate;
 use cdmm_trace::{synth, CompressedTrace, PageId, TraceBuilder};
 use cdmm_vmsim::policy::cd::{CdPolicy, CdSelector};
 use cdmm_vmsim::policy::clock::Clock;
@@ -14,7 +15,7 @@ use cdmm_vmsim::policy::opt::Opt;
 use cdmm_vmsim::policy::pff::Pff;
 use cdmm_vmsim::policy::ws::WorkingSet;
 use cdmm_vmsim::policy::Policy;
-use cdmm_vmsim::{simulate, simulate_with, CancelToken, Metrics, NullTracer, SimConfig};
+use cdmm_vmsim::{simulate_with, CancelToken, Metrics, NullTracer, SimConfig};
 
 const LEN: usize = 50_000;
 const PAGES: u32 = 128;

@@ -10,7 +10,7 @@
 //! curve is a list of sweep [`Point`]s.
 
 use cdmm_vmsim::policy::vmin::Vmin;
-use cdmm_vmsim::{simulate, SimConfig};
+use cdmm_vmsim::{simulate_with, CancelToken, NullTracer, SimConfig};
 use cdmm_workloads::Variant;
 
 use crate::pipeline::{selector_for, PolicySpec, Prepared};
@@ -23,13 +23,19 @@ pub fn vmin_curve(p: &Prepared, points_per_decade: u32) -> Vec<Point> {
         .into_iter()
         .map(|tau| {
             let mut vm = Vmin::for_trace(p.plain_trace(), tau);
-            let metrics = simulate(
+            let config = SimConfig {
+                fault_service: p.config().fault_service,
+            };
+            // VMIN has no batch kernels: the driver decodes every run
+            // reference by reference.
+            let metrics = simulate_with(
                 p.plain_trace(),
                 &mut vm,
-                SimConfig {
-                    fault_service: p.config().fault_service,
-                },
-            );
+                config,
+                &mut NullTracer,
+                &CancelToken::new(),
+            )
+            .expect("an idle token never stops a run");
             Point {
                 param: tau,
                 metrics,

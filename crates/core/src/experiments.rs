@@ -8,7 +8,8 @@
 
 use std::collections::BTreeMap;
 
-use cdmm_vmsim::{ExecStats, Metrics};
+use cdmm_vmsim::policy::cd::CdSelector;
+use cdmm_vmsim::{CancelToken, ExecStats, Metrics, NullTracer};
 use cdmm_workloads::{all, Scale, Variant, Workload};
 
 use crate::pipeline::{prepare, selector_for, PipelineConfig, PolicySpec, Prepared};
@@ -183,7 +184,7 @@ impl Harness {
     pub fn cd_at(&self, row: &str) -> Metrics {
         let (_, variant) = self.resolve(row);
         let selector = selector_for(variant.level);
-        self.plan(row).point(PolicySpec::Cd { selector })
+        cd_point(&self.plan(row), selector)
     }
 
     /// CD metrics of an already-prepared row's program under its *best*
@@ -195,13 +196,20 @@ impl Harness {
         let plan = self.plan(row);
         w.variants
             .iter()
-            .map(|v| {
-                let selector = selector_for(v.level);
-                plan.point(PolicySpec::Cd { selector })
-            })
+            .map(|v| cd_point(&plan, selector_for(v.level)))
             .min_by(|a, b| a.st_cost().partial_cmp(&b.st_cost()).expect("finite ST"))
             .expect("workloads always have at least one variant")
     }
+}
+
+/// One memoized, untraced CD point of a plan.
+fn cd_point(plan: &SweepPlan<'_>, selector: CdSelector) -> Metrics {
+    plan.point(
+        PolicySpec::Cd { selector },
+        &mut NullTracer,
+        &CancelToken::new(),
+    )
+    .expect("an idle token never stops a run")
 }
 
 /// One row of Table 1: the effect of executing different directive sets

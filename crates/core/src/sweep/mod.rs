@@ -27,7 +27,8 @@
 //! pass per program per family instead of one simulation per point,
 //! with byte-identical results (see the [`plan`] module docs). Per-point
 //! [`Prepared::run_policy`] is the reference the curve-equivalence
-//! suite holds them to.
+//! suite holds them to, and the dev-only `cdmm-oracle` crate keeps the
+//! per-point searches the curve probes replay.
 
 pub mod cache;
 pub mod plan;
@@ -181,92 +182,6 @@ pub fn min_st(points: &[Point]) -> Point {
         .expect("minimal ST over an empty sweep")
 }
 
-/// The per-point-simulation oracle of [`SweepPlan::ws_match_mem`]: the
-/// kernel path replays this probe sequence exactly, so the differential
-/// tests hold the two to identical results.
-#[cfg(test)]
-fn ws_match_mem_sim(cache: &ResultCache, p: &Prepared, target_mem: f64) -> Point {
-    let r = p.plain_trace().ref_count().max(2);
-    let mut lo = 1u64;
-    let mut hi = r;
-    let ws = |tau| SweepPlan::new(cache, p).point(PolicySpec::Ws { tau });
-    let mut best = Point {
-        param: 1,
-        metrics: ws(1),
-    };
-    let mut best_err = (best.metrics.mean_mem() - target_mem).abs();
-    while lo <= hi {
-        let mid = lo + (hi - lo) / 2;
-        let point = Point {
-            param: mid,
-            metrics: ws(mid),
-        };
-        let err = (point.metrics.mean_mem() - target_mem).abs();
-        if err < best_err {
-            best = point;
-            best_err = err;
-        }
-        if point.metrics.mean_mem() < target_mem {
-            lo = mid + 1;
-        } else {
-            if mid == 0 {
-                break;
-            }
-            hi = mid - 1;
-        }
-        if lo > hi {
-            break;
-        }
-    }
-    best
-}
-
-/// The per-point-simulation oracle of [`SweepPlan::lru_match_pf`].
-#[cfg(test)]
-fn lru_match_pf_sim(cache: &ResultCache, p: &Prepared, pf_budget: u64) -> Point {
-    let profile = cdmm_vmsim::stack::StackProfile::compute(p.plain_trace());
-    let m = profile
-        .min_alloc_for(pf_budget)
-        .unwrap_or(profile.distinct().max(1));
-    Point {
-        param: m as u64,
-        metrics: SweepPlan::new(cache, p).point(PolicySpec::Lru { frames: m }),
-    }
-}
-
-/// The per-point-simulation oracle of [`SweepPlan::ws_match_pf`].
-#[cfg(test)]
-fn ws_match_pf_sim(cache: &ResultCache, p: &Prepared, pf_budget: u64) -> Point {
-    let ws = |tau| SweepPlan::new(cache, p).point(PolicySpec::Ws { tau });
-    let r = p.plain_trace().ref_count().max(2);
-    let mut lo = 1u64;
-    let mut hi = r;
-    let mut best: Option<Point> = None;
-    while lo <= hi {
-        let mid = lo + (hi - lo) / 2;
-        let point = Point {
-            param: mid,
-            metrics: ws(mid),
-        };
-        if point.metrics.faults <= pf_budget {
-            best = Some(point);
-            if mid == 0 {
-                break;
-            }
-            hi = mid - 1;
-        } else {
-            lo = mid + 1;
-        }
-        if lo > hi {
-            break;
-        }
-    }
-    best.unwrap_or_else(|| Point {
-        param: r,
-        metrics: ws(r),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -417,8 +332,16 @@ mod tests {
         let cache = ResultCache::in_memory();
         let plan = SweepPlan::new(&cache, &p);
         let spec = PolicySpec::Lru { frames: 6 };
-        let first = plan.point(spec);
-        let second = plan.point(spec);
+        let point = || {
+            plan.point(
+                spec,
+                &mut cdmm_vmsim::NullTracer,
+                &cdmm_vmsim::CancelToken::new(),
+            )
+            .expect("an idle token never stops a run")
+        };
+        let first = point();
+        let second = point();
         assert_eq!(first, second);
         assert_eq!(
             first,

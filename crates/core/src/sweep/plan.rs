@@ -26,12 +26,14 @@
 //! batch service and table harness stay warm for each other, and the
 //! Table 3/4 binary searches become probes against the curve instead of
 //! fresh simulations. [`SweepPlan::point`] memoizes a single simulated
-//! point of any policy (CD included) through the same per-point cache.
+//! point of any policy (CD included) through the same per-point cache:
+//! it is the one lookup–run–insert, under any tracer and deadline, that
+//! the table harness and the batch service's sim jobs share.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use cdmm_vmsim::{LruCurve, Metrics, WsCurve};
+use cdmm_vmsim::{CancelToken, Detail, LruCurve, Metrics, SimError, Tracer, WsCurve};
 
 use crate::pipeline::{PolicySpec, Prepared};
 
@@ -66,21 +68,39 @@ impl<'a> SweepPlan<'a> {
         SweepPlan { cache, p }
     }
 
-    /// One operating point of any policy through the cache: a hit is
-    /// recalled as-is, a miss runs [`Prepared::run_policy`] (timed as
-    /// one simulated point) and is stored under [`spec_key`].
-    pub fn point(&self, spec: PolicySpec) -> Metrics {
-        self.memo(spec, || {
-            let t0 = Instant::now();
-            let m = self.p.run_policy(spec);
-            self.cache.record_sim(t0.elapsed());
-            m
-        })
+    /// One operating point of any policy through the cache, run by
+    /// [`Prepared::run_policy_traced`] under `tracer` and `token`:
+    ///
+    /// - An untraced run — a tracer below [`Detail::Aggregates`], the
+    ///   test [`cdmm_vmsim::simulate_with`] uses to decide whether a run
+    ///   is traced — recalls a hit as-is.
+    /// - A traced run skips the lookup: its event stream is the product,
+    ///   so it must run.
+    /// - A completed run, traced or not, is timed as one simulated point
+    ///   and stored under [`spec_key`], so later untraced calls hit.
+    /// - A stopped run stores nothing and returns its [`SimError`].
+    pub fn point(
+        &self,
+        spec: PolicySpec,
+        tracer: &mut dyn Tracer,
+        token: &CancelToken,
+    ) -> Result<Metrics, SimError> {
+        let key = spec_key(self.p, spec);
+        if tracer.detail() < Detail::Aggregates {
+            if let Some(m) = self.cache.lookup(key) {
+                return Ok(m);
+            }
+        }
+        let t0 = Instant::now();
+        let m = self.p.run_policy_traced(spec, tracer, token)?;
+        self.cache.record_sim(t0.elapsed());
+        self.cache.insert(key, m);
+        Ok(m)
     }
 
-    /// The per-point memo behind every point a plan returns: a hit is
-    /// returned as-is, a miss is computed by `eval` and inserted under
-    /// the point's usual key.
+    /// The per-point memo behind every grid point a plan returns: a hit
+    /// is returned as-is, a miss is computed by `eval` from a curve and
+    /// inserted under the point's usual key.
     fn memo(&self, spec: PolicySpec, eval: impl FnOnce() -> Metrics) -> Metrics {
         let key = spec_key(self.p, spec);
         if let Some(m) = self.cache.lookup(key) {
@@ -349,24 +369,40 @@ mod tests {
     }
 
     #[test]
-    fn match_searches_agree_with_per_point_searches() {
-        let p = prepared("FIELD");
-        let cache = ResultCache::disabled();
+    fn a_traced_point_skips_the_lookup_and_a_stopped_one_stores_nothing() {
+        use cdmm_vmsim::{MetricsRegistry, NullTracer};
+        let p = prepared("INIT");
+        let cache = ResultCache::in_memory();
         let plan = SweepPlan::new(&cache, &p);
-        let target = 4.0;
-        let kernel = plan.ws_match_mem(target);
-        let sim = super::super::ws_match_mem_sim(&cache, &p, target);
-        assert_eq!(kernel.param, sim.param);
-        assert_eq!(kernel.metrics, sim.metrics);
+        let spec = PolicySpec::Lru { frames: 6 };
+        let idle = CancelToken::new();
 
-        let budget = p.run_policy(PolicySpec::Lru { frames: 4 }).faults;
-        let kernel = plan.lru_match_pf(budget);
-        let sim = super::super::lru_match_pf_sim(&cache, &p, budget);
-        assert_eq!((kernel.param, kernel.metrics), (sim.param, sim.metrics));
+        let mut registry = MetricsRegistry::new();
+        let traced = plan.point(spec, &mut registry, &idle);
+        assert_eq!(traced, Ok(p.run_policy(spec)));
+        let s = cache.stats();
+        assert_eq!(
+            (s.cache_hits, s.cache_misses, s.sim_points),
+            (0, 0, 1),
+            "a registry-attached point counts no lookup and runs once"
+        );
+        assert_eq!(cache.len(), 1, "the traced run still warms the cache");
+        assert_eq!(
+            plan.point(spec, &mut NullTracer, &idle),
+            traced,
+            "an untraced call hits"
+        );
+        assert_eq!(cache.stats().cache_hits, 1);
 
-        let budget = p.plain_trace().distinct_pages() as u64 + 50;
-        let kernel = plan.ws_match_pf(budget);
-        let sim = super::super::ws_match_pf_sim(&cache, &p, budget);
-        assert_eq!((kernel.param, kernel.metrics), (sim.param, sim.metrics));
+        let stopped = CancelToken::new();
+        stopped.cancel();
+        let unseen = PolicySpec::Lru { frames: 7 };
+        assert_eq!(
+            plan.point(unseen, &mut NullTracer, &stopped),
+            Err(SimError::DeadlineExceeded { refs_done: 0 })
+        );
+        let s = cache.stats();
+        assert_eq!((s.cache_misses, s.sim_points), (1, 1), "a miss, no run");
+        assert_eq!(cache.len(), 1, "a stopped run stores nothing");
     }
 }

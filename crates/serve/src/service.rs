@@ -33,15 +33,15 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use cdmm_core::fleet::{prepare_fleet, FleetError};
-use cdmm_core::sweep::{self, spec_key, CacheKey, KeyHasher, Point, SweepPlan};
+use cdmm_core::sweep::{self, CacheKey, KeyHasher, Point, SweepPlan};
 use cdmm_core::{
     panic_message, prepare_cancellable, Executor, InterpError, PipelineConfig, PipelineError,
     Prepared, ResultCache,
 };
 use cdmm_trace::synth::{mix, GAMMA};
 use cdmm_vmsim::{
-    CancelToken, Histogram, JsonlSink, Metrics, MetricsRegistry, NullTracer, ProgressCounters,
-    SimError, Tee, Tracer,
+    CancelToken, Histogram, JsonlSink, MetricsRegistry, NullTracer, ProgressCounters, SimError,
+    Tee, Tracer,
 };
 use cdmm_workloads::{by_name, Scale};
 
@@ -416,10 +416,12 @@ impl BatchService {
     }
 
     /// One sim attempt: resolve the program (trace generation polls the
-    /// token), consult the cache, simulate under the same token. A
-    /// `trace`/`metrics` request bypasses the cache read — the event
-    /// stream is the product, so it must actually run — but its metrics
-    /// still land in the cache for later untraced calls.
+    /// token), then run the point through [`SweepPlan::point`] under the
+    /// same token and the tracer the request's flags ask for. An
+    /// untraced request may be answered from the cache; a
+    /// `trace`/`metrics` request always runs — the event stream is the
+    /// product — and its metrics still land in the cache for later
+    /// untraced calls.
     fn execute_sim(&self, req: &JobRequest, token: &CancelToken) -> JobOutcome {
         let prepared =
             match self.resolve_program(&req.work, req.scale, req.pipeline_config(), token) {
@@ -427,27 +429,16 @@ impl BatchService {
                 Err(outcome) => return outcome,
             };
         let label = prepared.policy_label(req.policy);
-        let key = spec_key(&prepared, req.policy);
-        let ok = |m: &Metrics, extra: &str| JobOutcome::Ok {
-            row: attach_fields(&encode_ok(&req.id, &label, m), extra),
-            refs: m.refs,
-        };
-        if !req.trace && !req.metrics {
-            if let Some(metrics) = self.cache.lookup(key) {
-                return ok(&metrics, "");
-            }
-        }
-        let t0 = Instant::now();
+        let plan = SweepPlan::new(&self.cache, &prepared);
         let run = self.observed(req.trace, req.metrics, &req.id, |tracer| {
-            prepared.run_policy_traced(req.policy, tracer, token)
+            plan.point(req.policy, tracer, token)
         });
         match run {
             Err(outcome) => outcome,
-            Ok((Ok(metrics), extra)) => {
-                self.cache.record_sim(t0.elapsed());
-                self.cache.insert(key, metrics);
-                ok(&metrics, &extra)
-            }
+            Ok((Ok(metrics), extra)) => JobOutcome::Ok {
+                row: attach_fields(&encode_ok(&req.id, &label, &metrics), &extra),
+                refs: metrics.refs,
+            },
             Ok((Err(SimError::DeadlineExceeded { refs_done }), _)) => deadline_exceeded(refs_done),
             Ok((Err(other), _)) => JobOutcome::Err {
                 kind: ErrorKind::Pipeline,
@@ -469,13 +460,13 @@ impl BatchService {
         id: &str,
         job: impl FnOnce(&mut dyn Tracer) -> T,
     ) -> Result<(T, String), JobOutcome> {
-        let mut registry = MetricsRegistry::new();
+        let mut registry = metrics.then(MetricsRegistry::new);
         let mut sink = self.trace_sink(trace, id)?;
-        let result = match (&mut sink, metrics) {
-            (None, false) => job(&mut NullTracer),
-            (None, true) => job(&mut registry),
-            (Some(s), false) => job(s),
-            (Some(s), true) => job(&mut Tee::new(s, &mut registry)),
+        let result = match (&mut sink, &mut registry) {
+            (None, None) => job(&mut NullTracer),
+            (None, Some(r)) => job(r),
+            (Some(s), None) => job(s),
+            (Some(s), Some(r)) => job(&mut Tee::new(s, r)),
         };
         if let Some(s) = &mut sink {
             s.flush();
@@ -486,7 +477,7 @@ impl BatchService {
                 });
             }
         }
-        let extra = observability_extra(sink.as_ref(), metrics.then_some(&registry));
+        let extra = observability_extra(sink.as_ref(), registry.as_ref());
         Ok((result, extra))
     }
 
@@ -524,9 +515,10 @@ impl BatchService {
     /// One fleet attempt: assemble the tenant population (workload
     /// prepares are memoized inside `prepare_fleet` per run) and drive
     /// the fleet scheduler under the same token. Fleet results bypass
-    /// the [`ResultCache`] — it stores single-program [`Metrics`], and
-    /// a fleet row is cheap to rebuild relative to its run time — but
-    /// keep the full deadline/retry/panic supervision.
+    /// the [`ResultCache`] — it stores single-program
+    /// [`cdmm_vmsim::Metrics`], and a fleet row is cheap to rebuild
+    /// relative to its run time — but keep the full deadline/retry/panic
+    /// supervision.
     fn execute_fleet(&self, req: &FleetRequest, token: &CancelToken) -> JobOutcome {
         let spec = req.fleet_spec();
         let prepared = match prepare_fleet(&spec) {
@@ -1377,5 +1369,69 @@ mod tests {
         assert!(d2 >= d1, "exponential growth");
         assert!(d1 >= base && d1 < base * 2, "attempt 1 = base + jitter");
         assert_eq!(backoff_delay(9, 3, 1, Duration::ZERO), Duration::ZERO);
+    }
+
+    /// A sim job's point goes through the plan's one memo: an untraced
+    /// request may hit, a `metrics`/`trace` request always runs yet
+    /// still warms the cache, and no request changes another's bytes.
+    #[test]
+    fn sim_jobs_share_the_plan_memo_traced_or_not() {
+        let dir = scratch_dir("memo");
+        let s = service(ServeConfig {
+            cache_dir: Some(dir.clone()),
+            ..ServeConfig::default()
+        });
+        let row = |id: &str, frames: u32, extra: &str| {
+            format!(
+                "{{\"v\":1,\"id\":\"{id}\",\"ok\":true,\"policy\":\"LRU({frames})\",\"refs\":1234,\
+                 \"pf\":6,\"mi\":\"5424\",\"fmi\":\"21\",\"fs\":2000,\"peak\":6,\"rec\":0,\"deg\":0{extra}}}"
+            )
+        };
+        let registry = ",\"metrics\":{\"faults\":6,\"refs\":1234,\"resident_pages\":6,\
+                        \"fault_interarrival\":{\"n\":5,\"p50\":63,\"p99\":497,\"max\":497},\
+                        \"resident_occupancy\":{\"n\":1234,\"p50\":6,\"p99\":6,\"max\":6}}";
+        let sidecar = ",\"trace_lines\":6,\"trace_c\":\"3837a1ab632c6d8f\"";
+        let steps = [
+            (
+                r#"{"id":"m1","workload":"FDJAC","policy":"lru","frames":8}"#,
+                row("m1", 8, ""),
+                (0, 1, 1, 1),
+            ),
+            (
+                r#"{"id":"m2","workload":"FDJAC","policy":"lru","frames":8}"#,
+                row("m2", 8, ""),
+                (1, 1, 1, 1),
+            ),
+            (
+                r#"{"id":"m3","workload":"FDJAC","policy":"lru","frames":8,"metrics":true}"#,
+                row("m3", 8, registry),
+                (1, 1, 2, 1),
+            ),
+            (
+                r#"{"id":"m4","workload":"FDJAC","policy":"lru","frames":9,"trace":true}"#,
+                row("m4", 9, sidecar),
+                (1, 1, 3, 2),
+            ),
+            (
+                r#"{"id":"m5","workload":"FDJAC","policy":"lru","frames":9}"#,
+                row("m5", 9, ""),
+                (2, 1, 3, 2),
+            ),
+        ];
+        for (line, want, counts) in steps {
+            assert_eq!(s.handle_batch(&[line]), [want], "{line}");
+            let st = s.cache().stats();
+            let got = (
+                st.cache_hits,
+                st.cache_misses,
+                st.sim_points,
+                s.cache().len(),
+            );
+            assert_eq!(
+                got, counts,
+                "(hits, misses, simulated, entries) after {line}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

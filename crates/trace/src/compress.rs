@@ -11,8 +11,9 @@
 //!
 //! [`TraceBuilder`] builds the compressed form incrementally — the
 //! interpreter pushes one reference at a time and never materializes
-//! the flat event vector — and [`EventSource`] lets `simulate` and the
-//! stack-distance profiler consume either representation unchanged.
+//! the flat event vector — and [`EventSource`] lets the simulation
+//! driver and the stack-distance profiler consume either
+//! representation unchanged.
 
 use crate::event::{Event, EventRef, EventSource, PageId, Run, RunRef, Trace};
 

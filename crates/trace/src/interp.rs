@@ -11,7 +11,9 @@
 //! reference costs slot and index arithmetic rather than hash or tree
 //! lookups. Evaluation order, errors, the event cap and the cancellation
 //! cadence are those of the string-keyed AST walker it replaced, which
-//! survives as a test-only oracle.
+//! survives as the oracle `cdmm_oracle::interp::Walker`; the root
+//! `tests/interp_equivalence.rs` suite holds the two to identical traces,
+//! final states and typed errors.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -817,6 +819,16 @@ impl ProgramState {
     pub fn array(&self, name: &str) -> Option<&[f64]> {
         self.arrays.get(name).map(Vec::as_slice)
     }
+
+    /// The names of every scalar the program assigned or preloaded.
+    pub fn scalar_names(&self) -> impl Iterator<Item = &str> {
+        self.scalars.keys().map(String::as_str)
+    }
+
+    /// The names of every declared array.
+    pub fn array_names(&self) -> impl Iterator<Item = &str> {
+        self.arrays.keys().map(String::as_str)
+    }
 }
 
 /// Replaces non-finite intermediate values with large-but-finite ones so a
@@ -830,411 +842,6 @@ fn clamp_finite(v: f64) -> f64 {
         f64::MAX / 2.0
     } else {
         f64::MIN / 2.0
-    }
-}
-
-/// The string-keyed AST walker [`Interpreter`] replaced, kept as the
-/// differential oracle for the lowered form (the same convention as the
-/// other rewritten kernels: the trivially-correct version survives in
-/// test builds only).
-#[cfg(test)]
-mod oracle {
-    use std::collections::HashMap;
-
-    use cdmm_lang::ast::{BinOp, Directive, Expr, Program, RelOp, Stmt, UnOp};
-    use cdmm_lang::sema::SymbolTable;
-
-    use super::{clamp_finite, InterpConfig, InterpError, ProgramState, POLL_INTERVAL};
-    use crate::cancel::CancelToken;
-    use crate::compress::{CompressedTrace, TraceBuilder};
-    use crate::event::Event;
-    use crate::layout::MemoryLayout;
-
-    /// The string-keyed AST walker the lowered interpreter replaced.
-    #[derive(Debug)]
-    pub(super) struct Walker<'a> {
-        program: &'a Program,
-        layout: MemoryLayout,
-        config: InterpConfig,
-        scalars: HashMap<String, f64>,
-        arrays: HashMap<String, Vec<f64>>,
-        /// References and directives stream into the compressed builder;
-        /// the flat `Vec<Event>` only exists if a caller asks for it.
-        builder: TraceBuilder,
-        emitted: u64,
-        cancel: Option<CancelToken>,
-    }
-
-    impl<'a> Walker<'a> {
-        pub(super) fn new(
-            program: &'a Program,
-            symbols: &SymbolTable,
-            layout: MemoryLayout,
-        ) -> Self {
-            let mut arrays = HashMap::new();
-            for (name, shape) in &symbols.arrays {
-                arrays.insert(name.clone(), vec![0.0_f64; shape.elements() as usize]);
-            }
-            // PARAMETER constants are ordinary named values at run time.
-            let scalars: HashMap<String, f64> = program
-                .params
-                .iter()
-                .map(|(n, v)| (n.clone(), *v as f64))
-                .collect();
-            Walker {
-                program,
-                layout,
-                config: InterpConfig::default(),
-                scalars,
-                arrays,
-                builder: TraceBuilder::new(),
-                emitted: 0,
-                cancel: None,
-            }
-        }
-
-        pub(super) fn with_config(mut self, config: InterpConfig) -> Self {
-            self.config = config;
-            self
-        }
-
-        pub(super) fn with_cancel(mut self, token: CancelToken) -> Self {
-            self.cancel = Some(token);
-            self
-        }
-
-        /// Runs the program; returns its compressed trace and final state.
-        pub(super) fn run_compressed_with_state(
-            mut self,
-        ) -> Result<(CompressedTrace, ProgramState), InterpError> {
-            let body = &self.program.body;
-            self.exec_block(body)?;
-            let trace = self.builder.finish(self.layout.total_pages());
-            let state = ProgramState {
-                scalars: self.scalars,
-                arrays: self.arrays,
-            };
-            Ok((trace, state))
-        }
-
-        /// Charges one logical event against the runaway-trace cap and, on
-        /// the poll cadence, against the cancellation token.
-        fn charge(&mut self) -> Result<(), InterpError> {
-            if self.emitted >= self.config.max_events {
-                return Err(InterpError::EventLimit {
-                    limit: self.config.max_events,
-                });
-            }
-            if self.emitted.is_multiple_of(POLL_INTERVAL) {
-                if let Some(token) = &self.cancel {
-                    if token.should_stop() {
-                        return Err(InterpError::Cancelled {
-                            events_done: self.emitted,
-                        });
-                    }
-                }
-            }
-            self.emitted += 1;
-            Ok(())
-        }
-
-        fn push(&mut self, ev: Event) -> Result<(), InterpError> {
-            self.charge()?;
-            self.builder.push_directive(ev);
-            Ok(())
-        }
-
-        fn exec_block(&mut self, stmts: &'a [Stmt]) -> Result<(), InterpError> {
-            for stmt in stmts {
-                self.exec_stmt(stmt)?;
-            }
-            Ok(())
-        }
-
-        fn exec_stmt(&mut self, stmt: &'a Stmt) -> Result<(), InterpError> {
-            match stmt {
-                Stmt::Do {
-                    var,
-                    lo,
-                    hi,
-                    step,
-                    body,
-                    ..
-                } => {
-                    let lo = self.eval_int(lo, "DO bound")?;
-                    let hi = self.eval_int(hi, "DO bound")?;
-                    let step = match step {
-                        Some(s) => self.eval_int(s, "DO step")?,
-                        None => 1,
-                    };
-                    if step == 0 {
-                        return Err(InterpError::ZeroStep);
-                    }
-                    // FORTRAN-77 trip count semantics.
-                    let trips = (hi - lo + step) / step;
-                    let mut v = lo;
-                    for _ in 0..trips.max(0) {
-                        self.scalars.insert(var.clone(), v as f64);
-                        self.exec_block(body)?;
-                        v += step;
-                    }
-                    // The control variable keeps its post-loop value.
-                    self.scalars.insert(var.clone(), v as f64);
-                    Ok(())
-                }
-                Stmt::Assign { target, value, .. } => {
-                    let v = self.eval(value)?;
-                    match target {
-                        Expr::Scalar(name) => {
-                            self.scalars.insert(name.clone(), v);
-                            Ok(())
-                        }
-                        Expr::Element { array, indices, .. } => {
-                            let (row, col) = self.eval_subscripts(array, indices)?;
-                            self.touch(array, row, col)?;
-                            let linear = self
-                                .layout
-                                .linear_of(array, row, col)
-                                .expect("touch already validated bounds");
-                            let slot = self
-                                .arrays
-                                .get_mut(array)
-                                .expect("sema guarantees the array exists");
-                            slot[linear] = v;
-                            Ok(())
-                        }
-                        other => unreachable!("sema rejects target {other:?}"),
-                    }
-                }
-                Stmt::If {
-                    cond,
-                    then_body,
-                    else_body,
-                    ..
-                } => {
-                    let c = self.eval(cond)?;
-                    if c != 0.0 {
-                        self.exec_block(then_body)
-                    } else {
-                        self.exec_block(else_body)
-                    }
-                }
-                Stmt::Continue { .. } => Ok(()),
-                Stmt::Directive { dir, .. } => self.exec_directive(dir),
-            }
-        }
-
-        fn exec_directive(&mut self, dir: &Directive) -> Result<(), InterpError> {
-            match dir {
-                Directive::Allocate { args } => self.push(Event::Alloc(args.clone())),
-                Directive::Lock { pj, arrays } => {
-                    let ranges = self.layout.ranges_of(arrays);
-                    self.push(Event::Lock { pj: *pj, ranges })
-                }
-                Directive::Unlock { arrays } => {
-                    let ranges = self.layout.ranges_of(arrays);
-                    self.push(Event::Unlock { ranges })
-                }
-            }
-        }
-
-        /// Records a reference to element `(row, col)` of `array`.
-        fn touch(&mut self, array: &str, row: i64, col: i64) -> Result<(), InterpError> {
-            match self.layout.page_of(array, row, col) {
-                Some(page) => {
-                    self.charge()?;
-                    self.builder.push_ref(page);
-                    Ok(())
-                }
-                None => Err(InterpError::OutOfBounds {
-                    array: array.to_string(),
-                    row,
-                    col,
-                }),
-            }
-        }
-
-        fn eval_subscripts(
-            &mut self,
-            array: &str,
-            indices: &'a [Expr],
-        ) -> Result<(i64, i64), InterpError> {
-            let row = self.eval_subscript(array, &indices[0])?;
-            let col = if indices.len() > 1 {
-                self.eval_subscript(array, &indices[1])?
-            } else {
-                1
-            };
-            Ok((row, col))
-        }
-
-        fn eval_subscript(&mut self, array: &str, e: &'a Expr) -> Result<i64, InterpError> {
-            let v = self.eval(e)?;
-            if v.fract().abs() > 1e-9 || !v.is_finite() {
-                return Err(InterpError::BadSubscript {
-                    array: array.to_string(),
-                    value: v,
-                });
-            }
-            Ok(v.round() as i64)
-        }
-
-        fn eval_int(&mut self, e: &'a Expr, _what: &str) -> Result<i64, InterpError> {
-            let v = self.eval(e)?;
-            Ok(v.round() as i64)
-        }
-
-        fn eval(&mut self, e: &'a Expr) -> Result<f64, InterpError> {
-            match e {
-                Expr::Int(v) => Ok(*v as f64),
-                Expr::Real(v) => Ok(*v),
-                Expr::Scalar(name) => Ok(self.scalars.get(name).copied().unwrap_or(0.0)),
-                Expr::Element { array, indices, .. } => {
-                    let (row, col) = self.eval_subscripts(array, indices)?;
-                    self.touch(array, row, col)?;
-                    let linear = self
-                        .layout
-                        .linear_of(array, row, col)
-                        .expect("touch already validated bounds");
-                    Ok(self.arrays[array][linear])
-                }
-                Expr::Call { name, args, .. } => self.eval_intrinsic(name, args),
-                Expr::Bin { op, lhs, rhs } => {
-                    let a = self.eval(lhs)?;
-                    let b = self.eval(rhs)?;
-                    Ok(match op {
-                        BinOp::Add => a + b,
-                        BinOp::Sub => a - b,
-                        BinOp::Mul => a * b,
-                        BinOp::Div => {
-                            if b == 0.0 {
-                                0.0
-                            } else {
-                                a / b
-                            }
-                        }
-                        BinOp::Pow => clamp_finite(a.powf(b)),
-                    })
-                }
-                Expr::Un {
-                    op: UnOp::Neg,
-                    operand,
-                } => Ok(-self.eval(operand)?),
-                Expr::Rel { op, lhs, rhs } => {
-                    let a = self.eval(lhs)?;
-                    let b = self.eval(rhs)?;
-                    let r = match op {
-                        RelOp::Gt => a > b,
-                        RelOp::Ge => a >= b,
-                        RelOp::Lt => a < b,
-                        RelOp::Le => a <= b,
-                        RelOp::Eq => a == b,
-                        RelOp::Ne => a != b,
-                    };
-                    Ok(if r { 1.0 } else { 0.0 })
-                }
-                Expr::And(a, b) => {
-                    let av = self.eval(a)?;
-                    if av == 0.0 {
-                        // FORTRAN does not guarantee short-circuiting, but the
-                        // denotation is the same for side-effect-free operands;
-                        // we still evaluate `b` so its array references trace.
-                        let _ = self.eval(b)?;
-                        Ok(0.0)
-                    } else {
-                        Ok(if self.eval(b)? != 0.0 { 1.0 } else { 0.0 })
-                    }
-                }
-                Expr::Or(a, b) => {
-                    let av = self.eval(a)?;
-                    let bv = self.eval(b)?;
-                    Ok(if av != 0.0 || bv != 0.0 { 1.0 } else { 0.0 })
-                }
-                Expr::Not(inner) => Ok(if self.eval(inner)? == 0.0 { 1.0 } else { 0.0 }),
-            }
-        }
-
-        fn eval_intrinsic(&mut self, name: &str, args: &'a [Expr]) -> Result<f64, InterpError> {
-            let arity = |n: usize| -> Result<(), InterpError> {
-                if args.len() == n {
-                    Ok(())
-                } else {
-                    Err(InterpError::WrongArity {
-                        name: name.to_string(),
-                        got: args.len(),
-                    })
-                }
-            };
-            match name {
-                "ABS" => {
-                    arity(1)?;
-                    Ok(self.eval(&args[0])?.abs())
-                }
-                "SQRT" => {
-                    arity(1)?;
-                    Ok(self.eval(&args[0])?.abs().sqrt())
-                }
-                "EXP" => {
-                    arity(1)?;
-                    Ok(clamp_finite(self.eval(&args[0])?.min(700.0).exp()))
-                }
-                "ALOG" => {
-                    arity(1)?;
-                    let v = self.eval(&args[0])?.abs();
-                    Ok(if v == 0.0 { 0.0 } else { v.ln() })
-                }
-                "SIN" => {
-                    arity(1)?;
-                    Ok(self.eval(&args[0])?.sin())
-                }
-                "COS" => {
-                    arity(1)?;
-                    Ok(self.eval(&args[0])?.cos())
-                }
-                "MOD" => {
-                    arity(2)?;
-                    let a = self.eval(&args[0])?;
-                    let b = self.eval(&args[1])?;
-                    Ok(if b == 0.0 { 0.0 } else { a % b })
-                }
-                "MIN" | "MAX" => {
-                    if args.len() < 2 {
-                        return Err(InterpError::WrongArity {
-                            name: name.to_string(),
-                            got: args.len(),
-                        });
-                    }
-                    let mut acc = self.eval(&args[0])?;
-                    for a in &args[1..] {
-                        let v = self.eval(a)?;
-                        acc = if name == "MIN" {
-                            acc.min(v)
-                        } else {
-                            acc.max(v)
-                        };
-                    }
-                    Ok(acc)
-                }
-                "FLOAT" => {
-                    arity(1)?;
-                    self.eval(&args[0])
-                }
-                "INT" => {
-                    arity(1)?;
-                    Ok(self.eval(&args[0])?.trunc())
-                }
-                "SIGN" => {
-                    arity(2)?;
-                    let a = self.eval(&args[0])?.abs();
-                    let b = self.eval(&args[1])?;
-                    Ok(if b < 0.0 { -a } else { a })
-                }
-                other => Err(InterpError::WrongArity {
-                    name: other.to_string(),
-                    got: args.len(),
-                }),
-            }
-        }
     }
 }
 
@@ -1455,263 +1062,5 @@ mod tests {
         let pages: Vec<PageId> = t.refs().collect();
         assert_eq!(pages.len(), 3);
         assert_eq!(pages[2], PageId(1 + 2), "element 192 is page 3 of V");
-    }
-
-    /// Runs a checked program through the lowered interpreter and the
-    /// oracle walker under the same geometry, limits and token, and
-    /// checks that they agree on the trace and final state, or on the
-    /// typed error.
-    fn agree_on(
-        p: &Program,
-        syms: &SymbolTable,
-        geometry: PageGeometry,
-        config: InterpConfig,
-        token: Option<CancelToken>,
-    ) -> Result<CompressedTrace, InterpError> {
-        let layout = MemoryLayout::new(syms, geometry);
-        let mut lowered = Interpreter::new(p, syms, layout.clone()).with_config(config);
-        let mut walker = oracle::Walker::new(p, syms, layout).with_config(config);
-        if let Some(t) = token {
-            lowered = lowered.with_cancel(t.clone());
-            walker = walker.with_cancel(t);
-        }
-        match (
-            lowered.run_compressed_with_state(),
-            walker.run_compressed_with_state(),
-        ) {
-            (Ok((got, got_state)), Ok((want, want_state))) => {
-                assert_eq!(got, want, "{}: traces differ", p.name);
-                assert_same_state(&got_state, &want_state);
-                Ok(got)
-            }
-            (Err(got), Err(want)) => {
-                assert_eq!(got, want, "{}: errors differ", p.name);
-                Err(got)
-            }
-            (got, want) => panic!(
-                "{}: lowered {:?} vs oracle {:?}",
-                p.name,
-                got.map(|_| ()),
-                want.map(|_| ())
-            ),
-        }
-    }
-
-    fn agree(src: &str) -> Result<CompressedTrace, InterpError> {
-        agree_with(src, InterpConfig::default(), None)
-    }
-
-    fn agree_with(
-        src: &str,
-        config: InterpConfig,
-        token: Option<CancelToken>,
-    ) -> Result<CompressedTrace, InterpError> {
-        let mut p = cdmm_lang::parse(src).unwrap();
-        let syms = cdmm_lang::analyze(&mut p).unwrap();
-        agree_on(&p, &syms, PageGeometry::PAPER, config, token)
-    }
-
-    /// Final states agree when every scalar reads the same (unassigned
-    /// scalars read 0.0 in both) and every array holds the same bits.
-    fn assert_same_state(a: &ProgramState, b: &ProgramState) {
-        use std::collections::BTreeSet;
-        let names: BTreeSet<&String> = a.scalars.keys().chain(b.scalars.keys()).collect();
-        for n in names {
-            assert_eq!(a.scalar(n).to_bits(), b.scalar(n).to_bits(), "scalar {n}");
-        }
-        let arrays: BTreeSet<&String> = a.arrays.keys().collect();
-        assert_eq!(arrays, b.arrays.keys().collect(), "array names");
-        for name in arrays {
-            let bits = |s: &ProgramState| -> Vec<u64> {
-                s.array(name).unwrap().iter().map(|v| v.to_bits()).collect()
-            };
-            assert_eq!(bits(a), bits(b), "array {name}");
-        }
-    }
-
-    #[test]
-    fn lowered_interpreter_matches_the_oracle_on_every_workload() {
-        use cdmm_locality::{analyze_program, instrument, InsertOptions};
-        use cdmm_workloads::{all, Scale};
-        for scale in [Scale::Small, Scale::Paper] {
-            for w in all(scale) {
-                let plain = agree(&w.source).unwrap_or_else(|e| panic!("{}: {e}", w.name));
-                assert!(plain.ref_count() > 0, "{}", w.name);
-                // The instrumented program adds every directive kind.
-                let analysis = analyze_program(&w.source, PageGeometry::PAPER).unwrap();
-                let cd = instrument(&analysis, InsertOptions::default());
-                let traced = agree_on(
-                    &cd,
-                    &analysis.symbols,
-                    PageGeometry::PAPER,
-                    InterpConfig::default(),
-                    None,
-                )
-                .unwrap_or_else(|e| panic!("{}: {e}", w.name));
-                assert!(traced.directive_count() > 0, "{}", w.name);
-            }
-        }
-        // A geometry whose page holds a number of elements that is not
-        // the paper's 64.
-        let w = cdmm_workloads::by_name("HWSCRT", Scale::Small).unwrap();
-        let mut p = cdmm_lang::parse(&w.source).unwrap();
-        let syms = cdmm_lang::analyze(&mut p).unwrap();
-        let geometry = PageGeometry::new(120, 8);
-        agree_on(&p, &syms, geometry, InterpConfig::default(), None).unwrap();
-    }
-
-    #[test]
-    fn edge_programs_match_the_oracle() {
-        let ok = [
-            // Negative and non-unit steps; the control variable keeps
-            // its post-loop value; a zero-trip loop still assigns it.
-            "PROGRAM T\nDIMENSION V(10)\nDO 10 I = 9, 1, -3\nV(I) = FLOAT(I)\n10 CONTINUE\n\
-             DO 20 J = 5, 1\nV(J) = 1.0\n20 CONTINUE\nV(1) = FLOAT(I + J)\nEND",
-            // PARAMETERs are preloaded and may be reassigned.
-            "PROGRAM T\nPARAMETER (N = 4)\nDIMENSION A(N,N)\nDO 10 J = 1, N\nDO 20 I = 1, N\n\
-             A(I,J) = A(J,I) + FLOAT(I * J)\n20 CONTINUE\n10 CONTINUE\nN = N + 1\nEND",
-            // Every intrinsic, both logical connectives, exponentiation,
-            // division by zero and comparisons.
-            "PROGRAM T\nDIMENSION V(16)\n\
-             V(1) = SQRT(-16.0)\nV(2) = ABS(-3.0)\nV(3) = MAX(1.0, V(2), 7.0)\n\
-             V(4) = MIN(5.0, V(3))\nV(5) = MOD(7.0, 3.0) + MOD(1.0, 0.0)\n\
-             V(6) = SIGN(2.0, -1.0) + SIGN(-2.0, 1.0)\nV(7) = INT(-3.9)\n\
-             V(8) = ALOG(EXP(1.0)) + ALOG(0.0) + EXP(1000.0)\nV(9) = SIN(1.0) * COS(1.0)\n\
-             V(10) = 2.0 ** 0.5 + (-8.0) ** (1.0 / 3.0) + 10.0 ** 400.0\n\
-             V(11) = 1.0 / 0.0\n\
-             IF (V(1) .GT. 3.0 .AND. .NOT. V(2) .LT. 0.0) V(12) = 1.0\n\
-             IF (V(1) .LE. 3.0 .OR. V(2) .GE. 3.0) V(13) = 1.0\n\
-             IF (V(1) .EQ. 4.0 .AND. V(2) .NE. 4.0) THEN\nV(14) = 1.0\nELSE\nV(15) = 1.0\nENDIF\n\
-             V(16) = -V(3)\nEND",
-            // Subscripts computed from array contents, within the
-            // integrality tolerance.
-            "PROGRAM T\nDIMENSION IX(4), V(300)\nIX(1) = 3.0\nV(IX(1) * 64) = 1.0\n\
-             X = 0.1 * 3.0 / 0.3\nV(X) = 2.0\nEND",
-            // A wrong-arity call on a branch never taken is never
-            // evaluated, so it never fails.
-            "PROGRAM T\nDIMENSION V(4)\nDO 10 I = 1, 4\nIF (I .GT. 10) THEN\nV(I) = ABS(1.0, 2.0)\n\
-             ELSE\nV(I) = MIN(FLOAT(I), 2.0)\nENDIF\n10 CONTINUE\nEND",
-            // Unassigned scalars read 0.0; scalar-only programs trace
-            // nothing.
-            "PROGRAM T\nY = Z + 1.0\nEND",
-            // Directives of every kind, including names the layout does
-            // not know.
-            "PROGRAM T\nDIMENSION V(64), W(200)\n!MD$ ALLOCATE ((2,4) ELSE (1,2))\nDO 10 I = 1, 4\n\
-             !MD$ LOCK (2,V,Q,W)\nV(I) = W(I * 50)\n10 CONTINUE\n!MD$ UNLOCK (V,W)\nEND",
-        ];
-        for src in ok {
-            agree(src).unwrap_or_else(|e| panic!("{e}\n{src}"));
-        }
-
-        let failing = [
-            (
-                "PROGRAM T\nDIMENSION V(4)\nDO 10 I = 1, 5\nV(I) = 1.0\n10 CONTINUE\nEND",
-                InterpError::OutOfBounds {
-                    array: "V".into(),
-                    row: 5,
-                    col: 1,
-                },
-            ),
-            (
-                "PROGRAM T\nDIMENSION A(2,2)\nX = A(1,1) + A(0,3)\nEND",
-                InterpError::OutOfBounds {
-                    array: "A".into(),
-                    row: 0,
-                    col: 3,
-                },
-            ),
-            (
-                "PROGRAM T\nDIMENSION V(4)\nV(1) = V(10.0 / 4.0)\nEND",
-                InterpError::BadSubscript {
-                    array: "V".into(),
-                    value: 2.5,
-                },
-            ),
-            (
-                "PROGRAM T\nDIMENSION V(4)\nV(1) = V(2) + SQRT(V(3), 1.0)\nEND",
-                InterpError::WrongArity {
-                    name: "SQRT".into(),
-                    got: 2,
-                },
-            ),
-            (
-                "PROGRAM T\nDIMENSION V(4)\nV(1) = MIN(V(2))\nEND",
-                InterpError::WrongArity {
-                    name: "MIN".into(),
-                    got: 1,
-                },
-            ),
-            (
-                "PROGRAM T\nDIMENSION V(4)\nV(1) = MAX(2.0)\nEND",
-                InterpError::WrongArity {
-                    name: "MAX".into(),
-                    got: 1,
-                },
-            ),
-            (
-                "PROGRAM T\nDIMENSION V(4)\nK = 0\nDO 10 I = 1, 4, K\nV(I) = 1.0\n10 CONTINUE\nEND",
-                InterpError::ZeroStep,
-            ),
-        ];
-        for (src, want) in failing {
-            assert_eq!(agree(src), Err(want), "{src}");
-        }
-
-        let looping = "PROGRAM T\nDIMENSION V(4)\n!MD$ UNLOCK (V)\nDO 10 I = 1, 1000\nV(1) = 1.0\n\
-                       10 CONTINUE\nEND";
-        assert_eq!(
-            agree_with(looping, InterpConfig { max_events: 10 }, None),
-            Err(InterpError::EventLimit { limit: 10 })
-        );
-        let token = CancelToken::new();
-        token.cancel();
-        assert_eq!(
-            agree_with(looping, InterpConfig::default(), Some(token)),
-            Err(InterpError::Cancelled { events_done: 0 })
-        );
-    }
-
-    #[test]
-    fn unchecked_names_fail_like_the_oracle() {
-        // Hand-edited ASTs that sema would have rejected: an unknown
-        // intrinsic fails as a wrong-arity call, an undeclared array as
-        // an out-of-bounds access, both only once evaluated.
-        let mut p =
-            cdmm_lang::parse("PROGRAM T\nDIMENSION V(4)\nV(1) = ABS(2.0)\nV(2) = V(3)\nEND")
-                .unwrap();
-        let syms = cdmm_lang::analyze(&mut p).unwrap();
-        let run =
-            |p: &Program| agree_on(p, &syms, PageGeometry::PAPER, InterpConfig::default(), None);
-        let mut unknown_call = p.clone();
-        if let Stmt::Assign {
-            value: Expr::Call { name, .. },
-            ..
-        } = &mut unknown_call.body[0]
-        {
-            *name = "FOO".into();
-        }
-        assert_eq!(
-            run(&unknown_call),
-            Err(InterpError::WrongArity {
-                name: "FOO".into(),
-                got: 1
-            })
-        );
-        let mut unknown_array = p.clone();
-        if let Stmt::Assign {
-            value: Expr::Element { array, .. },
-            ..
-        } = &mut unknown_array.body[1]
-        {
-            *array = "Q".into();
-        }
-        assert_eq!(
-            run(&unknown_array),
-            Err(InterpError::OutOfBounds {
-                array: "Q".into(),
-                row: 3,
-                col: 1
-            })
-        );
     }
 }

@@ -25,7 +25,7 @@
 //!   used by the fleet scheduler to clone workloads into distinct
 //!   tenants.
 //! - [`cancel`] — the [`CancelToken`] polled by both the interpreter
-//!   (so deadlines bound trace generation) and the simulate drivers.
+//!   (so deadlines bound trace generation) and the simulation driver.
 //!
 //! # Examples
 //!

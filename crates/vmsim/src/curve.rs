@@ -328,6 +328,7 @@ fn merge_ticks(dst: &mut Vec<u64>, add: &mut [u64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cdmm_trace::{synth, CompressedTrace, Trace};
 
     #[test]
     fn merge_ticks_merges_in_place() {
@@ -339,23 +340,6 @@ mod tests {
         assert_eq!(empty, [1, 3]);
         merge_ticks(&mut empty, &mut []);
         assert_eq!(empty, [1, 3]);
-    }
-    use crate::observe::NullTracer;
-    use crate::policy::lru::Lru;
-    use crate::policy::ws::WorkingSet;
-    use crate::sim::{simulate, simulate_with, SimConfig};
-    use cdmm_trace::{synth, CancelToken, CompressedTrace, Trace};
-
-    fn run_level<P: crate::Policy>(c: &CompressedTrace, mut policy: P) -> crate::Metrics {
-        let token = CancelToken::new();
-        simulate_with(
-            c,
-            &mut policy,
-            SimConfig::default(),
-            &mut NullTracer,
-            &token,
-        )
-        .expect("an idle token never stops the run")
     }
 
     fn traces() -> Vec<Trace> {
@@ -379,45 +363,6 @@ mod tests {
         events.push(cdmm_trace::Event::Ref(cdmm_trace::PageId(7)));
         out.push(Trace::from_events(events));
         out
-    }
-
-    #[test]
-    fn lru_curve_matches_simulation() {
-        for t in traces() {
-            let c = CompressedTrace::from_trace(&t);
-            for curve in [LruCurve::compute(&t), LruCurve::compute(&c)] {
-                let top = curve.distinct().max(1) + 2;
-                for m in [1usize, 2, 3, 5, 8, 13, top / 2, top] {
-                    let m = m.max(1);
-                    let per_ref = simulate(&t, &mut Lru::new(m), SimConfig::default());
-                    assert_eq!(per_ref, run_level(&c, Lru::new(m)), "harness: m={m}");
-                    assert_eq!(curve.metrics_at(m, 2000), per_ref, "kernel: m={m}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn ws_curve_matches_simulation() {
-        for t in traces() {
-            let c = CompressedTrace::from_trace(&t);
-            let r = EventSource::ref_count(&t).max(2);
-            for curve in [WsCurve::compute(&t), WsCurve::compute(&c)] {
-                for tau in [1u64, 2, 3, 7, 31, r / 3, r, r * 2] {
-                    let tau = tau.max(1);
-                    let per_ref = simulate(&t, &mut WorkingSet::new(tau), SimConfig::default());
-                    let run_level = run_level(&c, WorkingSet::new(tau));
-                    assert_eq!(per_ref, run_level, "harness: tau={tau}");
-                    assert_eq!(curve.metrics_at(tau, 2000), per_ref, "kernel: tau={tau}");
-                    assert_eq!(curve.faults_at(tau), per_ref.faults, "faults: tau={tau}");
-                    assert_eq!(
-                        curve.mem_integral_at(tau),
-                        per_ref.mem_integral,
-                        "integral: tau={tau}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -975,7 +975,14 @@ mod tests {
     #[test]
     fn single_tenant_matches_uniprogramming_faults() {
         let t = synth::cyclic(8, 20);
-        let uni = crate::simulate(&t, &mut WorkingSet::new(5_000), crate::SimConfig::default());
+        let uni = crate::simulate_with(
+            &t,
+            &mut WorkingSet::new(5_000),
+            crate::SimConfig::default(),
+            &mut NullTracer,
+            &CancelToken::new(),
+        )
+        .expect("an idle token never stops a run");
         let r = run(vec![ws_tenant("t0", 8, 20, 0)], FleetConfig::default()).unwrap();
         assert_eq!(r.tenants[0].metrics.faults, uni.faults);
         assert_eq!(r.total_faults, uni.faults);

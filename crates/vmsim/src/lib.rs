@@ -12,17 +12,17 @@
 //!
 //! - [`Policy`] — the interface every policy implements: one call per page
 //!   reference, plus directive callbacks that only the CD policy acts on.
-//! - [`simulate`] — drives a policy over a [`cdmm_trace::Trace`] one
-//!   reference at a time and accumulates [`Metrics`] (page faults `PF`,
-//!   mean resident memory `MEM`, and space-time cost `ST` with a
-//!   2000-reference fault service, as in the paper). It is the reference
-//!   implementation.
-//! - [`simulate_with`] — the production driver: one run-level loop that
-//!   hands whole compressed runs to the policies' batch kernels, which
-//!   hand a tracer their batches at [`Detail::Aggregates`] and decode
+//! - [`simulate_with`] — the one driver: it runs a policy over a trace
+//!   and accumulates [`Metrics`] (page faults `PF`, mean resident memory
+//!   `MEM`, and space-time cost `ST` with a 2000-reference fault
+//!   service, as in the paper). One run-level loop hands whole
+//!   compressed runs to the policies' batch kernels, which hand a
+//!   tracer their batches at [`Detail::Aggregates`] and decode
 //!   reference by reference, with each reference's events, at
-//!   [`Detail::Decisions`] or above; stoppable by a [`CancelToken`],
-//!   and its metrics equal [`simulate`]'s.
+//!   [`Detail::Decisions`] or above; a [`CancelToken`] stops it. Its
+//!   metrics equal the per-reference driver's, which lives with the
+//!   other reference implementations in the dev-only `cdmm-oracle`
+//!   crate.
 //! - [`policy::cd::CdPolicy`] — the Compiler-Directed policy (Section 4).
 //! - [`fleet`] — multiprogrammed memory cells with CD's PI-driven
 //!   allocation and swapper, one [`Executor`] job per cell.
@@ -40,12 +40,14 @@
 //!
 //! ```
 //! use cdmm_trace::synth;
-//! use cdmm_vmsim::{simulate, SimConfig};
 //! use cdmm_vmsim::policy::lru::Lru;
+//! use cdmm_vmsim::{simulate_with, CancelToken, NullTracer, SimConfig};
 //!
 //! let trace = synth::cyclic(8, 10);
 //! let mut lru = Lru::new(4);
-//! let m = simulate(&trace, &mut lru, SimConfig::default());
+//! let token = CancelToken::new();
+//! let m = simulate_with(&trace, &mut lru, SimConfig::default(), &mut NullTracer, &token)
+//!     .expect("an idle token never stops a run");
 //! // The classic LRU pathology: every reference in a cyclic sweep faults.
 //! assert_eq!(m.faults, m.refs);
 //! ```
@@ -82,5 +84,5 @@ pub use policy::Policy;
 pub use progress::{
     validate_progress_file, ProgressCounters, ProgressExporter, ProgressFrame, PROGRESS_SCHEMA,
 };
-pub use sim::{simulate, simulate_with, SimConfig};
+pub use sim::{simulate_with, SimConfig};
 pub use stats::{HistogramSummary, MetricsRegistry, PiStats, PiSummary, RegistrySnapshot};

@@ -86,8 +86,8 @@ pub trait Policy {
     }
 
     /// Processes one constant-stride run of `len` references — `start,
-    /// start+stride, …` — accounting into `tally` exactly what the
-    /// per-reference [`crate::simulate`] would: one
+    /// start+stride, …` — accounting into `tally` exactly what one
+    /// [`Policy::reference`] per reference would: one
     /// [`crate::Metrics::record`] after each reference, plus the
     /// degraded-reference count.
     ///
@@ -163,7 +163,7 @@ pub fn reference_cycle_per_run<P: Policy + ?Sized>(
 }
 
 /// The per-reference fallback every run kernel shares: decodes the run
-/// and replicates [`crate::simulate`]'s loop exactly (reference →
+/// and replicates the per-reference driver's loop exactly (reference →
 /// record → degraded accounting). A traced tally also hands the tracer what each
 /// reference raised, at that reference's clock ([`Tally::record_ref`]);
 /// without a tracer the events stay buffered in the policy. Public so

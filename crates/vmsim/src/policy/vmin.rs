@@ -81,15 +81,18 @@ impl Policy for Vmin {
 mod tests {
     use super::*;
     use crate::policy::ws::WorkingSet;
-    use crate::{simulate, SimConfig};
+    use crate::{simulate_with, CancelToken, NullTracer, SimConfig};
     use cdmm_trace::{synth, Trace};
 
+    /// `policy` over `trace`, untraced under an idle token.
+    fn drive(trace: &Trace, policy: &mut dyn Policy) -> crate::Metrics {
+        let token = CancelToken::new();
+        simulate_with(trace, policy, SimConfig::default(), &mut NullTracer, &token)
+            .expect("an idle token never stops a run")
+    }
+
     fn run(trace: &Trace, tau: u64) -> crate::Metrics {
-        simulate(
-            trace,
-            &mut Vmin::for_trace(trace, tau),
-            SimConfig::default(),
-        )
+        drive(trace, &mut Vmin::for_trace(trace, tau))
     }
 
     #[test]
@@ -121,7 +124,7 @@ mod tests {
             let t = synth::uniform(16, 4_000, seed);
             for tau in [5u64, 20, 100, 500] {
                 let vm = run(&t, tau);
-                let ws = simulate(&t, &mut WorkingSet::new(tau), SimConfig::default());
+                let ws = drive(&t, &mut WorkingSet::new(tau));
                 assert!(vm.faults <= ws.faults, "seed {seed} tau {tau}");
                 assert!(
                     vm.mean_mem() <= ws.mean_mem() + 1e-9,

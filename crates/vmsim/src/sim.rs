@@ -1,12 +1,12 @@
-//! The uniprogramming simulation drivers: [`simulate`], the
-//! per-reference reference implementation, and [`simulate_with`], the
-//! one driver every production path runs — one run-level loop, whose
-//! kernels decode reference by reference only when the tracer's level
-//! asks for each reference's events.
+//! The uniprogramming simulation driver [`simulate_with`], the one
+//! driver every path runs — one run-level loop, whose kernels decode
+//! reference by reference only when the tracer's level asks for each
+//! reference's events. The per-reference driver the run-level loop is
+//! held to lives in the dev-only `cdmm-oracle` crate.
 
 use std::cell::Cell;
 
-use cdmm_trace::{CancelToken, EventRef, EventSource, RunRef};
+use cdmm_trace::{CancelToken, EventSource, RunRef};
 
 use crate::error::SimError;
 use crate::metrics::{Metrics, Tally};
@@ -28,55 +28,16 @@ impl Default for SimConfig {
     }
 }
 
-/// Drives `policy` over `trace` one reference at a time and returns the
-/// accumulated metrics: the reference implementation that tests,
-/// benches and the run-level equivalence harness compare
-/// [`simulate_with`] against.
+/// The simulation driver: drives `policy` over `trace` with an event
+/// [`Tracer`] attached, under a cooperative [`CancelToken`], and
+/// returns the accumulated [`Metrics`] (page faults, mean resident
+/// memory, space-time cost).
 ///
-/// Directive events are forwarded to the policy before the next
-/// reference; policies that ignore directives see exactly the page
-/// reference string. The trace may be any [`EventSource`] — a flat
-/// [`cdmm_trace::Trace`] or a [`cdmm_trace::CompressedTrace`], which
-/// streams without ever materializing the event vector.
-///
-/// The driver is generic over the policy too: pass a concrete policy
-/// type and the whole loop monomorphizes (the policy's `reference`
-/// inlines into the trace decode); pass `&mut dyn Policy` where one
-/// loop must drive interchangeable policies.
-///
-/// # Examples
-///
-/// ```
-/// use cdmm_trace::synth;
-/// use cdmm_vmsim::policy::ws::WorkingSet;
-/// use cdmm_vmsim::{simulate, SimConfig};
-///
-/// let trace = synth::cyclic(4, 100);
-/// let m = simulate(&trace, &mut WorkingSet::new(1_000), SimConfig::default());
-/// assert_eq!(m.faults, 4, "a large window only cold-faults");
-/// ```
-pub fn simulate<S: EventSource + ?Sized, P: Policy + ?Sized>(
-    trace: &S,
-    policy: &mut P,
-    config: SimConfig,
-) -> Metrics {
-    let mut metrics = Metrics::new(config.fault_service);
-    trace.for_each_event(|event| match event {
-        EventRef::Ref(page) => {
-            let fault = policy.reference(page);
-            metrics.record(policy.resident(), fault);
-            if policy.is_degraded() {
-                metrics.degraded_refs += 1;
-            }
-        }
-        EventRef::Directive(other) => policy.directive(other),
-    });
-    metrics.recovered_directives = policy.recovered_directives();
-    metrics
-}
-
-/// The production driver: [`simulate`] with an event [`Tracer`]
-/// attached, under a cooperative [`CancelToken`].
+/// Directive events reach the policy between references; policies that
+/// ignore directives see exactly the page reference string. The driver
+/// is generic over the policy: pass a concrete policy type and the loop
+/// monomorphizes, or `&mut dyn Policy` where one loop drives
+/// interchangeable policies.
 ///
 /// One loop runs at every level: each constant-stride run of a
 /// [`cdmm_trace::CompressedTrace`] goes to [`Policy::reference_run`]
@@ -106,8 +67,9 @@ pub fn simulate<S: EventSource + ?Sized, P: Policy + ?Sized>(
 /// The token is polled once per compressed run (per event on a flat
 /// trace), never inside a run — and, when the kernels decode reference
 /// by reference, between the iterations of a cycle too. The run returns
-/// exactly the [`Metrics`] of [`simulate`] — tracing observes the run,
-/// it never alters it; the `run_level_equivalence` harness pins both. A
+/// the same [`Metrics`] at every level — tracing observes the run, it
+/// never alters it — and they equal the per-reference driver's in
+/// `cdmm-oracle`; the `run_level_equivalence` harness pins both. A
 /// stop (deadline expiry or [`CancelToken::cancel`]) discards the
 /// partial metrics, flushes the tracer, leaves the policy's tracing off
 /// and returns [`SimError::DeadlineExceeded`] with the references
@@ -118,15 +80,16 @@ pub fn simulate<S: EventSource + ?Sized, P: Policy + ?Sized>(
 /// ```
 /// use cdmm_trace::{synth, CompressedTrace};
 /// use cdmm_vmsim::policy::lru::Lru;
-/// use cdmm_vmsim::{simulate, simulate_with, CancelToken, NullTracer, SimConfig, SimError};
+/// use cdmm_vmsim::{simulate_with, CancelToken, NullTracer, SimConfig, SimError};
 ///
 /// let t = synth::cyclic(4, 100);
 /// let c = CompressedTrace::from_trace(&t);
 /// let cfg = SimConfig::default();
-/// let per_ref = simulate(&t, &mut Lru::new(4), cfg);
 /// let token = CancelToken::new();
+/// let flat = simulate_with(&t, &mut Lru::new(4), cfg, &mut NullTracer, &token);
 /// let run_level = simulate_with(&c, &mut Lru::new(4), cfg, &mut NullTracer, &token);
-/// assert_eq!(run_level, Ok(per_ref));
+/// assert_eq!(run_level, flat, "whole runs or single references: the same metrics");
+/// assert_eq!(run_level.map(|m| m.faults), Ok(4), "four frames hold the cycle");
 ///
 /// token.cancel();
 /// let stopped = simulate_with(&c, &mut Lru::new(4), cfg, &mut NullTracer, &token);
@@ -212,23 +175,33 @@ mod tests {
     use crate::{EventLog, NullTracer};
     use cdmm_trace::{synth, CompressedTrace, Trace};
 
+    /// The untraced driver under an idle token.
+    fn run<S: EventSource + ?Sized, P: Policy + ?Sized>(
+        trace: &S,
+        policy: &mut P,
+        config: SimConfig,
+    ) -> Metrics {
+        simulate_with(trace, policy, config, &mut NullTracer, &CancelToken::new())
+            .expect("an idle token never stops the run")
+    }
+
     #[test]
     fn lru_metrics_on_cyclic_trace() {
         let t = synth::cyclic(8, 10);
-        let m = simulate(&t, &mut Lru::new(8), SimConfig::default());
+        let m = run(&t, &mut Lru::new(8), SimConfig::default());
         assert_eq!(m.refs, 80);
         assert_eq!(m.faults, 8, "full allocation: cold faults only");
         assert!(m.mean_mem() <= 8.0);
         assert_eq!(m.peak_resident, 8);
 
-        let m = simulate(&t, &mut Lru::new(4), SimConfig::default());
+        let m = run(&t, &mut Lru::new(4), SimConfig::default());
         assert_eq!(m.faults, 80, "undersized LRU faults every time");
     }
 
     #[test]
     fn st_cost_includes_fault_service() {
         let t = synth::cyclic(2, 1);
-        let m = simulate(&t, &mut Lru::new(2), SimConfig { fault_service: 100 });
+        let m = run(&t, &mut Lru::new(2), SimConfig { fault_service: 100 });
         // refs: page0 (fault, resident 1), page1 (fault, resident 2).
         assert_eq!(m.mem_integral, 3);
         assert_eq!(m.fault_mem_integral, 3);
@@ -248,60 +221,8 @@ mod tests {
         ];
         let t = Trace::from_events(events);
         let mut cd = CdPolicy::new(CdSelector::Innermost).with_min_alloc(1);
-        let m = simulate(&t, &mut cd, SimConfig::default());
+        let m = run(&t, &mut cd, SimConfig::default());
         assert_eq!(m.faults, 3, "1-page target: page 0 refaults");
-    }
-
-    /// The untraced production path under an idle token.
-    fn run_level<S: EventSource + ?Sized, P: Policy + ?Sized>(
-        trace: &S,
-        policy: &mut P,
-    ) -> Metrics {
-        simulate_with(
-            trace,
-            policy,
-            SimConfig::default(),
-            &mut NullTracer,
-            &CancelToken::new(),
-        )
-        .expect("an idle token never stops the run")
-    }
-
-    fn two_phases(refs: usize, seed: u64) -> Trace {
-        synth::phased(
-            &[
-                synth::Phase {
-                    base: 0,
-                    pages: 6,
-                    refs,
-                },
-                synth::Phase {
-                    base: 6,
-                    pages: 3,
-                    refs,
-                },
-            ],
-            seed,
-        )
-    }
-
-    #[test]
-    fn traced_run_metrics_match_untraced() {
-        // Tracing must observe the run without altering it, for every
-        // policy family.
-        let t = two_phases(400, 9);
-        let token = CancelToken::new();
-        let cfg = SimConfig::default();
-        let plain = simulate(&t, &mut Lru::new(4), cfg);
-        let mut log = EventLog::new(4096).with_detail(Detail::References);
-        let traced = simulate_with(&t, &mut Lru::new(4), cfg, &mut log, &token);
-        assert_eq!(traced, Ok(plain));
-        assert!(!log.is_empty());
-
-        let plain = simulate(&t, &mut WorkingSet::new(50), cfg);
-        let mut log = EventLog::new(4096);
-        let traced = simulate_with(&t, &mut WorkingSet::new(50), cfg, &mut log, &token);
-        assert_eq!(traced, Ok(plain));
     }
 
     #[test]
@@ -390,33 +311,9 @@ mod tests {
     }
 
     #[test]
-    fn run_level_matches_per_ref_for_every_policy_family() {
-        let t = two_phases(400, 9);
-        let c = CompressedTrace::from_trace(&t);
-        let cfg = SimConfig::default();
-
-        let per_ref = simulate(&t, &mut Lru::new(4), cfg);
-        assert_eq!(per_ref, run_level(&c, &mut Lru::new(4)), "LRU");
-
-        let per_ref = simulate(&t, &mut WorkingSet::new(50), cfg);
-        assert_eq!(per_ref, run_level(&c, &mut WorkingSet::new(50)), "WS");
-
-        let per_ref = simulate(&t, &mut CdPolicy::new(CdSelector::Innermost), cfg);
-        let cd = run_level(&c, &mut CdPolicy::new(CdSelector::Innermost));
-        assert_eq!(per_ref, cd, "CD");
-    }
-
-    #[test]
-    fn run_level_on_a_flat_trace_degenerates_to_simulate() {
-        let t = synth::uniform(12, 2_000, 3);
-        let per_ref = simulate(&t, &mut Lru::new(6), SimConfig::default());
-        assert_eq!(per_ref, run_level(&t, &mut Lru::new(6)));
-    }
-
-    #[test]
     fn ws_mean_mem_matches_manual_average() {
         let t = synth::uniform(6, 500, 8);
-        let m = simulate(&t, &mut WorkingSet::new(50), SimConfig::default());
+        let m = run(&t, &mut WorkingSet::new(50), SimConfig::default());
         assert!(
             m.mean_mem() > 1.0 && m.mean_mem() <= 6.0,
             "{}",

@@ -13,8 +13,9 @@
 //! back to one-per-distinct-page whenever the tree fills, so the whole
 //! profile costs `O(R log P)` for `R` references over `P` pages and the
 //! tree never grows beyond `2P` slots. (The old move-to-front list was
-//! `O(R·s)` in the mean stack depth `s`; it survives as the test
-//! oracle.)
+//! `O(R·s)` in the mean stack depth `s`; it survives as the oracle
+//! `cdmm_oracle::stack::NaiveProfile`, which the root `tests/` suites
+//! hold this pass to.)
 
 use cdmm_trace::{EventSource, PageId, Run, RunRef};
 
@@ -322,38 +323,6 @@ impl StackProfile {
         }
     }
 
-    /// The original move-to-front implementation (`O(R·s)` in the mean
-    /// stack depth `s`), kept as the property-test oracle for the tree
-    /// pass.
-    #[cfg(test)]
-    pub(crate) fn compute_naive(trace: &cdmm_trace::Trace) -> StackProfile {
-        use cdmm_trace::PageId;
-        let mut stack: Vec<PageId> = Vec::new();
-        let mut hist: Vec<u64> = Vec::new();
-        let mut cold = 0u64;
-        let mut refs = 0u64;
-        for page in trace.refs() {
-            refs += 1;
-            match stack.iter().position(|&p| p == page) {
-                None => {
-                    cold += 1;
-                    stack.insert(0, page);
-                }
-                Some(d) => {
-                    stack.remove(d);
-                    stack.insert(0, page);
-                    let dist = d + 1;
-                    if hist.len() <= dist {
-                        hist.resize(dist + 1, 0);
-                    }
-                    hist[dist] += 1;
-                }
-            }
-        }
-        let distinct = stack.len();
-        Self::from_histogram(hist, cold, refs, distinct)
-    }
-
     /// LRU faults for an allocation of `m` pages (`m >= 1`).
     pub fn faults_at(&self, m: usize) -> u64 {
         if m == 0 {
@@ -404,102 +373,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn tree_profile_equals_naive_oracle_on_random_traces() {
-        for seed in 0..8 {
-            // Few pages and many refs forces heavy slot compaction.
-            let t = synth::uniform(5 + (seed as u32 % 40), 4_000, seed);
-            assert_eq!(
-                StackProfile::compute(&t),
-                StackProfile::compute_naive(&t),
-                "seed={seed}"
-            );
-        }
-        for (pages, len) in [(1, 500), (3, 1), (100, 100), (64, 10_000)] {
-            let t = synth::uniform(pages, len, 42);
-            assert_eq!(StackProfile::compute(&t), StackProfile::compute_naive(&t));
-        }
-    }
-
-    #[test]
-    fn tree_profile_equals_naive_oracle_on_structured_traces() {
-        for t in [
-            synth::cyclic(12, 40),
-            synth::cyclic(1, 100),
-            synth::phased(
-                &[
-                    synth::Phase {
-                        base: 0,
-                        pages: 8,
-                        refs: 200,
-                    },
-                    synth::Phase {
-                        base: 8,
-                        pages: 5,
-                        refs: 150,
-                    },
-                ],
-                3,
-            ),
-            synth::nested_loops(6, 4, 10, 2),
-        ] {
-            assert_eq!(StackProfile::compute(&t), StackProfile::compute_naive(&t));
-        }
-    }
-
-    #[test]
-    fn run_level_tree_equals_naive_oracle_on_compressed_traces() {
-        use cdmm_trace::{CompressedTrace, Event, PageId};
-        // Seeded SplitMix64 run generator: constant-stride runs over a
-        // deliberately small page universe so the tree pass is forced
-        // through slot compaction many times, interleaved with stride-0
-        // spans that exercise the batched histogram path.
-        for seed in 0..12u64 {
-            let mut rng = synth::SplitMix64::new(synth::GAMMA.wrapping_mul(seed + 1));
-            let mut next = move || rng.next_u64();
-            let pages = 4 + (next() % 28) as u32;
-            let mut events = Vec::new();
-            for _ in 0..200 {
-                let start = (next() % pages as u64) as i64;
-                let stride = (next() % 7) as i64 - 3; // -3..=3, 0 included
-                let len = 1 + (next() % 60) as u32;
-                let mut p = start;
-                for _ in 0..len {
-                    events.push(Event::Ref(PageId(p.rem_euclid(pages as i64) as u32)));
-                    p += stride;
-                }
-            }
-            let t = Trace::from_events(events);
-            let c = CompressedTrace::from_trace(&t);
-            let naive = StackProfile::compute_naive(&t);
-            assert_eq!(StackProfile::compute(&c), naive, "compressed, seed={seed}");
-            assert_eq!(StackProfile::compute(&t), naive, "flat, seed={seed}");
-        }
-    }
-
-    #[test]
-    fn stride_zero_spans_keep_compaction_honest() {
-        use cdmm_trace::{CompressedTrace, Event, PageId};
-        // Two pages, long repeat spans: per-ref this consumes a slot per
-        // reference and compacts constantly; run-level it must produce
-        // the identical profile from two tree steps per alternation.
-        let mut events = Vec::new();
-        for i in 0..400u32 {
-            let page = i % 2;
-            for _ in 0..50 {
-                events.push(Event::Ref(PageId(page)));
-            }
-        }
-        // A length-1 tail run straddling the alternation pattern.
-        events.push(Event::Ref(PageId(7)));
-        let t = Trace::from_events(events);
-        let c = CompressedTrace::from_trace(&t);
-        let naive = StackProfile::compute_naive(&t);
-        assert_eq!(StackProfile::compute(&c), naive);
-        assert_eq!(StackProfile::compute(&t), naive);
-        assert_eq!(naive.faults_at(2), 3, "pages 0 and 1 cold-fault, then 7");
     }
 
     #[test]

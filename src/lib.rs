@@ -100,8 +100,9 @@ mod simulation {
             by_name, prepare, CancelToken, CdSelector, EventLog, MetricsRegistry, PipelineConfig,
             PipelineError, PolicySpec, Prepared, Scale, Tee,
         };
+        use cdmm_oracle::simulate;
         use cdmm_vmsim::policy::lru::Lru;
-        use cdmm_vmsim::{simulate, SimConfig};
+        use cdmm_vmsim::SimConfig;
 
         const CD2: PolicySpec = PolicySpec::Cd {
             selector: CdSelector::AtLevel(2),

@@ -15,16 +15,14 @@
 //! Campaign count defaults to 1000 and can be overridden with the
 //! `CHAOS_CAMPAIGNS` environment variable (CI runs a smoke subset).
 
-use cdmm_core::{prepare, PipelineConfig, Prepared};
+use cdmm_oracle::{prepared_workloads, simulate};
 use cdmm_trace::validate::DirectiveFuzzer;
 use cdmm_trace::{CompressedTrace, Event, PageId, Trace};
 use cdmm_vmsim::policy::cd::{CdPolicy, CdSelector};
 use cdmm_vmsim::policy::lru::Lru;
 use cdmm_vmsim::{
-    run_fleet, simulate, Admission, CancelToken, FleetConfig, Metrics, NullTracer, SimConfig,
-    TenantSpec,
+    run_fleet, Admission, CancelToken, FleetConfig, Metrics, NullTracer, SimConfig, TenantSpec,
 };
-use cdmm_workloads::{all, Scale};
 
 /// Campaign count, honoring the `CHAOS_CAMPAIGNS` override.
 fn campaigns(default: usize) -> usize {
@@ -33,16 +31,6 @@ fn campaigns(default: usize) -> usize {
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
         .max(1)
-}
-
-fn prepared_workloads() -> Vec<Prepared> {
-    all(Scale::Small)
-        .iter()
-        .map(|w| {
-            prepare(w.name, &w.source, PipelineConfig::default())
-                .unwrap_or_else(|e| panic!("{}: {e}", w.name))
-        })
-        .collect()
 }
 
 /// Runs the hardened CD policy over a (possibly corrupted) trace.

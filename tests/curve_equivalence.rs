@@ -13,6 +13,11 @@
 //! windows). Memory directives are no-ops to both policies, which the
 //! directive-bearing adversarial traces check explicitly.
 //!
+//! The Table 3/4 match searches are held to the per-point searches in
+//! `cdmm_oracle::search`, which simulate every probe, and both curves to
+//! per-reference simulation on synthetic traces at the kernels'
+//! extremes.
+//!
 //! The generator (SplitMix64, seed from `CDMM_EQUIV_SEED`, default 42)
 //! aims at the kernels' seams: non-unit and negative strides, strides
 //! past the page universe, stride-0 dwells longer than the WS window,
@@ -22,45 +27,15 @@
 use cdmm_core::sweep::{self, Executor, ResultCache, SweepPlan};
 use cdmm_core::{prepare, PipelineConfig, PolicySpec, Prepared};
 use cdmm_lang::ast::AllocArg;
-use cdmm_trace::{CompressedTrace, Event, PageId, PageRange, Trace};
+use cdmm_oracle::search::{lru_match_pf_sim, ws_match_mem_sim, ws_match_pf_sim};
+use cdmm_oracle::{equiv_seed, prepared_workloads, simulate, SplitMix64};
+use cdmm_trace::{
+    synth, CancelToken, CompressedTrace, Event, EventSource, PageId, PageRange, Trace,
+};
 use cdmm_vmsim::policy::lru::Lru;
 use cdmm_vmsim::policy::ws::WorkingSet;
-use cdmm_vmsim::{simulate, LruCurve, SimConfig, WsCurve};
-use cdmm_workloads::{all, Scale};
-
-fn equiv_seed() -> u64 {
-    std::env::var("CDMM_EQUIV_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
-}
-
-/// SplitMix64: the repo-standard seeded generator for property tests.
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-}
-
-fn prepared_workloads() -> Vec<Prepared> {
-    all(Scale::Small)
-        .iter()
-        .map(|w| {
-            prepare(w.name, &w.source, PipelineConfig::default())
-                .unwrap_or_else(|e| panic!("{}: {e}", w.name))
-        })
-        .collect()
-}
+use cdmm_vmsim::{simulate_with, LruCurve, Metrics, NullTracer, Policy, SimConfig, WsCurve};
+use cdmm_workloads::{all, by_name, Scale};
 
 /// The allocation grid a workload's LRU curve is checked at: small,
 /// mid, and the clamp/saturation edges (`m = 0` clamps to 1, `m > V`
@@ -380,4 +355,108 @@ fn ws_curve_reproduces_the_retired_mean_working_set() {
             }
         }
     }
+}
+
+/// The untraced driver under an idle token.
+fn run_level<P: Policy>(c: &CompressedTrace, mut policy: P) -> Metrics {
+    let token = CancelToken::new();
+    simulate_with(
+        c,
+        &mut policy,
+        SimConfig::default(),
+        &mut NullTracer,
+        &token,
+    )
+    .expect("an idle token never stops the run")
+}
+
+/// Synthetic traces at the kernels' extremes: cycles of one page and of
+/// many, a nested loop, uniform traffic over 5–45 pages, the empty
+/// trace, and long stride-0 spans with a straggler page.
+fn traces() -> Vec<Trace> {
+    let mut out = vec![
+        synth::cyclic(12, 40),
+        synth::cyclic(1, 100),
+        synth::cyclic(64, 10),
+        synth::nested_loops(6, 4, 10, 2),
+        Trace::default(),
+    ];
+    for seed in 0..6 {
+        out.push(synth::uniform(5 + (seed as u32 % 40), 2_500, seed));
+    }
+    let mut events = Vec::new();
+    for i in 0..200u32 {
+        for _ in 0..30 {
+            events.push(Event::Ref(PageId(i % 3)));
+        }
+    }
+    events.push(Event::Ref(PageId(7)));
+    out.push(Trace::from_events(events));
+    out
+}
+
+#[test]
+fn lru_curve_matches_simulation() {
+    for t in traces() {
+        let c = CompressedTrace::from_trace(&t);
+        for curve in [LruCurve::compute(&t), LruCurve::compute(&c)] {
+            let top = curve.distinct().max(1) + 2;
+            for m in [1usize, 2, 3, 5, 8, 13, top / 2, top] {
+                let m = m.max(1);
+                let per_ref = simulate(&t, &mut Lru::new(m), SimConfig::default());
+                assert_eq!(per_ref, run_level(&c, Lru::new(m)), "harness: m={m}");
+                assert_eq!(curve.metrics_at(m, 2000), per_ref, "kernel: m={m}");
+            }
+        }
+    }
+}
+
+#[test]
+fn ws_curve_matches_simulation() {
+    for t in traces() {
+        let c = CompressedTrace::from_trace(&t);
+        let r = EventSource::ref_count(&t).max(2);
+        for curve in [WsCurve::compute(&t), WsCurve::compute(&c)] {
+            for tau in [1u64, 2, 3, 7, 31, r / 3, r, r * 2] {
+                let tau = tau.max(1);
+                let per_ref = simulate(&t, &mut WorkingSet::new(tau), SimConfig::default());
+                let run_level = run_level(&c, WorkingSet::new(tau));
+                assert_eq!(per_ref, run_level, "harness: tau={tau}");
+                assert_eq!(curve.metrics_at(tau, 2000), per_ref, "kernel: tau={tau}");
+                assert_eq!(curve.faults_at(tau), per_ref.faults, "faults: tau={tau}");
+                assert_eq!(
+                    curve.mem_integral_at(tau),
+                    per_ref.mem_integral,
+                    "integral: tau={tau}"
+                );
+            }
+        }
+    }
+}
+
+fn prepared(name: &str) -> Prepared {
+    let w = by_name(name, Scale::Small).unwrap();
+    prepare(w.name, &w.source, PipelineConfig::default()).unwrap()
+}
+
+#[test]
+fn match_searches_agree_with_per_point_searches() {
+    let p = prepared("FIELD");
+    let cache = ResultCache::disabled();
+    let plan = SweepPlan::new(&cache, &p);
+    let target = 4.0;
+    let kernel = plan.ws_match_mem(target);
+    let sim = ws_match_mem_sim(&cache, &p, target);
+    assert_eq!(kernel.param, sim.param);
+    assert_eq!(kernel.metrics, sim.metrics);
+
+    let budget = p.run_policy(PolicySpec::Lru { frames: 4 }).faults;
+    let kernel = plan.lru_match_pf(budget);
+    let sim = lru_match_pf_sim(&cache, &p, budget);
+    assert_eq!((kernel.param, kernel.metrics), (sim.param, sim.metrics));
+
+    let budget = p.plain_trace().distinct_pages() as u64 + 50;
+    let kernel = plan.ws_match_pf(budget);
+    let sim = ws_match_pf_sim(&cache, &p, budget);
+    assert_eq!((kernel.param, kernel.metrics), (sim.param, sim.metrics));
 }

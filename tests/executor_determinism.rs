@@ -15,7 +15,7 @@ use cdmm_core::sweep::cache::{decode_line, encode_line};
 use cdmm_core::sweep::{spec_key, SweepPlan};
 use cdmm_core::{prepare, CacheKey, Executor, PipelineConfig, PolicySpec, Prepared, ResultCache};
 use cdmm_trace::synth::SplitMix64;
-use cdmm_vmsim::Metrics;
+use cdmm_vmsim::{CancelToken, Metrics, NullTracer};
 use cdmm_workloads::{by_name, Scale};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -31,6 +31,12 @@ fn temp_dir(tag: &str) -> PathBuf {
 fn prepared(name: &str) -> Prepared {
     let w = by_name(name, Scale::Small).unwrap();
     prepare(w.name, &w.source, PipelineConfig::default()).unwrap()
+}
+
+/// One memoized point through the plan, untraced under an idle token.
+fn untraced(plan: &SweepPlan<'_>, spec: PolicySpec) -> Metrics {
+    plan.point(spec, &mut NullTracer, &CancelToken::new())
+        .expect("an idle token never stops a run")
 }
 
 fn random_metrics(rng: &mut SplitMix64) -> Metrics {
@@ -89,7 +95,7 @@ fn cache_round_trip_equals_recompute() {
     let cold = ResultCache::at_dir(&dir).unwrap();
     let lru = |frames| PolicySpec::Lru { frames };
     let plan = SweepPlan::new(&cold, &p);
-    let fresh: Vec<Metrics> = frames.iter().map(|&f| plan.point(lru(f))).collect();
+    let fresh: Vec<Metrics> = frames.iter().map(|&f| untraced(&plan, lru(f))).collect();
     assert_eq!(cold.stats().cache_misses, frames.len() as u64);
     cold.flush().unwrap();
     drop(cold);
@@ -184,7 +190,7 @@ fn poisoned_cache_file_is_discarded_and_recomputed() {
     assert!(reopened.lookup(key).is_none(), "tampered entry was trusted");
 
     // The memoized path recomputes and the result matches ground truth.
-    assert_eq!(SweepPlan::new(&reopened, &p).point(spec), truth);
+    assert_eq!(untraced(&SweepPlan::new(&reopened, &p), spec), truth);
     assert_eq!(reopened.stats().cache_misses, 2); // explicit lookup + memoized miss
     let _ = std::fs::remove_dir_all(&dir);
 }

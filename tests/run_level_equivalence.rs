@@ -1,27 +1,30 @@
 //! The run-level execution gate: `simulate_with` under a disabled
 //! tracer (one `Policy::reference_run` call per compressed
 //! constant-stride run, batch kernels inside) must be *byte-identical*
-//! to the per-reference `simulate` — same `Metrics`, same final policy behavior, same `SimEvent`
-//! stream where tracing applies — on every reproduced workload and on
-//! an adversarial seeded trace generator.
+//! to the per-reference `cdmm_oracle::simulate` — same `Metrics`, same
+//! final policy behavior, same `SimEvent` stream where tracing applies —
+//! on every reproduced workload, on synthetic phased traces for every
+//! paper family, under every `Prepared::run_policy` spec kind, and on an
+//! adversarial seeded trace generator.
 //!
 //! The served baselines — FIFO, Clock, OPT and PFF — are also checked
 //! against the hash-based implementations their dense kernels replaced,
-//! kept here verbatim as independent oracles (`models`).
+//! kept verbatim as independent oracles in `cdmm_oracle::models`.
 //!
 //! `simulate_with` runs one loop at every tracer level; at `Decisions`
 //! and above its kernels decode reference by reference. The
-//! per-reference loop it ran there before is kept here as a model
-//! (`per_ref_loop`): at `Decisions` and at `References` the production
-//! driver must hand a tracer exactly the model's event stream, clock
-//! for clock.
+//! per-reference loop it ran there before is kept as a model
+//! (`cdmm_oracle::models::per_ref_loop`): at `Decisions` and at
+//! `References` the production driver must hand a tracer exactly the
+//! model's event stream, clock for clock.
 //!
 //! A `MetricsRegistry` reads its reference statistics from the batches
 //! the run-level kernels hand over. Its snapshot must equal the one the
-//! registry's former per-reference event logic builds (kept here as
-//! `PerRefRegistry`), the one the model loop feeds it, and the one a
-//! decision- or reference-level run feeds it — on every policy family,
-//! workload and scale, and on the seeded campaigns.
+//! registry's former per-reference event logic builds (kept as
+//! `cdmm_oracle::models::PerRefRegistry`), the one the model loop feeds
+//! it, and the one a decision- or reference-level run feeds it — on
+//! every policy family, workload and scale, and on the seeded
+//! campaigns.
 //!
 //! The generator (SplitMix64, seed from `CDMM_EQUIV_SEED`, default 42)
 //! aims at the fast paths' fallback seams: runs straddling directive
@@ -34,7 +37,9 @@
 
 use cdmm_core::{prepare, PipelineConfig, PolicySpec, Prepared};
 use cdmm_lang::ast::AllocArg;
-use cdmm_trace::{CompressedTrace, Event, EventRef, EventSource, PageId, PageRange, Trace};
+use cdmm_oracle::models::{self, per_ref_loop, PerRefRegistry};
+use cdmm_oracle::{equiv_seed, prepared_workloads, simulate, SplitMix64};
+use cdmm_trace::{synth, CompressedTrace, Event, EventSource, PageId, PageRange, Trace};
 use cdmm_vmsim::policy::cd::{CdPolicy, CdSelector};
 use cdmm_vmsim::policy::clock::Clock;
 use cdmm_vmsim::policy::fifo::Fifo;
@@ -42,354 +47,11 @@ use cdmm_vmsim::policy::lru::Lru;
 use cdmm_vmsim::policy::opt::Opt;
 use cdmm_vmsim::policy::pff::Pff;
 use cdmm_vmsim::policy::ws::WorkingSet;
-use cdmm_vmsim::stats::{FAULT_INTERARRIVAL, RESIDENT_OCCUPANCY};
 use cdmm_vmsim::{
-    simulate, simulate_with, CancelToken, Detail, Metrics, MetricsRegistry, NullTracer, Policy,
+    simulate_with, CancelToken, Detail, EventLog, Metrics, MetricsRegistry, NullTracer, Policy,
     RefBatch, RegistrySnapshot, SimConfig, SimEvent, Tee, TimedEvent, Tracer,
 };
 use cdmm_workloads::{all, Scale};
-
-/// The hash-based FIFO, Clock, OPT and PFF bodies that the dense,
-/// run-level implementations replaced, kept verbatim as oracles.
-mod models {
-    use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
-
-    use cdmm_trace::{EventSource, PageId};
-    use cdmm_vmsim::Policy;
-
-    pub struct Fifo {
-        frames: usize,
-        queue: VecDeque<PageId>,
-        resident: HashSet<PageId>,
-    }
-
-    impl Fifo {
-        pub fn new(frames: usize) -> Self {
-            assert!(frames > 0, "FIFO needs at least one frame");
-            Fifo {
-                frames,
-                queue: VecDeque::new(),
-                resident: HashSet::new(),
-            }
-        }
-    }
-
-    impl Policy for Fifo {
-        fn label(&self) -> String {
-            format!("FIFO({})", self.frames)
-        }
-
-        fn reference(&mut self, page: PageId) -> bool {
-            if self.resident.contains(&page) {
-                return false;
-            }
-            if self.resident.len() >= self.frames {
-                if let Some(victim) = self.queue.pop_front() {
-                    self.resident.remove(&victim);
-                }
-            }
-            self.resident.insert(page);
-            self.queue.push_back(page);
-            true
-        }
-
-        fn resident(&self) -> usize {
-            self.resident.len()
-        }
-    }
-
-    pub struct Clock {
-        frames: Vec<(PageId, bool)>,
-        capacity: usize,
-        index: HashMap<PageId, usize>,
-        hand: usize,
-    }
-
-    impl Clock {
-        pub fn new(frames: usize) -> Self {
-            assert!(frames > 0, "Clock needs at least one frame");
-            Clock {
-                frames: Vec::new(),
-                capacity: frames,
-                index: HashMap::new(),
-                hand: 0,
-            }
-        }
-
-        fn advance(&mut self) {
-            self.hand = (self.hand + 1) % self.capacity;
-        }
-    }
-
-    impl Policy for Clock {
-        fn label(&self) -> String {
-            format!("CLOCK({})", self.capacity)
-        }
-
-        fn reference(&mut self, page: PageId) -> bool {
-            if let Some(&slot) = self.index.get(&page) {
-                self.frames[slot].1 = true;
-                return false;
-            }
-            if self.frames.len() < self.capacity {
-                self.frames.push((page, true));
-            } else {
-                while self.frames[self.hand].1 {
-                    self.frames[self.hand].1 = false;
-                    self.advance();
-                }
-                let (old, _) = self.frames[self.hand];
-                self.index.remove(&old);
-                self.frames[self.hand] = (page, true);
-            }
-            self.index.insert(page, self.hand);
-            self.advance();
-            true
-        }
-
-        fn resident(&self) -> usize {
-            self.index.len()
-        }
-    }
-
-    pub struct Pff {
-        threshold: u64,
-        clock: u64,
-        last_fault: u64,
-        resident: HashMap<PageId, ()>,
-        used_since_fault: HashSet<PageId>,
-    }
-
-    impl Pff {
-        pub fn new(threshold: u64) -> Self {
-            assert!(threshold > 0, "PFF threshold must be positive");
-            Pff {
-                threshold,
-                clock: 0,
-                last_fault: 0,
-                resident: HashMap::new(),
-                used_since_fault: HashSet::new(),
-            }
-        }
-    }
-
-    impl Policy for Pff {
-        fn label(&self) -> String {
-            format!("PFF({})", self.threshold)
-        }
-
-        fn reference(&mut self, page: PageId) -> bool {
-            self.clock += 1;
-            if self.resident.contains_key(&page) {
-                self.used_since_fault.insert(page);
-                return false;
-            }
-            if self.clock - self.last_fault > self.threshold {
-                self.resident
-                    .retain(|p, ()| self.used_since_fault.contains(p));
-            }
-            self.last_fault = self.clock;
-            self.used_since_fault.clear();
-            self.resident.insert(page, ());
-            self.used_since_fault.insert(page);
-            true
-        }
-
-        fn resident(&self) -> usize {
-            self.resident.len()
-        }
-    }
-
-    const NEVER: u64 = u64::MAX;
-
-    fn next_use_chain<S: EventSource + ?Sized>(trace: &S) -> Vec<u64> {
-        const NO_POS: usize = usize::MAX;
-        let mut refs: Vec<PageId> = Vec::with_capacity(trace.ref_count() as usize);
-        trace.for_each_ref(|p| refs.push(p));
-        let mut next_use = vec![NEVER; refs.len()];
-        let mut last_pos = vec![NO_POS; trace.page_count_hint()];
-        for (i, &p) in refs.iter().enumerate().rev() {
-            let idx = p.0 as usize;
-            if idx >= last_pos.len() {
-                last_pos.resize(idx + 1, NO_POS);
-            }
-            if last_pos[idx] != NO_POS {
-                next_use[i] = last_pos[idx] as u64;
-            }
-            last_pos[idx] = i;
-        }
-        next_use
-    }
-
-    pub struct Opt {
-        frames: usize,
-        next_use: Vec<u64>,
-        pos: usize,
-        by_next: BTreeSet<(u64, PageId)>,
-        resident: HashMap<PageId, u64>,
-    }
-
-    impl Opt {
-        pub fn for_trace<S: EventSource + ?Sized>(trace: &S, frames: usize) -> Self {
-            assert!(frames > 0, "OPT needs at least one page frame");
-            Opt {
-                frames,
-                next_use: next_use_chain(trace),
-                pos: 0,
-                by_next: BTreeSet::new(),
-                resident: HashMap::new(),
-            }
-        }
-    }
-
-    impl Policy for Opt {
-        fn label(&self) -> String {
-            format!("OPT({})", self.frames)
-        }
-
-        fn reference(&mut self, page: PageId) -> bool {
-            let i = self.pos;
-            self.pos += 1;
-            let next = self.next_use.get(i).copied().unwrap_or(NEVER);
-            let fault = match self.resident.remove(&page) {
-                Some(old_next) => {
-                    self.by_next.remove(&(old_next, page));
-                    false
-                }
-                None => {
-                    if self.resident.len() >= self.frames {
-                        if let Some(&victim) = self.by_next.iter().next_back() {
-                            self.by_next.remove(&victim);
-                            self.resident.remove(&victim.1);
-                        }
-                    }
-                    true
-                }
-            };
-            self.resident.insert(page, next);
-            self.by_next.insert((next, page));
-            fault
-        }
-
-        fn resident(&self) -> usize {
-            self.resident.len()
-        }
-    }
-}
-
-/// The registry's per-reference logic from before it consumed batches,
-/// kept as the oracle: a reference-level tracer that counts `Ref`,
-/// `Fault` and `Evict` events by name and hands every other event to a
-/// registry.
-struct PerRefRegistry {
-    inner: MetricsRegistry,
-    last_fault_at: Option<u64>,
-}
-
-impl PerRefRegistry {
-    fn new() -> Self {
-        PerRefRegistry {
-            inner: MetricsRegistry::new(),
-            last_fault_at: None,
-        }
-    }
-}
-
-impl Tracer for PerRefRegistry {
-    fn detail(&self) -> Detail {
-        Detail::References
-    }
-
-    fn record(&mut self, at: u64, event: &SimEvent) {
-        let r = &mut self.inner;
-        match event {
-            SimEvent::Ref { resident, .. } => {
-                r.inc("refs");
-                r.record_sample(RESIDENT_OCCUPANCY, u64::from(*resident));
-                r.set_gauge("resident_pages", u64::from(*resident));
-            }
-            SimEvent::Fault { .. } => {
-                r.inc("faults");
-                if let Some(prev) = self.last_fault_at {
-                    r.record_sample(FAULT_INTERARRIVAL, at.saturating_sub(prev));
-                }
-                self.last_fault_at = Some(at);
-            }
-            SimEvent::Evict { .. } => r.inc("evictions"),
-            other => r.record(at, other),
-        }
-    }
-}
-
-/// The per-reference traced loop `simulate_with` ran at `Decisions` and
-/// above before it kept one loop for every level, kept as the model of
-/// what a traced run hands its tracer. After each
-/// reference: the policy's buffered events (each `Evict` also as a
-/// one-page eviction count), the driver's `Fault`, a one-reference
-/// batch, and — at `References` — a `Ref`; after each directive, the
-/// policy's events. Every event carries the clock of the references
-/// processed so far.
-fn per_ref_loop<S: EventSource + ?Sized, P: Policy + ?Sized>(
-    trace: &S,
-    policy: &mut P,
-    tracer: &mut dyn Tracer,
-) -> Metrics {
-    fn forward(tracer: &mut dyn Tracer, at: u64, pending: &mut Vec<SimEvent>) {
-        for e in pending.drain(..) {
-            if let SimEvent::Evict { .. } = e {
-                tracer.aggregate(at, &RefBatch::Evictions(1));
-            }
-            tracer.record(at, &e);
-        }
-    }
-    let mut metrics = Metrics::new(SimConfig::default().fault_service);
-    let detail = tracer.detail();
-    assert!(
-        detail >= Detail::Decisions,
-        "the model loop is the traced one"
-    );
-    policy.set_detail(detail);
-    let mut pending = Vec::new();
-    trace.for_each_event(|event| match event {
-        EventRef::Ref(page) => {
-            let fault = policy.reference(page);
-            metrics.record(policy.resident(), fault);
-            if policy.is_degraded() {
-                metrics.degraded_refs += 1;
-            }
-            let at = metrics.refs;
-            policy.drain_events(&mut pending);
-            forward(tracer, at, &mut pending);
-            let resident = policy.resident() as u32;
-            if fault {
-                tracer.record(at, &SimEvent::Fault { page, resident });
-            }
-            let batch = RefBatch::Flat {
-                n: 1,
-                resident: u64::from(resident),
-                fault,
-            };
-            tracer.aggregate(at, &batch);
-            if detail >= Detail::References {
-                let event = SimEvent::Ref {
-                    page,
-                    resident,
-                    fault,
-                };
-                tracer.record(at, &event);
-            }
-        }
-        EventRef::Directive(other) => {
-            policy.directive(other);
-            policy.drain_events(&mut pending);
-            forward(tracer, metrics.refs, &mut pending);
-        }
-    });
-    policy.set_detail(Detail::Off);
-    tracer.flush();
-    metrics.recovered_directives = policy.recovered_directives();
-    metrics
-}
 
 /// What a run hands a tracer at one level: every event, in order, and
 /// the registry those events and the batches build.
@@ -444,7 +106,7 @@ where
     F: Fn() -> Box<dyn Policy>,
 {
     let mut model = Witness::new(Detail::References);
-    let mut per_ref = PerRefRegistry::new();
+    let mut per_ref = PerRefRegistry::default();
     let want = per_ref_loop(trace, &mut *make(), &mut Tee::new(&mut model, &mut per_ref));
     let mut refs = Witness::new(Detail::References);
     let mut decisions = Witness::new(Detail::Decisions);
@@ -482,30 +144,6 @@ where
     assert_eq!(snapshot, got, "{what}: Decisions registry");
     assert_eq!(snapshot, alone.snapshot(), "{what}: Aggregates registry");
     snapshot
-}
-
-fn equiv_seed() -> u64 {
-    std::env::var("CDMM_EQUIV_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
-}
-
-/// SplitMix64: the repo-standard seeded generator for property tests.
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
 }
 
 /// The production driver under an idle token.
@@ -570,16 +208,6 @@ fn assert_same_events<P: Policy, F: Fn() -> P>(
     assert_same_stream(&model.events, &on_flat.events, &format!("{what}: flat"));
     let what = format!("{what}: compressed");
     assert_same_stream(&model.events, &on_compressed.events, &what);
-}
-
-fn prepared_workloads() -> Vec<Prepared> {
-    all(Scale::Small)
-        .iter()
-        .map(|w| {
-            prepare(w.name, &w.source, PipelineConfig::default())
-                .unwrap_or_else(|e| panic!("{}: {e}", w.name))
-        })
-        .collect()
 }
 
 #[test]
@@ -1069,5 +697,99 @@ fn seeded_campaigns_match_the_hash_based_models() {
         let threshold = 1 + rng.below(300);
         let model = models::Pff::new(threshold);
         check_campaign(model, || Pff::new(threshold), &flat, comp, c, traced);
+    }
+}
+
+/// The untraced production path under an idle token.
+fn run_level<S: EventSource + ?Sized, P: Policy + ?Sized>(trace: &S, policy: &mut P) -> Metrics {
+    drive(trace, policy, &mut NullTracer)
+}
+
+fn two_phases(refs: usize, seed: u64) -> Trace {
+    synth::phased(
+        &[
+            synth::Phase {
+                base: 0,
+                pages: 6,
+                refs,
+            },
+            synth::Phase {
+                base: 6,
+                pages: 3,
+                refs,
+            },
+        ],
+        seed,
+    )
+}
+
+#[test]
+fn traced_run_metrics_match_untraced() {
+    // Tracing must observe the run without altering it, for every
+    // policy family.
+    let t = two_phases(400, 9);
+    let token = CancelToken::new();
+    let cfg = SimConfig::default();
+    let plain = simulate(&t, &mut Lru::new(4), cfg);
+    let mut log = EventLog::new(4096).with_detail(Detail::References);
+    let traced = simulate_with(&t, &mut Lru::new(4), cfg, &mut log, &token);
+    assert_eq!(traced, Ok(plain));
+    assert!(!log.is_empty());
+
+    let plain = simulate(&t, &mut WorkingSet::new(50), cfg);
+    let mut log = EventLog::new(4096);
+    let traced = simulate_with(&t, &mut WorkingSet::new(50), cfg, &mut log, &token);
+    assert_eq!(traced, Ok(plain));
+}
+
+#[test]
+fn run_level_matches_per_ref_for_every_policy_family() {
+    let t = two_phases(400, 9);
+    let c = CompressedTrace::from_trace(&t);
+    let cfg = SimConfig::default();
+
+    let per_ref = simulate(&t, &mut Lru::new(4), cfg);
+    assert_eq!(per_ref, run_level(&c, &mut Lru::new(4)), "LRU");
+
+    let per_ref = simulate(&t, &mut WorkingSet::new(50), cfg);
+    assert_eq!(per_ref, run_level(&c, &mut WorkingSet::new(50)), "WS");
+
+    let per_ref = simulate(&t, &mut CdPolicy::new(CdSelector::Innermost), cfg);
+    let cd = run_level(&c, &mut CdPolicy::new(CdSelector::Innermost));
+    assert_eq!(per_ref, cd, "CD");
+}
+
+#[test]
+fn run_level_on_a_flat_trace_degenerates_to_simulate() {
+    let t = synth::uniform(12, 2_000, 3);
+    let per_ref = simulate(&t, &mut Lru::new(6), SimConfig::default());
+    assert_eq!(per_ref, run_level(&t, &mut Lru::new(6)));
+}
+
+#[test]
+fn run_policy_matches_the_per_reference_driver() {
+    let w = cdmm_workloads::by_name("MAIN", Scale::Small).expect("built-in workload");
+    let p = prepare(w.name, &w.source, PipelineConfig::default()).expect("MAIN compiles");
+    for spec in [
+        PolicySpec::Cd {
+            selector: CdSelector::Outermost,
+        },
+        PolicySpec::CdNoLocks {
+            selector: CdSelector::Innermost,
+        },
+        PolicySpec::Lru { frames: 8 },
+        PolicySpec::Ws { tau: 500 },
+        PolicySpec::Opt { frames: 8 },
+    ] {
+        let trace = if spec.uses_directives() {
+            p.cd_trace()
+        } else {
+            p.plain_trace()
+        };
+        let config = SimConfig {
+            fault_service: p.config().fault_service,
+        };
+        let per_ref = simulate(trace, p.build_policy(spec).as_mut(), config);
+        assert_eq!(p.run_policy(spec), per_ref, "{spec:?}");
     }
 }
